@@ -1,20 +1,14 @@
 //! Command-line experiment runner: regenerates every table and figure of the
-//! paper's evaluation section, plus the post-paper throughput experiment.
+//! paper's evaluation section.
 //!
-//! Usage: `cargo run --release -p q-bench --bin experiments [fig6|fig7|fig8|table1|fig10|fig11|fig12|table2|throughput|throughput-smoke|search|search-smoke|ingest|ingest-smoke|scale|scale-smoke|boot|boot-smoke|all]`
+//! Usage: `cargo run --release -p q-bench --bin experiments [fig6|fig7|fig8|table1|fig10|fig11|fig12|table2|all]`
 //!
-//! `throughput` (and its reduced CI variant `throughput-smoke`) additionally
-//! writes `BENCH_throughput.json` to the current directory; `search` /
-//! `search-smoke` write `BENCH_search.json`; `ingest` / `ingest-smoke`
-//! write `BENCH_ingest.json`; `scale` / `scale-smoke` write
-//! `BENCH_scale.json`; `boot` / `boot-smoke` write `BENCH_boot.json`.
+//! Serving performance (query latency, ingest delay, boot, memory) is not
+//! measured here: that is `qbench`, see `benchmark/README.md`.
 
 use q_bench::{
-    run_aligner_experiment, run_boot_experiment, run_learning_experiment,
-    run_live_ingest_experiment, run_matcher_quality, run_scale_experiment, run_scaling_experiment,
-    run_search_latency_experiment, run_throughput_experiment, AlignerExperimentConfig, BootConfig,
-    LearningConfig, LiveIngestConfig, MatcherQualityConfig, ScaleConfig, ScalingExperimentConfig,
-    SearchLatencyConfig, ThroughputConfig,
+    run_aligner_experiment, run_learning_experiment, run_matcher_quality, run_scaling_experiment,
+    AlignerExperimentConfig, LearningConfig, MatcherQualityConfig, ScalingExperimentConfig,
 };
 
 fn main() {
@@ -28,235 +22,17 @@ fn main() {
         "fig11" => learning(&["fig11"]),
         "fig12" => learning(&["fig12"]),
         "table2" => learning(&["table2"]),
-        "throughput" => throughput(&ThroughputConfig::default()),
-        "throughput-smoke" => throughput(&ThroughputConfig::smoke()),
-        "search" => search(&SearchLatencyConfig::default()),
-        "search-smoke" => search(&SearchLatencyConfig::smoke()),
-        "ingest" => ingest(&LiveIngestConfig::default()),
-        "ingest-smoke" => ingest(&LiveIngestConfig::smoke()),
-        "scale" => scale(&ScaleConfig::default()),
-        "scale-smoke" => scale(&ScaleConfig::smoke()),
-        "boot" => boot(&BootConfig::default()),
-        "boot-smoke" => boot(&BootConfig::smoke()),
         "all" => {
             fig6_7(true, true);
             fig8();
             table1();
             learning(&["fig10", "fig11", "fig12", "table2"]);
-            throughput(&ThroughputConfig::default());
-            search(&SearchLatencyConfig::default());
-            ingest(&LiveIngestConfig::default());
-            scale(&ScaleConfig::default());
-            boot(&BootConfig::default());
         }
         other => {
             eprintln!("unknown experiment `{other}`");
-            eprintln!(
-                "expected one of: fig6 fig7 fig8 table1 fig10 fig11 fig12 table2 \
-                 throughput throughput-smoke search search-smoke ingest ingest-smoke \
-                 scale scale-smoke boot boot-smoke all"
-            );
+            eprintln!("expected one of: fig6 fig7 fig8 table1 fig10 fig11 fig12 table2 all");
             std::process::exit(2);
         }
-    }
-}
-
-fn boot(config: &BootConfig) {
-    let result = run_boot_experiment(config);
-    println!("== Boot: rebuild from the dataset vs restore from a persisted snapshot ==");
-    println!(
-        "{} shards, {} miss workers",
-        result.shards, result.shard_workers
-    );
-    println!("sources   build_ms    save_ms    load_ms   file_MiB   speedup");
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    for t in &result.tiers {
-        println!(
-            "{:>7}  {:>9.1}  {:>9.1}  {:>9.1}  {:>9.2}  {:>7.1}x",
-            t.total_sources,
-            ms(t.build),
-            ms(t.save),
-            ms(t.load),
-            t.file_bytes as f64 / (1024.0 * 1024.0),
-            t.speedup,
-        );
-    }
-    println!(
-        "deterministic (loaded replays byte-identical): {}",
-        result.deterministic
-    );
-    let json = result.to_json(config);
-    let path = "BENCH_boot.json";
-    std::fs::write(path, &json).expect("write BENCH_boot.json");
-    println!("wrote {path}");
-    println!();
-    if !result.deterministic {
-        eprintln!("FATAL: a loaded snapshot's answers diverged from the built server's");
-        std::process::exit(1);
-    }
-    if let Some(slow) = result.tiers.iter().find(|t| t.load >= t.build) {
-        eprintln!(
-            "FATAL: loading ({:?}) did not beat rebuilding ({:?}) at the {}-source tier",
-            slow.load, slow.build, slow.total_sources
-        );
-        std::process::exit(1);
-    }
-}
-
-fn scale(config: &ScaleConfig) {
-    let result = run_scale_experiment(config);
-    println!("== Corpus scaling: latency, throughput and memory vs corpus size ==");
-    println!(
-        "{} shards, {} miss workers; peak RSS {:.1} MiB ({})",
-        result.shards,
-        result.shard_workers,
-        result.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-        result.rss_source
-    );
-    println!("sources      rows   build_ms  snap_MiB  boundary  cold_p99_ms  warm_p99_ms  cold_qps    warm_qps");
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    for t in &result.tiers {
-        println!(
-            "{:>7}  {:>8}  {:>9.1}  {:>8.2}  {:>8}  {:>11.3}  {:>11.3}  {:>8.1}  {:>10.1}",
-            t.total_sources,
-            t.total_rows,
-            ms(t.build),
-            t.snapshot_bytes as f64 / (1024.0 * 1024.0),
-            t.boundary_edges,
-            ms(t.cold_p99),
-            ms(t.warm_p99),
-            t.cold_qps,
-            t.warm_qps
-        );
-    }
-    println!(
-        "deterministic (rebuilds + sharded-vs-unsharded): {}",
-        result.deterministic
-    );
-    let json = result.to_json(config);
-    let path = "BENCH_scale.json";
-    std::fs::write(path, &json).expect("write BENCH_scale.json");
-    println!("wrote {path}");
-    println!();
-    if !result.deterministic {
-        eprintln!("FATAL: scaled replays diverged (rebuild or sharded-vs-unsharded mismatch)");
-        std::process::exit(1);
-    }
-}
-
-fn ingest(config: &LiveIngestConfig) {
-    let result = run_live_ingest_experiment(config);
-    println!("== Live ingestion: reads sustained while sources stream in ==");
-    println!(
-        "{} readers; {} sources at boot, {} streamed ({} snapshots published)",
-        result.readers, result.initial_sources, result.streamed_sources, result.snapshots_published
-    );
-    println!("window                           qps");
-    println!("idle (readers only)       {:>10.1}", result.idle_qps);
-    println!(
-        "live ingestion            {:>10.1}   ({:.2}x idle)",
-        result.sustained_qps, result.sustained_ratio
-    );
-    println!(
-        "stop-the-world baseline   {:>10.1}   (live is {:.2}x)",
-        result.stop_world_qps, result.live_vs_stop_world
-    );
-    println!(
-        "cache across publishes: {} kept byte-identical, {} repriced warm, {} dropped cold ({} parked for the lane)",
-        result.cache_kept,
-        result.revalidation_repriced,
-        result.cache_dropped,
-        result.cache_parked,
-    );
-    println!(
-        "replayed {} sampled concurrent answers against their snapshots: deterministic = {}",
-        result.replayed_observations, result.deterministic
-    );
-    let json = result.to_json(config);
-    let path = "BENCH_ingest.json";
-    std::fs::write(path, &json).expect("write BENCH_ingest.json");
-    println!("wrote {path}");
-    println!();
-    if !result.deterministic {
-        eprintln!("FATAL: a concurrent answer diverged from its snapshot's sequential answer");
-        std::process::exit(1);
-    }
-}
-
-fn search(config: &SearchLatencyConfig) {
-    let result = run_search_latency_experiment(config);
-    println!("== Search latency: cold miss vs warm hit vs post-feedback revalidation ==");
-    println!(
-        "workload: {} distinct GBCO queries per pass",
-        result.queries
-    );
-    println!("pass                         p50_ms      p99_ms");
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    println!(
-        "cold (all misses)        {:>10.3}  {:>10.3}",
-        ms(result.cold.p50),
-        ms(result.cold.p99)
-    );
-    println!(
-        "warm (all hits)          {:>10.3}  {:>10.3}",
-        ms(result.warm.p50),
-        ms(result.warm.p99)
-    );
-    println!(
-        "post-feedback            {:>10.3}  {:>10.3}",
-        ms(result.post_feedback.p50),
-        ms(result.post_feedback.p99)
-    );
-    println!(
-        "post-feedback mix: {} revalidated, {} recomputed ({} features re-priced)",
-        result.revalidated, result.post_misses, result.repriced_features
-    );
-    println!("deterministic across runs: {}", result.deterministic);
-    let json = result.to_json(config);
-    let path = "BENCH_search.json";
-    std::fs::write(path, &json).expect("write BENCH_search.json");
-    println!("wrote {path}");
-    println!();
-    if !result.deterministic {
-        eprintln!("FATAL: search-latency passes diverged between runs");
-        std::process::exit(1);
-    }
-}
-
-fn throughput(config: &ThroughputConfig) {
-    let result = run_throughput_experiment(config);
-    println!("== Throughput: batched + cached query serving over the GBCO workload ==");
-    println!(
-        "workload: {} queries ({} distinct), {} workers",
-        result.queries, result.distinct_queries, result.workers
-    );
-    println!("serving path                time_ms     speedup");
-    println!(
-        "sequential, no cache     {:>10.3}        1.00",
-        result.sequential_cold.as_secs_f64() * 1e3
-    );
-    println!(
-        "batched, cold cache      {:>10.3}   {:>9.2}",
-        result.batched_cold.as_secs_f64() * 1e3,
-        result.batch_speedup
-    );
-    println!(
-        "batched, warm cache      {:>10.3}   {:>9.2}",
-        result.warm_cache.as_secs_f64() * 1e3,
-        result.warm_speedup
-    );
-    println!(
-        "deterministic across worker counts: {}",
-        result.deterministic
-    );
-    let json = result.to_json(config);
-    let path = "BENCH_throughput.json";
-    std::fs::write(path, &json).expect("write BENCH_throughput.json");
-    println!("wrote {path}");
-    println!();
-    if !result.deterministic {
-        eprintln!("FATAL: batched execution diverged from the sequential baseline");
-        std::process::exit(1);
     }
 }
 

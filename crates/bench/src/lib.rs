@@ -7,27 +7,15 @@
 //! index; the `experiments` binary prints the paper-vs-measured numbers.
 
 pub mod aligners;
-pub mod boot;
 pub mod learning;
-pub mod live_ingest;
 pub mod matchers;
-pub mod scale;
 pub mod scaling;
-pub mod search_latency;
-pub mod throughput;
 
 pub use aligners::{
     run_aligner_experiment, AlignerExperimentConfig, AlignerExperimentResult, StrategyMeasurement,
 };
-pub use boot::{run_boot_experiment, BootConfig, BootResult, BootTier};
 pub use learning::{run_learning_experiment, LearningConfig, LearningResult};
-pub use live_ingest::{run_live_ingest_experiment, LiveIngestConfig, LiveIngestResult};
 pub use matchers::{
     run_matcher_quality, MatcherQualityConfig, MatcherQualityResult, MatcherQualityRow,
 };
-pub use scale::{run_scale_experiment, ScaleConfig, ScaleResult, ScaleTier};
 pub use scaling::{run_scaling_experiment, ScalingExperimentConfig, ScalingPoint, ScalingResult};
-pub use search_latency::{
-    run_search_latency_experiment, LatencyStats, SearchLatencyConfig, SearchLatencyResult,
-};
-pub use throughput::{run_throughput_experiment, ThroughputConfig, ThroughputResult};

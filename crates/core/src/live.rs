@@ -73,7 +73,7 @@ use crate::feedback::{FeedbackOutcome, FeedbackRequest, FeedbackTarget};
 use crate::request::{CachePolicy, CacheStatus, QueryOutcome, QueryRequest};
 use crate::revalidate::{RevalidationLane, RevalidationStats};
 use crate::snapstore::{PersistStats, SnapshotPersister};
-use crate::system::{answer_keywords, learn_feedback, ServeParams};
+use crate::system::{learn_feedback, ServeParams, ServingState};
 
 /// One immutable published serving state: everything a reader needs to
 /// answer a query, frozen at publish time. Cheap to share (`Arc`) and safe
@@ -210,18 +210,25 @@ impl GraphSnapshot {
     pub fn answer(&self, config: &QConfig, request: &QueryRequest) -> Result<RankedView, QError> {
         request.validate()?;
         let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
-        answer_keywords(
-            &self.catalog,
-            &self.graph,
-            &self.keyword_index,
+        self.serving(config)
+            .answer_keywords(
+                &refs,
+                ServeParams::resolve(config, request),
+                false,
+                &mut SteinerScratch::default(),
+            )
+            .map(|(view, _, _)| view)
+    }
+
+    /// This snapshot as the state a query is answered against.
+    pub(crate) fn serving<'a>(&'a self, config: &'a QConfig) -> ServingState<'a> {
+        ServingState {
+            catalog: &self.catalog,
+            graph: &self.graph,
+            keyword_index: &self.keyword_index,
             config,
-            &refs,
-            ServeParams::resolve(config, request),
-            false,
-            Some(&self.shards),
-            &mut SteinerScratch::default(),
-        )
-        .map(|(view, _, _)| view)
+            shards: Some(&self.shards),
+        }
     }
 
     /// Recompute the answer a cache key describes against this snapshot,
@@ -238,15 +245,10 @@ impl GraphSnapshot {
         scratch: &mut SteinerScratch,
     ) -> Result<(RankedView, RevalidationModel), QError> {
         let refs: Vec<&str> = key.keywords.iter().map(String::as_str).collect();
-        let (view, _, model) = answer_keywords(
-            &self.catalog,
-            &self.graph,
-            &self.keyword_index,
-            config,
+        let (view, _, model) = self.serving(config).answer_keywords(
             &refs,
             ServeParams::resolve_key(config, &key.params),
             true,
-            Some(&self.shards),
             scratch,
         )?;
         Ok((view, model.expect("build_model always yields a model")))
@@ -500,15 +502,10 @@ impl LiveServer {
         let params = ServeParams::resolve(&self.config, request);
         let build_model = request.cache() != CachePolicy::Bypass;
         let (view, stats, model) = SCRATCH.with(|scratch| {
-            answer_keywords(
-                &snapshot.catalog,
-                &snapshot.graph,
-                &snapshot.keyword_index,
-                &self.config,
+            snapshot.serving(&self.config).answer_keywords(
                 &refs,
                 params,
                 build_model,
-                Some(&snapshot.shards),
                 &mut scratch.borrow_mut(),
             )
         })?;

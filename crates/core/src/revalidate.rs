@@ -4,7 +4,7 @@
 //! [`QueryCache::sync_ingestion`](crate::QueryCache::sync_ingestion) is a
 //! cheap lower-bound test — entries it cannot *prove* safe are parked, not
 //! dropped, because most of them are in fact untouched (the bound prices
-//! the delta's reach, not the actual new top-k). The [`RevalidationLane`]
+//! the delta's reach, not the actual new top-k). The `RevalidationLane`
 //! settles each parked entry with the ground truth: a fresh recompute of
 //! the entry's request against the snapshot that parked it, off the writer
 //! and reader paths, on a single background thread fed through the same
@@ -42,7 +42,7 @@ use crate::cache::{ParkedEntry, QueryCache};
 use crate::config::QConfig;
 use crate::live::GraphSnapshot;
 
-/// Point-in-time counters of a [`RevalidationLane`].
+/// Point-in-time counters of the re-validation lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RevalidationStats {
     /// Parked entries whose recompute found the same answer (same trees,

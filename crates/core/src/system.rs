@@ -249,23 +249,46 @@ impl QSystem {
         ids
     }
 
-    /// [`QSystem::compute_view`] through the shared scratch — the feedback
-    /// loop refreshes every persistent view per interaction, which must not
+    /// Compute a view through the shared scratch — the feedback loop
+    /// refreshes every persistent view per interaction, which must not
     /// rebuild the search buffers per view.
     fn compute_view_reusing_scratch(&mut self, keywords: &[&str]) -> Result<RankedView, QError> {
         self.refresh_shards();
-        answer_keywords(
-            &self.catalog,
-            &self.graph,
-            &self.keyword_index,
-            &self.config,
-            keywords,
-            ServeParams::defaults(&self.config),
-            false,
-            self.shards.as_ref(),
-            &mut self.scratch,
-        )
-        .map(|(view, _, _)| view)
+        let params = ServeParams::defaults(&self.config);
+        self.answer_reusing_scratch(keywords, params, false)
+            .map(|(view, _, _)| view)
+    }
+
+    /// The state a query is answered against. The shard set rides along only
+    /// while it is provably fresh (`&self` cannot rebuild a stale one) — the
+    /// answers are identical either way.
+    fn serving(&self) -> ServingState<'_> {
+        ServingState {
+            catalog: &self.catalog,
+            graph: &self.graph,
+            keyword_index: &self.keyword_index,
+            config: &self.config,
+            shards: self
+                .shards
+                .as_ref()
+                .filter(|s| s.is_fresh(&self.catalog, &self.graph, &self.keyword_index)),
+        }
+    }
+
+    /// One miss through the system's own scratch. [`QSystem::serving`]
+    /// borrows all of `self`, so the scratch steps out for the call.
+    fn answer_reusing_scratch(
+        &mut self,
+        keywords: &[&str],
+        params: ServeParams,
+        build_model: bool,
+    ) -> Result<Answered, QError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let answered = self
+            .serving()
+            .answer_keywords(keywords, params, build_model, &mut scratch);
+        self.scratch = scratch;
+        answered
     }
 
     // ------------------------------------------------------------------
@@ -318,17 +341,8 @@ impl QSystem {
 
         self.refresh_shards();
         let start = Instant::now();
-        let (view, stats, model) = answer_keywords(
-            &self.catalog,
-            &self.graph,
-            &self.keyword_index,
-            &self.config,
-            &refs,
-            params,
-            request.cache() != CachePolicy::Bypass,
-            self.shards.as_ref(),
-            &mut self.scratch,
-        )?;
+        let (view, stats, model) =
+            self.answer_reusing_scratch(&refs, params, request.cache() != CachePolicy::Bypass)?;
         let wall_time = start.elapsed();
         let view = Arc::new(view);
         let cache = match request.cache() {
@@ -443,13 +457,9 @@ impl QSystem {
         // queries and returns `(miss index, result)` pairs, so no slot is
         // written twice and the merged outcome is independent of scheduling.
         // A fully-warm batch skips the scope entirely.
-        let catalog = &self.catalog;
-        let graph = &self.graph;
-        let keyword_index = &self.keyword_index;
-        let config = &self.config;
-        let shards = self.shards.as_ref();
-        type Computed = Result<(RankedView, SteinerStats, Option<RevalidationModel>), QError>;
-        let mut computed: Vec<Option<(Computed, Duration)>> = vec![None; miss_requester.len()];
+        let serving = self.serving();
+        let mut computed: Vec<Option<(Result<Answered, QError>, Duration)>> =
+            vec![None; miss_requester.len()];
         if !miss_requester.is_empty() {
             std::thread::scope(|s| {
                 let mut handles = Vec::with_capacity(workers);
@@ -467,15 +477,10 @@ impl QSystem {
                             let refs: Vec<&str> =
                                 request.keywords().iter().map(String::as_str).collect();
                             let start = Instant::now();
-                            let result = answer_keywords(
-                                catalog,
-                                graph,
-                                keyword_index,
-                                config,
+                            let result = serving.answer_keywords(
                                 &refs,
                                 miss_params[i],
                                 miss_cache_it[i],
-                                shards,
                                 &mut scratch,
                             );
                             out.push((i, (result, start.elapsed())));
@@ -564,8 +569,7 @@ impl QSystem {
 
     /// Answer one typed [`QueryRequest`] through a *shared* reference: the
     /// `&self` serving path for callers that hold the system behind a read
-    /// lock (e.g. the lock-coupled baseline the live-ingestion bench
-    /// compares against). Because the answer cache needs `&mut self`, the
+    /// lock. Because the answer cache needs `&mut self`, the
     /// request's policy must be [`CachePolicy::Bypass`] — anything else is
     /// rejected as [`QError::InvalidRequest`] rather than silently served
     /// uncached. Answers are byte-identical to [`QSystem::query`] with the
@@ -581,22 +585,11 @@ impl QSystem {
             });
         }
         let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
-        // `&self` cannot rebuild a stale shard set, so serve sharded only
-        // while it is provably fresh — the answers are identical either way.
-        let shards = self
-            .shards
-            .as_ref()
-            .filter(|s| s.is_fresh(&self.catalog, &self.graph, &self.keyword_index));
         let start = Instant::now();
-        let (view, stats, _) = answer_keywords(
-            &self.catalog,
-            &self.graph,
-            &self.keyword_index,
-            &self.config,
+        let (view, stats, _) = self.serving().answer_keywords(
             &refs,
             ServeParams::resolve(&self.config, request),
             false,
-            shards,
             &mut SteinerScratch::default(),
         )?;
         Ok(QueryOutcome {
@@ -998,147 +991,162 @@ impl ServeParams {
     }
 }
 
-/// Answer one keyword query against a frozen snapshot of the system: build
-/// the query graph, run the requested Steiner search (into the caller's
-/// scratch buffers), translate trees to conjunctive queries and materialise
-/// the ranked view. Pure in its inputs — the batch path calls this from
-/// worker threads holding only shared references.
-///
-/// When `shards` is present (and fresh against `keyword_index`), keyword
-/// matching fans across the per-shard postings partitions and the
-/// per-terminal backward Dijkstras fan across `config.shard_workers`
-/// threads; both fan-outs are byte-identical to the unsharded sequential
-/// path, so `shards` affects wall-clock and memory accounting only, never
-/// the answer.
-///
-/// When `build_model` is set (the answer is destined for the cache), it also
-/// returns the [`RevalidationModel`] the cache needs to re-price the answer
-/// on a later weight-epoch delta: per-tree cost terms (base edges by id —
-/// the graph stays authoritative for their features — and copies of the
-/// query-local edge features, which die with the query graph), the effective
-/// cost budget, and whether the strategy is revalidatable at all.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn answer_keywords(
-    catalog: &Catalog,
-    graph: &SearchGraph,
-    keyword_index: &KeywordIndex,
-    config: &QConfig,
-    keywords: &[&str],
-    params: ServeParams,
-    build_model: bool,
-    shards: Option<&ShardSet>,
-    scratch: &mut SteinerScratch,
-) -> Result<(RankedView, SteinerStats, Option<RevalidationModel>), QError> {
-    let match_lists: Vec<Vec<KeywordMatch>> = keywords
-        .iter()
-        .map(|keyword| match shards {
-            Some(set) => set.keyword_matches(keyword_index, keyword, &config.match_config),
-            None => keyword_index.matches(keyword, &config.match_config),
-        })
-        .collect();
-    let query_graph = QueryGraph::build_with_matches(graph, keywords, match_lists);
-    let terminals = query_graph.terminals();
-    let (trees, stats) = match params.strategy {
-        SearchStrategy::Approx { max_roots } => {
-            let steiner = SteinerConfig {
-                k: params.top_k,
-                max_roots,
-                max_cost: params.max_cost,
-            };
-            let workers = if shards.is_some() {
-                config.shard_workers
-            } else {
-                1
-            };
-            approx_top_k_detailed_fanned(&query_graph, &terminals, &steiner, scratch, workers)
-        }
-        SearchStrategy::Exact => {
-            let found = exact_minimum_steiner(&query_graph, &terminals);
-            let candidates = usize::from(found.is_some());
-            let trees: Vec<_> = found
-                .into_iter()
-                .filter(|t| t.cost <= params.max_cost + 1e-9)
-                .collect();
-            let stats = SteinerStats {
-                terminals: terminals.len(),
-                candidates_generated: candidates,
-                // A found-but-too-expensive tree must read as "over budget",
-                // not as "terminals unconnected".
-                trees_over_budget: candidates - trees.len(),
-                trees_returned: trees.len(),
-                ..SteinerStats::default()
-            };
-            (trees, stats)
-        }
-    };
-    let mut queries: Vec<RankedQuery> = Vec::new();
-    for tree in trees {
-        if let Some(query) = tree_to_query(catalog, &query_graph, &tree) {
-            queries.push(RankedQuery {
-                cost: tree.cost,
-                tree,
-                query,
-            });
-        }
-    }
-    queries.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    // Cost models in final rank order: term order mirrors the sorted edge
-    // list so a re-priced sum is bit-identical to this computation's. Only
-    // built when the answer will enter the cache — the bypass path (the hot
-    // sequential baseline) would throw the feature-vector clones away.
-    let model = build_model.then(|| {
-        let models: Vec<TreeCostModel> = queries
+/// What one miss computes: the ranked view, the search's statistics and —
+/// when the answer is destined for the cache — its re-pricing model.
+pub(crate) type Answered = (RankedView, SteinerStats, Option<RevalidationModel>);
+
+/// The frozen serving state one keyword query is answered against, borrowed
+/// from whoever owns it ([`QSystem`] or a published
+/// [`GraphSnapshot`](crate::live::GraphSnapshot)).
+#[derive(Clone, Copy)]
+pub(crate) struct ServingState<'a> {
+    pub(crate) catalog: &'a Catalog,
+    pub(crate) graph: &'a SearchGraph,
+    pub(crate) keyword_index: &'a KeywordIndex,
+    pub(crate) config: &'a QConfig,
+    /// Present when the owner holds a shard set fresh against the other
+    /// fields: the per-terminal backward Dijkstras then fan across
+    /// `config.shard_workers` threads. The fan-out is byte-identical to the
+    /// sequential search, so this affects wall-clock only, never the answer.
+    pub(crate) shards: Option<&'a ShardSet>,
+}
+
+impl ServingState<'_> {
+    /// Answer one keyword query: match the keywords, build the query graph,
+    /// run the requested Steiner search (into the caller's scratch buffers),
+    /// translate trees to conjunctive queries and materialise the ranked
+    /// view. Pure in its inputs — the batch path calls this from worker
+    /// threads holding only shared references.
+    ///
+    /// When `build_model` is set (the answer is destined for the cache), it
+    /// also returns the [`RevalidationModel`] the cache needs to re-price the
+    /// answer on a later weight-epoch delta: per-tree cost terms (base edges
+    /// by id — the graph stays authoritative for their features — and copies
+    /// of the query-local edge features, which die with the query graph),
+    /// the effective cost budget, and whether the strategy is revalidatable
+    /// at all.
+    pub(crate) fn answer_keywords(
+        &self,
+        keywords: &[&str],
+        params: ServeParams,
+        build_model: bool,
+        scratch: &mut SteinerScratch,
+    ) -> Result<Answered, QError> {
+        let ServingState {
+            catalog,
+            graph,
+            keyword_index,
+            config,
+            shards,
+        } = *self;
+        let match_lists: Vec<Vec<KeywordMatch>> = keywords
             .iter()
-            .map(|rq| {
-                let terms = rq
-                    .tree
-                    .edges
-                    .iter()
-                    .map(|e| {
-                        if e.index() < graph.edge_count() {
-                            CostTerm::Base(*e)
-                        } else {
-                            let edge = query_graph.edge(*e);
-                            if edge.kind.is_fixed_zero() {
-                                CostTerm::Local(q_graph::FeatureVector::empty())
-                            } else {
-                                CostTerm::Local(edge.features.clone())
-                            }
-                        }
-                    })
-                    .collect();
-                TreeCostModel::new(terms)
-            })
+            .map(|keyword| keyword_index.matches(keyword, &config.match_config))
             .collect();
-        RevalidationModel {
-            trees: models,
-            budget: params.max_cost,
-            revalidatable: matches!(params.strategy, SearchStrategy::Approx { .. }),
-            top_k: params.top_k,
+        let query_graph = QueryGraph::build_with_matches(graph, keywords, match_lists);
+        let terminals = query_graph.terminals();
+        let (trees, stats) = match params.strategy {
+            SearchStrategy::Approx { max_roots } => {
+                let steiner = SteinerConfig {
+                    k: params.top_k,
+                    max_roots,
+                    max_cost: params.max_cost,
+                };
+                let workers = if shards.is_some() {
+                    config.shard_workers
+                } else {
+                    1
+                };
+                approx_top_k_detailed_fanned(&query_graph, &terminals, &steiner, scratch, workers)
+            }
+            SearchStrategy::Exact => {
+                let found = exact_minimum_steiner(&query_graph, &terminals);
+                let candidates = usize::from(found.is_some());
+                let trees: Vec<_> = found
+                    .into_iter()
+                    .filter(|t| t.cost <= params.max_cost + 1e-9)
+                    .collect();
+                let stats = SteinerStats {
+                    terminals: terminals.len(),
+                    candidates_generated: candidates,
+                    // A found-but-too-expensive tree must read as "over budget",
+                    // not as "terminals unconnected".
+                    trees_over_budget: candidates - trees.len(),
+                    trees_returned: trees.len(),
+                    ..SteinerStats::default()
+                };
+                (trees, stats)
+            }
+        };
+        let mut queries: Vec<RankedQuery> = Vec::new();
+        for tree in trees {
+            if let Some(query) = tree_to_query(catalog, &query_graph, &tree) {
+                queries.push(RankedQuery {
+                    cost: tree.cost,
+                    tree,
+                    query,
+                });
+            }
         }
-    });
-    let (columns, column_sources, answers) = materialize_view(
-        catalog,
-        graph,
-        &queries,
-        config.column_merge_threshold,
-        config.max_answers,
-    )
-    .map_err(|source| QError::ViewMaterialization {
-        keywords: keywords.iter().map(|s| s.to_string()).collect(),
-        source,
-    })?;
-    Ok((
-        RankedView {
+        queries.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+        // Cost models in final rank order: term order mirrors the sorted edge
+        // list so a re-priced sum is bit-identical to this computation's. Only
+        // built when the answer will enter the cache — the bypass path (the hot
+        // sequential baseline) would throw the feature-vector clones away.
+        let model = build_model.then(|| {
+            let models: Vec<TreeCostModel> = queries
+                .iter()
+                .map(|rq| {
+                    let terms = rq
+                        .tree
+                        .edges
+                        .iter()
+                        .map(|e| {
+                            if e.index() < graph.edge_count() {
+                                CostTerm::Base(*e)
+                            } else {
+                                let edge = query_graph.edge(*e);
+                                if edge.kind.is_fixed_zero() {
+                                    CostTerm::Local(q_graph::FeatureVector::empty())
+                                } else {
+                                    CostTerm::Local(edge.features.clone())
+                                }
+                            }
+                        })
+                        .collect();
+                    TreeCostModel::new(terms)
+                })
+                .collect();
+            RevalidationModel {
+                trees: models,
+                budget: params.max_cost,
+                revalidatable: matches!(params.strategy, SearchStrategy::Approx { .. }),
+                top_k: params.top_k,
+            }
+        });
+        let (columns, column_sources, answers) = materialize_view(
+            catalog,
+            graph,
+            &queries,
+            config.column_merge_threshold,
+            config.max_answers,
+        )
+        .map_err(|source| QError::ViewMaterialization {
             keywords: keywords.iter().map(|s| s.to_string()).collect(),
-            columns,
-            column_sources,
-            queries,
-            answers,
-        },
-        stats,
-        model,
-    ))
+            source,
+        })?;
+        Ok((
+            RankedView {
+                keywords: keywords.iter().map(|s| s.to_string()).collect(),
+                columns,
+                column_sources,
+                queries,
+                answers,
+            },
+            stats,
+            model,
+        ))
+    }
 }
 
 #[cfg(test)]

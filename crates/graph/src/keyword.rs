@@ -402,7 +402,7 @@ impl KeywordIndex {
     }
 
     /// Materialise the [`MatchTarget`] of one document.
-    pub(crate) fn target(&self, idx: usize) -> MatchTarget {
+    fn target(&self, idx: usize) -> MatchTarget {
         let id = self.target_ids[idx];
         match self.target_kinds[idx] {
             TARGET_RELATION => MatchTarget::Relation(RelationId(id)),
@@ -440,23 +440,30 @@ impl KeywordIndex {
 
     /// Match one keyword (which may be a multi-word phrase) against the
     /// index, returning scored matches in decreasing similarity order.
+    ///
+    /// Candidates are scored and filtered as `(document, similarity)` pairs;
+    /// only the `max_matches` that survive the cut get their
+    /// [`MatchTarget`] materialised (a `String` for every value target).
     pub fn matches(&self, keyword: &str, config: &MatchConfig) -> Vec<KeywordMatch> {
         let Some(terms) = self.query_terms(keyword) else {
             return Vec::new();
         };
-        let mut scored: Vec<KeywordMatch> = terms
+        let mut scored: Vec<(usize, f64)> = terms
             .candidates
             .iter()
-            .map(|&idx| KeywordMatch {
-                target: self.target(idx),
-                similarity: self.score(&terms, idx),
-            })
-            .filter(|m| m.similarity >= config.min_similarity)
+            .map(|&idx| (idx, self.score(&terms, idx)))
+            .filter(|&(_, similarity)| similarity >= config.min_similarity)
             .collect();
         // Stable sort: similarity ties keep ascending document order.
-        scored.sort_by(|a, b| b.similarity.total_cmp(&a.similarity));
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         scored.truncate(config.max_matches);
         scored
+            .into_iter()
+            .map(|(idx, similarity)| KeywordMatch {
+                target: self.target(idx),
+                similarity,
+            })
+            .collect()
     }
 
     /// Per-call query-side state shared by every scoring path: token ids,
@@ -820,20 +827,15 @@ impl KeywordIndex {
 ///
 /// The index itself stays global — idf weights and document order must not
 /// depend on the shard count, or similarity scores (and with them match
-/// lists and Steiner tie-breaks) would change when resharding. What the
-/// partition adds is a *fanned* candidate-matching path: each shard scores
-/// and filters only its own candidate documents, and
-/// [`ShardedKeywordIndex::matches_sharded`] merges the per-shard survivor
-/// lists back into the exact global candidate order before ranking, so the
-/// result is byte-identical to [`KeywordIndex::matches`] for any shard
-/// count.
+/// lists and Steiner tie-breaks) would change when resharding — and
+/// matching runs over it directly ([`KeywordIndex::matches`]). The partition
+/// records which shard owns each document and what its postings weigh.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardedKeywordIndex {
     /// Document index → owning shard.
     shard_of_doc: Vec<u32>,
     /// Estimated postings bytes owned by each shard.
     postings_bytes: Vec<u64>,
-    shards: usize,
 }
 
 impl ShardedKeywordIndex {
@@ -841,9 +843,8 @@ impl ShardedKeywordIndex {
     /// under `plan`. Documents whose relation no longer resolves land in
     /// shard 0.
     pub fn build(index: &KeywordIndex, catalog: &Catalog, plan: &ShardPlan) -> Self {
-        let shards = plan.shards();
         let mut shard_of_doc = Vec::with_capacity(index.len());
-        let mut postings_bytes = vec![0u64; shards];
+        let mut postings_bytes = vec![0u64; plan.shards()];
         for idx in 0..index.len() {
             let shard = index
                 .target_relation(idx, catalog)
@@ -854,17 +855,14 @@ impl ShardedKeywordIndex {
         ShardedKeywordIndex {
             shard_of_doc,
             postings_bytes,
-            shards,
         }
     }
 
     /// Reassemble a partition persisted by a snapshot.
     pub fn from_parts(shard_of_doc: Vec<u32>, postings_bytes: Vec<u64>) -> Self {
-        let shards = postings_bytes.len();
         ShardedKeywordIndex {
             shard_of_doc,
             postings_bytes,
-            shards,
         }
     }
 
@@ -873,65 +871,9 @@ impl ShardedKeywordIndex {
         &self.shard_of_doc
     }
 
-    /// Number of shards in the partition.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of partitioned documents (must match the index it was built
-    /// from to be usable).
-    pub fn doc_count(&self) -> usize {
-        self.shard_of_doc.len()
-    }
-
     /// Estimated postings bytes owned by each shard.
     pub fn postings_bytes(&self) -> &[u64] {
         &self.postings_bytes
-    }
-
-    /// Match one keyword through the per-shard fan-out: candidates are
-    /// scored and threshold-filtered shard by shard, then the survivor lists
-    /// are merged back into ascending document order — exactly the global
-    /// candidate order [`KeywordIndex::matches`] scores — before the shared
-    /// ranking rule (stable descending similarity, `max_matches` cutoff)
-    /// runs. Byte-identical to the unsharded path for any shard count.
-    pub fn matches_sharded(
-        &self,
-        index: &KeywordIndex,
-        keyword: &str,
-        config: &MatchConfig,
-    ) -> Vec<KeywordMatch> {
-        debug_assert_eq!(self.shard_of_doc.len(), index.len());
-        let Some(terms) = index.query_terms(keyword) else {
-            return Vec::new();
-        };
-        // Fan: each shard scores only its own candidates. Candidate lists
-        // are per-shard subsequences of the globally ascending candidate
-        // list, so each survivor list comes out ascending too.
-        let mut per_shard: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.shards.max(1)];
-        let last = per_shard.len() - 1;
-        for &idx in &terms.candidates {
-            let shard = self.shard_of_doc.get(idx).copied().unwrap_or(0) as usize;
-            let similarity = index.score(&terms, idx);
-            if similarity >= config.min_similarity {
-                per_shard[shard.min(last)].push((idx, similarity));
-            }
-        }
-        // Merge: concatenating the shard lists and re-sorting by document
-        // index restores the exact global order (indices are distinct).
-        let mut merged: Vec<(usize, f64)> = per_shard.into_iter().flatten().collect();
-        merged.sort_unstable_by_key(|&(idx, _)| idx);
-        let mut scored: Vec<KeywordMatch> = merged
-            .into_iter()
-            .map(|(idx, similarity)| KeywordMatch {
-                target: index.target(idx),
-                similarity,
-            })
-            .collect();
-        // Stable sort: similarity ties keep ascending document order.
-        scored.sort_by(|a, b| b.similarity.total_cmp(&a.similarity));
-        scored.truncate(config.max_matches);
-        scored
     }
 }
 
@@ -1228,30 +1170,6 @@ mod tests {
         // Garbage matches nowhere.
         assert!(!idx.keyword_matches_in("zzzqqqxxx", &cat, &[go_term, pub_rel], &cfg));
         assert!(!idx.keyword_matches_in("", &cat, &[go_term], &cfg));
-    }
-
-    #[test]
-    fn sharded_matches_equal_unsharded_for_any_shard_count() {
-        let cat = catalog();
-        let idx = KeywordIndex::build(&cat);
-        let cfg = MatchConfig {
-            min_similarity: 0.1,
-            max_matches: 8,
-        };
-        for k in [1, 2, 3, 7] {
-            let plan = ShardPlan::by_source(&cat, k);
-            let sharded = ShardedKeywordIndex::build(&idx, &cat, &plan);
-            assert_eq!(sharded.shard_count(), k);
-            assert_eq!(sharded.doc_count(), idx.len());
-            assert!(sharded.postings_bytes().iter().sum::<u64>() > 0);
-            for kw in ["title", "plasma membrane", "term", "pub", "zzzqqq", ""] {
-                assert_eq!(
-                    sharded.matches_sharded(&idx, kw, &cfg),
-                    idx.matches(kw, &cfg),
-                    "shard count {k}, keyword {kw:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -13,18 +13,17 @@
 //! Dijkstra relaxation rule breaks distance ties by adjacency order, so a
 //! traversal stitched from per-shard ranges would have to re-merge them into
 //! global edge order per visit to stay byte-identical — paying the merge on
-//! every relaxation instead of never. What the shards carry instead is the
-//! fanned *matching* path (each shard scores its own keyword candidates, see
-//! [`ShardedKeywordIndex`]), the
-//! boundary-edge structure, and the per-shard memory accounting surfaced as
-//! `/metrics` gauges.
+//! every relaxation instead of never. Keyword matching likewise runs over the
+//! one global index. What the shards carry is the document → shard partition
+//! ([`ShardedKeywordIndex`]), the boundary-edge structure, and the per-shard
+//! memory accounting surfaced as `/metrics` gauges.
 
 use serde::{Deserialize, Serialize};
 
 use q_storage::{Catalog, RelationId};
 
 use crate::csr::Csr;
-use crate::edge::{EdgeId, EdgeKind};
+use crate::edge::EdgeId;
 use crate::keyword::{KeywordIndex, KeywordMatch, MatchConfig, ShardedKeywordIndex};
 use crate::node::{Node, NodeId};
 use crate::search_graph::SearchGraph;
@@ -338,19 +337,16 @@ impl ShardSet {
         self.graph_shards.boundary_edge_count()
     }
 
-    /// Keyword matching through the per-shard fan-out — byte-identical to
-    /// [`KeywordIndex::matches`] (falls back to it outright if `index` has
-    /// grown past this set's stamp).
+    /// [`KeywordIndex::matches`] over the global index: sharding never
+    /// changes matching. Kept under this name for callers that reach the
+    /// index through a shard set (the benchmark's stage trace).
     pub fn keyword_matches(
         &self,
         index: &KeywordIndex,
         keyword: &str,
         config: &MatchConfig,
     ) -> Vec<KeywordMatch> {
-        if self.keyword.doc_count() != index.len() {
-            return index.matches(keyword, config);
-        }
-        self.keyword.matches_sharded(index, keyword, config)
+        index.matches(keyword, config)
     }
 
     /// Bytes owned by each shard: its interior sub-CSR plus its keyword
@@ -368,23 +364,6 @@ impl ShardSet {
     /// section.
     pub fn total_bytes(&self) -> u64 {
         self.shard_bytes().iter().sum::<u64>() + self.graph_shards.boundary_bytes() as u64
-    }
-
-    /// Count of cross-shard edges of one kind in the boundary section —
-    /// observability for the scale experiment (how many synthetic FK links
-    /// actually cross shards).
-    pub fn boundary_edges_of_kind(&self, graph: &SearchGraph, kind: EdgeKind) -> usize {
-        graph
-            .edges()
-            .iter()
-            .filter(|e| {
-                e.kind == kind && {
-                    let sa = self.plan.shard_of_node(graph, e.a);
-                    let sb = self.plan.shard_of_node(graph, e.b);
-                    sa != sb || sa.is_none()
-                }
-            })
-            .count()
     }
 }
 
@@ -478,42 +457,11 @@ mod tests {
         assert_eq!(set.shard_bytes().len(), 4);
         assert!(set.total_bytes() > 0);
         assert!(set.shard_bytes().iter().sum::<u64>() <= set.total_bytes());
-        // Matching through the set is byte-identical to the index.
-        let cfg = MatchConfig::default();
-        for kw in ["name", "membrane", "kringle"] {
-            assert_eq!(
-                set.keyword_matches(&index, kw, &cfg),
-                index.matches(kw, &cfg)
-            );
-        }
         // Growing the catalog stales the set.
         SourceSpec::new("late")
             .relation(RelationSpec::new("late_rel", &["id", "note"]).row(["L1", "late"]))
             .load_into(&mut cat)
             .unwrap();
         assert!(!set.is_fresh(&cat, &graph, &index));
-    }
-
-    #[test]
-    fn stale_keyword_partition_falls_back_to_the_unsharded_path() {
-        let mut cat = catalog();
-        let graph = SearchGraph::from_catalog(&cat);
-        let index = KeywordIndex::build(&cat);
-        let set = ShardSet::build(&cat, &graph, &index, 2);
-        // Grow the index past the partition's stamp: the set must serve the
-        // unsharded result rather than consult a misaligned partition.
-        let src = cat.add_source("grown").unwrap();
-        let rel = cat
-            .add_relation(src, "grown_rel", &["id", "label"])
-            .unwrap();
-        let mut grown = index.clone();
-        grown.add_relation(&cat, rel);
-        let cfg = MatchConfig::default();
-        for kw in ["name", "label", "membrane"] {
-            assert_eq!(
-                set.keyword_matches(&grown, kw, &cfg),
-                grown.matches(kw, &cfg)
-            );
-        }
     }
 }

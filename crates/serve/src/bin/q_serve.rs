@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `--initial-sources N` loads only the first N GBCO sources at boot; the
-//! rest can stream in later over `POST /ingest` (the CI smoke job uses
-//! this to exercise live ingestion). `--port-file` writes the bound
+//! rest can stream in later over `POST /ingest` (`tests/binary_smoke.rs`
+//! uses this to exercise live ingestion). `--port-file` writes the bound
 //! `host:port` to a file once listening — the reliable way for a harness
 //! to discover an ephemeral (`:0`) port.
 //!
@@ -29,6 +29,10 @@ use q_core::{latest_snapshot_path, GraphSnapshot, LiveServer, QConfig};
 use q_datasets::{gbco_source_specs_with_fks, GbcoConfig};
 use q_matchers::MetadataMatcher;
 use q_serve::{BootMode, BootStats, QServe, ServeOptions};
+
+const USAGE: &str = "usage: q-serve [--addr HOST:PORT] [--threads N] [--gbco-rows N] \
+                     [--gbco-seed N] [--initial-sources N] [--port-file PATH] \
+                     [--snapshot-dir DIR] [--snapshot-keep N]";
 
 struct Args {
     addr: String,
@@ -85,12 +89,8 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--snapshot-keep must be a positive integer".to_string())?
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: q-serve [--addr HOST:PORT] [--threads N] [--gbco-rows N] \
-                     [--gbco-seed N] [--initial-sources N] [--port-file PATH] \
-                     [--snapshot-dir DIR] [--snapshot-keep N]"
-                        .to_string(),
-                )
+                println!("{USAGE}");
+                std::process::exit(0);
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -134,31 +134,31 @@ fn main() -> ExitCode {
     };
 
     let boot_start = Instant::now();
-    let specs = gbco_source_specs_with_fks(&args.gbco);
-    let initial = args
-        .initial_sources
-        .unwrap_or(specs.len())
-        .clamp(1, specs.len());
-
-    let restored = args.snapshot_dir.as_deref().and_then(boot_from_snapshot);
-    let boot_mode = if restored.is_some() {
-        BootMode::Snapshot
-    } else {
-        BootMode::Rebuild
-    };
-    let mut engine = match restored {
-        Some(engine) => engine,
-        None => {
-            let catalog = match q_storage::loader::load_catalog(&specs[..initial]) {
-                Ok(catalog) => catalog,
-                Err(err) => {
-                    eprintln!("failed to load the GBCO catalog: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            LiveServer::new(catalog, QConfig::default())
-        }
-    };
+    // The GBCO specs are generated on the rebuild path only: a snapshot boot
+    // loads none of them and must not bill the generator to `boot_ms`.
+    let (mut engine, boot_mode, booted) =
+        match args.snapshot_dir.as_deref().and_then(boot_from_snapshot) {
+            Some(engine) => (engine, BootMode::Snapshot, "snapshot boot".to_string()),
+            None => {
+                let specs = gbco_source_specs_with_fks(&args.gbco);
+                let initial = args
+                    .initial_sources
+                    .unwrap_or(specs.len())
+                    .clamp(1, specs.len());
+                let catalog = match q_storage::loader::load_catalog(&specs[..initial]) {
+                    Ok(catalog) => catalog,
+                    Err(err) => {
+                        eprintln!("failed to load the GBCO catalog: {err}");
+                        return ExitCode::FAILURE;
+                    }
+                };
+                (
+                    LiveServer::new(catalog, QConfig::default()),
+                    BootMode::Rebuild,
+                    format!("{initial} of {} GBCO sources loaded", specs.len()),
+                )
+            }
+        };
     engine.add_matcher(Box::new(MetadataMatcher::new()));
     if let Some(dir) = &args.snapshot_dir {
         if let Err(err) = engine.enable_persistence(dir.clone(), args.snapshot_keep) {
@@ -190,22 +190,12 @@ fn main() -> ExitCode {
         }
     };
 
-    match boot.mode {
-        BootMode::Snapshot => println!(
-            "q-serve listening on {} (snapshot boot in {} ms, snapshot {})",
-            server.addr(),
-            boot.wall.as_millis(),
-            server.engine().snapshot().id(),
-        ),
-        BootMode::Rebuild => println!(
-            "q-serve listening on {} ({} of {} GBCO sources loaded in {} ms, snapshot {})",
-            server.addr(),
-            initial,
-            specs.len(),
-            boot.wall.as_millis(),
-            server.engine().snapshot().id(),
-        ),
-    }
+    println!(
+        "q-serve listening on {} ({booted} in {} ms, snapshot {})",
+        server.addr(),
+        boot.wall.as_millis(),
+        server.engine().snapshot().id(),
+    );
     if let Some(path) = &args.port_file {
         if let Err(err) = std::fs::write(path, server.addr().to_string()) {
             eprintln!("failed to write port file {path}: {err}");

@@ -382,6 +382,83 @@ fn keyword_overlap_parks_the_entry_even_when_unbridged() {
     assert_eq!(&*after.view, &reference);
 }
 
+/// The survival rule over a real GBCO stream with `MetadataMatcher` (the
+/// three cases above run a hand-built corpus with a fixed matcher): one warm
+/// entry per trial query, then the held-back sources one at a time with the
+/// lane flushed after each. Single-threaded, so the verdict split is the
+/// same on every run.
+#[test]
+fn gbco_stream_keeps_entries_and_every_warm_entry_replays() {
+    let specs = gbco_source_specs_with_fks(&small());
+    let catalog =
+        q_storage::loader::load_catalog(&specs[..INITIAL_SOURCES]).expect("initial GBCO loads");
+    let mut server = LiveServer::new(catalog, QConfig::default());
+    server.add_matcher(Box::new(MetadataMatcher::new()));
+    let requests = trial_requests();
+    for request in &requests {
+        let warm = server.query(request).expect("GBCO queries answer");
+        assert_eq!(warm.cache, CacheStatus::Miss);
+    }
+
+    let mut published: Vec<Arc<GraphSnapshot>> = vec![server.snapshot()];
+    let (mut kept, mut parked) = (0, 0);
+    for spec in &specs[INITIAL_SOURCES..] {
+        let present = server.cache_stats().len as u64;
+        let report = server.ingest_source(spec).expect("GBCO source ingests");
+        assert_eq!(
+            report.cache_kept + report.cache_parked + report.cache_dropped,
+            present,
+            "every entry present at the publish gets exactly one verdict"
+        );
+        kept += report.cache_kept;
+        parked += report.cache_parked;
+        // Settle the parked entries before the next publish supersedes them.
+        server.flush_revalidation();
+        published.push(report.snapshot);
+    }
+    assert!(
+        kept >= 1,
+        "per-entry pricing kept nothing at publish time across {} publishes — \
+         survival is wholesale-invalidating again",
+        published.len() - 1
+    );
+    let lane = server.revalidation_stats();
+    assert_eq!(
+        lane.kept + lane.repriced + lane.dropped,
+        parked,
+        "every parked entry is settled exactly once: {lane:?}"
+    );
+
+    // Whatever is still warm — kept outright, or parked and re-admitted by
+    // the lane — serves the sequential answer of the snapshot it names.
+    let mut warm = 0;
+    for request in &requests {
+        let outcome = server.query(request).expect("GBCO queries answer");
+        if !matches!(outcome.cache, CacheStatus::Hit | CacheStatus::Revalidated) {
+            continue;
+        }
+        warm += 1;
+        let named = outcome.snapshot.expect("live serving stamps snapshots");
+        let snapshot = published
+            .iter()
+            .find(|s| s.id() == named)
+            .unwrap_or_else(|| panic!("warm entry names unpublished snapshot {named}"));
+        let reference = snapshot
+            .answer(server.config(), request)
+            .expect("replay answers");
+        assert_eq!(
+            &*outcome.view,
+            &reference,
+            "warm entry for {:?} diverged from snapshot {named}",
+            request.keywords()
+        );
+    }
+    assert!(
+        warm >= 1,
+        "no entry stayed warm: the replay checked nothing"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Golden-answer evaluation: incremental ingestion == all-at-once build.
 // ---------------------------------------------------------------------------
