@@ -1,4 +1,4 @@
-//! Weight-epoch-keyed answer cache with epoch-delta revalidation.
+//! Weight-epoch-keyed answer cache, judged by one verdict per publish.
 //!
 //! Every answer a Q view serves is a pure function of (the keyword query,
 //! the per-request serving parameters, the search graph's topology, the
@@ -10,30 +10,47 @@
 //! request's parameter fingerprint — and tracks the epoch its entries were
 //! priced under.
 //!
-//! # Epoch-delta revalidation
+//! # One verdict per entry per publish
 //!
-//! A moved epoch used to mean "empty the cache". That rule is sound but
-//! wasteful for the feedback loop: a MIRA re-pricing adjusts a handful of
-//! feature weights, and most cached answers either do not touch them or
-//! keep their ranking under the new prices. [`QueryCache::sync_epoch`]
-//! therefore distinguishes what actually changed:
+//! Every moved epoch reaches the cache through one call,
+//! [`QueryCache::sync`], with what changed passed as data ([`Publish`]).
+//! The publish-level facts are computed at most once per publish; then
+//! each entry gets one verdict. **Keep**: it stays cached with its stamp and FIFO position,
+//! and hits report [`CacheStatus::Revalidated`](crate::CacheStatus).
+//! **Reprice**: kept, with its view re-priced in place. **Park**: it
+//! leaves the cache (lookups miss) and is returned in
+//! [`SyncReport::parked`] for the [re-validation lane](crate::revalidate).
+//! **Drop**: it leaves the cache; the next lookup recomputes.
 //!
-//! * **Topology grew** (the graph gained edges): new join paths can create
-//!   answers no re-costing of old trees predicts — the cache is dropped
-//!   wholesale, exactly like the seed rule.
-//! * **Topology identical** (the bump was a re-pricing: a weight update,
-//!   or a matcher opinion merged into an existing edge's features): every
-//!   cached entry's trees are *re-costed* in O(edges) from its stored
-//!   [`RevalidationModel`] — no query graph is rebuilt, no search runs.
-//!   An entry survives when its ranked order is unchanged under the new
-//!   costs (and every tree still fits the request's cost budget); its view
-//!   is re-priced in place — kept verbatim if every cost came back
-//!   identical — and later hits report
-//!   [`CacheStatus::Revalidated`](crate::CacheStatus). Entries whose
-//!   ranking is disturbed are dropped — a re-ranked view may differ from a
-//!   fresh search, so only order-preserving deltas are safe to serve.
+//! * [`Publish::Epoch`] (`QSystem`). Topology growth drops everything: new
+//!   join paths can create answers no re-costing of old trees predicts. A
+//!   same-topology bump is a re-pricing (a weight update, or a matcher
+//!   opinion merged into an existing edge's features), so every entry is
+//!   re-costed in O(edges) from its [`RevalidationModel`], with no search
+//!   run. An entry whose ranked order holds within the request's budget is
+//!   kept (when every cost is bit-identical) or repriced; a disturbed
+//!   ranking drops it, because a re-ranked view may differ from a fresh
+//!   search.
+//! * [`Publish::Reprice`] (live feedback, a live merged opinion). A live
+//!   hit must be byte-identical to the snapshot it names, so nothing is
+//!   re-priced in place: an entry whose costs are all bit-identical under
+//!   the new prices is kept, any other dropped.
+//! * [`Publish::Growth`] (a live ingest, a new association edge). Keep,
+//!   park or drop by per-entry reachability pricing; see
+//!   [`QueryCache::sync`].
 //!
-//! Revalidation is a *ranking-preserving* heuristic, not a proof: a
+//! # What "kept" means
+//!
+//! A kept entry serves the bytes of the snapshot stamped on it, and only
+//! a lane re-admission or a recompute moves that stamp. After a growth
+//! publish, the kept entry is *not* the new snapshot's answer byte for
+//! byte: keyword idf, `ln(1 + N/df)`, moves with every ingest, so the
+//! keyword-edge costs of old trees move too. What keep promises is that
+//! no tree the publish enabled displaces the ranked list; the costs
+//! echoed stay those of the stamped snapshot, which is why the stamp must
+//! not advance.
+//!
+//! Re-costing is a *ranking-preserving* heuristic, not a proof: a
 //! re-pricing could in principle promote a join tree the cached search
 //! never generated. The trade is deliberate — MIRA's margin updates are
 //! local, the workloads replay the same views over and over, and a dropped
@@ -151,8 +168,8 @@ pub struct RevalidationModel {
     /// (e.g. an exact-minimum search: new weights may crown a different
     /// provably-minimum tree). Such entries are dropped on any re-pricing.
     pub revalidatable: bool,
-    /// Effective `top_k` the answer was computed under. The ingestion
-    /// survival rule needs it to know whether the ranked list is *full*:
+    /// Effective `top_k` the answer was computed under. The growth verdict
+    /// needs it to know whether the ranked list is *full*:
     /// a full list is only disturbed by a new tree cheaper than its worst
     /// entry, while a partial list accepts any tree within budget.
     pub top_k: usize,
@@ -171,19 +188,20 @@ impl Default for RevalidationModel {
     }
 }
 
-/// A successful cache lookup: the view plus whether it survived at least
-/// one epoch-delta revalidation since it was computed (serving layers
-/// report that as [`CacheStatus::Revalidated`](crate::CacheStatus)).
+/// A successful cache lookup: the view plus whether it was carried across
+/// at least one publish since it was computed (serving layers report that
+/// as [`CacheStatus::Revalidated`](crate::CacheStatus)).
 #[derive(Debug, Clone)]
 pub struct CacheLookup {
     /// The cached (possibly re-priced) view.
     pub view: Arc<RankedView>,
-    /// True when the entry was carried across a weight-epoch change.
+    /// True when the entry was kept across a publish or re-admitted by the
+    /// re-validation lane.
     pub revalidated: bool,
     /// Epoch (in live serving: published snapshot id) the entry was computed
-    /// under. An entry kept by a survival rule keeps reporting the snapshot
-    /// that actually priced it — serving layers surface this as "answered
-    /// from snapshot N" provenance.
+    /// under. A kept entry keeps reporting the snapshot that actually
+    /// priced it — serving layers surface this as "answered from snapshot
+    /// N" provenance.
     pub snapshot: u64,
 }
 
@@ -192,18 +210,18 @@ struct CacheEntry {
     view: Arc<RankedView>,
     model: RevalidationModel,
     revalidated: bool,
-    /// Epoch/snapshot the entry's answer was computed under; survival rules
-    /// never advance it.
+    /// Epoch/snapshot the entry's answer was computed under; verdicts never
+    /// advance it.
     snapshot: u64,
 }
 
-/// What one live ingestion changed, summarised for the cache survival rule
-/// of [`QueryCache::sync_ingestion`]. Built by the live serving layer from
-/// the difference between the outgoing and incoming snapshots.
+/// What one live growth publish changed: the input of
+/// [`Publish::Growth`]. Built by the live serving layer from the
+/// difference between the outgoing and incoming snapshots.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestionDelta<'a> {
-    /// The *new* snapshot's catalog (the survival rule resolves new
-    /// documents' owning relations against it).
+    /// The *new* snapshot's catalog (new documents' owning relations are
+    /// resolved against it).
     pub catalog: &'a Catalog,
     /// The new snapshot's keyword index.
     pub keyword_index: &'a KeywordIndex,
@@ -224,15 +242,26 @@ pub struct IngestionDelta<'a> {
     /// lower-bounds every new competing tree. Empty when the ingestion
     /// added no bridge (nothing new is reachable from the old graph).
     pub bridge_seeds: &'a [(NodeId, f64)],
-    /// Edge count of the new snapshot's graph (keeps the topology-growth
-    /// detector of later [`QueryCache::sync_epoch`] calls aligned).
-    pub edge_count: usize,
 }
 
-/// One entry removed by [`QueryCache::sync_ingestion`]'s cheap bound and
-/// handed to the background re-validation lane instead of being forgotten:
-/// everything the lane needs to recompute the answer against the new
-/// snapshot and decide whether the old bytes still stand.
+/// What a publish changed, as [`QueryCache::sync`] sees it. See the module
+/// docs for the verdicts each kind produces.
+#[derive(Debug, Clone, Copy)]
+pub enum Publish<'a> {
+    /// `QSystem`'s weight epoch moved over this graph. A sync at the epoch
+    /// the cache already holds is a no-op, so callers sync before every
+    /// lookup.
+    Epoch(&'a SearchGraph),
+    /// A live same-topology publish with new prices, over the new graph.
+    Reprice(&'a SearchGraph),
+    /// A live publish that grew the graph.
+    Growth(IngestionDelta<'a>),
+}
+
+/// One entry parked by a [`Publish::Growth`] verdict and handed to the
+/// background re-validation lane instead of being forgotten: everything the
+/// lane needs to recompute the answer against the new snapshot and decide
+/// whether the old bytes still stand.
 #[derive(Debug, Clone)]
 pub struct ParkedEntry {
     /// Cache key (normalized keywords plus parameter fingerprint).
@@ -247,34 +276,97 @@ pub struct ParkedEntry {
     pub snapshot: u64,
 }
 
-/// Outcome of one [`QueryCache::sync_ingestion`] publish: what stayed, what
-/// was handed to the re-validation lane, what dropped outright.
+/// Outcome of one [`QueryCache::sync`]: what stayed, what was handed to the
+/// re-validation lane, what dropped outright.
 #[derive(Debug, Default)]
-pub struct IngestionSync {
-    /// Entries whose ranked list provably survived (still cached; hits
-    /// report [`CacheStatus::Revalidated`](crate::CacheStatus)).
+pub struct SyncReport {
+    /// Entries kept or repriced: still cached, and hits report
+    /// [`CacheStatus::Revalidated`](crate::CacheStatus).
     pub kept: u64,
-    /// Entries that failed the cheap reachability bound: removed from the
-    /// cache (lookups miss — no stale bytes can be served) and returned for
-    /// background re-pricing.
+    /// Entries parked: removed from the cache (lookups miss — no stale
+    /// bytes can be served) and returned for background re-validation.
     pub parked: Vec<ParkedEntry>,
-    /// Entries dropped outright — no re-costing argument applies to them
-    /// (non-revalidatable strategy, malformed model).
+    /// Entries dropped outright.
     pub dropped: u64,
 }
 
-/// Three-way verdict of the per-entry ingestion survival rule.
-enum Survival {
+/// One entry's verdict at a publish (see the module docs).
+enum Verdict {
     Keep,
+    Reprice(Arc<RankedView>),
     Park,
     Drop,
+}
+
+/// The publish-level facts every verdict reads, computed at most once per
+/// sync.
+enum Facts<'a> {
+    /// A `QSystem` epoch move over `graph`; `grew` drops every entry.
+    Epoch { graph: &'a SearchGraph, grew: bool },
+    /// A live same-topology re-pricing over the new graph.
+    Reprice(&'a SearchGraph),
+    /// A live growth publish.
+    Growth(KeywordFacts<'a>),
+}
+
+/// What a growth publish means for each keyword, memoised by normalised
+/// keyword. Both facts are pure functions of (keyword, publish), so each
+/// is computed at most once per publish — and only when a verdict asks for
+/// it — and shared by every entry that uses the keyword.
+struct KeywordFacts<'a> {
+    delta: IngestionDelta<'a>,
+    /// The publish's bridge-seeded distances, already run.
+    pricer: &'a DeltaPricer,
+    /// Keyword → it matches a document of the new relations.
+    in_new: HashMap<String, bool>,
+    /// Keyword → cheapest bridge-seeded distance into its match nodes in
+    /// the new graph: ∞ when it has no match (or none that resolves to a
+    /// graph node) — a tree cannot connect what does not exist.
+    price: HashMap<String, f64>,
+}
+
+impl KeywordFacts<'_> {
+    fn in_new(&mut self, keyword: &str) -> bool {
+        if let Some(&in_new) = self.in_new.get(keyword) {
+            return in_new;
+        }
+        let d = &self.delta;
+        let in_new =
+            d.keyword_index
+                .keyword_matches_in(keyword, d.catalog, d.new_relations, d.match_config);
+        self.in_new.insert(keyword.to_owned(), in_new);
+        in_new
+    }
+
+    fn price(&mut self, keyword: &str) -> f64 {
+        if let Some(&price) = self.price.get(keyword) {
+            return price;
+        }
+        let d = &self.delta;
+        let price = d
+            .keyword_index
+            .matches(keyword, d.match_config)
+            .iter()
+            .filter_map(|m| match &m.target {
+                MatchTarget::Relation(r) => d.graph.relation_node(*r),
+                // A value node attaches to its attribute at zero cost, so
+                // the attribute's distance bounds the value's too.
+                MatchTarget::Attribute(a) | MatchTarget::Value { attribute: a, .. } => {
+                    d.graph.attribute_node(*a)
+                }
+            })
+            .map(|n| self.pricer.dist(n))
+            .fold(f64::INFINITY, f64::min);
+        self.price.insert(keyword.to_owned(), price);
+        price
+    }
 }
 
 /// Answer cache for the query path. See the module docs for the coherence
 /// rule; capacity-bounded with FIFO eviction (the workloads Q serves repeat
 /// whole query sets, where FIFO and LRU behave identically and FIFO needs no
-/// bookkeeping on hits). Entries kept by revalidation retain their original
-/// insertion order — surviving an epoch delta does not make an entry young.
+/// bookkeeping on hits). Kept entries retain their original insertion
+/// order — surviving a publish does not make an entry young.
 #[derive(Debug, Clone)]
 pub struct QueryCache {
     epoch: u64,
@@ -287,8 +379,8 @@ pub struct QueryCache {
     revalidations: u64,
     /// Graph edge count at the last sync; a difference means topology grew.
     synced_edge_count: usize,
-    /// Reusable multi-source Dijkstra buffers for the ingestion survival
-    /// rule (grown once, reused every publish).
+    /// Reusable multi-source Dijkstra buffers for growth publishes (grown
+    /// once, reused every publish).
     pricer: DeltaPricer,
 }
 
@@ -321,258 +413,159 @@ impl QueryCache {
         }
     }
 
-    /// Align the cache with the graph's current weight epoch. Callers do
-    /// this before any lookup.
+    /// Align the cache with a publish at `epoch`: every entry gets one
+    /// verdict (see the module docs), and the cache takes `epoch` as the
+    /// stamp fresh inserts are guarded by.
     ///
-    /// On an epoch delta: topology growth drops every entry (new edges can
-    /// create answers no re-cost predicts); a pure re-pricing re-costs each
-    /// cached tree from its [`RevalidationModel`] and keeps entries whose
-    /// ranked order survives under the new weights (see the module docs).
-    pub fn sync_epoch(&mut self, current: u64, graph: &SearchGraph) {
-        if self.epoch == current {
-            return;
-        }
-        self.epoch = current;
-        if graph.edge_count() != self.synced_edge_count {
-            self.invalidations += self.entries.len() as u64;
-            self.entries.clear();
-            self.insertion_order.clear();
-        } else {
-            // Same topology ⇒ the bump was a re-pricing of some form. The
-            // weight vector alone cannot prove which costs moved — merging
-            // another matcher's opinion into an existing association edge
-            // changes that *edge's* feature vector without necessarily
-            // touching any weight — so every entry is re-costed; the cost
-            // models read base-edge features from the graph, which picks
-            // up both weight and feature changes. An entry whose costs all
-            // come back identical is kept verbatim (same allocation).
-            let mut dropped = 0u64;
-            let mut kept = 0u64;
-            self.entries.retain(|_, entry| {
-                if Self::revalidate(entry, graph) {
-                    kept += 1;
-                    true
-                } else {
-                    dropped += 1;
-                    false
-                }
-            });
-            self.invalidations += dropped;
-            self.revalidations += kept;
-            if dropped > 0 {
-                // Kept entries stay in their original FIFO positions.
-                self.insertion_order
-                    .retain(|k| self.entries.contains_key(k));
-            }
-        }
-        self.synced_edge_count = graph.edge_count();
-        self.enforce_capacity();
-    }
-
-    /// Align the cache with a re-pricing *publish* of the live-ingestion
-    /// engine (a matcher opinion merged into an existing edge: same
-    /// topology, new prices).
-    ///
-    /// Unlike [`QueryCache::sync_epoch`], entries are **not** re-priced in
-    /// place: live cache hits report the snapshot that priced them, and the
-    /// engine's contract is that the served bytes equal that snapshot's
-    /// sequential answer *exactly*. An entry therefore survives only when
-    /// every re-costed tree comes back bit-identical under the new prices —
-    /// its bytes are then simultaneously the old snapshot's answer and
-    /// unaffected by the re-pricing — and anything whose costs moved drops
-    /// and recomputes against the new snapshot. Returns `(kept, dropped)`.
-    pub fn sync_repricing_publish(&mut self, epoch: u64, graph: &SearchGraph) -> (u64, u64) {
-        self.epoch = epoch;
-        let mut kept = 0u64;
-        let mut dropped = 0u64;
-        self.entries.retain(|_, entry| {
-            let model = &entry.model;
-            let unchanged = model.revalidatable
-                && model.trees.len() == entry.view.queries.len()
-                && model
-                    .trees
-                    .iter()
-                    .zip(&entry.view.queries)
-                    .all(|(m, q)| m.cost(graph).to_bits() == q.cost.to_bits());
-            if unchanged {
-                entry.revalidated = true;
-                kept += 1;
-                true
-            } else {
-                dropped += 1;
-                false
-            }
-        });
-        self.invalidations += dropped;
-        self.revalidations += kept;
-        if dropped > 0 {
-            self.insertion_order
-                .retain(|k| self.entries.contains_key(k));
-        }
-        self.synced_edge_count = graph.edge_count();
-        self.enforce_capacity();
-        (kept, dropped)
-    }
-
-    /// Align the cache with a freshly published live-ingestion snapshot.
-    ///
-    /// Ingesting a source grows the topology, which under
-    /// [`QueryCache::sync_epoch`] would drop everything (the seed rule).
-    /// Live ingestion knows *what* grew, so each entry is priced
-    /// individually: one multi-source Dijkstra over the new graph, seeded
-    /// at the publish's bridge edges ([`IngestionDelta::bridge_seeds`]),
+    /// For [`Publish::Growth`], one multi-source Dijkstra over the new
+    /// graph, seeded at the bridge edges ([`IngestionDelta::bridge_seeds`]),
     /// yields `dist(v)` — a lower bound on any new join tree that touches
     /// `v`. An entry's price is the max over its keywords of the cheapest
     /// distance into that keyword's match nodes (every new competing tree
     /// must reach *all* of them), and the entry is **kept** when
     ///
-    /// 1. none of its keywords match any document of the new source's
-    ///    relations (no new Steiner terminals or match edges appear), and
+    /// 1. not every one of its keywords matches a document of the new
+    ///    relations (a tree living entirely inside the new source crosses
+    ///    no bridge, so no price covers it), and
     /// 2. its price is strictly above its displacement threshold: the worst
     ///    ranked cost when the list is full, the request's cost budget when
     ///    it is not.
     ///
-    /// Kept entries keep serving their original snapshot's answer
-    /// byte-for-byte (their [`CacheLookup::snapshot`] does not advance) and
-    /// report [`CacheStatus::Revalidated`](crate::CacheStatus) on hits.
-    /// Entries failing the bound are **parked**: removed from the cache (a
-    /// lookup misses — conservatism never serves stale bytes) and returned
-    /// in [`IngestionSync::parked`] for the background re-validation lane
-    /// to re-price against the new snapshot. Only entries with no
+    /// Entries failing the bound are **parked**; only entries with no
     /// re-costing argument at all (non-revalidatable strategy, malformed
     /// model) drop outright.
-    pub fn sync_ingestion(&mut self, epoch: u64, delta: &IngestionDelta) -> IngestionSync {
+    pub fn sync(&mut self, epoch: u64, publish: &Publish) -> SyncReport {
+        if matches!(publish, Publish::Epoch(_)) && self.epoch == epoch {
+            return SyncReport::default();
+        }
         self.epoch = epoch;
-        self.pricer.run(delta.graph, delta.bridge_seeds);
-        let mut sync = IngestionSync::default();
-        let pricer = &self.pricer;
-        let entries = &mut self.entries;
-        entries.retain(
-            |key, entry| match Self::survives_ingestion(key, entry, delta, pricer) {
-                Survival::Keep => {
+        let graph = match *publish {
+            Publish::Epoch(graph) | Publish::Reprice(graph) => graph,
+            Publish::Growth(delta) => delta.graph,
+        };
+        let mut facts = match *publish {
+            Publish::Epoch(_) => Facts::Epoch {
+                graph,
+                grew: graph.edge_count() != self.synced_edge_count,
+            },
+            Publish::Reprice(_) => Facts::Reprice(graph),
+            Publish::Growth(delta) => {
+                self.pricer.run(delta.graph, delta.bridge_seeds);
+                Facts::Growth(KeywordFacts {
+                    delta,
+                    pricer: &self.pricer,
+                    in_new: HashMap::new(),
+                    price: HashMap::new(),
+                })
+            }
+        };
+        let mut report = SyncReport::default();
+        self.entries
+            .retain(|key, entry| match Self::verdict(key, entry, &mut facts) {
+                Verdict::Keep => {
                     entry.revalidated = true;
-                    sync.kept += 1;
+                    report.kept += 1;
                     true
                 }
-                Survival::Park => {
-                    sync.parked.push(ParkedEntry {
+                Verdict::Reprice(view) => {
+                    entry.view = view;
+                    entry.revalidated = true;
+                    report.kept += 1;
+                    true
+                }
+                Verdict::Park => {
+                    report.parked.push(ParkedEntry {
                         key: key.clone(),
                         view: Arc::clone(&entry.view),
-                        model: entry.model.clone(),
+                        model: std::mem::take(&mut entry.model),
                         snapshot: entry.snapshot,
                     });
                     false
                 }
-                Survival::Drop => {
-                    sync.dropped += 1;
+                Verdict::Drop => {
+                    report.dropped += 1;
                     false
                 }
-            },
-        );
-        self.invalidations += sync.dropped;
-        self.revalidations += sync.kept;
-        if sync.dropped > 0 || !sync.parked.is_empty() {
+            });
+        self.invalidations += report.dropped;
+        self.revalidations += report.kept;
+        if report.dropped > 0 || !report.parked.is_empty() {
+            // Kept entries stay in their original FIFO positions.
             self.insertion_order
                 .retain(|k| self.entries.contains_key(k));
         }
-        self.synced_edge_count = delta.edge_count;
+        self.synced_edge_count = graph.edge_count();
         self.enforce_capacity();
-        sync
+        report
     }
 
-    /// The per-entry ingestion survival rule (see
-    /// [`QueryCache::sync_ingestion`]).
-    fn survives_ingestion(
-        key: &QueryKey,
-        entry: &CacheEntry,
-        delta: &IngestionDelta,
-        pricer: &DeltaPricer,
-    ) -> Survival {
+    /// One entry's verdict under the publish's facts.
+    fn verdict(key: &QueryKey, entry: &CacheEntry, facts: &mut Facts) -> Verdict {
         let model = &entry.model;
-        if !model.revalidatable || model.trees.len() != entry.view.queries.len() {
-            return Survival::Drop;
+        let queries = &entry.view.queries;
+        if !model.revalidatable || model.trees.len() != queries.len() {
+            return Verdict::Drop;
         }
-        // Every candidate tree a publish enables either touches the new
-        // region — and must then cross a bridge edge, so the reachability
-        // price below bounds it — or uses only pre-existing nodes and so
-        // pre-existed. The one escape is a tree living *entirely* inside
-        // the new source: it crosses no bridge and no cost argument covers
-        // it. Such a tree needs a match for every keyword among the new
-        // relations, so only an entry whose whole keyword set matches there
-        // parks unconditionally.
-        if key.keywords.iter().all(|kw| {
-            delta.keyword_index.keyword_matches_in(
-                kw,
-                delta.catalog,
-                delta.new_relations,
-                delta.match_config,
-            )
-        }) {
-            return Survival::Park;
-        }
-        // Displacement threshold: what a new tree would have to beat. A full
-        // ranked list is guarded by its worst cost; a partial list accepts
-        // anything within the request's budget.
-        let threshold = if entry.view.queries.len() >= model.top_k {
-            entry
-                .view
-                .queries
-                .last()
-                .map(|q| q.cost)
-                .unwrap_or(model.budget)
-        } else {
-            model.budget
-        };
-        // Any tree the publish enables for this entry crosses a bridge and
-        // connects *every* keyword's match node, so it costs at least the
-        // entry's reachability price (edge costs are kept positive by the
-        // learner). Strictly above: a tie could reorder a fresh search's
-        // stable sort.
-        if Self::ingestion_price(key, delta, pricer) > threshold {
-            Survival::Keep
-        } else {
-            Survival::Park
-        }
-    }
-
-    /// Per-entry lower bound on any new competing tree: the max over the
-    /// entry's keywords of the cheapest bridge-seeded distance into that
-    /// keyword's match nodes in the *new* snapshot. A keyword with no
-    /// matches (or none that resolve to a graph node) contributes ∞ — a
-    /// tree cannot connect what does not exist.
-    fn ingestion_price(key: &QueryKey, delta: &IngestionDelta, pricer: &DeltaPricer) -> f64 {
-        let mut price: f64 = 0.0;
-        for kw in &key.keywords {
-            let mut cheapest = f64::INFINITY;
-            for m in delta.keyword_index.matches(kw, delta.match_config) {
-                let node = match &m.target {
-                    MatchTarget::Relation(r) => delta.graph.relation_node(*r),
-                    // A value node attaches to its attribute at zero cost,
-                    // so the attribute's distance bounds the value's too.
-                    MatchTarget::Attribute(a) | MatchTarget::Value { attribute: a, .. } => {
-                        delta.graph.attribute_node(*a)
-                    }
-                };
-                if let Some(n) = node {
-                    cheapest = cheapest.min(pricer.dist(n));
+        match facts {
+            Facts::Epoch { grew: true, .. } => Verdict::Drop,
+            Facts::Epoch { graph, grew: false } => Self::recost(entry, graph),
+            Facts::Reprice(graph) => {
+                let unchanged = model
+                    .trees
+                    .iter()
+                    .zip(queries)
+                    .all(|(m, q)| m.cost(graph).to_bits() == q.cost.to_bits());
+                if unchanged {
+                    Verdict::Keep
+                } else {
+                    Verdict::Drop
                 }
             }
-            price = price.max(cheapest);
-            if price.is_infinite() {
-                break;
+            Facts::Growth(keywords) => {
+                // Every candidate tree a publish enables either touches the
+                // new region — and must then cross a bridge edge, so the
+                // price below bounds it — or uses only pre-existing nodes
+                // and so is no new competitor. The one escape is a tree
+                // living *entirely* inside the new source: it crosses no
+                // bridge and no cost argument covers it. Such a tree needs
+                // a match for every keyword among the new relations, so
+                // only an entry whose whole keyword set matches there parks
+                // unconditionally.
+                if key.keywords.iter().all(|kw| keywords.in_new(kw)) {
+                    return Verdict::Park;
+                }
+                // Displacement threshold: what a new tree would have to
+                // beat. A full ranked list is guarded by its worst cost; a
+                // partial list accepts anything within the request's budget.
+                let threshold = match queries.last() {
+                    Some(worst) if queries.len() >= model.top_k => worst.cost,
+                    _ => model.budget,
+                };
+                // Any tree the publish enables connects *every* keyword's
+                // match node across a bridge, so it costs at least the max
+                // of the keywords' prices (edge costs are kept positive by
+                // the learner). Strictly above: a tie could reorder a fresh
+                // search's stable sort.
+                let mut price: f64 = 0.0;
+                for kw in &key.keywords {
+                    price = price.max(keywords.price(kw));
+                    if price.is_infinite() {
+                        break;
+                    }
+                }
+                if price > threshold {
+                    Verdict::Keep
+                } else {
+                    Verdict::Park
+                }
             }
         }
-        price
     }
 
-    /// Re-price one entry under the graph's current weights; true when it
-    /// may stay cached (its view is updated in place).
-    fn revalidate(entry: &mut CacheEntry, graph: &SearchGraph) -> bool {
-        let model = &entry.model;
-        if !model.revalidatable || model.trees.len() != entry.view.queries.len() {
-            return false;
-        }
-        let new_costs: Vec<f64> = model.trees.iter().map(|m| m.cost(graph)).collect();
+    /// The [`Publish::Epoch`] re-pricing verdict: re-cost the entry's trees
+    /// under the graph's current weights.
+    fn recost(entry: &CacheEntry, graph: &SearchGraph) -> Verdict {
+        let new_costs: Vec<f64> = entry.model.trees.iter().map(|m| m.cost(graph)).collect();
         // The ranking must be unchanged and every tree must still fit the
         // request's budget — otherwise a fresh search would rank or filter
         // differently. Adjacent costs must stay strictly increasing; a
@@ -584,30 +577,29 @@ impl QueryCache {
             .windows(2)
             .zip(entry.view.queries.windows(2))
             .all(|(n, q)| n[0] < n[1] || (n[0] == n[1] && q[0].cost == q[1].cost));
-        let within_budget = new_costs.iter().all(|c| *c <= model.budget + 1e-9);
+        let within_budget = new_costs.iter().all(|c| *c <= entry.model.budget + 1e-9);
         if !order_preserved || !within_budget {
-            return false;
+            return Verdict::Drop;
         }
         let unchanged = new_costs
             .iter()
             .zip(&entry.view.queries)
             .all(|(n, q)| n.to_bits() == q.cost.to_bits());
-        if !unchanged {
-            // Re-price the view: query costs, their trees' costs, and the
-            // per-answer cost echoes. Ranked order is untouched, so answers
-            // stay sorted (they are grouped by query in rank order).
-            let mut view = (*entry.view).clone();
-            for (q, c) in view.queries.iter_mut().zip(&new_costs) {
-                q.cost = *c;
-                q.tree.cost = *c;
-            }
-            for a in &mut view.answers {
-                a.cost = new_costs[a.query_index];
-            }
-            entry.view = Arc::new(view);
+        if unchanged {
+            return Verdict::Keep;
         }
-        entry.revalidated = true;
-        true
+        // Re-price the view: query costs, their trees' costs, and the
+        // per-answer cost echoes. Ranked order is untouched, so answers
+        // stay sorted (they are grouped by query in rank order).
+        let mut view = (*entry.view).clone();
+        for (q, c) in view.queries.iter_mut().zip(&new_costs) {
+            q.cost = *c;
+            q.tree.cost = *c;
+        }
+        for a in &mut view.answers {
+            a.cost = new_costs[a.query_index];
+        }
+        Verdict::Reprice(Arc::new(view))
     }
 
     /// Look up a query key, counting the hit or miss.
@@ -628,51 +620,30 @@ impl QueryCache {
         }
     }
 
-    /// Insert a computed view under a key together with the cost models a
-    /// later epoch-delta revalidation needs, evicting the oldest entry when
-    /// full. Overwriting an existing key keeps its FIFO position. The entry
-    /// is stamped with the cache's current epoch (in live serving: the
-    /// snapshot id it was computed against).
-    pub fn insert(&mut self, key: QueryKey, view: Arc<RankedView>, model: RevalidationModel) {
-        let entry = CacheEntry {
-            view,
-            model,
-            revalidated: false,
-            snapshot: self.epoch,
-        };
-        if let Some(slot) = self.entries.get_mut(&key) {
-            *slot = entry;
-            return;
-        }
-        self.insertion_order.push_back(key.clone());
-        self.entries.insert(key, entry);
-        self.enforce_capacity();
-    }
-
-    /// Re-admit an entry the background re-validation lane has verified (or
-    /// recomputed) against the snapshot `snapshot`. Unlike [`insert`], the
-    /// snapshot stamp is the caller's — a byte-identical survivor keeps
-    /// reporting the snapshot that originally priced it — and the entry is
-    /// marked revalidated so hits report
-    /// [`CacheStatus::Revalidated`](crate::CacheStatus). The caller is
-    /// responsible for checking the cache epoch first (under the same lock)
-    /// so a superseded lane result is discarded, not re-admitted.
-    ///
-    /// [`insert`]: QueryCache::insert
-    pub fn reinsert_revalidated(
+    /// The one admission path: cache a view under a key together with the
+    /// cost model later verdicts need, stamped with `snapshot` — the epoch
+    /// (in live serving: the snapshot id) whose answer the view is.
+    /// `revalidated` marks a re-admission by the re-validation lane: its
+    /// hits report [`CacheStatus::Revalidated`](crate::CacheStatus) and it
+    /// counts as a revalidation. Overwriting an existing key keeps its FIFO
+    /// position; a new key evicts the oldest entry when full. The caller
+    /// checks [`epoch`](Self::epoch) first (under the same lock), so an
+    /// answer a newer publish superseded is discarded, not admitted.
+    pub fn insert(
         &mut self,
         key: QueryKey,
         view: Arc<RankedView>,
         model: RevalidationModel,
         snapshot: u64,
+        revalidated: bool,
     ) {
+        self.revalidations += u64::from(revalidated);
         let entry = CacheEntry {
             view,
             model,
-            revalidated: true,
+            revalidated,
             snapshot,
         };
-        self.revalidations += 1;
         if let Some(slot) = self.entries.get_mut(&key) {
             *slot = entry;
             return;
@@ -682,11 +653,9 @@ impl QueryCache {
         self.enforce_capacity();
     }
 
-    /// The single place the FIFO capacity bound is enforced: every mutation
-    /// (insert, epoch sync, ingestion sync) funnels through here, so the
-    /// map can never be observed over capacity — previously the check lived
-    /// only on the insert path, and a sync that kept entries had no bound of
-    /// its own.
+    /// The single place the FIFO capacity bound is enforced: both mutations
+    /// (`insert` and `sync`) funnel through here, so the map can never be
+    /// observed over capacity.
     fn enforce_capacity(&mut self) {
         while self.entries.len() > self.capacity {
             let Some(oldest) = self.insertion_order.pop_front() else {
@@ -728,13 +697,15 @@ impl QueryCache {
         self.misses
     }
 
-    /// Entries dropped at an epoch sync (not capacity eviction): topology
-    /// growth, a disturbed ranking, or a blown budget.
+    /// Entries dropped by a sync verdict (not capacity eviction or
+    /// parking): topology growth, a disturbed ranking, a blown budget, or
+    /// no re-costing model.
     pub fn invalidations(&self) -> u64 {
         self.invalidations
     }
 
-    /// Entries re-priced and kept across an epoch delta.
+    /// Entries kept or repriced by a sync verdict, plus lane
+    /// re-admissions.
     pub fn revalidations(&self) -> u64 {
         self.revalidations
     }
@@ -758,9 +729,22 @@ mod tests {
         QueryKey::from_keywords(keywords)
     }
 
-    /// A tiny search graph with one association edge whose cost the tests
-    /// can steer through the weight vector.
-    fn graph() -> (SearchGraph, q_graph::EdgeId) {
+    /// Insert a freshly computed view, stamped with the cache's epoch.
+    fn admit(
+        cache: &mut QueryCache,
+        key: QueryKey,
+        view: Arc<RankedView>,
+        model: RevalidationModel,
+    ) {
+        let epoch = cache.epoch();
+        cache.insert(key, view, model, epoch, false);
+    }
+
+    /// Two single-attribute sources joined by one association edge whose
+    /// cost the tests can steer through the weight vector (and which the
+    /// cached view's single tree carries). Returns the catalog, graph and
+    /// that edge.
+    fn fixture() -> (q_storage::Catalog, SearchGraph, q_graph::EdgeId) {
         use q_storage::{RelationSpec, SourceSpec};
         let mut cat = q_storage::Catalog::new();
         SourceSpec::new("a")
@@ -775,6 +759,12 @@ mod tests {
         let x = cat.resolve_qualified("r1.x").unwrap();
         let y = cat.resolve_qualified("r2.y").unwrap();
         let e = g.add_association(x, y, "mad", 0.9);
+        (cat, g, e)
+    }
+
+    /// The fixture's graph and association edge.
+    fn graph() -> (SearchGraph, q_graph::EdgeId) {
+        let (_, g, e) = fixture();
         (g, e)
     }
 
@@ -832,8 +822,18 @@ mod tests {
         };
         assert_ne!(plain, tuned);
         let mut cache = QueryCache::default();
-        cache.insert(plain.clone(), view("plain"), RevalidationModel::default());
-        cache.insert(tuned.clone(), view("tuned"), RevalidationModel::default());
+        admit(
+            &mut cache,
+            plain.clone(),
+            view("plain"),
+            RevalidationModel::default(),
+        );
+        admit(
+            &mut cache,
+            tuned.clone(),
+            view("tuned"),
+            RevalidationModel::default(),
+        );
         assert_eq!(cache.get(&plain).unwrap().view.keywords, vec!["plain"]);
         assert_eq!(cache.get(&tuned).unwrap().view.keywords, vec!["tuned"]);
     }
@@ -842,10 +842,15 @@ mod tests {
     fn hit_after_insert_miss_before() {
         let (g, _) = graph();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let key = key(&["plasma membrane"]);
         assert!(cache.get(&key).is_none());
-        cache.insert(key.clone(), view("v"), RevalidationModel::default());
+        admit(
+            &mut cache,
+            key.clone(),
+            view("v"),
+            RevalidationModel::default(),
+        );
         let got = cache.get(&key).expect("cached");
         assert_eq!(got.view.keywords, vec!["v"]);
         assert!(!got.revalidated, "no epoch delta crossed yet");
@@ -857,9 +862,19 @@ mod tests {
     fn topology_growth_still_invalidates_everything() {
         let (mut g, _) = graph();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
-        cache.insert(key(&["a"]), view("a"), RevalidationModel::default());
-        cache.insert(key(&["b"]), view("b"), RevalidationModel::default());
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        admit(
+            &mut cache,
+            key(&["a"]),
+            view("a"),
+            RevalidationModel::default(),
+        );
+        admit(
+            &mut cache,
+            key(&["b"]),
+            view("b"),
+            RevalidationModel::default(),
+        );
         // A new association edge is a topology change: re-costing cached
         // trees cannot account for answers the new edge enables.
         let x = g
@@ -868,7 +883,7 @@ mod tests {
             .map(|(_, a, _)| a)
             .expect("association exists");
         g.add_association(x, q_storage::AttributeId(2), "manual", 0.5);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         assert!(cache.is_empty());
         assert_eq!(cache.invalidations(), 2);
         assert_eq!(cache.revalidations(), 0);
@@ -878,10 +893,10 @@ mod tests {
     fn order_preserving_repricing_keeps_and_reprices_entries() {
         let (mut g, e) = graph();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let (v, model) = priced_view(&g, e);
         let old_cost = v.queries[0].cost;
-        cache.insert(key(&["q"]), Arc::clone(&v), model);
+        admit(&mut cache, key(&["q"]), Arc::clone(&v), model);
 
         // Uniform re-pricing: bump the shared default weight.
         let mut w = g.weights().clone();
@@ -889,7 +904,7 @@ mod tests {
         w.set(default, w.get(default) + 0.25);
         g.set_weights(w);
 
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.revalidations(), 1);
         assert_eq!(cache.invalidations(), 0);
@@ -905,7 +920,7 @@ mod tests {
     fn ranking_disturbance_drops_the_entry() {
         let (mut g, e) = graph();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         // Two-query view: a cheap base-edge tree ranked above a fixed-cost
         // local tree. Raising the base edge above the local cost disturbs
         // the ranking.
@@ -950,14 +965,14 @@ mod tests {
             revalidatable: true,
             ..RevalidationModel::default()
         };
-        cache.insert(key(&["q"]), view, model);
+        admit(&mut cache, key(&["q"]), view, model);
 
         // Price the association edge above the keyword edge: rank flips.
         let mut w = g.weights().clone();
         let default = g.feature_space().get("default").unwrap();
         w.set(default, w.get(default) + 10.0);
         g.set_weights(w);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         assert!(cache.is_empty(), "disturbed ranking must drop the entry");
         assert_eq!(cache.invalidations(), 1);
     }
@@ -966,15 +981,15 @@ mod tests {
     fn blown_budget_drops_the_entry() {
         let (mut g, e) = graph();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let (v, mut model) = priced_view(&g, e);
         model.budget = g.edge_cost(e) + 0.1;
-        cache.insert(key(&["q"]), v, model);
+        admit(&mut cache, key(&["q"]), v, model);
         let mut w = g.weights().clone();
         let default = g.feature_space().get("default").unwrap();
         w.set(default, w.get(default) + 1.0);
         g.set_weights(w);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         assert!(cache.is_empty(), "over-budget tree cannot stay cached");
     }
 
@@ -982,15 +997,15 @@ mod tests {
     fn non_revalidatable_entries_drop_on_any_repricing() {
         let (mut g, e) = graph();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let (v, mut model) = priced_view(&g, e);
         model.revalidatable = false;
-        cache.insert(key(&["q"]), v, model);
+        admit(&mut cache, key(&["q"]), v, model);
         let mut w = g.weights().clone();
         let default = g.feature_space().get("default").unwrap();
         w.set(default, w.get(default) + 0.01);
         g.set_weights(w);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         assert!(cache.is_empty());
     }
 
@@ -998,15 +1013,15 @@ mod tests {
     fn identical_weights_epoch_bump_keeps_entries_verbatim() {
         let (mut g, e) = graph();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let (v, model) = priced_view(&g, e);
-        cache.insert(key(&["q"]), Arc::clone(&v), model);
+        admit(&mut cache, key(&["q"]), Arc::clone(&v), model);
         // Re-setting the same weights bumps the epoch without changing any
         // cost: the re-cost confirms every price, so the entry survives
         // with its original allocation.
         let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.invalidations(), 0);
         assert_eq!(cache.revalidations(), 1);
@@ -1030,10 +1045,10 @@ mod tests {
         let (_, a, b) = g.association_edges().next().unwrap();
 
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let (v, model) = priced_view(&g, e);
         let old_cost = v.queries[0].cost;
-        cache.insert(key(&["q"]), v, model);
+        admit(&mut cache, key(&["q"]), v, model);
 
         // The merge bumps the epoch, keeps edge_count, keeps all weights.
         let edges_before = g.edge_count();
@@ -1041,7 +1056,7 @@ mod tests {
         assert_eq!(g.edge_count(), edges_before, "merge must not add edges");
         assert_ne!(g.edge_cost(e).to_bits(), old_cost.to_bits());
 
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let hit = cache.get(&key(&["q"])).expect("order-preserving merge");
         assert!(hit.revalidated);
         assert_eq!(
@@ -1051,91 +1066,86 @@ mod tests {
         );
     }
 
-    /// Fixture for the ingestion survival tests: two old single-attribute
-    /// sources joined by one association edge, whose cost the cached view's
-    /// single tree carries. Returns the catalog, graph and that edge.
-    fn ingestion_fixture() -> (q_storage::Catalog, SearchGraph, q_graph::EdgeId) {
-        use q_storage::{RelationSpec, SourceSpec};
-        let mut cat = q_storage::Catalog::new();
-        SourceSpec::new("a")
-            .relation(RelationSpec::new("r1", &["x"]))
-            .load_into(&mut cat)
-            .unwrap();
-        SourceSpec::new("b")
-            .relation(RelationSpec::new("r2", &["y"]))
-            .load_into(&mut cat)
-            .unwrap();
-        let mut g = SearchGraph::from_catalog(&cat);
-        let x = cat.resolve_qualified("r1.x").unwrap();
-        let y = cat.resolve_qualified("r2.y").unwrap();
-        let e = g.add_association(x, y, "mad", 0.9);
-        (cat, g, e)
+    /// The state after ingesting source `c` (relation `r3`, disjoint
+    /// vocabulary) into the fixture, bridged to `r1.x`: everything a
+    /// [`Publish::Growth`] borrows.
+    struct Grown {
+        cat: q_storage::Catalog,
+        g: SearchGraph,
+        idx: KeywordIndex,
+        new_relations: [RelationId; 1],
+        bridge: EdgeId,
+        seeds: Vec<(NodeId, f64)>,
+        match_config: MatchConfig,
     }
 
-    /// Ingest source `c` (relation `r3`, disjoint vocabulary) bridged to
-    /// `r1.x` with the given matcher confidence; returns the new keyword
-    /// index, the new relation and the bridge edge.
-    fn ingest_r3(
-        cat: &mut q_storage::Catalog,
-        g: &mut SearchGraph,
-        confidence: f64,
-    ) -> (
-        q_graph::KeywordIndex,
-        q_storage::RelationId,
-        q_graph::EdgeId,
-    ) {
+    impl Grown {
+        fn publish(&self) -> Publish<'_> {
+            Publish::Growth(IngestionDelta {
+                catalog: &self.cat,
+                keyword_index: &self.idx,
+                match_config: &self.match_config,
+                new_relations: &self.new_relations,
+                graph: &self.g,
+                bridge_seeds: &self.seeds,
+            })
+        }
+    }
+
+    /// Ingest source `c` with the given matcher confidence on its bridge.
+    /// The reachability seeds are both endpoints of the bridge at its cost
+    /// (exactly what the live serving layer builds).
+    fn ingest_r3(mut cat: q_storage::Catalog, mut g: SearchGraph, confidence: f64) -> Grown {
         use q_storage::{RelationSpec, SourceSpec};
         SourceSpec::new("c")
             .relation(RelationSpec::new("r3", &["z"]))
-            .load_into(cat)
+            .load_into(&mut cat)
             .unwrap();
         let source = cat.source_by_name("c").unwrap().id;
-        g.add_source(cat, source);
+        g.add_source(&cat, source);
         let x = cat.resolve_qualified("r1.x").unwrap();
         let z = cat.resolve_qualified("r3.z").unwrap();
         let bridge = g.add_association(x, z, "mad", confidence);
-        let idx = q_graph::KeywordIndex::build(cat);
-        let r3 = cat.relation_by_name("r3").unwrap().id;
-        (idx, r3, bridge)
+        let e = &g.edges()[bridge.index()];
+        let seeds = vec![(e.a, g.edge_cost(bridge)), (e.b, g.edge_cost(bridge))];
+        Grown {
+            idx: KeywordIndex::build(&cat),
+            new_relations: [cat.relation_by_name("r3").unwrap().id],
+            cat,
+            g,
+            bridge,
+            seeds,
+            match_config: MatchConfig::default(),
+        }
     }
 
-    /// Reachability seeds of a single bridge edge: both endpoints at the
-    /// edge's cost (exactly what the live serving layer builds).
-    fn seeds_of(g: &SearchGraph, edge: q_graph::EdgeId) -> Vec<(q_graph::NodeId, f64)> {
-        let e = &g.edges()[edge.index()];
-        vec![(e.a, g.edge_cost(edge)), (e.b, g.edge_cost(edge))]
+    fn counts(sync: &SyncReport) -> (u64, usize, u64) {
+        (sync.kept, sync.parked.len(), sync.dropped)
     }
 
     #[test]
-    fn ingestion_sync_keeps_entries_the_new_source_cannot_displace() {
-        let (mut cat, mut g, e) = ingestion_fixture();
+    fn growth_keeps_entries_the_new_source_cannot_displace() {
+        let (cat, g, e) = fixture();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let snap0 = cache.epoch();
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1; // the ranked list is full
         let entry_cost = v.queries[0].cost;
         // The keyword resolves to relation r1 — right next to where the
         // bridge lands, so the price really is the bridge's own cost.
-        cache.insert(key(&["r1"]), v, model);
+        admit(&mut cache, key(&["r1"]), v, model);
 
         // A low-confidence bridge prices every new join path into the
         // entry's terminals above the cached tree: the entry provably keeps
         // its top-k.
-        let (idx, r3, bridge) = ingest_r3(&mut cat, &mut g, 0.05);
-        let seeds = seeds_of(&g, bridge);
-        assert!(g.edge_cost(bridge) > entry_cost, "fixture: bridge costlier");
-        let delta = IngestionDelta {
-            catalog: &cat,
-            keyword_index: &idx,
-            match_config: &MatchConfig::default(),
-            new_relations: &[r3],
-            graph: &g,
-            bridge_seeds: &seeds,
-            edge_count: g.edge_count(),
-        };
-        let sync = cache.sync_ingestion(7, &delta);
-        assert_eq!((sync.kept, sync.parked.len(), sync.dropped), (1, 0, 0));
+        let mut grown = ingest_r3(cat, g, 0.05);
+        assert!(
+            grown.g.edge_cost(grown.bridge) > entry_cost,
+            "fixture: bridge costlier"
+        );
+        let sync = cache.sync(7, &grown.publish());
+        assert_eq!(counts(&sync), (1, 0, 0));
         assert_eq!(cache.epoch(), 7);
         let hit = cache.get(&key(&["r1"])).expect("entry survived");
         assert!(hit.revalidated, "survivors report Revalidated on hits");
@@ -1145,38 +1155,28 @@ mod tests {
         );
         // The growth was accounted: a later weight-only epoch bump does not
         // read as topology growth and wholesale-drop the survivors.
-        let w = g.weights().clone();
-        g.set_weights(w);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        let w = grown.g.weights().clone();
+        grown.g.set_weights(w);
+        cache.sync(grown.g.weight_epoch(), &Publish::Epoch(&grown.g));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn ingestion_sync_parks_entries_the_bridge_prices_into() {
-        let (mut cat, mut g, e) = ingestion_fixture();
+    fn growth_parks_entries_the_bridge_prices_into() {
+        let (cat, g, e) = fixture();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let snap0 = cache.epoch();
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1;
         let view = Arc::clone(&v);
-        cache.insert(key(&["r1"]), v, model);
+        admit(&mut cache, key(&["r1"]), v, model);
         // A high-confidence bridge reaches r1 at exactly the cached tree's
         // cost: even the tie must leave the cache (a fresh search may order
         // tied trees apart) — but it parks for re-validation, not drops.
-        let (idx, r3, bridge) = ingest_r3(&mut cat, &mut g, 0.9);
-        let seeds = seeds_of(&g, bridge);
-        let delta = IngestionDelta {
-            catalog: &cat,
-            keyword_index: &idx,
-            match_config: &MatchConfig::default(),
-            new_relations: &[r3],
-            graph: &g,
-            bridge_seeds: &seeds,
-            edge_count: g.edge_count(),
-        };
-        let sync = cache.sync_ingestion(7, &delta);
-        assert_eq!((sync.kept, sync.parked.len(), sync.dropped), (0, 1, 0));
+        let grown = ingest_r3(cat, g, 0.9);
+        let sync = cache.sync(7, &grown.publish());
+        assert_eq!(counts(&sync), (0, 1, 0));
         assert!(cache.is_empty(), "parked entries leave the cache");
         let parked = &sync.parked[0];
         assert_eq!(parked.key, key(&["r1"]));
@@ -1186,129 +1186,128 @@ mod tests {
 
     #[test]
     fn pricing_is_per_entry_not_a_global_floor() {
-        let (mut cat, mut g, e) = ingestion_fixture();
+        let (cat, g, e) = fixture();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         // Two full-list entries with the same displacement threshold; they
         // differ only in where their keyword sits relative to the bridge.
         let (near, mut m_near) = priced_view(&g, e);
         m_near.top_k = 1;
-        cache.insert(key(&["r1"]), near, m_near);
+        admit(&mut cache, key(&["r1"]), near, m_near);
         let (far, mut m_far) = priced_view(&g, e);
         m_far.top_k = 1;
-        cache.insert(key(&["r2"]), far, m_far);
+        admit(&mut cache, key(&["r2"]), far, m_far);
 
         // The bridge lands on r1.x at exactly the entries' own cost: the
         // old global floor (floor > threshold fails) dropped *both*. The
         // per-entry price keeps r2 — reaching it costs bridge + association,
         // strictly above the threshold — and parks only r1.
-        let (idx, r3, bridge) = ingest_r3(&mut cat, &mut g, 0.9);
-        let seeds = seeds_of(&g, bridge);
-        let delta = IngestionDelta {
-            catalog: &cat,
-            keyword_index: &idx,
-            match_config: &MatchConfig::default(),
-            new_relations: &[r3],
-            graph: &g,
-            bridge_seeds: &seeds,
-            edge_count: g.edge_count(),
-        };
-        let sync = cache.sync_ingestion(7, &delta);
-        assert_eq!((sync.kept, sync.parked.len(), sync.dropped), (1, 1, 0));
+        let grown = ingest_r3(cat, g, 0.9);
+        let sync = cache.sync(7, &grown.publish());
+        assert_eq!(counts(&sync), (1, 1, 0));
         assert_eq!(sync.parked[0].key, key(&["r1"]), "near entry parks");
         assert!(cache.get(&key(&["r2"])).is_some(), "far entry survives");
     }
 
     #[test]
-    fn ingestion_sync_parks_partial_lists_and_keyword_matches() {
-        let (mut cat, mut g, e) = ingestion_fixture();
+    fn entries_sharing_a_keyword_get_the_verdicts_they_get_alone() {
+        // The per-keyword facts are computed once per publish and shared by
+        // every entry using the keyword: `["r1"]` (parks — the bridge
+        // lands on r1 at its own cost) and `["r1", "r2"]` (kept — a new
+        // tree must also reach r2) must be judged exactly as when each is
+        // the only entry in the cache.
+        let (cat, g, e) = fixture();
+        let entries: Vec<(QueryKey, Arc<RankedView>, RevalidationModel)> =
+            [&["r1"][..], &["r1", "r2"]]
+                .iter()
+                .map(|kws| {
+                    let (v, mut m) = priced_view(&g, e);
+                    m.top_k = 1;
+                    (key(kws), v, m)
+                })
+                .collect();
+        let grown = ingest_r3(cat, g, 0.9);
+        let verdicts = |cache: &mut QueryCache| {
+            let sync = cache.sync(7, &grown.publish());
+            let mut parked: Vec<QueryKey> = sync.parked.iter().map(|p| p.key.clone()).collect();
+            parked.sort_by(|a, b| a.keywords.cmp(&b.keywords));
+            (counts(&sync), parked)
+        };
+        let mut shared = QueryCache::default();
+        for (k, v, m) in &entries {
+            admit(&mut shared, k.clone(), Arc::clone(v), m.clone());
+        }
+        assert_eq!(verdicts(&mut shared), ((1, 1, 0), vec![key(&["r1"])]));
+        let mut alone = QueryCache::default();
+        let (k, v, m) = &entries[0];
+        admit(&mut alone, k.clone(), Arc::clone(v), m.clone());
+        assert_eq!(verdicts(&mut alone), ((0, 1, 0), vec![key(&["r1"])]));
+        let mut alone = QueryCache::default();
+        let (k, v, m) = &entries[1];
+        admit(&mut alone, k.clone(), Arc::clone(v), m.clone());
+        assert_eq!(verdicts(&mut alone), ((1, 0, 0), vec![]));
+    }
+
+    #[test]
+    fn growth_parks_partial_lists_and_keyword_matches() {
+        let (cat, g, e) = fixture();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         // Entry 1: partial ranked list (top_k 5, one tree) with no budget —
         // any affordable new tree could extend it, so it cannot be kept.
         let (v1, mut m1) = priced_view(&g, e);
         m1.top_k = 5;
-        cache.insert(key(&["q"]), v1, m1);
+        admit(&mut cache, key(&["q"]), v1, m1);
         // Entry 2: full list but its keyword names the new relation.
         let (v2, mut m2) = priced_view(&g, e);
         m2.top_k = 1;
-        cache.insert(key(&["r3"]), v2, m2);
+        admit(&mut cache, key(&["r3"]), v2, m2);
         // Entry 3: partial list guarded by a budget below every new path's
         // price — new trees are provably unaffordable, so it survives.
         let (v3, mut m3) = priced_view(&g, e);
         m3.top_k = 5;
         m3.budget = 1.0;
-        cache.insert(key(&["q", "also"]), v3, m3);
+        admit(&mut cache, key(&["q", "also"]), v3, m3);
 
-        let (idx, r3, bridge) = ingest_r3(&mut cat, &mut g, 0.05);
-        let seeds = seeds_of(&g, bridge);
-        assert!(g.edge_cost(bridge) > 1.0);
-        let delta = IngestionDelta {
-            catalog: &cat,
-            keyword_index: &idx,
-            match_config: &MatchConfig::default(),
-            new_relations: &[r3],
-            graph: &g,
-            bridge_seeds: &seeds,
-            edge_count: g.edge_count(),
-        };
-        let sync = cache.sync_ingestion(9, &delta);
-        assert_eq!((sync.kept, sync.parked.len(), sync.dropped), (1, 2, 0));
+        let grown = ingest_r3(cat, g, 0.05);
+        assert!(grown.g.edge_cost(grown.bridge) > 1.0);
+        let sync = cache.sync(9, &grown.publish());
+        assert_eq!(counts(&sync), (1, 2, 0));
         assert!(cache.get(&key(&["q"])).is_none(), "partial, unbounded");
         assert!(cache.get(&key(&["r3"])).is_none(), "keyword matches source");
         assert!(cache.get(&key(&["q", "also"])).is_some(), "budget-guarded");
     }
 
     #[test]
-    fn non_revalidatable_entries_never_survive_ingestion() {
-        let (mut cat, mut g, e) = ingestion_fixture();
+    fn non_revalidatable_entries_never_survive_growth() {
+        let (cat, g, e) = fixture();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1;
         model.revalidatable = false;
-        cache.insert(key(&["q"]), v, model);
-        let (idx, r3, bridge) = ingest_r3(&mut cat, &mut g, 0.05);
-        let seeds = seeds_of(&g, bridge);
-        let delta = IngestionDelta {
-            catalog: &cat,
-            keyword_index: &idx,
-            match_config: &MatchConfig::default(),
-            new_relations: &[r3],
-            graph: &g,
-            bridge_seeds: &seeds,
-            edge_count: g.edge_count(),
-        };
-        let sync = cache.sync_ingestion(3, &delta);
-        assert_eq!((sync.kept, sync.parked.len(), sync.dropped), (0, 0, 1));
+        admit(&mut cache, key(&["q"]), v, model);
+        let grown = ingest_r3(cat, g, 0.05);
+        let sync = cache.sync(3, &grown.publish());
+        assert_eq!(counts(&sync), (0, 0, 1));
     }
 
     #[test]
-    fn reinsert_revalidated_restores_a_parked_entry_with_its_stamp() {
-        let (mut cat, mut g, e) = ingestion_fixture();
+    fn lane_admission_restores_a_parked_entry_with_its_stamp() {
+        let (cat, g, e) = fixture();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1;
-        cache.insert(key(&["r1"]), v, model);
-        let (idx, r3, bridge) = ingest_r3(&mut cat, &mut g, 0.9);
-        let seeds = seeds_of(&g, bridge);
-        let delta = IngestionDelta {
-            catalog: &cat,
-            keyword_index: &idx,
-            match_config: &MatchConfig::default(),
-            new_relations: &[r3],
-            graph: &g,
-            bridge_seeds: &seeds,
-            edge_count: g.edge_count(),
-        };
-        let sync = cache.sync_ingestion(7, &delta);
+        admit(&mut cache, key(&["r1"]), v, model);
+        let grown = ingest_r3(cat, g, 0.9);
+        let sync = cache.sync(7, &grown.publish());
         let parked = &sync.parked[0];
         assert!(cache.get(&parked.key).is_none());
 
         // The lane verified the old bytes still stand: re-admit them under
         // the original pricing snapshot.
-        cache.reinsert_revalidated(
+        cache.insert(
             parked.key.clone(),
             Arc::clone(&parked.view),
             RevalidationModel {
@@ -1316,21 +1315,55 @@ mod tests {
                 ..RevalidationModel::default()
             },
             parked.snapshot,
+            true,
         );
         let hit = cache.get(&parked.key).expect("re-admitted");
         assert!(hit.revalidated, "lane survivors report Revalidated");
         assert_eq!(hit.snapshot, parked.snapshot);
         assert!(Arc::ptr_eq(&hit.view, &parked.view));
+        assert_eq!(cache.revalidations(), 1, "a lane admission counts");
+    }
+
+    #[test]
+    fn live_repricing_keeps_only_bit_identical_entries() {
+        let (mut g, e) = graph();
+        let mut cache = QueryCache::default();
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        // One entry whose tree crosses the association edge, one with no
+        // base edge at all: only the first sees the re-pricing.
+        let (crossing, m_crossing) = priced_view(&g, e);
+        admit(
+            &mut cache,
+            key(&["crossing"]),
+            Arc::clone(&crossing),
+            m_crossing,
+        );
+        admit(
+            &mut cache,
+            key(&["local"]),
+            view("local"),
+            RevalidationModel::default(),
+        );
+        let mut w = g.weights().clone();
+        let default = g.feature_space().get("default").unwrap();
+        w.set(default, w.get(default) + 0.25);
+        g.set_weights(w);
+        let sync = cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
+        assert_eq!(counts(&sync), (1, 0, 1));
+        assert!(cache.get(&key(&["crossing"])).is_none(), "moved costs drop");
+        let local = cache.get(&key(&["local"])).expect("untouched entry stays");
+        assert!(local.revalidated);
+        assert_eq!(cache.invalidations(), 1);
+        assert_eq!(cache.revalidations(), 1);
     }
 
     #[test]
     fn lookups_carry_the_snapshot_that_priced_the_entry() {
-        let (cat, g, e) = ingestion_fixture();
-        let _ = cat;
+        let (g, e) = graph();
         let mut cache = QueryCache::default();
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         let (v, model) = priced_view(&g, e);
-        cache.insert(key(&["q"]), v, model);
+        admit(&mut cache, key(&["q"]), v, model);
         let hit = cache.get(&key(&["q"])).unwrap();
         assert_eq!(hit.snapshot, g.weight_epoch());
         assert!(!hit.revalidated);
@@ -1338,40 +1371,30 @@ mod tests {
 
     #[test]
     fn capacity_invariant_holds_across_every_mutation() {
-        let (mut cat, mut g, e) = ingestion_fixture();
+        let (cat, mut g, e) = fixture();
         let mut cache = QueryCache::with_capacity(2);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         // Over-insert.
         for tag in ["a", "b", "c", "d"] {
             let (v, mut m) = priced_view(&g, e);
             m.top_k = 1;
-            cache.insert(key(&[tag]), v, m);
+            admit(&mut cache, key(&[tag]), v, m);
             assert!(cache.len() <= cache.capacity());
         }
         // Overwrite an existing key at capacity.
         let (v, mut m) = priced_view(&g, e);
         m.top_k = 1;
-        cache.insert(key(&["d"]), v, m);
+        admit(&mut cache, key(&["d"]), v, m);
         assert!(cache.len() <= cache.capacity());
-        // Revalidate-keep syncs (re-pricing, then ingestion) stay bounded.
+        // Keeping syncs (re-pricing, then growth) stay bounded.
         let mut w = g.weights().clone();
         let default = g.feature_space().get("default").unwrap();
         w.set(default, w.get(default) + 0.25);
         g.set_weights(w);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         assert!(cache.len() <= cache.capacity());
-        let (idx, r3, bridge) = ingest_r3(&mut cat, &mut g, 0.05);
-        let seeds = seeds_of(&g, bridge);
-        let delta = IngestionDelta {
-            catalog: &cat,
-            keyword_index: &idx,
-            match_config: &MatchConfig::default(),
-            new_relations: &[r3],
-            graph: &g,
-            bridge_seeds: &seeds,
-            edge_count: g.edge_count(),
-        };
-        cache.sync_ingestion(5, &delta);
+        let grown = ingest_r3(cat, g, 0.05);
+        cache.sync(5, &grown.publish());
         assert!(cache.len() <= cache.capacity());
         assert!(!cache.is_empty(), "full budgetless lists survive via top_k");
     }
@@ -1379,9 +1402,24 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest_first() {
         let mut cache = QueryCache::with_capacity(2);
-        cache.insert(key(&["a"]), view("a"), RevalidationModel::default());
-        cache.insert(key(&["b"]), view("b"), RevalidationModel::default());
-        cache.insert(key(&["c"]), view("c"), RevalidationModel::default());
+        admit(
+            &mut cache,
+            key(&["a"]),
+            view("a"),
+            RevalidationModel::default(),
+        );
+        admit(
+            &mut cache,
+            key(&["b"]),
+            view("b"),
+            RevalidationModel::default(),
+        );
+        admit(
+            &mut cache,
+            key(&["c"]),
+            view("c"),
+            RevalidationModel::default(),
+        );
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key(&["a"])).is_none());
         assert!(cache.get(&key(&["b"])).is_some());
@@ -1392,23 +1430,23 @@ mod tests {
     fn revalidation_kept_entries_retain_their_insertion_order() {
         let (mut g, e) = graph();
         let mut cache = QueryCache::with_capacity(2);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         // `old` inserted first, then `young`; both survive a re-pricing.
         let (v1, m1) = priced_view(&g, e);
         let (v2, m2) = priced_view(&g, e);
-        cache.insert(key(&["old"]), v1, m1);
-        cache.insert(key(&["young"]), v2, m2);
+        admit(&mut cache, key(&["old"]), v1, m1);
+        admit(&mut cache, key(&["young"]), v2, m2);
         let mut w = g.weights().clone();
         let default = g.feature_space().get("default").unwrap();
         w.set(default, w.get(default) + 0.25);
         g.set_weights(w);
-        cache.sync_epoch(g.weight_epoch(), &g);
+        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.revalidations(), 2);
         // Revalidation must not refresh `old`'s FIFO position: the next
         // insert over capacity evicts `old`, not `young`.
         let (v3, m3) = priced_view(&g, e);
-        cache.insert(key(&["newest"]), v3, m3);
+        admit(&mut cache, key(&["newest"]), v3, m3);
         assert!(cache.get(&key(&["old"])).is_none(), "old must evict first");
         assert!(cache.get(&key(&["young"])).is_some());
         assert!(cache.get(&key(&["newest"])).is_some());
@@ -1419,10 +1457,20 @@ mod tests {
         let mut cache = QueryCache::with_capacity(0);
         assert_eq!(cache.capacity(), 1);
         // The just-inserted entry is still retrievable.
-        cache.insert(key(&["a"]), view("a"), RevalidationModel::default());
+        admit(
+            &mut cache,
+            key(&["a"]),
+            view("a"),
+            RevalidationModel::default(),
+        );
         assert!(cache.get(&key(&["a"])).is_some());
         // A second insert evicts the first, never panics.
-        cache.insert(key(&["b"]), view("b"), RevalidationModel::default());
+        admit(
+            &mut cache,
+            key(&["b"]),
+            view("b"),
+            RevalidationModel::default(),
+        );
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(&["a"])).is_none());
         assert!(cache.get(&key(&["b"])).is_some());

@@ -39,8 +39,8 @@ pub mod translate;
 pub use answer::{Answer, RankedQuery, RankedView, ViewId};
 pub use builder::QSystemBuilder;
 pub use cache::{
-    normalize_keywords, CacheLookup, CostTerm, IngestionDelta, IngestionSync, ParkedEntry,
-    QueryCache, QueryKey, RevalidationModel, TreeCostModel,
+    normalize_keywords, CacheLookup, CostTerm, IngestionDelta, ParkedEntry, Publish, QueryCache,
+    QueryKey, RevalidationModel, SyncReport, TreeCostModel,
 };
 pub use config::{AlignmentStrategy, QConfig};
 pub use error::QError;

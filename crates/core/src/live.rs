@@ -26,22 +26,24 @@
 //!   atomically. Readers in flight keep their snapshot; new readers see the
 //!   new one.
 //!
-//! # Epoch/publish protocol and the cache survival rule
+//! # Epoch/publish protocol and the cache verdict
 //!
-//! Publishing snapshot `N+1` syncs the shared cache *before* swapping the
-//! current snapshot pointer:
+//! Every publish (ingest, association, feedback) runs one epilogue, which
+//! syncs the shared cache *before* swapping the current snapshot pointer:
 //!
 //! 1. The writer builds the next snapshot off to the side (readers are
 //!    untouched).
-//! 2. It summarises what changed into an [`IngestionDelta`] — the new
-//!    relations and the *bridge seeds*, every new edge incident to the
-//!    pre-existing graph with its cost — and calls
-//!    [`QueryCache::sync_ingestion`], which prices the delta per entry
-//!    (one multi-source Dijkstra from the bridge seeds,
-//!    [`q_graph::DeltaPricer`]): an entry is **kept** when the cheapest
-//!    bridge-crossing path into its keywords' match nodes is strictly above
-//!    its displacement threshold, **dropped** when it carries no
-//!    re-validation model, and **parked** otherwise.
+//! 2. It passes what changed as a [`Publish`] to [`QueryCache::sync`],
+//!    which gives every entry one verdict. A re-pricing keeps the entries
+//!    whose costs are bit-identical under the new prices. A growth publish
+//!    carries an [`IngestionDelta`] — the new relations and the *bridge
+//!    seeds*, every new edge incident to the pre-existing graph with its
+//!    cost — and an entry is **kept** when the cheapest bridge-crossing
+//!    path into its keywords' match nodes ([`q_graph::DeltaPricer`]) is
+//!    strictly above its displacement threshold, **dropped** when it
+//!    carries no re-validation model, and **parked** otherwise. A kept
+//!    entry keeps its stamp: it serves the bytes of the snapshot that
+//!    priced it.
 //! 3. It swaps the snapshot pointer and deposits the parked entries with
 //!    the background [`RevalidationLane`](crate::revalidate), which settles
 //!    each one by fresh recompute — re-admitting identical bytes under
@@ -60,13 +62,15 @@
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use q_graph::{KeywordIndex, SearchGraph, ShardSet, SteinerScratch};
+use q_graph::{KeywordIndex, NodeId, SearchGraph, ShardSet, SteinerScratch};
 use q_learn::Mira;
 use q_matchers::{AttributeAlignment, SchemaMatcher};
 use q_storage::{AttributeId, Catalog, RelationId, SourceId, SourceSpec};
 
 use crate::answer::RankedView;
-use crate::cache::{normalize_keywords, IngestionDelta, QueryCache, QueryKey, RevalidationModel};
+use crate::cache::{
+    normalize_keywords, IngestionDelta, Publish, QueryCache, QueryKey, RevalidationModel,
+};
 use crate::config::QConfig;
 use crate::error::QError;
 use crate::feedback::{FeedbackOutcome, FeedbackRequest, FeedbackTarget};
@@ -287,7 +291,8 @@ pub struct LiveCacheStats {
     pub misses: u64,
     /// Entries dropped at publish/sync time.
     pub invalidations: u64,
-    /// Entries carried across a publish by a survival rule.
+    /// Entries kept by a publish's cache verdict, plus re-validation lane
+    /// re-admissions.
     pub revalidations: u64,
     /// Live entries.
     pub len: usize,
@@ -310,6 +315,28 @@ pub struct LiveFeedbackReport {
     /// The re-priced snapshot this feedback published (readers switch to
     /// it).
     pub snapshot: Arc<GraphSnapshot>,
+    /// Cached entries whose costs were bit-identical under the new prices
+    /// (a re-pricing publish never parks).
+    pub cache_kept: u64,
+    /// Cached entries the re-pricing dropped.
+    pub cache_dropped: u64,
+}
+
+/// What a live publish changed: new prices on the same topology, or a
+/// grown graph (new edges, plus the relations a new source added).
+enum Change<'a> {
+    Reprice,
+    Growth(&'a [RelationId]),
+}
+
+/// What one publish did: the snapshot, the cache verdicts, and the
+/// cheapest bridge seed (∞ when none).
+struct Published {
+    snapshot: Arc<GraphSnapshot>,
+    kept: u64,
+    parked: u64,
+    dropped: u64,
+    bridge_floor: f64,
 }
 
 /// Snapshot-isolated serving engine: concurrent `&self` reads from an
@@ -358,7 +385,7 @@ impl LiveServer {
     pub fn from_snapshot(snapshot: GraphSnapshot, config: QConfig) -> Self {
         let snapshot = Arc::new(snapshot);
         let mut cache = QueryCache::default();
-        cache.sync_epoch(snapshot.graph.weight_epoch(), &snapshot.graph);
+        cache.sync(snapshot.id, &Publish::Epoch(&snapshot.graph));
         let cache = Arc::new(Mutex::new(cache));
         LiveServer {
             revalidator: RevalidationLane::start(config, Arc::clone(&cache)),
@@ -424,7 +451,7 @@ impl LiveServer {
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         let snapshot = self.snapshot();
         let mut cache = QueryCache::with_capacity(capacity);
-        cache.sync_epoch(snapshot.graph.weight_epoch(), &snapshot.graph);
+        cache.sync(snapshot.id, &Publish::Epoch(&snapshot.graph));
         *self.cache.lock().expect("cache lock poisoned") = cache;
     }
 
@@ -525,6 +552,8 @@ impl LiveServer {
                         key.expect("non-bypass policy builds a key"),
                         Arc::clone(&view),
                         model.expect("non-bypass policy builds a model"),
+                        snapshot.id,
+                        false,
                     );
                 }
                 if policy == CachePolicy::Refresh {
@@ -547,7 +576,7 @@ impl LiveServer {
     /// Incorporate a new source end-to-end and publish the next snapshot,
     /// without stopping reads: incremental catalog registration, search
     /// graph growth (delta-merged CSR), keyword-index append, matcher
-    /// scoring of only the new columns, cache survival, pointer swap.
+    /// scoring of only the new columns, cache verdict, pointer swap.
     ///
     /// Writers serialize on the writer lane; readers never wait on it.
     pub fn ingest_source(&self, spec: &SourceSpec) -> Result<IngestReport, QError> {
@@ -562,8 +591,6 @@ impl LiveServer {
                     source,
                 })?;
         let mut graph = base.graph.clone();
-        let old_nodes = graph.node_count();
-        let old_edges = graph.edge_count();
         graph.add_source(&catalog, source);
         let mut keyword_index = base.keyword_index.clone();
         let new_relations: Vec<RelationId> = catalog
@@ -587,119 +614,50 @@ impl LiveServer {
             alignments.extend(proposed);
         }
 
-        // Every new edge touching the pre-existing graph seeds the
-        // per-entry reachability pricing: any join tree the ingestion
-        // enables for an old query crosses one of these bridges, so both
-        // endpoints enter the multi-source Dijkstra at the bridge's cost.
-        let bridge_seeds: Vec<(q_graph::NodeId, f64)> = graph.edges()[old_edges..]
-            .iter()
-            .filter(|e| e.a.index() < old_nodes || e.b.index() < old_nodes)
-            .flat_map(|e| {
-                let cost = graph.edge_cost(e.id);
-                [(e.a, cost), (e.b, cost)]
-            })
-            .collect();
-        let bridge_floor = bridge_seeds
-            .iter()
-            .map(|&(_, cost)| cost)
-            .fold(f64::INFINITY, f64::min);
-
-        let next = Arc::new(GraphSnapshot::build(
+        let published = self.publish(
             catalog,
             graph,
             keyword_index,
-            self.config.shards,
-        ));
-        let sync = {
-            let delta = IngestionDelta {
-                catalog: &next.catalog,
-                keyword_index: &next.keyword_index,
-                match_config: &self.config.match_config,
-                new_relations: &new_relations,
-                graph: &next.graph,
-                bridge_seeds: &bridge_seeds,
-                edge_count: next.graph.edge_count(),
-            };
-            // Sync the cache before the pointer swap: from this moment on,
-            // stale in-flight computations fail the insert epoch guard.
-            self.cache
-                .lock()
-                .expect("cache lock poisoned")
-                .sync_ingestion(next.id, &delta)
-        };
-        *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&next);
-        let cache_parked = sync.parked.len() as u64;
-        self.revalidator.enqueue(Arc::clone(&next), sync.parked);
-        self.deposit_for_persistence(&next);
-        drop(writer);
-
+            Change::Growth(&new_relations),
+        );
         Ok(IngestReport {
             source,
-            snapshot: next,
+            snapshot: published.snapshot,
             alignments,
-            bridge_floor,
-            cache_kept: sync.kept,
-            cache_parked,
-            cache_dropped: sync.dropped,
+            bridge_floor: published.bridge_floor,
+            cache_kept: published.kept,
+            cache_parked: published.parked,
+            cache_dropped: published.dropped,
         })
     }
 
     /// Add a hand-coded association edge between two attributes and publish
-    /// the resulting snapshot. A brand-new edge goes through the ingestion
-    /// survival rule (it is a pure bridge publish: no new relations, floor =
-    /// the edge's cost); an update merged into an existing edge is a
-    /// re-pricing and goes through the epoch-delta revalidation rule.
+    /// the resulting snapshot. A brand-new edge is a growth publish (a pure
+    /// bridge: no new relations); an update merged into an existing edge is
+    /// a re-pricing publish.
     pub fn publish_association(
         &self,
         a: AttributeId,
         b: AttributeId,
         confidence: f64,
     ) -> Arc<GraphSnapshot> {
-        let writer = self.writer.lock().expect("writer lock poisoned");
+        let _writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.snapshot();
         let mut graph = base.graph.clone();
-        let old_edges = graph.edge_count();
-        let edge = graph.add_association(a, b, "manual", confidence);
-        let grew = graph.edge_count() > old_edges;
-        let next = Arc::new(GraphSnapshot::build(
+        graph.add_association(a, b, "manual", confidence);
+        // A merged opinion keeps the topology and re-prices an edge.
+        let change = if graph.edge_count() > base.graph.edge_count() {
+            Change::Growth(&[])
+        } else {
+            Change::Reprice
+        };
+        let published = self.publish(
             base.catalog.clone(),
             graph,
             base.keyword_index.clone(),
-            self.config.shards,
-        ));
-        let parked = {
-            let mut cache = self.cache.lock().expect("cache lock poisoned");
-            if grew {
-                // A pure bridge publish: the one new edge seeds the
-                // per-entry pricing from both its endpoints.
-                let cost = next.graph.edge_cost(edge);
-                let e = &next.graph.edges()[edge.index()];
-                let bridge_seeds = [(e.a, cost), (e.b, cost)];
-                let delta = IngestionDelta {
-                    catalog: &next.catalog,
-                    keyword_index: &next.keyword_index,
-                    match_config: &self.config.match_config,
-                    new_relations: &[],
-                    graph: &next.graph,
-                    bridge_seeds: &bridge_seeds,
-                    edge_count: next.graph.edge_count(),
-                };
-                cache.sync_ingestion(next.id, &delta).parked
-            } else {
-                // Merged matcher opinion: same topology, re-priced edge.
-                // Entries whose costs the merge touched must drop — a live
-                // hit reports the snapshot that priced it, so in-place
-                // re-pricing (the QSystem sync_epoch rule) would serve
-                // bytes the named snapshot never produced.
-                cache.sync_repricing_publish(next.id, &next.graph);
-                Vec::new()
-            }
-        };
-        *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&next);
-        self.revalidator.enqueue(Arc::clone(&next), parked);
-        self.deposit_for_persistence(&next);
-        drop(writer);
-        next
+            change,
+        );
+        published.snapshot
     }
 
     /// Apply user feedback to the live model and publish the re-priced
@@ -713,8 +671,8 @@ impl LiveServer {
     /// user saw. [`FeedbackTarget::View`] is rejected as an invalid request.
     ///
     /// The MIRA update re-prices association edges (same topology, new
-    /// weights), so the publish runs the cache's re-pricing survival rule:
-    /// entries whose costs moved drop, bit-identical ones survive.
+    /// weights), so this is a re-pricing publish: cached entries whose costs
+    /// moved drop, bit-identical ones are kept.
     pub fn feedback(&self, request: &FeedbackRequest) -> Result<LiveFeedbackReport, QError> {
         let FeedbackTarget::Keywords(keywords) = request.target() else {
             return Err(QError::InvalidRequest {
@@ -741,27 +699,87 @@ impl LiveServer {
             0,
             request.feedback(),
         )?;
-        let next = Arc::new(GraphSnapshot::build(
+        let published = self.publish(
             base.catalog.clone(),
             graph,
             base.keyword_index.clone(),
-            self.config.shards,
-        ));
-        // Weights-only publish: drop re-priced entries, keep bit-identical
-        // ones. Sync before the pointer swap so stale in-flight inserts
-        // fail the epoch guard.
-        self.cache
-            .lock()
-            .expect("cache lock poisoned")
-            .sync_repricing_publish(next.id, &next.graph);
-        *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&next);
-        self.deposit_for_persistence(&next);
-        drop(writer);
-
+            Change::Reprice,
+        );
         Ok(LiveFeedbackReport {
             outcome,
-            snapshot: next,
+            snapshot: published.snapshot,
+            cache_kept: published.kept,
+            cache_dropped: published.dropped,
         })
+    }
+
+    /// The one publish epilogue: build the next snapshot, sync the cache
+    /// against it, swap the pointer, hand the parked entries to the
+    /// re-validation lane and deposit the snapshot for persistence. The
+    /// caller holds the writer lane, so the current snapshot is the base
+    /// the next one grew from.
+    fn publish(
+        &self,
+        catalog: Catalog,
+        graph: SearchGraph,
+        keyword_index: KeywordIndex,
+        change: Change,
+    ) -> Published {
+        let next = Arc::new(GraphSnapshot::build(
+            catalog,
+            graph,
+            keyword_index,
+            self.config.shards,
+        ));
+        let mut seeds: Vec<(NodeId, f64)> = Vec::new();
+        let publish = match change {
+            Change::Reprice => Publish::Reprice(&next.graph),
+            Change::Growth(new_relations) => {
+                // Every new edge touching the pre-existing graph is a
+                // bridge — any join tree the publish enables for an old
+                // query crosses one — so both its endpoints seed the
+                // pricing at the bridge's cost.
+                let base = &self.snapshot().graph;
+                let old_nodes = base.node_count();
+                seeds = next.graph.edges()[base.edge_count()..]
+                    .iter()
+                    .filter(|e| e.a.index() < old_nodes || e.b.index() < old_nodes)
+                    .flat_map(|e| {
+                        let cost = next.graph.edge_cost(e.id);
+                        [(e.a, cost), (e.b, cost)]
+                    })
+                    .collect();
+                Publish::Growth(IngestionDelta {
+                    catalog: &next.catalog,
+                    keyword_index: &next.keyword_index,
+                    match_config: &self.config.match_config,
+                    new_relations,
+                    graph: &next.graph,
+                    bridge_seeds: &seeds,
+                })
+            }
+        };
+        // Sync the cache before the pointer swap: from this moment on,
+        // stale in-flight computations fail the insert epoch guard.
+        let sync = self
+            .cache
+            .lock()
+            .expect("cache lock poisoned")
+            .sync(next.id, &publish);
+        *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&next);
+        let parked = sync.parked.len() as u64;
+        self.revalidator.enqueue(Arc::clone(&next), sync.parked);
+        self.deposit_for_persistence(&next);
+        Published {
+            bridge_floor: seeds
+                .iter()
+                .map(|&(_, cost)| cost)
+                .fold(f64::INFINITY, f64::min),
+            snapshot: next,
+            kept: sync.kept,
+            parked,
+            dropped: sync.dropped,
+        }
     }
 }
 

@@ -198,13 +198,12 @@ pub enum CacheStatus {
     /// Computed fresh, overwriting the cached entry
     /// ([`CachePolicy::Refresh`]).
     Refreshed,
-    /// Served from the cache after the entry survived at least one
-    /// weight-epoch change: its trees were re-costed under the new weights
-    /// and their ranking held, so the answer was re-priced in place instead
-    /// of being recomputed (see
-    /// [`QueryCache::sync_epoch`](crate::QueryCache::sync_epoch)). The
-    /// feedback loop sees these instead of cold misses after a MIRA
-    /// re-pricing.
+    /// Served from the cache after the entry was kept across at least one
+    /// publish — its trees re-costed under the new weights with their
+    /// ranking intact, or its ranked list proven safe from a grown graph
+    /// (see [`QueryCache::sync`](crate::QueryCache::sync)) — or re-admitted
+    /// by the re-validation lane. The feedback loop sees these instead of
+    /// cold misses after a MIRA re-pricing.
     Revalidated,
 }
 

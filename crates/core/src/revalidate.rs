@@ -1,10 +1,11 @@
 //! Background re-validation lane: parked cache entries are re-priced off
 //! the publish path, so conservatism never costs a reader a cold start.
 //!
-//! [`QueryCache::sync_ingestion`](crate::QueryCache::sync_ingestion) is a
-//! cheap lower-bound test — entries it cannot *prove* safe are parked, not
-//! dropped, because most of them are in fact untouched (the bound prices
-//! the delta's reach, not the actual new top-k). The `RevalidationLane`
+//! A growth publish's cache verdict ([`QueryCache::sync`] with
+//! [`Publish::Growth`](crate::Publish::Growth)) is a cheap lower-bound
+//! test — entries it cannot *prove* safe are parked, not dropped, because
+//! most of them are in fact untouched (the bound prices the delta's reach,
+//! not the actual new top-k). The `RevalidationLane`
 //! settles each parked entry with the ground truth: a fresh recompute of
 //! the entry's request against the snapshot that parked it, off the writer
 //! and reader paths, on a single background thread fed through the same
@@ -15,8 +16,10 @@
 //! discarded wholesale (counted as dropped — its snapshot is no longer
 //! current, so its recomputes could never be re-admitted anyway).
 //!
-//! Per entry the worker recomputes, then re-admits under the cache lock
-//! only if the cache epoch still names the batch's snapshot:
+//! Per entry the worker recomputes, then re-admits under the cache lock —
+//! through the cache's one admission path, [`QueryCache::insert`], with
+//! the stamp below and the revalidated flag set — only if the cache epoch
+//! still names the batch's snapshot:
 //!
 //! * **kept** — the recompute found the same answer (same trees, same
 //!   costs, same projected columns; view bytes are compared in search-graph
@@ -249,13 +252,13 @@ fn settle(
     if identical {
         // The ingestion did not touch this answer: the original bytes (and
         // Arc) go back in under their original pricing snapshot.
-        cache.reinsert_revalidated(parked.key, parked.view, model, parked.snapshot);
+        cache.insert(parked.key, parked.view, model, parked.snapshot, true);
         |s| &s.kept
     } else {
         // The answer really did change: serve the fresh bytes warm, stamped
         // with the snapshot they are the sequential answer of.
         let id = snapshot.id();
-        cache.reinsert_revalidated(parked.key, Arc::new(view), model, id);
+        cache.insert(parked.key, Arc::new(view), model, id, true);
         |s| &s.repriced
     }
 }

@@ -27,7 +27,7 @@ use q_storage::{AttributeId, Catalog, SourceId, SourceSpec, ValueIndex};
 
 use crate::answer::{RankedQuery, RankedView, ViewId};
 use crate::cache::{
-    normalize_keywords, CostTerm, QueryCache, QueryKey, RevalidationModel, TreeCostModel,
+    normalize_keywords, CostTerm, Publish, QueryCache, QueryKey, RevalidationModel, TreeCostModel,
 };
 use crate::config::{AlignmentStrategy, QConfig};
 use crate::error::QError;
@@ -315,7 +315,7 @@ impl QSystem {
         // Bypass requests never touch the cache, so they skip key
         // construction entirely — this is the hot sequential baseline.
         let key = (request.cache() != CachePolicy::Bypass).then(|| {
-            self.cache.sync_epoch(epoch, &self.graph);
+            self.cache.sync(epoch, &Publish::Epoch(&self.graph));
             QueryKey {
                 keywords: normalize_keywords(&refs),
                 params: request.params_key(),
@@ -346,23 +346,21 @@ impl QSystem {
         let wall_time = start.elapsed();
         let view = Arc::new(view);
         let cache = match request.cache() {
-            CachePolicy::Cached => {
-                self.cache.insert(
-                    key.expect("cached policy builds a key"),
-                    Arc::clone(&view),
-                    model.expect("cached policy builds a model"),
-                );
-                CacheStatus::Miss
-            }
-            CachePolicy::Refresh => {
-                self.cache.insert(
-                    key.expect("refresh policy builds a key"),
-                    Arc::clone(&view),
-                    model.expect("refresh policy builds a model"),
-                );
-                CacheStatus::Refreshed
-            }
             CachePolicy::Bypass => CacheStatus::Bypassed,
+            policy => {
+                self.cache.insert(
+                    key.expect("non-bypass policy builds a key"),
+                    Arc::clone(&view),
+                    model.expect("non-bypass policy builds a model"),
+                    epoch,
+                    false,
+                );
+                if policy == CachePolicy::Refresh {
+                    CacheStatus::Refreshed
+                } else {
+                    CacheStatus::Miss
+                }
+            }
         };
         Ok(QueryOutcome {
             view,
@@ -390,7 +388,7 @@ impl QSystem {
         options: &BatchOptions,
     ) -> BatchOutcome {
         let epoch = self.graph.weight_epoch();
-        self.cache.sync_epoch(epoch, &self.graph);
+        self.cache.sync(epoch, &Publish::Epoch(&self.graph));
         self.refresh_shards();
 
         // Resolve each request against the cache; collect the distinct
@@ -516,8 +514,13 @@ impl QSystem {
             // A model exists exactly when some requester wants the result
             // cached (`miss_cache_it` was passed as `build_model`).
             if let (Ok((view, _, Some(model))), true) = (result, miss_cache_it[m]) {
-                self.cache
-                    .insert(miss_keys[m].clone(), Arc::clone(view), model.clone());
+                self.cache.insert(
+                    miss_keys[m].clone(),
+                    Arc::clone(view),
+                    model.clone(),
+                    epoch,
+                    false,
+                );
             }
         }
         let outcomes = outcomes

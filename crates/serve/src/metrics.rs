@@ -27,11 +27,11 @@ pub struct Metrics {
     pub cache_misses: AtomicU64,
     /// Fresh computations that bypassed or refreshed the cache.
     pub cache_uncached: AtomicU64,
-    /// Cache entries that survived publish re-pricing, summed over every
-    /// ingest publish.
+    /// Cache entries a publish kept, summed over every ingest and feedback
+    /// publish.
     pub cache_kept: AtomicU64,
-    /// Cache entries dropped by publish re-pricing, summed over every
-    /// ingest publish.
+    /// Cache entries a publish dropped, summed over every ingest and
+    /// feedback publish.
     pub cache_dropped: AtomicU64,
     /// Cache entries parked for background re-validation, summed over every
     /// ingest publish.
@@ -222,12 +222,12 @@ impl Metrics {
         );
         counter(
             "q_cache_kept_total",
-            "Cache entries that survived a publish re-pricing, summed over publishes.",
+            "Cache entries an ingest or feedback publish kept, summed over publishes.",
             self.cache_kept.load(Ordering::Relaxed),
         );
         counter(
             "q_cache_dropped_total",
-            "Cache entries dropped by a publish re-pricing, summed over publishes.",
+            "Cache entries an ingest or feedback publish dropped, summed over publishes.",
             self.cache_dropped.load(Ordering::Relaxed),
         );
         counter(

@@ -353,6 +353,14 @@ fn route(shared: &Shared, request: &HttpRequest) -> (u16, &'static str, String) 
                 .map_err(|e| WireError::from_qerror(&e))?;
             record_publish(shared, &report.snapshot);
             shared.metrics.feedbacks.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .cache_kept
+                .fetch_add(report.cache_kept, Ordering::Relaxed);
+            shared
+                .metrics
+                .cache_dropped
+                .fetch_add(report.cache_dropped, Ordering::Relaxed);
             Ok(wire::encode_feedback_response(&report))
         }),
         ("GET", "/healthz") => (200, "application/json", encode_health(shared)),

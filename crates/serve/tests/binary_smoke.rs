@@ -12,6 +12,9 @@ use q_serve::json::{parse, Json};
 use q_serve::HttpClient;
 
 const QUERY: &str = r#"{"v":1,"keywords":["kinase activity"],"cache":"bypass"}"#;
+const CACHED: &str = r#"{"v":1,"keywords":["normalized_value","symbol"]}"#;
+const FEEDBACK: &str =
+    r#"{"v":1,"keywords":["normalized_value","symbol"],"feedback":{"type":"invalid","answer":0}}"#;
 const INGEST: &str = r#"{"v":1,"source":{"name":"ci_notes","relations":[{"name":"ci_note","attributes":["acc","note"],"rows":[["P1","smoke"]]}],"foreign_keys":[]}}"#;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -140,6 +143,30 @@ fn metrics_count_a_query_an_ingest_and_a_publish() {
     );
     assert_eq!(sample(&second, "q_errors_total"), 0.0);
     assert!(sample(&second, "q_snapshot_bytes") > 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_feedback_publish_counts_its_cache_verdicts() {
+    let dir = scratch_dir("feedback");
+    let mut served = Served::boot(&dir, &["--initial-sources", "10"]);
+    // Exactly one cached entry when the feedback publishes.
+    served.ok("POST", "/query", Some(CACHED));
+    let before = served.ok("GET", "/metrics", None);
+    served.ok("POST", "/feedback", Some(FEEDBACK));
+    let after = served.ok("GET", "/metrics", None);
+    served.stop();
+
+    let (before, after) = (scrape(&before), scrape(&after));
+    let judged = |scrape: &[(&str, f64)]| {
+        sample(scrape, "q_cache_kept_total") + sample(scrape, "q_cache_dropped_total")
+    };
+    assert_eq!(sample(&after, "q_feedback_total"), 1.0);
+    assert_eq!(
+        judged(&after) - judged(&before),
+        1.0,
+        "the feedback publish's verdict on the one cached entry is counted"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

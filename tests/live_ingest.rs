@@ -402,6 +402,7 @@ fn gbco_stream_keeps_entries_and_every_warm_entry_replays() {
 
     let mut published: Vec<Arc<GraphSnapshot>> = vec![server.snapshot()];
     let (mut kept, mut parked) = (0, 0);
+    let mut verdicts = Vec::new();
     for spec in &specs[INITIAL_SOURCES..] {
         let present = server.cache_stats().len as u64;
         let report = server.ingest_source(spec).expect("GBCO source ingests");
@@ -410,6 +411,7 @@ fn gbco_stream_keeps_entries_and_every_warm_entry_replays() {
             present,
             "every entry present at the publish gets exactly one verdict"
         );
+        verdicts.push((report.cache_kept, report.cache_parked, report.cache_dropped));
         kept += report.cache_kept;
         parked += report.cache_parked;
         // Settle the parked entries before the next publish supersedes them.
@@ -427,6 +429,28 @@ fn gbco_stream_keeps_entries_and_every_warm_entry_replays() {
         lane.kept + lane.repriced + lane.dropped,
         parked,
         "every parked entry is settled exactly once: {lane:?}"
+    );
+    // The exact verdicts, publish by publish: the replay check below cannot
+    // see a survival rule that keeps too much (a kept entry replays against
+    // its old stamp), so the partition itself is pinned.
+    assert_eq!(
+        verdicts,
+        [
+            (1, 15, 0),
+            (0, 16, 0),
+            (0, 16, 0),
+            (2, 14, 0),
+            (0, 16, 0),
+            (0, 16, 0),
+            (0, 16, 0),
+            (0, 16, 0),
+        ],
+        "per-publish (kept, parked, dropped)"
+    );
+    assert_eq!(
+        (lane.kept, lane.repriced, lane.dropped),
+        (43, 82, 0),
+        "lane (kept, repriced, dropped)"
     );
 
     // Whatever is still warm — kept outright, or parked and re-admitted by
