@@ -25,17 +25,16 @@
 //!   in ascending document order, the dictionary is canonically sorted, and
 //!   no per-document hash iteration order can leak into scores.
 //!
-//! Scoring is bit-identical to the previous per-document representation:
-//! the idf values are computed from the same document frequencies, the
-//! cosine dot product accumulates in query-token order, and the Dice
-//! numerator is a sorted-merge intersection count over the packed trigram
-//! sets.
+//! A lookup is one term-at-a-time pass over the postings into per-document
+//! accumulators, so no candidate is sorted or rescanned;
+//! `tests/keyword_oracle.rs` checks it against a scan of every document.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
-use q_storage::{AttributeId, Catalog, RelationId, Value};
+use q_storage::{Attribute, AttributeId, Catalog, Relation, RelationId, Value};
 
 use crate::shard::ShardPlan;
 
@@ -90,18 +89,54 @@ const TARGET_RELATION: u8 = 0;
 const TARGET_ATTRIBUTE: u8 = 1;
 const TARGET_VALUE: u8 = 2;
 
-/// Prepared query-side state for one keyword lookup — see
-/// [`KeywordIndex::query_terms`].
-struct QueryTerms {
-    /// One entry per query-token *occurrence* (duplicates and order kept —
-    /// the cosine dot product accumulates in this order): the dictionary
-    /// id, or `None` for out-of-vocabulary tokens.
-    token_ids: Vec<Option<u32>>,
-    /// Sorted distinct packed trigrams of the normalised keyword.
-    trigrams: Vec<u64>,
-    norm: String,
-    norm_sq: f64,
-    candidates: Vec<usize>,
+/// One document's accumulators (16 bytes), live only while `stamp` is the
+/// current lookup's generation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    /// Query trigrams the document contains (the Dice numerator).
+    common: u32,
+    /// idf-weighted token dot product, in query-token order.
+    dot: f64,
+}
+
+/// Per-thread, generation-stamped accumulators of one keyword lookup:
+/// starting the next lookup is O(1), and nothing index-sized is cleared or
+/// allocated per call.
+#[derive(Debug, Default)]
+struct Accumulators {
+    generation: u32,
+    slots: Vec<Slot>,
+    /// Documents the current lookup touched, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl Accumulators {
+    fn begin(&mut self, docs: usize) {
+        self.slots
+            .resize(self.slots.len().max(docs), Slot::default());
+        self.touched.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.fill(Slot::default());
+            self.generation = 1;
+        }
+    }
+
+    #[inline]
+    fn touch(&mut self, doc: u32) -> &mut Slot {
+        let slot = &mut self.slots[doc as usize];
+        if slot.stamp != self.generation {
+            *slot = Slot::default();
+            slot.stamp = self.generation;
+            self.touched.push(doc);
+        }
+        slot
+    }
+}
+
+thread_local! {
+    static ACCUMULATORS: RefCell<Accumulators> = RefCell::new(Accumulators::default());
 }
 
 /// Owned columnar contents of a [`KeywordIndex`]: the exact field set a
@@ -238,25 +273,7 @@ impl KeywordIndex {
         for rel in catalog.relations() {
             for attr_id in &rel.attributes {
                 let attr = catalog.attribute(*attr_id).expect("attribute exists");
-                let mut seen = HashSet::new();
-                for tuple in &rel.tuples {
-                    if let Some(value) = tuple.get(attr.position) {
-                        if !matches!(value, Value::Text(_)) {
-                            continue;
-                        }
-                        if let Some(norm) = value.normalized() {
-                            if seen.insert(norm.clone()) {
-                                idx.add_document(
-                                    MatchTarget::Value {
-                                        attribute: attr.id,
-                                        value: norm.clone(),
-                                    },
-                                    &norm,
-                                );
-                            }
-                        }
-                    }
-                }
+                idx.add_values(rel, attr);
             }
         }
         idx.finalize(catalog);
@@ -273,25 +290,28 @@ impl KeywordIndex {
         for attr_id in &rel.attributes {
             if let Some(attr) = catalog.attribute(*attr_id) {
                 self.add_document(MatchTarget::Attribute(attr.id), &attr.name);
-                let mut seen = HashSet::new();
-                for tuple in &rel.tuples {
-                    if let Some(Value::Text(_)) = tuple.get(attr.position) {
-                        if let Some(norm) = tuple.get(attr.position).and_then(Value::normalized) {
-                            if seen.insert(norm.clone()) {
-                                self.add_document(
-                                    MatchTarget::Value {
-                                        attribute: attr.id,
-                                        value: norm.clone(),
-                                    },
-                                    &norm,
-                                );
-                            }
-                        }
+                self.add_values(rel, attr);
+            }
+        }
+        self.finalize(catalog);
+    }
+
+    /// Index the distinct textual values of one attribute, in row order.
+    fn add_values(&mut self, rel: &Relation, attr: &Attribute) {
+        let mut seen = HashSet::new();
+        for tuple in &rel.tuples {
+            if let Some(value @ Value::Text(_)) = tuple.get(attr.position) {
+                if let Some(norm) = value.normalized() {
+                    if seen.insert(norm.clone()) {
+                        let target = MatchTarget::Value {
+                            attribute: attr.id,
+                            value: norm.clone(),
+                        };
+                        self.add_document(target, &norm);
                     }
                 }
             }
         }
-        self.finalize(catalog);
     }
 
     /// Reconstruct a finalized serving index from persisted columns. The
@@ -439,23 +459,26 @@ impl KeywordIndex {
     }
 
     /// Match one keyword (which may be a multi-word phrase) against the
-    /// index, returning scored matches in decreasing similarity order.
+    /// index, returning at most `max_matches` matches at or above
+    /// `min_similarity`, ranked by (similarity desc, document asc).
     ///
-    /// Candidates are scored and filtered as `(document, similarity)` pairs;
-    /// only the `max_matches` that survive the cut get their
-    /// [`MatchTarget`] materialised (a `String` for every value target).
+    /// A document's similarity is `1.0` when its normalised text equals
+    /// the keyword's, else `min(0.999, max(cos, dice, containment))`: the
+    /// idf-weighted token cosine, the Dice coefficient of the padded
+    /// character-trigram sets, and `0.9·short/long` (byte lengths) when
+    /// either text contains the other (e.g. "pub" in "interpro_pub").
+    ///
+    /// **Candidate contract.** Only documents sharing at least one token or
+    /// one padded trigram with the keyword are scored. Containment alone
+    /// never makes a candidate, so a 2-character keyword strictly inside a
+    /// 4–5 character text is not returned even though containment would
+    /// rate it above the default floor: `"at"` never matches `"cats"`.
+    ///
+    /// Only the survivors of the cut get their [`MatchTarget`]
+    /// materialised (a `String` for every value target).
     pub fn matches(&self, keyword: &str, config: &MatchConfig) -> Vec<KeywordMatch> {
-        let Some(terms) = self.query_terms(keyword) else {
-            return Vec::new();
-        };
-        let mut scored: Vec<(usize, f64)> = terms
-            .candidates
-            .iter()
-            .map(|&idx| (idx, self.score(&terms, idx)))
-            .filter(|&(_, similarity)| similarity >= config.min_similarity)
-            .collect();
-        // Stable sort: similarity ties keep ascending document order.
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut scored = self.scored(keyword, config.min_similarity, |_| true);
+        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(config.max_matches);
         scored
             .into_iter()
@@ -466,97 +489,78 @@ impl KeywordIndex {
             .collect()
     }
 
-    /// Per-call query-side state shared by every scoring path: token ids,
-    /// packed trigrams, normalised text, idf-weighted squared norm, and the
-    /// candidate documents (anything sharing a token or a trigram), sorted
-    /// by document index and deduplicated — equal-similarity matches must
-    /// rank in indexing order, never in the iteration order of a per-call
-    /// hash set, which would make match lists (and with them query-graph
-    /// edge ids and Steiner tree edge sets between cost ties) differ from
-    /// call to call. `None` when the keyword normalises to nothing.
-    ///
-    /// One construction site keeps [`KeywordIndex::matches`] and the
-    /// ingestion survival probe [`KeywordIndex::keyword_matches_in`]
-    /// scoring the same candidate set — the survival rule is only sound
-    /// while the probe sees everything a fresh match call would.
-    fn query_terms(&self, keyword: &str) -> Option<QueryTerms> {
-        let tokens = tokenize(keyword);
+    /// The unordered `(document, similarity)` pairs of every candidate
+    /// `admit` accepts that reaches `floor`. One pass over the postings
+    /// fills the per-thread [`Accumulators`]: each query token's list, in
+    /// query-token order, adds `idf²` to `dot` (so every document sums the
+    /// same terms in the same order as a walk over its own tokens); each
+    /// query trigram's list adds 1 to `common`. A candidate's text is read
+    /// only when equality is possible (equal byte lengths) or when
+    /// containment — `0` or exactly `0.9·short/long` — would beat both
+    /// cosine and Dice and reach the floor.
+    fn scored(
+        &self,
+        keyword: &str,
+        floor: f64,
+        admit: impl Fn(usize) -> bool,
+    ) -> Vec<(usize, f64)> {
         let norm = normalize(keyword);
-        let query_trigrams = packed_trigrams(&norm);
-        if tokens.is_empty() && query_trigrams.is_empty() {
-            return None;
-        }
-        let token_ids: Vec<Option<u32>> = tokens.iter().map(|t| self.token_id(t)).collect();
-        let mut candidates: Vec<usize> = Vec::new();
-        for id in token_ids.iter().flatten() {
-            candidates.extend(self.token_posting_list(*id).iter().map(|&d| d as usize));
-        }
-        for g in &query_trigrams {
-            if let Ok(pos) = self.trigram_keys.binary_search(g) {
-                candidates.extend(self.trigram_posting_list(pos).iter().map(|&d| d as usize));
+        let grams = packed_trigrams(&norm);
+        let token_ids: Vec<Option<u32>> =
+            tokenize(keyword).iter().map(|t| self.token_id(t)).collect();
+        let idf = |id: Option<u32>| id.map_or(1.0, |i| self.idf[i as usize]);
+        let norm_sq: f64 = token_ids.iter().map(|&id| idf(id) * idf(id)).sum();
+        ACCUMULATORS.with(|acc| {
+            let acc = &mut *acc.borrow_mut();
+            acc.begin(self.len());
+            // An out-of-vocabulary query token occurs in no document.
+            for &id in token_ids.iter().flatten() {
+                let w = self.idf[id as usize];
+                for &doc in self.token_posting_list(id) {
+                    acc.touch(doc).dot += w * w;
+                }
             }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let norm_sq = token_ids
-            .iter()
-            .map(|id| {
-                let w = id.map_or(1.0, |i| self.idf[i as usize]);
-                w * w
-            })
-            .sum();
-        Some(QueryTerms {
-            token_ids,
-            trigrams: query_trigrams,
-            norm,
-            norm_sq,
-            candidates,
+            for pos in grams
+                .iter()
+                .filter_map(|g| self.trigram_keys.binary_search(g).ok())
+            {
+                for &doc in self.trigram_posting_list(pos) {
+                    acc.touch(doc).common += 1;
+                }
+            }
+            let mut out = Vec::new();
+            for doc in acc
+                .touched
+                .iter()
+                .map(|&d| d as usize)
+                .filter(|&d| admit(d))
+            {
+                let Slot { dot, common, .. } = acc.slots[doc];
+                let dn = self.doc_norm_sq[doc];
+                let cos = (norm_sq > 0.0 && dn > 0.0).then(|| dot / (norm_sq.sqrt() * dn.sqrt()));
+                // Both trigram sets hold at least the padding trigram.
+                let (g_start, g_end) = run(&self.trigram_ends, doc);
+                let dice = 2.0 * common as f64 / (grams.len() + g_end - g_start) as f64;
+                let best = cos.unwrap_or(0.0).max(dice);
+                let text = self.doc_text(doc);
+                let (short, long) = (norm.len().min(text.len()), norm.len().max(text.len()));
+                let bound = 0.9 * short as f64 / long as f64;
+                let similarity = if text == norm {
+                    1.0
+                } else if bound > best
+                    && bound.min(0.999) >= floor
+                    && (text.contains(norm.as_str()) || norm.contains(text))
+                {
+                    bound.min(0.999)
+                } else {
+                    best.min(0.999)
+                };
+                if similarity >= floor {
+                    out.push((doc, similarity));
+                }
+            }
+            out
         })
-    }
-
-    /// Similarity of one candidate document against prepared query terms.
-    fn score(&self, terms: &QueryTerms, doc_index: usize) -> f64 {
-        let text = self.doc_text(doc_index);
-        if terms.norm == text {
-            return 1.0;
-        }
-        // idf-weighted token cosine. Documents hold a handful of tokens, so
-        // a linear scan beats building a hash set per candidate. An
-        // out-of-vocabulary query token cannot occur in any document.
-        let doc_tokens = self.doc_token_ids(doc_index);
-        let mut dot = 0.0;
-        for id in terms.token_ids.iter().flatten() {
-            if doc_tokens.contains(id) {
-                let w = self.idf[*id as usize];
-                dot += w * w;
-            }
-        }
-        let qn = terms.norm_sq;
-        let dn = self.doc_norm_sq.get(doc_index).copied().unwrap_or(0.0);
-        let token_cos = if qn > 0.0 && dn > 0.0 {
-            dot / (qn.sqrt() * dn.sqrt())
-        } else {
-            0.0
-        };
-        // Character trigram Dice over the packed sorted sets.
-        let doc_grams = self.doc_trigram_keys(doc_index);
-        let common = sorted_intersection_count(&terms.trigrams, doc_grams);
-        let dice = if terms.trigrams.is_empty() || doc_grams.is_empty() {
-            0.0
-        } else {
-            2.0 * common as f64 / (terms.trigrams.len() + doc_grams.len()) as f64
-        };
-        // Substring containment bonus (e.g. "publication" vs "pub").
-        let containment = if !terms.norm.is_empty()
-            && (text.contains(terms.norm.as_str()) || terms.norm.contains(text))
-        {
-            let shorter = terms.norm.len().min(text.len()) as f64;
-            let longer = terms.norm.len().max(text.len()) as f64;
-            0.9 * shorter / longer
-        } else {
-            0.0
-        };
-        token_cos.max(dice).max(containment).min(0.999)
     }
 
     fn add_document(&mut self, target: MatchTarget, text: &str) {
@@ -620,7 +624,9 @@ impl KeywordIndex {
     /// similarity floor) any indexed document belonging to one of the given
     /// relations. The live-ingestion cache survival rule uses this to decide
     /// whether a newly incorporated source could add keyword matches — and
-    /// with them new Steiner terminals — to a cached query.
+    /// with them new Steiner terminals — to a cached query. The rule is only
+    /// sound because this scores the very candidates and similarities a
+    /// fresh [`KeywordIndex::matches`] call would: both run the same pass.
     pub fn keyword_matches_in(
         &self,
         keyword: &str,
@@ -628,15 +634,13 @@ impl KeywordIndex {
         relations: &[RelationId],
         config: &MatchConfig,
     ) -> bool {
-        let Some(terms) = self.query_terms(keyword) else {
-            return false;
+        let in_relations = |doc| {
+            self.target_relation(doc, catalog)
+                .is_some_and(|rel| relations.contains(&rel))
         };
-        terms.candidates.iter().any(|&idx| {
-            let Some(rel) = self.target_relation(idx, catalog) else {
-                return false;
-            };
-            relations.contains(&rel) && self.score(&terms, idx) >= config.min_similarity
-        })
+        !self
+            .scored(keyword, config.min_similarity, in_relations)
+            .is_empty()
     }
 
     /// Canonical document order: schema documents (relation name, then its
@@ -909,23 +913,6 @@ fn packed_trigrams(text: &str) -> Vec<u64> {
     grams.sort_unstable();
     grams.dedup();
     grams
-}
-
-/// Size of the intersection of two sorted distinct sequences.
-fn sorted_intersection_count(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut common) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                common += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    common
 }
 
 #[cfg(test)]
@@ -1205,9 +1192,21 @@ mod tests {
     }
 
     #[test]
-    fn sorted_intersection_count_matches_set_semantics() {
-        assert_eq!(sorted_intersection_count(&[1, 3, 5], &[2, 3, 5, 9]), 2);
-        assert_eq!(sorted_intersection_count(&[], &[1]), 0);
-        assert_eq!(sorted_intersection_count(&[7], &[7]), 1);
+    fn containment_alone_never_makes_a_candidate() {
+        // "at" shares no token and no padded trigram with "cats", so the
+        // value is never scored, although containment would rate it
+        // 0.9·2/4 = 0.45, above the 0.35 floor. Pinned, not endorsed:
+        // closing the gap would change answers.
+        let mut cat = Catalog::new();
+        let src = cat.add_source("s").unwrap();
+        let rel = cat.add_relation(src, "r", &["v"]).unwrap();
+        cat.insert_rows(rel, vec![vec![Value::from("cats")]])
+            .unwrap();
+        let idx = KeywordIndex::build(&cat);
+        assert!(idx.matches("at", &MatchConfig::default()).is_empty());
+        // A keyword sharing a trigram is scored, and containment lifts it.
+        let cat_matches = idx.matches("cat", &MatchConfig::default());
+        assert_eq!(cat_matches.len(), 1);
+        assert_eq!(cat_matches[0].similarity, 0.9 * 3.0 / 4.0);
     }
 }

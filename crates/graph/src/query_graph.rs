@@ -70,10 +70,11 @@ impl<'a> QueryGraph<'a> {
 
     /// [`QueryGraph::build`] over precomputed per-keyword match lists.
     ///
-    /// The sharded miss path computes each keyword's matches through the
-    /// per-shard fan-out and hands the merged lists here; since those lists
-    /// are byte-identical to what [`KeywordIndex::matches`] returns, the
-    /// resulting query graph — node ids, edge ids, adjacency order — is too.
+    /// Callers that time or reuse the matching stage on its own (the serving
+    /// path, the benchmark's stage trace) compute each keyword's list with
+    /// [`KeywordIndex::matches`] and hand the lists here; given the same
+    /// lists, the query graph — node ids, edge ids, adjacency order — is the
+    /// one [`QueryGraph::build`] produces.
     pub fn build_with_matches(
         base: &'a SearchGraph,
         keywords: &[&str],

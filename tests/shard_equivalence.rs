@@ -4,10 +4,10 @@
 //! scheduling changes — never answer changes. Every property here compares
 //! sharded against unsharded (or fanned against sequential) byte for byte:
 //!
-//! * sharded keyword matching concatenates per-shard candidate lists back
-//!   into exactly the global list (per-shard lists are subsequences of the
-//!   globally ascending candidate order, so a stable re-sort by document
-//!   restores it);
+//! * keyword matching is never partitioned: `ShardSet::keyword_matches` is
+//!   `KeywordIndex::matches` over the global index, so at every shard count
+//!   it returns the unsharded list (`tests/keyword_oracle.rs` checks that
+//!   list against a brute-force scan);
 //! * the fanned Steiner search splits only the *independent* per-terminal
 //!   Dijkstras — the shared ranking tail is a pure function of their
 //!   results;
