@@ -31,6 +31,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -180,7 +181,7 @@ pub struct KeywordIndexParts {
 }
 
 /// Borrowed view of the same columns — what a snapshot writer reads, and
-/// what the convergence tests compare (transient lookup state excluded).
+/// what the convergence tests compare.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeywordIndexView<'a> {
     /// See [`KeywordIndexParts::target_kinds`].
@@ -218,6 +219,12 @@ pub struct KeywordIndexView<'a> {
 }
 
 /// tf-idf / trigram index over schema elements and data values.
+///
+/// An index is finalized at rest — [`KeywordIndex::build`],
+/// [`KeywordIndex::add_relation`] and [`KeywordIndex::from_parts`] are its
+/// only producers — and its fields are exactly the persistent columns of
+/// [`KeywordIndexParts`], so a clone (and with it every published snapshot)
+/// carries nothing the snapshot file does not.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KeywordIndex {
     // Persistent columnar state — see [`KeywordIndexParts`] for field docs.
@@ -237,17 +244,6 @@ pub struct KeywordIndex {
     trigram_posting_ends: Vec<u32>,
     idf: Vec<f64>,
     doc_norm_sq: Vec<f64>,
-    /// Transient token-name → id map for interning during `add_document`;
-    /// invalidated by `finalize` (the remap renumbers ids) and by
-    /// `from_parts`, rebuilt lazily when its size disagrees with the
-    /// dictionary.
-    token_lookup: HashMap<String, u32>,
-    /// Transient set of every indexed target, for O(1) duplicate rejection
-    /// in `add_document` — a linear scan there is quadratic in corpus size
-    /// and dominates snapshot builds past ~10⁵ documents. Exactly one entry
-    /// per document; rebuilt lazily when the sizes disagree (e.g. after
-    /// `from_parts`).
-    seen_targets: HashSet<MatchTarget>,
 }
 
 /// Half-open range `doc`'s run occupies in a flat column with end offsets.
@@ -262,18 +258,19 @@ impl KeywordIndex {
     /// value in the catalog.
     pub fn build(catalog: &Catalog) -> Self {
         let mut idx = KeywordIndex::default();
+        let mut fresh = HashMap::new();
         for rel in catalog.relations() {
-            idx.add_document(MatchTarget::Relation(rel.id), &rel.name);
+            idx.add_document(&mut fresh, TARGET_RELATION, rel.id.0, &rel.name);
             for attr_id in &rel.attributes {
                 if let Some(attr) = catalog.attribute(*attr_id) {
-                    idx.add_document(MatchTarget::Attribute(attr.id), &attr.name);
+                    idx.add_document(&mut fresh, TARGET_ATTRIBUTE, attr.id.0, &attr.name);
                 }
             }
         }
         for rel in catalog.relations() {
             for attr_id in &rel.attributes {
                 let attr = catalog.attribute(*attr_id).expect("attribute exists");
-                idx.add_values(rel, attr);
+                idx.add_values(&mut fresh, rel, attr);
             }
         }
         idx.finalize(catalog);
@@ -281,33 +278,37 @@ impl KeywordIndex {
     }
 
     /// Add the schema elements and values of one relation to an existing
-    /// index (used when a new source is registered).
+    /// index (used when a new source is registered). A relation that is
+    /// not in the catalog, or is already indexed, leaves the index as it is.
     pub fn add_relation(&mut self, catalog: &Catalog, relation: RelationId) {
         let Some(rel) = catalog.relation(relation) else {
             return;
         };
-        self.add_document(MatchTarget::Relation(rel.id), &rel.name);
+        let key = (0, rel.id.0, 0);
+        let at = self.upper_bound(catalog, 0..self.len(), key);
+        if at > 0 && self.canonical_key_of(catalog, at - 1) == key {
+            return;
+        }
+        let mut fresh = HashMap::new();
+        self.add_document(&mut fresh, TARGET_RELATION, rel.id.0, &rel.name);
         for attr_id in &rel.attributes {
             if let Some(attr) = catalog.attribute(*attr_id) {
-                self.add_document(MatchTarget::Attribute(attr.id), &attr.name);
-                self.add_values(rel, attr);
+                self.add_document(&mut fresh, TARGET_ATTRIBUTE, attr.id.0, &attr.name);
+                self.add_values(&mut fresh, rel, attr);
             }
         }
         self.finalize(catalog);
     }
 
     /// Index the distinct textual values of one attribute, in row order.
-    fn add_values(&mut self, rel: &Relation, attr: &Attribute) {
+    fn add_values(&mut self, fresh: &mut HashMap<String, u32>, rel: &Relation, attr: &Attribute) {
         let mut seen = HashSet::new();
         for tuple in &rel.tuples {
             if let Some(value @ Value::Text(_)) = tuple.get(attr.position) {
                 if let Some(norm) = value.normalized() {
-                    if seen.insert(norm.clone()) {
-                        let target = MatchTarget::Value {
-                            attribute: attr.id,
-                            value: norm.clone(),
-                        };
-                        self.add_document(target, &norm);
+                    if !seen.contains(&norm) {
+                        self.add_document(fresh, TARGET_VALUE, attr.id.0, &norm);
+                        seen.insert(norm);
                     }
                 }
             }
@@ -336,8 +337,6 @@ impl KeywordIndex {
             trigram_posting_ends: parts.trigram_posting_ends,
             idf: parts.idf,
             doc_norm_sq: parts.doc_norm_sq,
-            token_lookup: HashMap::new(),
-            seen_targets: HashSet::new(),
         };
         debug_assert_eq!(idx.text_ends.len(), idx.len());
         debug_assert_eq!(idx.token_ends.len(), idx.len());
@@ -563,54 +562,33 @@ impl KeywordIndex {
         })
     }
 
-    fn add_document(&mut self, target: MatchTarget, text: &str) {
-        if self.seen_targets.len() != self.len() {
-            // Transient duplicate-rejection set is stale (fresh load from a
-            // snapshot): rebuild it from the documents.
-            let rebuilt: HashSet<MatchTarget> = (0..self.len()).map(|i| self.target(i)).collect();
-            self.seen_targets = rebuilt;
-        }
-        if self.seen_targets.contains(&target) {
-            return;
-        }
+    /// Append one unfinalized document. A token of the finalized
+    /// dictionary keeps its id; a new one gets the next provisional id past
+    /// it, remembered in `fresh` until [`KeywordIndex::finalize`] merges the
+    /// new names in.
+    fn add_document(&mut self, fresh: &mut HashMap<String, u32>, kind: u8, id: u32, text: &str) {
         let norm = normalize(text);
-        let (kind, id) = match &target {
-            MatchTarget::Relation(r) => (TARGET_RELATION, r.0),
-            MatchTarget::Attribute(a) => (TARGET_ATTRIBUTE, a.0),
-            MatchTarget::Value { attribute, value } => {
-                // The packed layout stores a value target as its attribute
-                // id only; the value text is recovered from the document
-                // text, so the two must agree.
-                debug_assert_eq!(
-                    value, &norm,
-                    "value target must be indexed under its own text"
-                );
-                (TARGET_VALUE, attribute.0)
-            }
-        };
-        self.seen_targets.insert(target);
+        // The packed layout stores a value target as its attribute id only;
+        // the value text is recovered from the document text, so the two
+        // must agree.
+        debug_assert!(
+            kind != TARGET_VALUE || norm == text,
+            "value target must be indexed under its own text"
+        );
         self.target_kinds.push(kind);
         self.target_ids.push(id);
         self.text_blob.push_str(&norm);
         self.text_ends.push(self.text_blob.len() as u32);
-        if self.token_lookup.len() != self.token_names.len() {
-            // Interning map is stale (post-finalize renumbering or fresh
-            // load): rebuild it from the dictionary.
-            self.token_lookup = self
-                .token_names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.clone(), i as u32))
-                .collect();
-        }
+        let finalized = self.idf.len();
         for tok in tokenize(&norm) {
-            let id = match self.token_lookup.get(&tok) {
-                Some(&id) => id,
-                None => {
-                    let id = self.token_names.len() as u32;
-                    self.token_names.push(tok.clone());
-                    self.token_lookup.insert(tok, id);
-                    id
+            let id = match self.token_names[..finalized].binary_search(&tok) {
+                Ok(id) => id as u32,
+                Err(_) => {
+                    let next = self.token_names.len() as u32;
+                    *fresh.entry(tok).or_insert_with_key(|tok| {
+                        self.token_names.push(tok.clone());
+                        next
+                    })
                 }
             };
             self.token_ids.push(id);
@@ -645,12 +623,13 @@ impl KeywordIndex {
 
     /// Canonical document order: schema documents (relation name, then its
     /// attribute names in positional order) grouped by relation id, followed
-    /// by value documents grouped the same way (distinct values keeping row
-    /// order via the sort's stability). A batch [`KeywordIndex::build`]
-    /// already emits documents in exactly this order, so sorting makes
-    /// [`KeywordIndex::add_relation`] converge to the batch index — the
-    /// golden-answer ingestion test relies on incrementally grown and
-    /// from-scratch indexes being byte-identical.
+    /// by value documents grouped the same way (an attribute's distinct
+    /// values in row order). A batch [`KeywordIndex::build`] emits documents
+    /// in exactly this order, and [`KeywordIndex::finalize`] merges appended
+    /// documents into it, so an index grown by
+    /// [`KeywordIndex::add_relation`] is byte-identical to the batch index —
+    /// the golden-answer ingestion test relies on it. The catalog only
+    /// grows, so a document's key never changes once it is indexed.
     fn canonical_key_of(&self, catalog: &Catalog, idx: usize) -> (u8, u32, u32) {
         let id = self.target_ids[idx];
         match self.target_kinds[idx] {
@@ -666,116 +645,117 @@ impl KeywordIndex {
         }
     }
 
-    /// Rebuild every per-document column in permuted order (`perm[new]` is
-    /// the old index of the document now at `new`).
-    fn permute_documents(&mut self, perm: &[u32]) {
-        let n = perm.len();
-        let mut kinds = Vec::with_capacity(n);
-        let mut ids = Vec::with_capacity(n);
-        let mut blob = String::with_capacity(self.text_blob.len());
-        let mut text_ends = Vec::with_capacity(n);
-        let mut token_ids = Vec::with_capacity(self.token_ids.len());
-        let mut token_ends = Vec::with_capacity(n);
-        let mut grams = Vec::with_capacity(self.doc_trigrams.len());
-        let mut trigram_ends = Vec::with_capacity(n);
-        for &old in perm {
-            let old = old as usize;
-            kinds.push(self.target_kinds[old]);
-            ids.push(self.target_ids[old]);
-            blob.push_str(self.doc_text(old));
-            text_ends.push(blob.len() as u32);
-            token_ids.extend_from_slice(self.doc_token_ids(old));
-            token_ends.push(token_ids.len() as u32);
-            grams.extend_from_slice(self.doc_trigram_keys(old));
-            trigram_ends.push(grams.len() as u32);
+    /// The first document in the canonically ordered range `docs` whose key
+    /// is greater than `key`.
+    fn upper_bound(&self, catalog: &Catalog, docs: Range<usize>, key: (u8, u32, u32)) -> usize {
+        let (mut lo, mut hi) = (docs.start, docs.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.canonical_key_of(catalog, mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        self.target_kinds = kinds;
-        self.target_ids = ids;
-        self.text_blob = blob;
-        self.text_ends = text_ends;
-        self.token_ids = token_ids;
-        self.token_ends = token_ends;
-        self.doc_trigrams = grams;
-        self.trigram_ends = trigram_ends;
+        lo
     }
 
+    /// Merge the documents appended since the last finalize, `[base, n)`,
+    /// into the finalized prefix `[0, base)`; [`KeywordIndex::build`] is the
+    /// same merge with `base = 0`. Only the delta's documents are sorted or
+    /// tokenised: the prefix is copied in runs and its postings are merged,
+    /// not rebuilt.
     fn finalize(&mut self, catalog: &Catalog) {
-        let n = self.len();
-        // 1. Canonical document order (stable permutation sort).
-        let keys: Vec<(u8, u32, u32)> = (0..n).map(|i| self.canonical_key_of(catalog, i)).collect();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by_key(|&i| keys[i as usize]);
-        if perm.iter().enumerate().any(|(new, &old)| new as u32 != old) {
-            self.permute_documents(&perm);
+        let (base, n) = (self.doc_norm_sq.len(), self.len());
+        let base_tokens = self.idf.len();
+        // 1. Canonical document order. The delta is stably sorted, and each
+        //    delta document goes after every old document whose key is not
+        //    greater: ties old-first, exactly the order a stable sort of
+        //    [old…, delta…] gives. `at[k]` old documents precede the k-th.
+        let mut delta: Vec<((u8, u32, u32), usize)> = (base..n)
+            .map(|d| (self.canonical_key_of(catalog, d), d))
+            .collect();
+        delta.sort_by_key(|&(key, _)| key);
+        let mut at: Vec<usize> = Vec::with_capacity(delta.len());
+        for &(key, _) in &delta {
+            let from = at.last().copied().unwrap_or(0);
+            at.push(self.upper_bound(catalog, from..base, key));
         }
-        // 2. Canonical token dictionary: sorted names, ids remapped. Token
-        //    names are distinct by construction, so the order is total.
-        if !self.token_names.windows(2).all(|w| w[0] < w[1]) {
-            let mut order: Vec<u32> = (0..self.token_names.len() as u32).collect();
-            order.sort_by(|&a, &b| self.token_names[a as usize].cmp(&self.token_names[b as usize]));
-            let mut remap = vec![0u32; order.len()];
-            for (new_id, &old_id) in order.iter().enumerate() {
-                remap[old_id as usize] = new_id as u32;
+        let new_of_delta: Vec<u32> = at.iter().zip(0..).map(|(&a, k)| (a + k) as u32).collect();
+        let new_of_old: Vec<u32> = (0..base)
+            .map(|old| (old + at.partition_point(|&a| a <= old)) as u32)
+            .collect();
+        if at.first().is_some_and(|&a| a < base) || !delta.is_sorted_by_key(|&(_, d)| d) {
+            let (mut runs, mut from) = (Vec::with_capacity(2 * delta.len() + 1), 0);
+            for (&(_, d), &a) in delta.iter().zip(&at) {
+                runs.extend([from..a, d..d + 1]);
+                from = a;
             }
+            runs.push(from..base);
+            self.target_kinds = gather(&self.target_kinds, &runs);
+            self.target_ids = gather(&self.target_ids, &runs);
+            let mut text = std::mem::take(&mut self.text_blob).into_bytes();
+            reorder(&mut text, &mut self.text_ends, &runs);
+            self.text_blob = String::from_utf8(text).expect("documents split at char boundaries");
+            reorder(&mut self.token_ids, &mut self.token_ends, &runs);
+            reorder(&mut self.doc_trigrams, &mut self.trigram_ends, &runs);
+        }
+        // 2. Canonical token dictionary: the new names sorted and merged into
+        //    the sorted old ones. The id remap is monotone on the old ids, and
+        //    document token runs change only when a new name arrived.
+        let mut fresh: Vec<(String, u32)> = self
+            .token_names
+            .drain(base_tokens..)
+            .zip(base_tokens as u32..)
+            .collect();
+        fresh.sort_unstable();
+        let mut remap = vec![0u32; base_tokens + fresh.len()];
+        let names = std::mem::take(&mut self.token_names);
+        let mut old = names.into_iter().zip(0..).peekable();
+        let mut fresh = fresh.into_iter().peekable();
+        while let Some((name, id)) = match (old.peek(), fresh.peek()) {
+            (Some(o), Some(f)) if f < o => fresh.next(),
+            (Some(_), _) => old.next(),
+            _ => fresh.next(),
+        } {
+            remap[id as usize] = self.token_names.len() as u32;
+            self.token_names.push(name);
+        }
+        if remap.len() > base_tokens {
             for id in &mut self.token_ids {
                 *id = remap[*id as usize];
             }
-            let mut sorted = Vec::with_capacity(self.token_names.len());
-            for &old in &order {
-                sorted.push(std::mem::take(&mut self.token_names[old as usize]));
-            }
-            self.token_names = sorted;
         }
-        self.token_lookup.clear();
-        // 3. Token postings (distinct per document, ascending document
-        //    order) via a count-then-fill pass, and idf from the document
-        //    frequencies.
-        let token_count = self.token_names.len();
-        let mut df = vec![0u32; token_count];
-        let mut scratch: Vec<u32> = Vec::new();
-        for doc in 0..n {
-            scratch.clear();
-            scratch.extend_from_slice(self.doc_token_ids(doc));
-            scratch.sort_unstable();
-            scratch.dedup();
-            for &t in &scratch {
-                df[t as usize] += 1;
-            }
-        }
-        let mut token_posting_ends = Vec::with_capacity(token_count);
-        let mut total = 0u32;
-        for &d in &df {
-            total += d;
-            token_posting_ends.push(total);
-        }
-        let mut cursor: Vec<u32> = Vec::with_capacity(token_count);
-        let mut start = 0u32;
-        for &e in &token_posting_ends {
-            cursor.push(start);
-            start = e;
-        }
-        let mut token_postings = vec![0u32; total as usize];
-        for doc in 0..n {
-            scratch.clear();
-            scratch.extend_from_slice(self.doc_token_ids(doc));
-            scratch.sort_unstable();
-            scratch.dedup();
-            for &t in &scratch {
-                token_postings[cursor[t as usize] as usize] = doc as u32;
-                cursor[t as usize] += 1;
-            }
-        }
+        // 3. Token postings: each old list, mapped to the new document ids,
+        //    merged with the delta's list of the same token.
+        let mut tokens = Vec::new();
+        let delta_postings = count_postings(remap.len(), &new_of_delta, |doc, out| {
+            tokens.clear();
+            tokens.extend_from_slice(self.doc_token_ids(doc));
+            tokens.sort_unstable();
+            tokens.dedup();
+            out.extend_from_slice(&tokens);
+        });
+        let (token_posting_ends, token_postings) = merge_postings(
+            (&self.token_posting_ends, &self.token_postings),
+            &remap[..base_tokens],
+            delta_postings,
+            &new_of_old,
+        );
+        // 4. idf from the posting lengths, and the per-document idf-weighted
+        //    squared norms (token occurrence order, duplicates included —
+        //    identical accumulation order to a per-document token walk). Both
+        //    are corpus-global, so this pass covers every document.
+        let total_docs = n as f64;
+        self.idf = (0..remap.len())
+            .map(|token| {
+                let (start, end) = run(&token_posting_ends, token);
+                (1.0 + total_docs / (end - start) as f64).ln()
+            })
+            .collect();
         self.token_postings = token_postings;
         self.token_posting_ends = token_posting_ends;
-        let total_docs = n as f64;
-        self.idf = df
-            .iter()
-            .map(|&d| (1.0 + total_docs / d as f64).ln())
-            .collect();
-        // 4. Per-document idf-weighted squared norms (token occurrence
-        //    order, duplicates included — identical accumulation order to a
-        //    per-document token walk).
-        let doc_norm_sq: Vec<f64> = (0..n)
+        self.doc_norm_sq = (0..n)
             .map(|doc| {
                 self.doc_token_ids(doc)
                     .iter()
@@ -786,44 +766,122 @@ impl KeywordIndex {
                     .sum()
             })
             .collect();
-        self.doc_norm_sq = doc_norm_sq;
-        // 5. Trigram postings: sorted distinct keys, ascending document
-        //    indices per key (document trigram runs are already distinct).
-        let mut gram_df: HashMap<u64, u32> = HashMap::new();
-        for &g in &self.doc_trigrams {
-            *gram_df.entry(g).or_insert(0) += 1;
-        }
-        let mut keys: Vec<u64> = gram_df.keys().copied().collect();
-        keys.sort_unstable();
-        let pos_of: HashMap<u64, u32> = keys
+        // 5. Trigram postings: the old keys and the delta's, sorted and
+        //    deduplicated, each key's lists merged like a token's.
+        let mut keys: Vec<u64> = new_of_delta
             .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i as u32))
+            .flat_map(|&doc| self.doc_trigram_keys(doc as usize))
+            .chain(&self.trigram_keys)
+            .copied()
             .collect();
-        let mut trigram_posting_ends = Vec::with_capacity(keys.len());
-        let mut total = 0u32;
-        for &g in &keys {
-            total += gram_df[&g];
-            trigram_posting_ends.push(total);
-        }
-        let mut cursor: Vec<u32> = Vec::with_capacity(keys.len());
-        let mut start = 0u32;
-        for &e in &trigram_posting_ends {
-            cursor.push(start);
-            start = e;
-        }
-        let mut trigram_postings = vec![0u32; total as usize];
-        for doc in 0..n {
-            for &g in self.doc_trigram_keys(doc) {
-                let p = pos_of[&g] as usize;
-                trigram_postings[cursor[p] as usize] = doc as u32;
-                cursor[p] += 1;
-            }
-        }
+        keys.sort_unstable();
+        keys.dedup();
+        let position = |g: &u64| keys.binary_search(g).expect("merged trigram key") as u32;
+        let delta_postings = count_postings(keys.len(), &new_of_delta, |doc, out| {
+            out.extend(self.doc_trigram_keys(doc).iter().map(position));
+        });
+        let old_positions: Vec<u32> = self.trigram_keys.iter().map(position).collect();
+        let (trigram_posting_ends, trigram_postings) = merge_postings(
+            (&self.trigram_posting_ends, &self.trigram_postings),
+            &old_positions,
+            delta_postings,
+            &new_of_old,
+        );
         self.trigram_keys = keys;
         self.trigram_postings = trigram_postings;
         self.trigram_posting_ends = trigram_posting_ends;
     }
+}
+
+/// The documents of `runs` (ranges of current document indices), in order.
+fn gather<T: Copy>(column: &[T], runs: &[Range<usize>]) -> Vec<T> {
+    runs.iter()
+        .flat_map(|docs| &column[docs.clone()])
+        .copied()
+        .collect()
+}
+
+/// Rebuild one flat column with end offsets so its documents come in the
+/// order of `runs`.
+fn reorder<T: Copy>(flat: &mut Vec<T>, ends: &mut Vec<u32>, runs: &[Range<usize>]) {
+    let mut out = Vec::with_capacity(flat.len());
+    let mut out_ends = Vec::with_capacity(ends.len());
+    for docs in runs.iter().filter(|docs| !docs.is_empty()) {
+        let start = run(ends, docs.start).0;
+        let rebase = |&e: &u32| (e as usize - start + out.len()) as u32;
+        out_ends.extend(ends[docs.clone()].iter().map(rebase));
+        out.extend_from_slice(&flat[start..ends[docs.end - 1] as usize]);
+    }
+    (*flat, *ends) = (out, out_ends);
+}
+
+/// Postings of `docs` (ascending document ids) by counting sort: `terms_of`
+/// writes the distinct term ids (below `terms`) of one document, once per
+/// document. Returns per-term end offsets and the flat ascending lists.
+fn count_postings(
+    terms: usize,
+    docs: &[u32],
+    mut terms_of: impl FnMut(usize, &mut Vec<u32>),
+) -> (Vec<u32>, Vec<u32>) {
+    let mut flat = Vec::new();
+    let mut ends = Vec::with_capacity(docs.len());
+    let mut cursor = vec![0u32; terms];
+    for &doc in docs {
+        let start = flat.len();
+        terms_of(doc as usize, &mut flat);
+        flat[start..].iter().for_each(|&t| cursor[t as usize] += 1);
+        ends.push(flat.len() as u32);
+    }
+    let mut total = 0;
+    for slot in &mut cursor {
+        (*slot, total) = (total, total + *slot);
+    }
+    let mut postings = vec![0u32; total as usize];
+    for (k, &doc) in docs.iter().enumerate() {
+        let (start, end) = run(&ends, k);
+        for &t in &flat[start..end] {
+            postings[cursor[t as usize] as usize] = doc;
+            cursor[t as usize] += 1;
+        }
+    }
+    // Every cursor now sits at its term's end offset.
+    (cursor, postings)
+}
+
+/// Merge the finalized prefix's posting column `(ends, postings)` with the
+/// delta's, term by term: old term `i` is merged term `old_positions[i]`
+/// (monotone), its documents mapped through `new_of_old` (monotone too), so
+/// each merged list is one linear merge of two disjoint ascending lists.
+/// Returns per-term end offsets and the flat lists.
+fn merge_postings(
+    (ends, postings): (&[u32], &[u32]),
+    old_positions: &[u32],
+    (delta_ends, delta_docs): (Vec<u32>, Vec<u32>),
+    new_of_old: &[u32],
+) -> (Vec<u32>, Vec<u32>) {
+    let mut merged_ends = Vec::with_capacity(delta_ends.len());
+    let mut merged = Vec::with_capacity(postings.len() + delta_docs.len());
+    let mut next_old = 0;
+    for term in 0..delta_ends.len() {
+        let old: &[u32] = if old_positions.get(next_old) == Some(&(term as u32)) {
+            next_old += 1;
+            let (start, end) = run(ends, next_old - 1);
+            &postings[start..end]
+        } else {
+            &[]
+        };
+        let mut old = old.iter().map(|&d| new_of_old[d as usize]).peekable();
+        let (start, end) = run(&delta_ends, term);
+        for &d in &delta_docs[start..end] {
+            while let Some(o) = old.next_if(|&o| o < d) {
+                merged.push(o);
+            }
+            merged.push(d);
+        }
+        merged.extend(old);
+        merged_ends.push(merged.len() as u32);
+    }
+    (merged_ends, merged)
 }
 
 /// A partition of a [`KeywordIndex`]'s documents into relation-group shards,
@@ -919,6 +977,29 @@ fn packed_trigrams(text: &str) -> Vec<u64> {
 mod tests {
     use super::*;
     use q_storage::{RelationSpec, SourceSpec};
+
+    /// `index` saved to its columns and loaded back, as a snapshot does.
+    fn reloaded(index: &KeywordIndex) -> KeywordIndex {
+        let view = index.view();
+        KeywordIndex::from_parts(KeywordIndexParts {
+            target_kinds: view.target_kinds.to_vec(),
+            target_ids: view.target_ids.to_vec(),
+            text_blob: view.text_blob.to_string(),
+            text_ends: view.text_ends.to_vec(),
+            token_ids: view.token_ids.to_vec(),
+            token_ends: view.token_ends.to_vec(),
+            doc_trigrams: view.doc_trigrams.to_vec(),
+            trigram_ends: view.trigram_ends.to_vec(),
+            token_names: view.token_names.to_vec(),
+            token_postings: view.token_postings.to_vec(),
+            token_posting_ends: view.token_posting_ends.to_vec(),
+            trigram_keys: view.trigram_keys.to_vec(),
+            trigram_postings: view.trigram_postings.to_vec(),
+            trigram_posting_ends: view.trigram_posting_ends.to_vec(),
+            idf: view.idf.to_vec(),
+            doc_norm_sq: view.doc_norm_sq.to_vec(),
+        })
+    }
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -1071,26 +1152,7 @@ mod tests {
     fn from_parts_round_trip_preserves_columns_and_matching() {
         let cat = catalog();
         let idx = KeywordIndex::build(&cat);
-        let view = idx.view();
-        let parts = KeywordIndexParts {
-            target_kinds: view.target_kinds.to_vec(),
-            target_ids: view.target_ids.to_vec(),
-            text_blob: view.text_blob.to_string(),
-            text_ends: view.text_ends.to_vec(),
-            token_ids: view.token_ids.to_vec(),
-            token_ends: view.token_ends.to_vec(),
-            doc_trigrams: view.doc_trigrams.to_vec(),
-            trigram_ends: view.trigram_ends.to_vec(),
-            token_names: view.token_names.to_vec(),
-            token_postings: view.token_postings.to_vec(),
-            token_posting_ends: view.token_posting_ends.to_vec(),
-            trigram_keys: view.trigram_keys.to_vec(),
-            trigram_postings: view.trigram_postings.to_vec(),
-            trigram_posting_ends: view.trigram_posting_ends.to_vec(),
-            idf: view.idf.to_vec(),
-            doc_norm_sq: view.doc_norm_sq.to_vec(),
-        };
-        let loaded = KeywordIndex::from_parts(parts);
+        let loaded = reloaded(&idx);
         assert_eq!(loaded.view(), idx.view());
         let cfg = MatchConfig {
             min_similarity: 0.1,
@@ -1103,29 +1165,12 @@ mod tests {
 
     #[test]
     fn loaded_index_accepts_further_relations() {
-        // A snapshot-loaded index must keep converging: its transient
-        // interning/dedup state is rebuilt lazily on the next add.
+        // A snapshot-loaded index must keep converging: it holds nothing
+        // but the persisted columns, so appending to it is appending to the
+        // index it was saved from.
         let mut cat = catalog();
         let built = KeywordIndex::build(&cat);
-        let view = built.view();
-        let mut loaded = KeywordIndex::from_parts(KeywordIndexParts {
-            target_kinds: view.target_kinds.to_vec(),
-            target_ids: view.target_ids.to_vec(),
-            text_blob: view.text_blob.to_string(),
-            text_ends: view.text_ends.to_vec(),
-            token_ids: view.token_ids.to_vec(),
-            token_ends: view.token_ends.to_vec(),
-            doc_trigrams: view.doc_trigrams.to_vec(),
-            trigram_ends: view.trigram_ends.to_vec(),
-            token_names: view.token_names.to_vec(),
-            token_postings: view.token_postings.to_vec(),
-            token_posting_ends: view.token_posting_ends.to_vec(),
-            trigram_keys: view.trigram_keys.to_vec(),
-            trigram_postings: view.trigram_postings.to_vec(),
-            trigram_posting_ends: view.trigram_posting_ends.to_vec(),
-            idf: view.idf.to_vec(),
-            doc_norm_sq: view.doc_norm_sq.to_vec(),
-        });
+        let mut loaded = reloaded(&built);
         let mut grown = built.clone();
         let src = cat.add_source("new").unwrap();
         let rel = cat
@@ -1137,6 +1182,90 @@ mod tests {
         grown.add_relation(&cat, rel);
         assert_eq!(loaded.view(), grown.view());
         assert_eq!(loaded.view(), KeywordIndex::build(&cat).view());
+    }
+
+    #[test]
+    fn adding_an_indexed_relation_again_changes_nothing() {
+        let mut cat = catalog();
+        let src = cat.add_source("new").unwrap();
+        let rel = cat.add_relation(src, "journal", &["name"]).unwrap();
+        cat.insert_rows(rel, vec![vec![Value::from("Nature")]])
+            .unwrap();
+        let built = KeywordIndex::build(&cat);
+        let mut grown = KeywordIndex::build(&catalog());
+        grown.add_relation(&cat, rel);
+        let mut loaded = reloaded(&grown);
+        for idx in [&mut grown, &mut loaded] {
+            for r in cat.relations() {
+                idx.add_relation(&cat, r.id);
+            }
+            assert_eq!(idx.view(), built.view());
+        }
+    }
+
+    #[test]
+    fn adding_a_relation_missing_from_the_catalog_changes_nothing() {
+        let cat = catalog();
+        let built = KeywordIndex::build(&cat);
+        let mut idx = built.clone();
+        idx.add_relation(&cat, RelationId(cat.relations().len() as u32));
+        assert_eq!(idx.view(), built.view());
+        let mut empty = KeywordIndex::default();
+        empty.add_relation(&Catalog::new(), RelationId(0));
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn distinct_values_of_an_attribute_are_indexed_once_in_row_order() {
+        let mut cat = Catalog::new();
+        let src = cat.add_source("s").unwrap();
+        let rel = cat.add_relation(src, "r", &["v", "w"]).unwrap();
+        let rows = ["Beta", " beta ", "alpha", "BETA", "gamma", "alpha"]
+            .map(|v| vec![Value::from(v), Value::from("same")]);
+        cat.insert_rows(rel, rows).unwrap();
+        let (v, w) = (
+            cat.resolve_qualified("r.v").unwrap(),
+            cat.resolve_qualified("r.w").unwrap(),
+        );
+        let mut grown = KeywordIndex::default();
+        grown.add_relation(&cat, rel);
+        for idx in [KeywordIndex::build(&cat), grown] {
+            let values: Vec<MatchTarget> = (0..idx.len())
+                .map(|doc| idx.target(doc))
+                .filter(|t| matches!(t, MatchTarget::Value { .. }))
+                .collect();
+            let value = |attribute, value: &str| MatchTarget::Value {
+                attribute,
+                value: value.to_string(),
+            };
+            assert_eq!(
+                values,
+                [
+                    value(v, "beta"),
+                    value(v, "alpha"),
+                    value(v, "gamma"),
+                    value(w, "same")
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn an_index_holds_nothing_but_its_persisted_columns() {
+        // Appending recomputes what it needs from the columns, so nothing
+        // else rides along in a clone or a published snapshot: after a load
+        // and two appends the index prints exactly like a load of its own
+        // columns.
+        let mut cat = catalog();
+        let mut idx = reloaded(&KeywordIndex::build(&cat));
+        for name in ["journal", "author"] {
+            let src = cat.add_source(name).unwrap();
+            let rel = cat.add_relation(src, name, &["id", "name"]).unwrap();
+            cat.insert_rows(rel, vec![vec![Value::from("X1"), Value::from(name)]])
+                .unwrap();
+            idx.add_relation(&cat, rel);
+        }
+        assert_eq!(format!("{idx:?}"), format!("{:?}", reloaded(&idx)));
     }
 
     #[test]
