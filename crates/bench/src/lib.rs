@@ -1,10 +1,10 @@
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (Section 5).
 //!
-//! Each experiment is a library function returning a plain result struct so
-//! that both the `experiments` binary (which prints the paper-style rows) and
-//! the Criterion benches can drive it. See DESIGN.md for the per-experiment
-//! index; the `experiments` binary prints the paper-vs-measured numbers.
+//! Each experiment is a library function returning a plain result struct,
+//! which the `experiments` binary prints as paper-style rows. See DESIGN.md
+//! for the per-experiment index; the `experiments` binary prints the
+//! paper-vs-measured numbers.
 
 pub mod aligners;
 pub mod learning;

@@ -43,15 +43,13 @@ pub struct QConfig {
     pub min_edge_cost: f64,
     /// Maximum number of answer rows materialised per view.
     pub max_answers: usize,
-    /// Shards the keyword index and search-graph CSR are partitioned into
-    /// (by relation group — see [`q_graph::ShardPlan`]). Answers are
-    /// byte-identical for any value; sharding changes memory layout,
-    /// matching fan-out and the per-shard accounting only.
+    /// Ignored: nothing is partitioned. Kept for `benchmark/`; removed in
+    /// ROADMAP 1(b).
     pub shards: usize,
-    /// Worker threads fanning the independent per-terminal backward
-    /// Dijkstras of one query miss. `1` keeps the miss single-threaded
-    /// (batch serving already parallelises across queries); answers are
-    /// byte-identical for any value.
+    /// The Dijkstra fan-out: worker threads running the independent
+    /// per-terminal backward Dijkstras of one query miss. `1` keeps the miss
+    /// single-threaded (batch serving already parallelises across queries);
+    /// answers are byte-identical for any value.
     pub shard_workers: usize,
 }
 
@@ -87,7 +85,6 @@ mod tests {
         assert!(c.min_edge_cost > 0.0);
         assert_eq!(c.steiner.k, c.top_k);
         assert!(matches!(c.strategy, AlignmentStrategy::ViewBased));
-        assert!(c.shards >= 1);
         assert!(c.shard_workers >= 1);
     }
 

@@ -88,22 +88,16 @@ pub struct GraphSnapshot {
     catalog: Catalog,
     graph: SearchGraph,
     keyword_index: KeywordIndex,
-    /// Shard structure frozen with the snapshot: per-shard postings
-    /// partitions and sub-CSRs, plus the byte accounting `/metrics`
-    /// surfaces. Built once at publish time, always fresh by construction.
-    shards: ShardSet,
+    /// [`q_snap::accounted_bytes`] of the graph and index, computed once
+    /// when the snapshot is built or loaded.
+    snapshot_bytes: u64,
 }
 
 impl GraphSnapshot {
-    fn build(
-        catalog: Catalog,
-        graph: SearchGraph,
-        keyword_index: KeywordIndex,
-        shards: usize,
-    ) -> Self {
+    fn build(catalog: Catalog, graph: SearchGraph, keyword_index: KeywordIndex) -> Self {
         GraphSnapshot {
             id: graph.weight_epoch(),
-            shards: ShardSet::build(&catalog, &graph, &keyword_index, shards),
+            snapshot_bytes: q_snap::accounted_bytes(&graph, &keyword_index),
             catalog,
             graph,
             keyword_index,
@@ -111,14 +105,15 @@ impl GraphSnapshot {
     }
 
     /// Build a snapshot directly from a prepared catalog and search graph:
-    /// the keyword index and shard structure are derived here, the id is
-    /// stamped from the graph's weight epoch. This is the entry point for
-    /// harnesses that assemble serving state out-of-band (e.g. the boot
-    /// benchmark's synthetic corpus expansion) and then [`save`](Self::save)
-    /// it or serve it via [`LiveServer::from_snapshot`].
-    pub fn assemble(catalog: Catalog, graph: SearchGraph, shards: usize) -> GraphSnapshot {
+    /// the keyword index is derived here, the id is stamped from the
+    /// graph's weight epoch. This is the entry point for harnesses that
+    /// assemble serving state out-of-band (e.g. the boot benchmark's
+    /// synthetic corpus expansion) and then [`save`](Self::save) it or
+    /// serve it via [`LiveServer::from_snapshot`]. The shard count is
+    /// ignored: kept for `benchmark/`; removed in ROADMAP 1(b).
+    pub fn assemble(catalog: Catalog, graph: SearchGraph, _shards: usize) -> GraphSnapshot {
         let keyword_index = KeywordIndex::build(&catalog);
-        GraphSnapshot::build(catalog, graph, keyword_index, shards)
+        GraphSnapshot::build(catalog, graph, keyword_index)
     }
 
     /// Snapshot id: the graph's weight epoch at publish time. Strictly
@@ -138,18 +133,18 @@ impl GraphSnapshot {
                 catalog: &self.catalog,
                 graph: &self.graph,
                 keyword: &self.keyword_index,
-                shards: &self.shards,
+                accounted_bytes: self.snapshot_bytes,
             },
         )
     }
 
     /// Load a previously persisted snapshot, reconstructing the full
     /// serving state — catalog, search graph with packed CSR, keyword
-    /// index, shard structure — without re-running matching or
-    /// finalization. Every validation layer of the format (magic, version,
-    /// checksums, decode invariants, cross-section consistency) runs before
-    /// anything is assembled; any failure is a typed [`q_snap::SnapError`]
-    /// and no partially-loaded snapshot escapes.
+    /// index — without re-running matching or finalization. Every
+    /// validation layer of the format (magic, version, checksums, decode
+    /// invariants, cross-section consistency) runs before anything is
+    /// assembled; any failure is a typed [`q_snap::SnapError`] and no
+    /// partially-loaded snapshot escapes.
     pub fn load(
         path: &std::path::Path,
     ) -> Result<(GraphSnapshot, q_snap::SnapshotInfo), q_snap::SnapError> {
@@ -168,7 +163,7 @@ impl GraphSnapshot {
                 catalog: parts.catalog,
                 graph: parts.graph,
                 keyword_index: parts.keyword,
-                shards: parts.shards,
+                snapshot_bytes: parts.accounted_bytes,
             },
             info,
         ))
@@ -189,22 +184,16 @@ impl GraphSnapshot {
         &self.keyword_index
     }
 
-    /// The shard structure frozen into this snapshot.
+    /// Kept for `benchmark/`; removed in ROADMAP 1(b).
     pub fn shard_set(&self) -> &ShardSet {
-        &self.shards
+        &ShardSet
     }
 
-    /// Accounted heap bytes of the snapshot's packed search structures:
-    /// every shard's interior sub-CSR and postings share plus the shared
-    /// boundary section.
+    /// Accounted heap bytes of the snapshot's packed search structures
+    /// ([`q_snap::accounted_bytes`]: the global CSR plus the keyword
+    /// postings estimate), computed when the snapshot was built or loaded.
     pub fn snapshot_bytes(&self) -> u64 {
-        self.shards.total_bytes()
-    }
-
-    /// Accounted heap bytes per shard (interior sub-CSR plus postings
-    /// share), in shard order.
-    pub fn shard_bytes(&self) -> Vec<u64> {
-        self.shards.shard_bytes()
+        self.snapshot_bytes
     }
 
     /// The sequential reference answer of this snapshot for a request: a
@@ -231,7 +220,6 @@ impl GraphSnapshot {
             graph: &self.graph,
             keyword_index: &self.keyword_index,
             config,
-            shards: Some(&self.shards),
         }
     }
 
@@ -373,15 +361,14 @@ impl LiveServer {
     pub fn new(catalog: Catalog, config: QConfig) -> Self {
         let graph = SearchGraph::from_catalog(&catalog);
         let keyword_index = KeywordIndex::build(&catalog);
-        let snapshot = GraphSnapshot::build(catalog, graph, keyword_index, config.shards);
+        let snapshot = GraphSnapshot::build(catalog, graph, keyword_index);
         Self::from_snapshot(snapshot, config)
     }
 
     /// Build a live server directly over an existing snapshot — the
     /// boot-from-disk path: pair with [`GraphSnapshot::load`] to start
     /// serving the persisted state without re-running graph construction,
-    /// matching or finalization. The snapshot's frozen shard structure is
-    /// served as-is; later publishes shard per `config.shards` as usual.
+    /// matching or finalization.
     pub fn from_snapshot(snapshot: GraphSnapshot, config: QConfig) -> Self {
         let snapshot = Arc::new(snapshot);
         let mut cache = QueryCache::default();
@@ -725,12 +712,7 @@ impl LiveServer {
         keyword_index: KeywordIndex,
         change: Change,
     ) -> Published {
-        let next = Arc::new(GraphSnapshot::build(
-            catalog,
-            graph,
-            keyword_index,
-            self.config.shards,
-        ));
+        let next = Arc::new(GraphSnapshot::build(catalog, graph, keyword_index));
         let mut seeds: Vec<(NodeId, f64)> = Vec::new();
         let publish = match change {
             Change::Reprice => Publish::Reprice(&next.graph),

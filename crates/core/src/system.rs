@@ -19,7 +19,7 @@ use q_align::{
 use q_graph::keyword::MatchTarget;
 use q_graph::{
     approx_top_k, approx_top_k_detailed_fanned, exact_minimum_steiner, KeywordIndex, KeywordMatch,
-    NodeId, QueryGraph, SearchGraph, ShardSet, SteinerConfig, SteinerScratch, SteinerStats,
+    NodeId, QueryGraph, SearchGraph, SteinerConfig, SteinerScratch, SteinerStats,
 };
 use q_learn::{constraints_from_candidates, enforce_positive_costs, Mira};
 use q_matchers::{AttributeAlignment, SchemaMatcher};
@@ -107,14 +107,6 @@ pub struct QSystem {
     /// make starting the next search O(1), so they must not be rebuilt per
     /// query.
     scratch: SteinerScratch,
-    /// Shard structure over the current catalog/graph/index. Topology
-    /// mutators (`register_source`, `add_manual_association`,
-    /// `add_alignments`) rebuild it eagerly before returning, so readers
-    /// normally never pay for a rebuild; the serving paths still refresh
-    /// lazily as a backstop (e.g. after direct `graph_mut` manipulation).
-    /// Sharding never changes answers — see [`q_graph::shard`] — so
-    /// staleness is a freshness concern, not a correctness one.
-    shards: Option<ShardSet>,
 }
 
 impl QSystem {
@@ -136,7 +128,6 @@ impl QSystem {
             mira: Mira::new(),
             cache: QueryCache::default(),
             scratch: SteinerScratch::default(),
-            shards: None,
         }
     }
 
@@ -174,30 +165,6 @@ impl QSystem {
     /// The pre-built value index.
     pub fn value_index(&self) -> &ValueIndex {
         &self.value_index
-    }
-
-    /// The shard structure over the current catalog/graph/index, rebuilding
-    /// it first if a source or association arrived since the last build.
-    pub fn shard_set(&mut self) -> &ShardSet {
-        self.refresh_shards();
-        self.shards.as_ref().expect("refresh_shards built a set")
-    }
-
-    /// Rebuild the shard set when the structures it mirrors have grown.
-    /// Weight-only changes (feedback re-pricing) keep the set fresh.
-    fn refresh_shards(&mut self) {
-        let fresh = self
-            .shards
-            .as_ref()
-            .is_some_and(|s| s.is_fresh(&self.catalog, &self.graph, &self.keyword_index));
-        if !fresh {
-            self.shards = Some(ShardSet::build(
-                &self.catalog,
-                &self.graph,
-                &self.keyword_index,
-                self.config.shards,
-            ));
-        }
     }
 
     /// A view by id.
@@ -253,25 +220,18 @@ impl QSystem {
     /// refreshes every persistent view per interaction, which must not
     /// rebuild the search buffers per view.
     fn compute_view_reusing_scratch(&mut self, keywords: &[&str]) -> Result<RankedView, QError> {
-        self.refresh_shards();
         let params = ServeParams::defaults(&self.config);
         self.answer_reusing_scratch(keywords, params, false)
             .map(|(view, _, _)| view)
     }
 
-    /// The state a query is answered against. The shard set rides along only
-    /// while it is provably fresh (`&self` cannot rebuild a stale one) — the
-    /// answers are identical either way.
+    /// The state a query is answered against.
     fn serving(&self) -> ServingState<'_> {
         ServingState {
             catalog: &self.catalog,
             graph: &self.graph,
             keyword_index: &self.keyword_index,
             config: &self.config,
-            shards: self
-                .shards
-                .as_ref()
-                .filter(|s| s.is_fresh(&self.catalog, &self.graph, &self.keyword_index)),
         }
     }
 
@@ -339,7 +299,6 @@ impl QSystem {
             }
         }
 
-        self.refresh_shards();
         let start = Instant::now();
         let (view, stats, model) =
             self.answer_reusing_scratch(&refs, params, request.cache() != CachePolicy::Bypass)?;
@@ -389,7 +348,6 @@ impl QSystem {
     ) -> BatchOutcome {
         let epoch = self.graph.weight_epoch();
         self.cache.sync(epoch, &Publish::Epoch(&self.graph));
-        self.refresh_shards();
 
         // Resolve each request against the cache; collect the distinct
         // computations (first occurrence wins, duplicates share it).
@@ -692,10 +650,6 @@ impl QSystem {
         }
 
         report.refreshed_views = self.refresh_all_views();
-        // Rebuild the shard set on the writer path: the registration already
-        // holds exclusive access, so paying here keeps the next reader's
-        // query at pure serving latency instead of charging it the rebuild.
-        self.refresh_shards();
         Ok(report)
     }
 
@@ -778,7 +732,6 @@ impl QSystem {
     /// attributes.
     pub fn add_manual_association(&mut self, a: AttributeId, b: AttributeId, confidence: f64) {
         self.graph.add_association(a, b, "manual", confidence);
-        self.refresh_shards();
     }
 
     /// Add a batch of matcher alignments to the search graph under the given
@@ -793,7 +746,6 @@ impl QSystem {
                 a.confidence,
             );
         }
-        self.refresh_shards();
     }
 
     // ------------------------------------------------------------------
@@ -1007,11 +959,6 @@ pub(crate) struct ServingState<'a> {
     pub(crate) graph: &'a SearchGraph,
     pub(crate) keyword_index: &'a KeywordIndex,
     pub(crate) config: &'a QConfig,
-    /// Present when the owner holds a shard set fresh against the other
-    /// fields: the per-terminal backward Dijkstras then fan across
-    /// `config.shard_workers` threads. The fan-out is byte-identical to the
-    /// sequential search, so this affects wall-clock only, never the answer.
-    pub(crate) shards: Option<&'a ShardSet>,
 }
 
 impl ServingState<'_> {
@@ -1040,7 +987,6 @@ impl ServingState<'_> {
             graph,
             keyword_index,
             config,
-            shards,
         } = *self;
         let match_lists: Vec<Vec<KeywordMatch>> = keywords
             .iter()
@@ -1055,12 +1001,16 @@ impl ServingState<'_> {
                     max_roots,
                     max_cost: params.max_cost,
                 };
-                let workers = if shards.is_some() {
-                    config.shard_workers
-                } else {
-                    1
-                };
-                approx_top_k_detailed_fanned(&query_graph, &terminals, &steiner, scratch, workers)
+                // The per-terminal backward Dijkstras fan across
+                // `shard_workers` threads; the fan-out is byte-identical to
+                // the sequential search, so it moves wall-clock only.
+                approx_top_k_detailed_fanned(
+                    &query_graph,
+                    &terminals,
+                    &steiner,
+                    scratch,
+                    config.shard_workers,
+                )
             }
             SearchStrategy::Exact => {
                 let found = exact_minimum_steiner(&query_graph, &terminals);

@@ -12,9 +12,8 @@
 //! * **FK-linked row content**: each synthetic relation (after the first)
 //!   declares a real foreign key from its reference column to an earlier
 //!   synthetic relation's key column, with row values drawn from the target's
-//!   actual key range. Sources alternate shards under the by-source shard
-//!   plan, so these links populate the cross-shard boundary section at any
-//!   shard count ≥ 2.
+//!   actual key range. Each synthetic source holds one relation, so every
+//!   such link joins relations of two different sources.
 //! * **Zipf-ish keyword reuse** ([`ScalingConfig::vocab_skew`]): descriptive
 //!   cells draw phrases from a shared pool with rank-skewed reuse, so
 //!   keyword postings collide across sources instead of every relation
@@ -192,7 +191,7 @@ pub fn expand_with_synthetic_sources_detailed(
 mod tests {
     use super::*;
     use crate::gbco::{gbco_catalog, GbcoConfig};
-    use q_graph::{EdgeKind, GraphShards, ShardPlan};
+    use q_graph::{EdgeKind, Node};
 
     #[test]
     fn expansion_adds_sources_and_associations() {
@@ -252,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_fks_link_relations_and_cross_shards() {
+    fn synthetic_fk_edges_link_relations_of_different_sources() {
         let mut catalog = gbco_catalog(&GbcoConfig {
             rows_per_table: 10,
             seed: 1,
@@ -274,17 +273,22 @@ mod tests {
         assert_eq!(fk_edges(&graph), fk_edges_before + 7);
 
         // Regression: the old generator's topology was degenerate — no links
-        // between synthetic relations, so K-way sharding found no synthetic
-        // boundary. Sources alternate shards by id, so the synthetic FK
-        // edges must populate the boundary section at any K >= 2.
-        for k in [2, 4, 7] {
-            let plan = ShardPlan::by_source(&catalog, k);
-            let shards = GraphShards::build(&graph, &plan);
-            assert!(shards.covers(&graph, &plan), "coverage broken at K={k}");
-            assert!(
-                shards.boundary_edge_count() > 0,
-                "no boundary edges at K={k}"
-            );
+        // between synthetic relations. Every new FK edge joins two sources.
+        let source_of = |node| match graph.node(node) {
+            Node::Relation(r) => catalog.relation(*r).map(|rel| rel.source),
+            _ => None,
+        };
+        let new_fk_edges: Vec<_> = graph
+            .edges()
+            .iter()
+            .filter(|e| e.kind == EdgeKind::ForeignKey)
+            .skip(fk_edges_before)
+            .collect();
+        assert_eq!(new_fk_edges.len(), 7);
+        for edge in new_fk_edges {
+            let (a, b) = (source_of(edge.a), source_of(edge.b));
+            assert!(a.is_some() && b.is_some(), "FK edge off relation nodes");
+            assert_ne!(a, b, "FK edge {:?} stays inside one source", edge.id);
         }
     }
 

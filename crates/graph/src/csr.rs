@@ -106,9 +106,9 @@ impl Csr {
         self.targets.len()
     }
 
-    /// Heap footprint of the packed arrays in bytes (offsets plus targets).
-    /// The sharded snapshot accounting sums these per shard and surfaces
-    /// them as `/metrics` gauges.
+    /// Heap footprint of the packed arrays in bytes (offsets plus targets):
+    /// the adjacency half of a snapshot's accounted bytes, and exactly the
+    /// snapshot file's CSR section less its two length prefixes.
     pub fn byte_size(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
             + self.targets.len() * std::mem::size_of::<(EdgeId, NodeId)>()

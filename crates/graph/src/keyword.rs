@@ -37,8 +37,6 @@ use serde::{Deserialize, Serialize};
 
 use q_storage::{Attribute, AttributeId, Catalog, Relation, RelationId, Value};
 
-use crate::shard::ShardPlan;
-
 /// What a keyword matched.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MatchTarget {
@@ -442,12 +440,19 @@ impl KeywordIndex {
         }
     }
 
+    /// Deterministic estimate of the postings footprint: the sum of the
+    /// per-document estimate below over every document. Linear in the
+    /// corpus, so a snapshot computes it once and keeps it.
+    pub fn postings_byte_estimate(&self) -> u64 {
+        (0..self.len()).map(|idx| self.doc_byte_estimate(idx)).sum()
+    }
+
     /// Deterministic estimate of one document's postings footprint:
     /// normalised text, token strings + posting entries, trigram strings +
     /// posting entries, and the fixed per-document state. An estimate — not
     /// an allocator measurement — but stable across builds, which is what
     /// the accounting tests and `/metrics` gauges need.
-    pub(crate) fn doc_byte_estimate(&self, idx: usize) -> u64 {
+    fn doc_byte_estimate(&self, idx: usize) -> u64 {
         let tokens: usize = self
             .doc_token_ids(idx)
             .iter()
@@ -882,61 +887,6 @@ fn merge_postings(
         merged_ends.push(merged.len() as u32);
     }
     (merged_ends, merged)
-}
-
-/// A partition of a [`KeywordIndex`]'s documents into relation-group shards,
-/// with per-shard postings byte accounting.
-///
-/// The index itself stays global — idf weights and document order must not
-/// depend on the shard count, or similarity scores (and with them match
-/// lists and Steiner tie-breaks) would change when resharding — and
-/// matching runs over it directly ([`KeywordIndex::matches`]). The partition
-/// records which shard owns each document and what its postings weigh.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ShardedKeywordIndex {
-    /// Document index → owning shard.
-    shard_of_doc: Vec<u32>,
-    /// Estimated postings bytes owned by each shard.
-    postings_bytes: Vec<u64>,
-}
-
-impl ShardedKeywordIndex {
-    /// Assign every document of `index` to the shard of its owning relation
-    /// under `plan`. Documents whose relation no longer resolves land in
-    /// shard 0.
-    pub fn build(index: &KeywordIndex, catalog: &Catalog, plan: &ShardPlan) -> Self {
-        let mut shard_of_doc = Vec::with_capacity(index.len());
-        let mut postings_bytes = vec![0u64; plan.shards()];
-        for idx in 0..index.len() {
-            let shard = index
-                .target_relation(idx, catalog)
-                .map_or(0, |r| plan.shard_of_relation(r));
-            shard_of_doc.push(shard as u32);
-            postings_bytes[shard] += index.doc_byte_estimate(idx);
-        }
-        ShardedKeywordIndex {
-            shard_of_doc,
-            postings_bytes,
-        }
-    }
-
-    /// Reassemble a partition persisted by a snapshot.
-    pub fn from_parts(shard_of_doc: Vec<u32>, postings_bytes: Vec<u64>) -> Self {
-        ShardedKeywordIndex {
-            shard_of_doc,
-            postings_bytes,
-        }
-    }
-
-    /// Document index → owning shard (what a snapshot persists).
-    pub fn shard_of_doc(&self) -> &[u32] {
-        &self.shard_of_doc
-    }
-
-    /// Estimated postings bytes owned by each shard.
-    pub fn postings_bytes(&self) -> &[u64] {
-        &self.postings_bytes
-    }
 }
 
 fn normalize(text: &str) -> String {

@@ -33,14 +33,11 @@ pub use features::{
     bin_confidence, FeatureId, FeatureSpace, FeatureVector, WeightVector, CONFIDENCE_BINS,
 };
 pub use heap::IndexedHeap;
-pub use keyword::{
-    KeywordIndex, KeywordIndexParts, KeywordIndexView, KeywordMatch, MatchTarget,
-    ShardedKeywordIndex,
-};
+pub use keyword::{KeywordIndex, KeywordIndexParts, KeywordIndexView, KeywordMatch, MatchTarget};
 pub use node::{Node, NodeId};
 pub use query_graph::{KeywordNode, QueryGraph};
 pub use search_graph::{AssociationProvenance, SearchGraph, SearchGraphParts};
-pub use shard::{GraphShards, ShardPlan, ShardSet, ShardStamp};
+pub use shard::ShardSet;
 pub use steiner::{
     approx_top_k, approx_top_k_detailed, approx_top_k_detailed_fanned, approx_top_k_with,
     exact_minimum_steiner, SteinerConfig, SteinerScratch, SteinerStats, SteinerTree,

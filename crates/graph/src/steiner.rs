@@ -356,8 +356,8 @@ pub fn approx_top_k_detailed<G: GraphView>(
 }
 
 /// [`approx_top_k_detailed`] with the independent per-terminal backward
-/// Dijkstras fanned across `workers` threads (the sharded-search miss path
-/// uses the batch worker pool size here). Each worker owns a contiguous
+/// Dijkstras fanned across `workers` threads (the serving miss path passes
+/// `QConfig::shard_workers`). Each worker owns a contiguous
 /// chunk of the per-terminal path buffers and its own [`IndexedHeap`]; the
 /// search results per terminal do not depend on which thread ran them, and
 /// every stage after the Dijkstras is shared with the sequential entry

@@ -17,9 +17,11 @@
 //! the newest `snap-<id>.qsnap` in DIR is loaded and served directly
 //! (skipping graph construction entirely); if the directory is empty or
 //! the file fails validation, the server logs why and falls back to a
-//! full rebuild — a corrupt snapshot never takes the server down. Every
-//! published snapshot is then written back to DIR by a background lane,
-//! keeping the newest `--snapshot-keep` files (default 2).
+//! full rebuild — a corrupt snapshot never takes the server down. A file
+//! that fails validation is renamed aside to `snap-<id>.qsnap.rejected`,
+//! out of reach of the next boot and of pruning. Every published snapshot
+//! is then written back to DIR by a background lane, keeping the newest
+//! `--snapshot-keep` files (default 2).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -102,6 +104,11 @@ fn parse_args() -> Result<Args, String> {
 /// serve-as-is. Any failure is reported and answered with `None` — the
 /// caller rebuilds; a missing or corrupt snapshot must never take the
 /// server down.
+///
+/// A file that fails validation is renamed aside. Left in place it would
+/// keep the highest id after the rebuild (whose ids start low again), so
+/// every later boot would pick it and rebuild, and pruning would delete the
+/// valid files instead of it.
 fn boot_from_snapshot(dir: &std::path::Path) -> Option<LiveServer> {
     let path = latest_snapshot_path(dir)?;
     match GraphSnapshot::load(&path) {
@@ -119,6 +126,13 @@ fn boot_from_snapshot(dir: &std::path::Path) -> Option<LiveServer> {
                 "snapshot {} failed validation ({err}); falling back to a full rebuild",
                 path.display()
             );
+            let mut rejected = path.clone().into_os_string();
+            rejected.push(".rejected");
+            let rejected = PathBuf::from(rejected);
+            match std::fs::rename(&path, &rejected) {
+                Ok(()) => eprintln!("renamed the rejected snapshot to {}", rejected.display()),
+                Err(err) => eprintln!("could not rename {} aside ({err})", path.display()),
+            }
             None
         }
     }

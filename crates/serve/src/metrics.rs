@@ -9,7 +9,6 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Histogram bucket count: bucket `i` holds observations in
@@ -65,11 +64,8 @@ pub struct Metrics {
     /// completes (gauge).
     pub ingest_lag_us: AtomicU64,
     /// Accounted bytes of the published snapshot's packed search structures
-    /// (all shards plus the shared boundary section) (gauge).
+    /// (the global CSR plus the keyword postings estimate) (gauge).
     pub snapshot_bytes: AtomicU64,
-    /// Accounted bytes per shard — updated wholesale at each publish, read
-    /// only by `/metrics` scrapes, so a mutex (not the hot path) is fine.
-    shard_bytes: Mutex<Vec<u64>>,
     /// Boot wall time in milliseconds (gauge; set once at start-up).
     boot_ms: AtomicU64,
     /// 1 when the engine booted from a persisted snapshot, 0 when it was
@@ -104,7 +100,6 @@ impl Metrics {
             snapshot_id: AtomicU64::new(snapshot),
             ingest_lag_us: AtomicU64::new(0),
             snapshot_bytes: AtomicU64::new(0),
-            shard_bytes: Mutex::new(Vec::new()),
             boot_ms: AtomicU64::new(0),
             boot_from_snapshot: AtomicU64::new(0),
             latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -113,12 +108,10 @@ impl Metrics {
         }
     }
 
-    /// Record the published snapshot's memory accounting: total packed
-    /// bytes and the per-shard breakdown. Called at boot and at every
-    /// publish, never on the query hot path.
-    pub fn set_snapshot_accounting(&self, total: u64, per_shard: Vec<u64>) {
+    /// Record the published snapshot's accounted bytes. Called at boot and
+    /// at every publish, never on the query hot path.
+    pub fn set_snapshot_accounting(&self, total: u64) {
         self.snapshot_bytes.store(total, Ordering::Relaxed);
-        *self.shard_bytes.lock().expect("shard bytes lock") = per_shard;
     }
 
     /// Record how the engine booted: from a persisted snapshot or by
@@ -345,21 +338,6 @@ impl Metrics {
 
         let _ = writeln!(
             out,
-            "# HELP q_shard_bytes Accounted bytes of one shard's keyword postings and interior sub-CSR."
-        );
-        let _ = writeln!(out, "# TYPE q_shard_bytes gauge");
-        for (shard, bytes) in self
-            .shard_bytes
-            .lock()
-            .expect("shard bytes lock")
-            .iter()
-            .enumerate()
-        {
-            let _ = writeln!(out, "q_shard_bytes{{shard=\"{shard}\"}} {bytes}");
-        }
-
-        let _ = writeln!(
-            out,
             "# HELP q_boot_ms Wall time of the boot path (snapshot load or rebuild), in milliseconds."
         );
         let _ = writeln!(out, "# TYPE q_boot_ms gauge");
@@ -410,7 +388,7 @@ mod tests {
         m.observe_query(Duration::from_micros(250));
         m.http_requests.fetch_add(3, Ordering::Relaxed);
         m.ingest_lag_us.store(1_500_000, Ordering::Relaxed);
-        m.set_snapshot_accounting(4096, vec![2048, 1024, 512]);
+        m.set_snapshot_accounting(4096);
         m.set_boot(true, Duration::from_millis(42));
         m.cache_kept.fetch_add(5, Ordering::Relaxed);
         m.cache_dropped.fetch_add(2, Ordering::Relaxed);
@@ -442,9 +420,6 @@ mod tests {
             "q_snapshot_id 7",
             "q_ingest_lag_seconds 1.5",
             "q_snapshot_bytes 4096",
-            "q_shard_bytes{shard=\"0\"} 2048",
-            "q_shard_bytes{shard=\"1\"} 1024",
-            "q_shard_bytes{shard=\"2\"} 512",
             "q_boot_ms 42",
             "q_boot_mode{mode=\"snapshot\"} 1",
             "q_uptime_seconds ",

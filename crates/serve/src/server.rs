@@ -45,8 +45,8 @@ use crate::wire::WireError;
 /// How the serving engine was constructed at boot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BootMode {
-    /// Built from the dataset: catalog load, graph construction, keyword
-    /// indexing and sharding all ran at boot.
+    /// Built from the dataset: catalog load, graph construction and keyword
+    /// indexing all ran at boot.
     #[default]
     Rebuild,
     /// Restored from a persisted snapshot file — none of the build
@@ -127,7 +127,7 @@ impl QServe {
         let local = listener.local_addr()?;
         let boot = engine.snapshot();
         let metrics = Metrics::new(boot.id());
-        metrics.set_snapshot_accounting(boot.snapshot_bytes(), boot.shard_bytes());
+        metrics.set_snapshot_accounting(boot.snapshot_bytes());
         metrics.set_boot(options.boot.mode == BootMode::Snapshot, options.boot.wall);
         let shared = Arc::new(Shared {
             metrics,
@@ -456,5 +456,5 @@ fn record_publish(shared: &Shared, snapshot: &Arc<GraphSnapshot>) {
         .store(snapshot.id(), Ordering::Relaxed);
     shared
         .metrics
-        .set_snapshot_accounting(snapshot.snapshot_bytes(), snapshot.shard_bytes());
+        .set_snapshot_accounting(snapshot.snapshot_bytes());
 }

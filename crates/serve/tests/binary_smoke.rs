@@ -174,29 +174,63 @@ fn a_feedback_publish_counts_its_cache_verdicts() {
 fn second_boot_restores_the_snapshot_and_answers_identically() {
     let dir = scratch_dir("boot");
     let snapshots = dir.join("snapshots");
-    let flags = [
-        "--snapshot-dir",
-        snapshots.to_str().expect("utf-8 temp dir"),
-    ];
-    // (boot mode, snapshot id, `"result"` bytes) of one boot over `snapshots`;
-    // shutting down flushes the persistence lane before the process exits.
-    let observe = || {
-        let mut served = Served::boot(&dir, &flags);
-        let health = parse(served.ok("GET", "/healthz", None).as_bytes()).expect("healthz is JSON");
-        let answer = parse(served.ok("POST", "/query", Some(QUERY)).as_bytes()).expect("JSON");
-        served.stop();
-        (
-            field(&health, "boot_mode").clone(),
-            field(&answer, "snapshot").clone(),
-            field(&answer, "result").encode(),
-        )
-    };
-    let (first_mode, first_snapshot, first_result) = observe();
-    let (second_mode, second_snapshot, second_result) = observe();
+    let (first_mode, first_snapshot, first_result) = boot_and_query(&dir, &snapshots);
+    let (second_mode, second_snapshot, second_result) = boot_and_query(&dir, &snapshots);
     assert_eq!(first_mode, Json::Str("rebuild".into()));
     assert_eq!(second_mode, Json::Str("snapshot".into()));
     assert_eq!(first_snapshot, second_snapshot, "snapshot id changed");
     assert_eq!(first_result, second_result, "restored answer diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--snapshot-dir` flags for `dir`.
+fn snapshot_flags(dir: &Path) -> [&str; 2] {
+    ["--snapshot-dir", dir.to_str().expect("utf-8 temp dir")]
+}
+
+/// (boot mode, snapshot id, `"result"` bytes) of one boot over `snapshots`;
+/// shutting down flushes the persistence lane before the process exits.
+fn boot_and_query(dir: &Path, snapshots: &Path) -> (Json, Json, String) {
+    let mut served = Served::boot(dir, &snapshot_flags(snapshots));
+    let health = parse(served.ok("GET", "/healthz", None).as_bytes()).expect("healthz is JSON");
+    let answer = parse(served.ok("POST", "/query", Some(QUERY)).as_bytes()).expect("JSON");
+    served.stop();
+    (
+        field(&health, "boot_mode").clone(),
+        field(&answer, "snapshot").clone(),
+        field(&answer, "result").encode(),
+    )
+}
+
+#[test]
+fn a_rejected_snapshot_is_set_aside_and_the_rebuild_is_restored() {
+    let dir = scratch_dir("rejected");
+    // A valid snapshot file, written by a first server.
+    let first = dir.join("first");
+    Served::boot(&dir, &snapshot_flags(&first)).stop();
+    let written = std::fs::read_dir(&first)
+        .expect("the first server persisted a snapshot")
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "qsnap"))
+        .expect("a .qsnap file");
+    // The same bytes under format version 1, at an id no rebuild reaches.
+    let mut bytes = std::fs::read(written).expect("snapshot readable");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let snapshots = dir.join("snapshots");
+    std::fs::create_dir_all(&snapshots).expect("snapshot dir");
+    std::fs::write(snapshots.join("snap-1000000.qsnap"), bytes).expect("planted");
+
+    let (first_mode, _, first_result) = boot_and_query(&dir, &snapshots);
+    let (second_mode, _, second_result) = boot_and_query(&dir, &snapshots);
+    assert_eq!(first_mode, Json::Str("rebuild".into()));
+    assert_eq!(
+        second_mode,
+        Json::Str("snapshot".into()),
+        "the second boot picked the rejected file again"
+    );
+    assert_eq!(first_result, second_result, "restored answer diverged");
+    assert!(snapshots.join("snap-1000000.qsnap.rejected").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

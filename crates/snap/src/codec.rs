@@ -10,17 +10,15 @@
 //! typed [`SnapError::Corrupt`] rather than a panic or a partially-loaded
 //! graph.
 //!
-//! The shard interior/boundary CSR sections are deliberately *headerless*:
-//! their payloads are exactly the packed offset and target arrays, so each
-//! section's on-disk length equals the corresponding
-//! [`Csr::byte_size`] — the same accounting the `/metrics`
-//! `q_snapshot_bytes` gauge reports. Their dimensions live in the shard-meta
-//! section.
+//! The CSR section is the packed offset and target arrays behind two
+//! length prefixes, so its on-disk length is exactly [`Csr::byte_size`]
+//! plus 16 bytes — the adjacency half of the `/metrics` `q_snapshot_bytes`
+//! gauge.
 
 use q_graph::keyword::{KeywordIndex, KeywordIndexParts, KeywordIndexView};
 use q_graph::{
     AssociationProvenance, Csr, Edge, EdgeId, EdgeKind, FeatureId, FeatureSpace, FeatureVector,
-    Node, NodeId, SearchGraph, SearchGraphParts, ShardPlan, WeightVector,
+    Node, NodeId, SearchGraph, SearchGraphParts, WeightVector,
 };
 use q_storage::{
     Attribute, AttributeId, Catalog, ForeignKey, Relation, RelationId, Source, SourceId, Tuple,
@@ -506,13 +504,16 @@ pub fn decode_graph(bytes: &[u8], csr: Csr) -> Result<SearchGraph, SnapError> {
 // CSR sections
 // ----------------------------------------------------------------------
 
-/// Encode a CSR as its two raw packed arrays with **no header or length
-/// prefixes**: `offsets` as little-endian `u32`s followed by `targets` as
-/// `(u32 edge, u32 node)` pairs. The payload length is therefore exactly
-/// [`Csr::byte_size`], which is what lets the on-disk section sizes
-/// reconcile byte-for-byte with the in-memory `q_snapshot_bytes` accounting.
-pub fn encode_csr_raw(csr: &Csr) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(csr.byte_size());
+/// Encode the global CSR section: the offsets and targets lengths as two
+/// `u64` prefixes, then `offsets` as little-endian `u32`s and `targets` as
+/// `(u32 edge, u32 node)` pairs. The payload is therefore exactly
+/// [`Csr::byte_size`] + 16 bytes, which is what lets the on-disk section
+/// size reconcile byte-for-byte with the in-memory `q_snapshot_bytes`
+/// accounting.
+pub fn encode_graph_csr(csr: &Csr) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(csr.byte_size() + 16);
+    w.u64(csr.offsets().len() as u64);
+    w.u64(csr.targets().len() as u64);
     for o in csr.offsets() {
         w.u32(*o);
     }
@@ -520,25 +521,23 @@ pub fn encode_csr_raw(csr: &Csr) -> Vec<u8> {
         w.u32(e.0);
         w.u32(n.0);
     }
-    debug_assert_eq!(w.len(), csr.byte_size());
+    debug_assert_eq!(w.len(), csr.byte_size() + 16);
     w.into_bytes()
 }
 
-/// Decode a headerless CSR given its dimensions (carried by the shard-meta
-/// or graph section).
-pub fn decode_csr_raw(
-    bytes: &[u8],
-    offsets_len: usize,
-    targets_len: usize,
-    context: &'static str,
-) -> Result<Csr, SnapError> {
+/// Decode the global CSR section.
+pub fn decode_graph_csr(bytes: &[u8]) -> Result<Csr, SnapError> {
+    const CONTEXT: &str = "graph csr";
+    let mut r = ByteReader::new(bytes, CONTEXT);
+    let offsets_len = r.record_count(0)?;
+    let targets_len =
+        usize::try_from(r.u64()?).map_err(|_| SnapError::Truncated { context: CONTEXT })?;
     let expected = offsets_len
         .checked_mul(4)
         .and_then(|o| targets_len.checked_mul(8).and_then(|t| o.checked_add(t)));
-    if expected != Some(bytes.len()) {
-        return Err(SnapError::Corrupt { context });
+    if expected != Some(r.remaining()) {
+        return Err(SnapError::Corrupt { context: CONTEXT });
     }
-    let mut r = ByteReader::new(bytes, context);
     let mut offsets = Vec::with_capacity(offsets_len);
     for _ in 0..offsets_len {
         offsets.push(r.u32()?);
@@ -551,7 +550,7 @@ pub fn decode_csr_raw(
     if offsets.last().copied().unwrap_or(0) as usize != targets_len
         || offsets.windows(2).any(|w| w[0] > w[1])
     {
-        return Err(SnapError::Corrupt { context });
+        return Err(SnapError::Corrupt { context: CONTEXT });
     }
     Ok(Csr::from_parts(offsets, targets))
 }
@@ -571,30 +570,6 @@ fn validate_csr(csr: &Csr, node_count: usize, context: &'static str) -> Result<(
     } else {
         Err(SnapError::Corrupt { context })
     }
-}
-
-/// Encode the global CSR section (length-prefixed, unlike the per-shard raw
-/// sections).
-pub fn encode_graph_csr(csr: &Csr) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(csr.byte_size() + 16);
-    w.u64(csr.offsets().len() as u64);
-    w.u64(csr.targets().len() as u64);
-    w.raw(&encode_csr_raw(csr));
-    w.into_bytes()
-}
-
-/// Decode the global CSR section.
-pub fn decode_graph_csr(bytes: &[u8]) -> Result<Csr, SnapError> {
-    let mut r = ByteReader::new(bytes, "graph csr");
-    let offsets_len = r.record_count(0)?;
-    let targets_len = {
-        let n = r.u64()?;
-        usize::try_from(n).map_err(|_| SnapError::Truncated {
-            context: "graph csr",
-        })?
-    };
-    let body = r.raw(r.remaining())?;
-    decode_csr_raw(body, offsets_len, targets_len, "graph csr")
 }
 
 // ----------------------------------------------------------------------
@@ -768,104 +743,6 @@ pub fn decode_keyword(r: &mut SectionStream<'_, impl Read>) -> Result<KeywordInd
     }))
 }
 
-// ----------------------------------------------------------------------
-// Shard meta section
-// ----------------------------------------------------------------------
-
-/// Decoded shard-meta section: the plan and keyword partition plus the
-/// dimensions of the headerless interior/boundary CSR sections.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardMeta {
-    /// The relation → shard plan.
-    pub plan: ShardPlan,
-    /// Document → shard assignment of the keyword partition.
-    pub shard_of_doc: Vec<u32>,
-    /// Estimated postings bytes per shard.
-    pub postings_bytes: Vec<u64>,
-    /// `(offsets_len, targets_len)` of each interior CSR, in shard order.
-    pub interior_dims: Vec<(usize, usize)>,
-    /// Edges interior to each shard.
-    pub interior_edge_counts: Vec<usize>,
-    /// `(offsets_len, targets_len)` of the boundary CSR.
-    pub boundary_dims: (usize, usize),
-    /// Cross-shard edges in the boundary section.
-    pub boundary_edge_count: usize,
-}
-
-/// Encode shard plan, keyword partition and CSR dimensions.
-pub fn encode_shard_meta(meta: &ShardMeta) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(meta.plan.shards() as u32);
-    w.vec_u32(meta.plan.relation_shards());
-    w.vec_u32(&meta.shard_of_doc);
-    w.vec_u64(&meta.postings_bytes);
-    w.u64(meta.interior_dims.len() as u64);
-    for (i, (offsets_len, targets_len)) in meta.interior_dims.iter().enumerate() {
-        w.u64(*offsets_len as u64);
-        w.u64(*targets_len as u64);
-        w.u64(meta.interior_edge_counts[i] as u64);
-    }
-    w.u64(meta.boundary_dims.0 as u64);
-    w.u64(meta.boundary_dims.1 as u64);
-    w.u64(meta.boundary_edge_count as u64);
-    w.into_bytes()
-}
-
-/// Decode a shard-meta section.
-pub fn decode_shard_meta(bytes: &[u8]) -> Result<ShardMeta, SnapError> {
-    let mut r = ByteReader::new(bytes, "shard meta");
-    let shards = r.u32()? as usize;
-    if shards == 0 || shards > 4096 {
-        return Err(SnapError::Corrupt {
-            context: "implausible shard count",
-        });
-    }
-    let relation_shards = r.vec_u32()?;
-    if relation_shards.iter().any(|&s| s as usize >= shards) {
-        return Err(SnapError::Corrupt {
-            context: "relation assigned to shard outside the plan",
-        });
-    }
-    let shard_of_doc = r.vec_u32()?;
-    if shard_of_doc.iter().any(|&s| s as usize >= shards) {
-        return Err(SnapError::Corrupt {
-            context: "document assigned to shard outside the plan",
-        });
-    }
-    let postings_bytes = r.vec_u64()?;
-    if postings_bytes.len() != shards {
-        return Err(SnapError::Corrupt {
-            context: "keyword partition shard count disagrees with plan",
-        });
-    }
-    let k = r.record_count(24)?;
-    if k != shards {
-        return Err(SnapError::Corrupt {
-            context: "interior csr count disagrees with plan",
-        });
-    }
-    let mut interior_dims = Vec::with_capacity(k);
-    let mut interior_edge_counts = Vec::with_capacity(k);
-    for _ in 0..k {
-        let offsets_len = r.u64()? as usize;
-        let targets_len = r.u64()? as usize;
-        interior_dims.push((offsets_len, targets_len));
-        interior_edge_counts.push(r.u64()? as usize);
-    }
-    let boundary_dims = (r.u64()? as usize, r.u64()? as usize);
-    let boundary_edge_count = r.u64()? as usize;
-    r.expect_end()?;
-    Ok(ShardMeta {
-        plan: ShardPlan::from_parts(shards, relation_shards),
-        shard_of_doc,
-        postings_bytes,
-        interior_dims,
-        interior_edge_counts,
-        boundary_dims,
-        boundary_edge_count,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     // The closures handed to `streamed` look redundant but are not — see its
@@ -1017,35 +894,14 @@ mod tests {
     }
 
     #[test]
-    fn csr_raw_payload_is_exactly_byte_size() {
+    fn graph_csr_payload_is_byte_size_plus_two_prefixes() {
         let cat = catalog();
         let graph = SearchGraph::from_catalog(&cat);
-        let bytes = encode_csr_raw(graph.csr());
-        assert_eq!(bytes.len(), graph.csr().byte_size());
-        let back = decode_csr_raw(
-            &bytes,
-            graph.csr().offsets().len(),
-            graph.csr().targets().len(),
-            "test",
-        )
-        .unwrap();
+        let bytes = encode_graph_csr(graph.csr());
+        assert_eq!(bytes.len(), graph.csr().byte_size() + 16);
+        let back = decode_graph_csr(&bytes).unwrap();
         assert_eq!(back.offsets(), graph.csr().offsets());
         assert_eq!(back.targets(), graph.csr().targets());
-    }
-
-    #[test]
-    fn shard_meta_round_trips() {
-        let meta = ShardMeta {
-            plan: ShardPlan::from_parts(2, vec![0, 1, 0]),
-            shard_of_doc: vec![0, 1, 1, 0],
-            postings_bytes: vec![120, 88],
-            interior_dims: vec![(5, 8), (5, 2)],
-            interior_edge_counts: vec![4, 1],
-            boundary_dims: (5, 2),
-            boundary_edge_count: 1,
-        };
-        let bytes = encode_shard_meta(&meta);
-        assert_eq!(decode_shard_meta(&bytes).unwrap(), meta);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The on-disk container: header, section table, checksummed payloads, and
 //! the atomic write / validating read entry points.
 //!
-//! ## File layout (format version 1)
+//! ## File layout (format version 2)
 //!
 //! ```text
 //! offset  size  field
@@ -14,8 +14,18 @@
 //!                 kind (u16 LE) | pad (u16) | reserved (u32) |
 //!                 payload offset (u64 LE) | payload len (u64 LE) |
 //!                 payload checksum64 (u64 LE)
-//!   ....        contiguous section payloads
+//!   ....        contiguous section payloads, N = 5, one per kind:
+//!                 1 meta       id, node/edge/document/relation counts,
+//!                              accounted bytes
+//!                 2 catalog    sources, relations, tuples, attributes, FKs
+//!                 3 graph      nodes, edges, cost model, provenance
+//!                 4 graph csr  offsets/targets lengths (2 × u64 LE), then
+//!                              the packed arrays (`Csr::byte_size` bytes)
+//!                 5 keyword    the columnar keyword index
 //! ```
+//!
+//! Any other format version, 1 included, is rejected as
+//! [`SnapError::UnsupportedVersion`] before the section table is read.
 //!
 //! The magic borrows PNG's trick: a high-bit first byte plus an embedded
 //! `\r\n` so text-mode transfer mangling is caught before any parsing.
@@ -39,7 +49,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use q_graph::keyword::KeywordIndex;
-use q_graph::{GraphShards, SearchGraph, ShardSet, ShardedKeywordIndex};
+use q_graph::SearchGraph;
 use q_storage::Catalog;
 
 use crate::bytes::{checksum64, ByteReader, ByteWriter};
@@ -51,14 +61,14 @@ use crate::stream::SectionStream;
 pub const MAGIC: [u8; 8] = [0x89, b'Q', b'S', b'N', b'A', b'P', 0x0D, 0x0A];
 
 /// The format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fixed header size: magic + version + section count + table checksum.
 const HEADER_BYTES: usize = 24;
 /// Bytes per section-table entry.
 const TABLE_ENTRY_BYTES: usize = 32;
-/// Upper bound on the section count — a real snapshot has `7 + K` sections,
-/// so anything near this is a corrupt header, rejected before the table is
+/// Upper bound on the section count — a real snapshot has 5 sections, so
+/// anything near this is a corrupt header, rejected before the table is
 /// even sized.
 const MAX_SECTIONS: usize = 4096;
 
@@ -75,13 +85,6 @@ pub enum SectionKind {
     GraphCsr,
     /// The columnar keyword index.
     Keyword,
-    /// Shard plan, keyword partition and per-shard CSR dimensions.
-    ShardMeta,
-    /// One shard's interior sub-CSR, headerless (payload length is exactly
-    /// the CSR's `byte_size`). Appears once per shard, in shard order.
-    ShardInterior,
-    /// The shared boundary CSR, headerless like the interiors.
-    ShardBoundary,
 }
 
 impl SectionKind {
@@ -92,9 +95,6 @@ impl SectionKind {
             SectionKind::Graph => 3,
             SectionKind::GraphCsr => 4,
             SectionKind::Keyword => 5,
-            SectionKind::ShardMeta => 6,
-            SectionKind::ShardInterior => 7,
-            SectionKind::ShardBoundary => 8,
         }
     }
 
@@ -105,9 +105,6 @@ impl SectionKind {
             3 => SectionKind::Graph,
             4 => SectionKind::GraphCsr,
             5 => SectionKind::Keyword,
-            6 => SectionKind::ShardMeta,
-            7 => SectionKind::ShardInterior,
-            8 => SectionKind::ShardBoundary,
             _ => {
                 return Err(SnapError::Corrupt {
                     context: "unknown section kind",
@@ -129,8 +126,9 @@ pub struct SnapshotComponents<'a> {
     pub graph: &'a SearchGraph,
     /// The keyword index.
     pub keyword: &'a KeywordIndex,
-    /// The shard structure.
-    pub shards: &'a ShardSet,
+    /// [`accounted_bytes`] of `graph` and `keyword`, computed once by the
+    /// snapshot that owns them.
+    pub accounted_bytes: u64,
 }
 
 /// Owned output of [`read_snapshot`]: every component reconstructed, ready
@@ -139,8 +137,8 @@ pub struct SnapshotComponents<'a> {
 pub struct SnapshotParts {
     /// Snapshot id persisted at write time.
     pub id: u64,
-    /// `ShardSet::total_bytes` persisted at write time (revalidated against
-    /// the reconstructed set).
+    /// [`accounted_bytes`] persisted at write time (revalidated against the
+    /// loaded graph and keyword index).
     pub accounted_bytes: u64,
     /// The catalog.
     pub catalog: Catalog,
@@ -148,8 +146,6 @@ pub struct SnapshotParts {
     pub graph: SearchGraph,
     /// The keyword index.
     pub keyword: KeywordIndex,
-    /// The shard structure, with a freshly derived stamp.
-    pub shards: ShardSet,
 }
 
 /// Section accounting returned by both the writer and the reader.
@@ -164,8 +160,7 @@ pub struct SnapshotInfo {
 }
 
 impl SnapshotInfo {
-    /// Payload bytes of every section of one kind (the shard CSR sections
-    /// appear multiple times).
+    /// Payload bytes of the section of one kind (0 when absent).
     pub fn kind_bytes(&self, kind: SectionKind) -> u64 {
         self.sections
             .iter()
@@ -175,22 +170,29 @@ impl SnapshotInfo {
     }
 }
 
+/// The accounted bytes of a snapshot's packed search structures: the
+/// global CSR's [`byte_size`](q_graph::Csr::byte_size) plus the keyword
+/// index's [`postings_byte_estimate`](KeywordIndex::postings_byte_estimate).
+/// The one definition behind the meta section's cross-check and the
+/// `q_snapshot_bytes` gauge; linear in the corpus, so callers keep it.
+pub fn accounted_bytes(graph: &SearchGraph, keyword: &KeywordIndex) -> u64 {
+    graph.csr().byte_size() as u64 + keyword.postings_byte_estimate()
+}
+
 fn encode_meta(c: &SnapshotComponents<'_>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(c.id);
-    w.u32(c.shards.shard_count() as u32);
     w.u64(c.graph.node_count() as u64);
     w.u64(c.graph.edge_count() as u64);
     w.u64(c.keyword.len() as u64);
     w.u64(c.catalog.relations().len() as u64);
-    w.u64(c.shards.total_bytes());
+    w.u64(c.accounted_bytes);
     w.into_bytes()
 }
 
 #[derive(Debug)]
 struct Meta {
     id: u64,
-    shard_count: usize,
     node_count: usize,
     edge_count: usize,
     doc_count: usize,
@@ -202,7 +204,6 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta, SnapError> {
     let mut r = ByteReader::new(bytes, "meta");
     let meta = Meta {
         id: r.u64()?,
-        shard_count: r.u32()? as usize,
         node_count: r.u64()? as usize,
         edge_count: r.u64()? as usize,
         doc_count: r.u64()? as usize,
@@ -221,26 +222,7 @@ pub fn write_snapshot(
     path: &Path,
     components: &SnapshotComponents<'_>,
 ) -> Result<SnapshotInfo, SnapError> {
-    let shards = components.shards;
-    let graph_shards = shards.graph_shards();
-    let shard_meta = codec::ShardMeta {
-        plan: shards.plan().clone(),
-        shard_of_doc: shards.keyword_partition().shard_of_doc().to_vec(),
-        postings_bytes: shards.keyword_partition().postings_bytes().to_vec(),
-        interior_dims: graph_shards
-            .interior_csrs()
-            .iter()
-            .map(|c| (c.offsets().len(), c.targets().len()))
-            .collect(),
-        interior_edge_counts: graph_shards.interior_edge_counts().to_vec(),
-        boundary_dims: (
-            graph_shards.boundary_csr().offsets().len(),
-            graph_shards.boundary_csr().targets().len(),
-        ),
-        boundary_edge_count: graph_shards.boundary_edge_count(),
-    };
-
-    let mut sections: Vec<(SectionKind, Vec<u8>)> = vec![
+    let sections: [(SectionKind, Vec<u8>); 5] = [
         (SectionKind::Meta, encode_meta(components)),
         (
             SectionKind::Catalog,
@@ -255,18 +237,7 @@ pub fn write_snapshot(
             SectionKind::Keyword,
             codec::encode_keyword(&components.keyword.view()),
         ),
-        (
-            SectionKind::ShardMeta,
-            codec::encode_shard_meta(&shard_meta),
-        ),
     ];
-    for csr in graph_shards.interior_csrs() {
-        sections.push((SectionKind::ShardInterior, codec::encode_csr_raw(csr)));
-    }
-    sections.push((
-        SectionKind::ShardBoundary,
-        codec::encode_csr_raw(graph_shards.boundary_csr()),
-    ));
 
     // Assemble header + table + payloads.
     let mut table = ByteWriter::with_capacity(sections.len() * TABLE_ENTRY_BYTES);
@@ -458,9 +429,6 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotParts, SnapshotInfo), SnapE
     let mut graph_bytes: Option<Vec<u8>> = None;
     let mut csr: Option<q_graph::Csr> = None;
     let mut keyword: Option<KeywordIndex> = None;
-    let mut shard_meta: Option<codec::ShardMeta> = None;
-    let mut interior_bytes: Vec<Vec<u8>> = Vec::new();
-    let mut boundary_bytes: Option<Vec<u8>> = None;
 
     for entry in &entries {
         match entry.kind {
@@ -485,10 +453,7 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotParts, SnapshotInfo), SnapE
                 let context = match kind {
                     SectionKind::Meta => "meta",
                     SectionKind::Graph => "graph",
-                    SectionKind::GraphCsr => "graph csr",
-                    SectionKind::ShardMeta => "shard meta",
-                    SectionKind::ShardInterior => "interior csr",
-                    _ => "boundary csr",
+                    _ => "graph csr",
                 };
                 let mut s = SectionStream::new(&mut file, entry.len, context);
                 let payload = s.take_rest()?;
@@ -502,18 +467,9 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotParts, SnapshotInfo), SnapE
                         no_dup(&graph_bytes)?;
                         graph_bytes = Some(payload);
                     }
-                    SectionKind::GraphCsr => {
+                    _ => {
                         no_dup(&csr)?;
                         csr = Some(codec::decode_graph_csr(&payload)?);
-                    }
-                    SectionKind::ShardMeta => {
-                        no_dup(&shard_meta)?;
-                        shard_meta = Some(codec::decode_shard_meta(&payload)?);
-                    }
-                    SectionKind::ShardInterior => interior_bytes.push(payload),
-                    _ => {
-                        no_dup(&boundary_bytes)?;
-                        boundary_bytes = Some(payload);
                     }
                 }
             }
@@ -523,85 +479,21 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotParts, SnapshotInfo), SnapE
     let meta = require(meta)?;
     let catalog = require(catalog)?;
     let keyword = require(keyword)?;
-    let shard_meta = require(shard_meta)?;
     let graph = codec::decode_graph(&require(graph_bytes)?, require(csr)?)?;
 
-    // Cross-validate the decoded structures against the meta anchor before
-    // assembling anything shard-shaped.
+    // Cross-validate the decoded structures against the meta anchor.
     if graph.node_count() != meta.node_count
         || graph.edge_count() != meta.edge_count
         || keyword.len() != meta.doc_count
         || catalog.relations().len() != meta.relation_count
-        || shard_meta.plan.shards() != meta.shard_count
     {
         return Err(SnapError::Corrupt {
             context: "meta section disagrees with decoded structures",
         });
     }
-    if shard_meta.shard_of_doc.len() != keyword.len() {
+    if accounted_bytes(&graph, &keyword) != meta.accounted_bytes {
         return Err(SnapError::Corrupt {
-            context: "keyword partition does not cover the index",
-        });
-    }
-
-    if interior_bytes.len() != meta.shard_count {
-        return Err(SnapError::Corrupt {
-            context: "interior section count disagrees with shard count",
-        });
-    }
-    let expected_offsets_len = meta.node_count + 1;
-    let mut interior_csrs = Vec::with_capacity(interior_bytes.len());
-    for (payload, dims) in interior_bytes.iter().zip(&shard_meta.interior_dims) {
-        if dims.0 != expected_offsets_len {
-            return Err(SnapError::Corrupt {
-                context: "interior csr not sized for the graph",
-            });
-        }
-        interior_csrs.push(codec::decode_csr_raw(
-            payload,
-            dims.0,
-            dims.1,
-            "interior csr",
-        )?);
-    }
-    let boundary_payload = require(boundary_bytes)?;
-    if shard_meta.boundary_dims.0 != expected_offsets_len {
-        return Err(SnapError::Corrupt {
-            context: "boundary csr not sized for the graph",
-        });
-    }
-    let boundary = codec::decode_csr_raw(
-        &boundary_payload,
-        shard_meta.boundary_dims.0,
-        shard_meta.boundary_dims.1,
-        "boundary csr",
-    )?;
-    let interior_total: usize = shard_meta.interior_edge_counts.iter().sum();
-    if interior_total + shard_meta.boundary_edge_count != meta.edge_count {
-        return Err(SnapError::Corrupt {
-            context: "shard edge counts do not tile the graph",
-        });
-    }
-
-    let graph_shards = GraphShards::from_parts(
-        interior_csrs,
-        boundary,
-        shard_meta.interior_edge_counts,
-        shard_meta.boundary_edge_count,
-    );
-    let keyword_shards =
-        ShardedKeywordIndex::from_parts(shard_meta.shard_of_doc, shard_meta.postings_bytes);
-    let shards = ShardSet::from_parts(
-        &catalog,
-        &graph,
-        &keyword,
-        shard_meta.plan,
-        graph_shards,
-        keyword_shards,
-    );
-    if shards.total_bytes() != meta.accounted_bytes {
-        return Err(SnapError::Corrupt {
-            context: "reconstructed shard bytes disagree with persisted accounting",
+            context: "loaded csr and index disagree with persisted accounting",
         });
     }
 
@@ -619,7 +511,6 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotParts, SnapshotInfo), SnapE
             catalog,
             graph,
             keyword,
-            shards,
         },
         info,
     ))
@@ -628,10 +519,9 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotParts, SnapshotInfo), SnapE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use q_graph::keyword::MatchConfig;
     use q_storage::{RelationSpec, SourceSpec};
 
-    fn components() -> (Catalog, SearchGraph, KeywordIndex, ShardSet) {
+    fn components() -> (Catalog, SearchGraph, KeywordIndex) {
         let mut cat = Catalog::new();
         SourceSpec::new("go")
             .relation(
@@ -658,8 +548,25 @@ mod tests {
         let b = cat.resolve_qualified("interpro2go.go_id").unwrap();
         graph.add_association(a, b, "mad", 0.83);
         let index = KeywordIndex::build(&cat);
-        let shards = ShardSet::build(&cat, &graph, &index, 2);
-        (cat, graph, index, shards)
+        (cat, graph, index)
+    }
+
+    /// Write the [`components`] under snapshot id `id` to `name`.
+    fn write_components(name: &str, id: u64) -> (std::path::PathBuf, SnapshotInfo) {
+        let (cat, graph, index) = components();
+        let path = tmp_path(name);
+        let info = write_snapshot(
+            &path,
+            &SnapshotComponents {
+                id,
+                catalog: &cat,
+                graph: &graph,
+                keyword: &index,
+                accounted_bytes: accounted_bytes(&graph, &index),
+            },
+        )
+        .unwrap();
+        (path, info)
     }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -670,68 +577,44 @@ mod tests {
 
     #[test]
     fn write_read_round_trip_restores_every_component() {
-        let (cat, graph, index, shards) = components();
-        let path = tmp_path("round_trip.qsnap");
-        let written = write_snapshot(
-            &path,
-            &SnapshotComponents {
-                id: 41,
-                catalog: &cat,
-                graph: &graph,
-                keyword: &index,
-                shards: &shards,
-            },
-        )
-        .unwrap();
+        let (cat, graph, index) = components();
+        let (path, written) = write_components("round_trip.qsnap", 41);
         let (parts, read_info) = read_snapshot(&path).unwrap();
         assert_eq!(parts.id, 41);
-        assert_eq!(parts.accounted_bytes, shards.total_bytes());
+        assert_eq!(parts.accounted_bytes, accounted_bytes(&graph, &index));
         assert_eq!(parts.catalog.relations(), cat.relations());
         assert_eq!(parts.graph.edges(), graph.edges());
         assert_eq!(parts.graph.csr().offsets(), graph.csr().offsets());
         assert_eq!(parts.keyword.view(), index.view());
-        assert_eq!(parts.shards.shard_count(), shards.shard_count());
-        assert_eq!(parts.shards.shard_bytes(), shards.shard_bytes());
-        assert_eq!(parts.shards.total_bytes(), shards.total_bytes());
-        assert!(parts
-            .shards
-            .is_fresh(&parts.catalog, &parts.graph, &parts.keyword));
-        assert_eq!(written.sections.len(), read_info.sections.len());
+        assert_eq!(written.sections.len(), 5);
+        assert_eq!(written.sections, read_info.sections);
         assert_eq!(written.payload_bytes, read_info.payload_bytes);
         assert_eq!(
             written.file_bytes,
             fs::metadata(&path).unwrap().len(),
             "info reports the real file size"
         );
-        // Matching through the restored shards is identical.
-        let cfg = MatchConfig::default();
-        for kw in ["membrane", "kinase", "kringle", "name"] {
-            assert_eq!(
-                parts.shards.keyword_matches(&parts.keyword, kw, &cfg),
-                shards.keyword_matches(&index, kw, &cfg),
-            );
-        }
     }
 
     #[test]
-    fn shard_sections_reconcile_with_in_memory_accounting() {
-        let (cat, graph, index, shards) = components();
-        let path = tmp_path("accounting.qsnap");
-        let info = write_snapshot(
+    fn misstated_accounting_is_corrupt() {
+        let (cat, graph, index) = components();
+        let path = tmp_path("misstated.qsnap");
+        write_snapshot(
             &path,
             &SnapshotComponents {
                 id: 1,
                 catalog: &cat,
                 graph: &graph,
                 keyword: &index,
-                shards: &shards,
+                accounted_bytes: accounted_bytes(&graph, &index) + 1,
             },
         )
         .unwrap();
-        let csr_disk_bytes = info.kind_bytes(SectionKind::ShardInterior)
-            + info.kind_bytes(SectionKind::ShardBoundary);
-        let postings: u64 = shards.keyword_partition().postings_bytes().iter().sum();
-        assert_eq!(csr_disk_bytes + postings, shards.total_bytes());
+        assert!(matches!(
+            read_snapshot(&path),
+            Err(SnapError::Corrupt { .. })
+        ));
     }
 
     #[test]
@@ -742,30 +625,20 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_unsupported() {
-        let (cat, graph, index, shards) = components();
-        let path = tmp_path("future.qsnap");
-        write_snapshot(
-            &path,
-            &SnapshotComponents {
-                id: 1,
-                catalog: &cat,
-                graph: &graph,
-                keyword: &index,
-                shards: &shards,
-            },
-        )
-        .unwrap();
+    fn other_versions_are_unsupported() {
+        let (path, _) = write_components("versions.qsnap", 1);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_snapshot(&path),
-            Err(SnapError::UnsupportedVersion {
-                found: 2,
-                supported: FORMAT_VERSION
-            })
-        ));
+        for version in [1u32, 3] {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                read_snapshot(&path),
+                Err(SnapError::UnsupportedVersion {
+                    found,
+                    supported: 2
+                }) if found == version
+            ));
+        }
     }
 
     #[test]
@@ -777,19 +650,7 @@ mod tests {
 
     #[test]
     fn flipped_payload_byte_is_a_checksum_mismatch() {
-        let (cat, graph, index, shards) = components();
-        let path = tmp_path("flip.qsnap");
-        write_snapshot(
-            &path,
-            &SnapshotComponents {
-                id: 1,
-                catalog: &cat,
-                graph: &graph,
-                keyword: &index,
-                shards: &shards,
-            },
-        )
-        .unwrap();
+        let (path, _) = write_components("flip.qsnap", 1);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
@@ -802,19 +663,7 @@ mod tests {
 
     #[test]
     fn truncated_file_is_typed_not_panic() {
-        let (cat, graph, index, shards) = components();
-        let path = tmp_path("trunc.qsnap");
-        write_snapshot(
-            &path,
-            &SnapshotComponents {
-                id: 1,
-                catalog: &cat,
-                graph: &graph,
-                keyword: &index,
-                shards: &shards,
-            },
-        )
-        .unwrap();
+        let (path, _) = write_components("trunc.qsnap", 1);
         let bytes = fs::read(&path).unwrap();
         for keep in [0, 7, 23, 24, 100, bytes.len() - 1] {
             fs::write(&path, &bytes[..keep.min(bytes.len())]).unwrap();

@@ -1,7 +1,7 @@
 //! Persistent snapshot store: a versioned on-disk format for the full
-//! serving state — catalog, search graph, packed CSR adjacency, columnar
-//! keyword index and shard structure — so a server boots by loading flat
-//! arrays instead of re-running matching and finalization.
+//! serving state — catalog, search graph, packed CSR adjacency and columnar
+//! keyword index — so a server boots by loading flat arrays instead of
+//! re-running matching and finalization.
 //!
 //! The format is a small section container (see [`mod@file`] for the layout
 //! diagram): a PNG-style magic, a format version, a checksummed section
@@ -12,10 +12,11 @@
 //! foreign file always surfaces as a typed [`SnapError`] — never a panic,
 //! never a partially-loaded graph.
 //!
-//! The per-shard CSR sections are stored headerless: their payload sizes are
-//! exactly the in-memory [`q_graph::Csr::byte_size`] accounting, which lets
-//! the serving layer's `q_snapshot_bytes` gauge reconcile byte-for-byte with
-//! what is on disk.
+//! The CSR section is the packed arrays behind two length prefixes, so its
+//! payload is exactly the in-memory [`q_graph::Csr::byte_size`] plus 16
+//! bytes; with the keyword postings estimate that makes up
+//! [`accounted_bytes`], which the serving layer's `q_snapshot_bytes` gauge
+//! reports and the meta section cross-checks at load.
 
 pub mod bytes;
 pub mod codec;
@@ -26,7 +27,7 @@ pub mod stream;
 pub use bytes::{checksum64, Checksummer};
 pub use error::SnapError;
 pub use file::{
-    read_snapshot, write_snapshot, SectionKind, SnapshotComponents, SnapshotInfo, SnapshotParts,
-    FORMAT_VERSION, MAGIC,
+    accounted_bytes, read_snapshot, write_snapshot, SectionKind, SnapshotComponents, SnapshotInfo,
+    SnapshotParts, FORMAT_VERSION, MAGIC,
 };
 pub use stream::SectionStream;

@@ -13,11 +13,13 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use q_graph::{KeywordIndex, SearchGraph, ShardSet};
-use q_snap::{read_snapshot, write_snapshot, SnapError, SnapshotComponents, FORMAT_VERSION};
+use q_graph::{KeywordIndex, SearchGraph};
+use q_snap::{
+    accounted_bytes, read_snapshot, write_snapshot, SnapError, SnapshotComponents, FORMAT_VERSION,
+};
 use q_storage::{Catalog, RelationSpec, SourceSpec};
 
-fn build_components() -> (Catalog, SearchGraph, KeywordIndex, ShardSet) {
+fn build_components() -> (Catalog, SearchGraph, KeywordIndex) {
     let mut cat = Catalog::new();
     SourceSpec::new("go")
         .relation(
@@ -43,15 +45,14 @@ fn build_components() -> (Catalog, SearchGraph, KeywordIndex, ShardSet) {
     let b = cat.resolve_qualified("interpro2go.go_id").unwrap();
     graph.add_association(a, b, "mad", 0.83);
     let index = KeywordIndex::build(&cat);
-    let shards = ShardSet::build(&cat, &graph, &index, 2);
-    (cat, graph, index, shards)
+    (cat, graph, index)
 }
 
 /// The pristine snapshot bytes every property mutates a copy of.
 fn pristine() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let (cat, graph, index, shards) = build_components();
+        let (cat, graph, index) = build_components();
         let path = scratch_path("pristine.qsnap");
         write_snapshot(
             &path,
@@ -60,7 +61,7 @@ fn pristine() -> &'static [u8] {
                 catalog: &cat,
                 graph: &graph,
                 keyword: &index,
-                shards: &shards,
+                accounted_bytes: accounted_bytes(&graph, &index),
             },
         )
         .unwrap();
@@ -155,8 +156,8 @@ fn pristine_snapshot_still_loads_after_all_mutation_rounds() {
     fs::write(&path, pristine()).unwrap();
     let (parts, _) = read_snapshot(&path).unwrap();
     assert_eq!(parts.id, 7);
-    let (_, graph, index, shards) = build_components();
+    let (_, graph, index) = build_components();
     assert_eq!(parts.graph.edges(), graph.edges());
     assert_eq!(parts.keyword.view(), index.view());
-    assert_eq!(parts.shards.total_bytes(), shards.total_bytes());
+    assert_eq!(parts.accounted_bytes, accounted_bytes(&graph, &index));
 }

@@ -261,7 +261,6 @@ fn soak_concurrent_http_clients_replay_byte_identical_while_sources_stream_in() 
         "q_revalidation_lane_depth",
         "q_ingest_lag_seconds",
         "q_snapshot_bytes",
-        "q_shard_bytes{shard=\"0\"}",
         "q_boot_ms",
         "q_boot_mode{mode=\"rebuild\"}",
         "q_uptime_seconds",
@@ -270,22 +269,17 @@ fn soak_concurrent_http_clients_replay_byte_identical_while_sources_stream_in() 
     ] {
         metric(&second.body, series); // presence check
     }
-    // Memory accounting: the snapshot gauge is live and the per-shard
-    // gauges sum to it exactly (interior bytes; the shared boundary section
-    // is part of the total but belongs to no single shard).
+    // Memory accounting: after the ingests the snapshot gauge is live and
+    // reports the published snapshot's accounted bytes.
     let snapshot_bytes = metric(&second.body, "q_snapshot_bytes");
     assert!(
         snapshot_bytes > 0.0,
         "published snapshot accounts its bytes"
     );
-    let shard_sum: f64 = (0..)
-        .map(|i| format!("q_shard_bytes{{shard=\"{i}\"}}"))
-        .take_while(|series| second.body.lines().any(|l| l.starts_with(series.as_str())))
-        .map(|series| metric(&second.body, &series))
-        .sum();
-    assert!(
-        shard_sum > 0.0 && shard_sum <= snapshot_bytes,
-        "per-shard bytes ({shard_sum}) stay within the accounted total ({snapshot_bytes})"
+    assert_eq!(
+        snapshot_bytes,
+        server.engine().snapshot().snapshot_bytes() as f64,
+        "the gauge is the published snapshot's accounted bytes"
     );
     let soak_queries = observations.lock().unwrap().len() as f64;
     assert!(

@@ -1,7 +1,6 @@
 //! Persistent-snapshot round-trip equivalence: a [`GraphSnapshot`] saved to
 //! disk and loaded back must serve the full GBCO workload **byte-identically**
-//! to the server it was saved from — across shard counts, across cache
-//! dispositions (misses, hits, post-feedback revalidations), and across the
+//! to the server it was saved from — across cache dispositions (misses, hits, post-feedback revalidations), and across the
 //! publishes that follow the reload. Plus the serving-layer contracts that
 //! ride on the store: the `/metrics` byte gauge reconciles with the
 //! persisted section sizes, the background persistence lane retains the
@@ -39,14 +38,10 @@ fn trial_requests() -> Vec<QueryRequest> {
         .collect()
 }
 
-fn build_server(shards: usize) -> LiveServer {
+fn build_server() -> LiveServer {
     let specs = gbco_source_specs_with_fks(&small());
     let catalog = q_integration::storage::loader::load_catalog(&specs).expect("gbco loads");
-    let config = QConfig {
-        shards,
-        ..QConfig::default()
-    };
-    let mut server = LiveServer::new(catalog, config);
+    let mut server = LiveServer::new(catalog, QConfig::default());
     server.add_matcher(Box::new(MetadataMatcher::new()));
     server
 }
@@ -65,11 +60,11 @@ fn run_workload(server: &LiveServer, requests: &[QueryRequest]) -> Vec<(CacheSta
 
 /// The tentpole invariant: save → load → serve is indistinguishable from
 /// never having restarted, phase by phase.
-fn assert_round_trip_equivalence(shards: usize) {
-    let dir = scratch_dir(&format!("equiv-k{shards}"));
+fn assert_round_trip_equivalence() {
+    let dir = scratch_dir("equiv");
     let requests = trial_requests();
 
-    let original = build_server(shards);
+    let original = build_server();
     // Phase 1/2 on the original: a full pass of misses, then a full pass
     // of hits out of the warmed cache.
     let misses = run_workload(&original, &requests);
@@ -90,9 +85,9 @@ fn assert_round_trip_equivalence(shards: usize) {
     // cold cache misses where the original missed, then hits where the
     // original hit — with the same answer bytes everywhere.
     let restored_misses = run_workload(&restored, &requests);
-    assert_eq!(misses, restored_misses, "k={shards}: cold pass diverged");
+    assert_eq!(misses, restored_misses, "cold pass diverged");
     let restored_hits = run_workload(&restored, &requests);
-    assert_eq!(hits, restored_hits, "k={shards}: warm pass diverged");
+    assert_eq!(hits, restored_hits, "warm pass diverged");
 
     // Phase 3: identical feedback on both servers (demote the top answer
     // of the first answerable trial), then a post-publish pass — cache
@@ -122,19 +117,19 @@ fn assert_round_trip_equivalence(shards: usize) {
     assert_eq!(
         a.snapshot.id(),
         b.snapshot.id(),
-        "k={shards}: feedback publishes diverged"
+        "feedback publishes diverged"
     );
     let after_a = run_workload(&original, &requests);
     let after_b = run_workload(&restored, &requests);
     assert_eq!(
         after_a, after_b,
-        "k={shards}: post-feedback pass diverged (revalidations included)"
+        "post-feedback pass diverged (revalidations included)"
     );
     assert!(
         after_a
             .iter()
             .any(|(c, _)| matches!(c, CacheStatus::Revalidated | CacheStatus::Hit)),
-        "k={shards}: the post-feedback pass exercised cache survival"
+        "the post-feedback pass exercised cache survival"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -142,12 +137,7 @@ fn assert_round_trip_equivalence(shards: usize) {
 
 #[test]
 fn round_trip_serves_the_workload_byte_identically_unsharded() {
-    assert_round_trip_equivalence(1);
-}
-
-#[test]
-fn round_trip_serves_the_workload_byte_identically_across_four_shards() {
-    assert_round_trip_equivalence(4);
+    assert_round_trip_equivalence();
 }
 
 #[test]
@@ -212,7 +202,7 @@ fn metrics_snapshot_bytes_gauge_matches_the_persisted_section_sizes() {
     use q_integration::snap::SectionKind;
 
     let dir = scratch_dir("gauge");
-    let qserve = QServe::start(build_server(2), "127.0.0.1:0", ServeOptions::default())
+    let qserve = QServe::start(build_server(), "127.0.0.1:0", ServeOptions::default())
         .expect("server binds");
     let mut client =
         HttpClient::connect(qserve.addr(), Duration::from_secs(30)).expect("client connects");
@@ -229,20 +219,13 @@ fn metrics_snapshot_bytes_gauge_matches_the_persisted_section_sizes() {
         })
         .expect("q_snapshot_bytes is exposed");
 
-    // The gauge is the snapshot's accounted bytes; the on-disk format
-    // persists exactly those structures, so the shard-CSR section payloads
-    // plus the persisted per-shard postings accounting reconcile with it
-    // byte for byte.
+    // The gauge is the snapshot's accounted bytes: the global CSR, which
+    // the CSR section persists behind its two 8-byte length prefixes, plus
+    // the keyword postings estimate. They reconcile byte for byte.
     let snapshot = qserve.engine().snapshot();
     let info = snapshot.save(&dir.join("gauge.qsnap")).expect("saves");
-    let persisted = info.kind_bytes(SectionKind::ShardInterior)
-        + info.kind_bytes(SectionKind::ShardBoundary)
-        + snapshot
-            .shard_set()
-            .keyword_partition()
-            .postings_bytes()
-            .iter()
-            .sum::<u64>();
+    let persisted = info.kind_bytes(SectionKind::GraphCsr) - 16
+        + snapshot.keyword_index().postings_byte_estimate();
     assert!(gauge > 0, "the gauge is live");
     assert_eq!(gauge, persisted, "gauge and persisted sections reconcile");
 
