@@ -55,5 +55,7 @@ pub use request::{
     CachePolicy, CacheStatus, QueryOutcome, QueryParamsKey, QueryRequest, SearchStrategy,
 };
 pub use revalidate::RevalidationStats;
-pub use snapstore::{latest_snapshot_path, PersistStats, SnapshotPersister};
+pub use snapstore::{
+    latest_snapshot_path, snapshot_paths_newest_first, PersistStats, SnapshotPersister,
+};
 pub use system::{BatchOptions, BatchOutcome, QSystem, RegistrationReport};

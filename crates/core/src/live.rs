@@ -133,7 +133,6 @@ impl GraphSnapshot {
                 catalog: &self.catalog,
                 graph: &self.graph,
                 keyword: &self.keyword_index,
-                accounted_bytes: self.snapshot_bytes,
             },
         )
     }

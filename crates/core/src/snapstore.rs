@@ -14,7 +14,7 @@
 //!
 //! Snapshots are written as `snap-<id>.qsnap` (the id is the snapshot id,
 //! strictly increasing across publishes) and retention keeps the newest `N`
-//! files; [`latest_snapshot_path`] picks the highest id at boot.
+//! files; [`snapshot_paths_newest_first`] gives the boot order.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,19 +43,27 @@ fn parse_snapshot_id(file_name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Path of the newest (highest-id) snapshot file in `dir`, if any. Foreign
-/// files are ignored; a missing directory is simply "no snapshot".
-pub fn latest_snapshot_path(dir: &Path) -> Option<PathBuf> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    entries
+/// Snapshot files in `dir`, newest (highest id) first. Foreign files are
+/// ignored; a missing directory is simply "no snapshots".
+pub fn snapshot_paths_newest_first(dir: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut snapshots: Vec<(u64, PathBuf)> = entries
         .flatten()
         .filter_map(|e| {
             let name = e.file_name();
             let id = parse_snapshot_id(name.to_str()?)?;
             Some((id, e.path()))
         })
-        .max_by_key(|(id, _)| *id)
-        .map(|(_, path)| path)
+        .collect();
+    snapshots.sort_unstable_by_key(|(id, _)| std::cmp::Reverse(*id));
+    snapshots.into_iter().map(|(_, path)| path).collect()
+}
+
+/// Path of the newest (highest-id) snapshot file in `dir`, if any.
+pub fn latest_snapshot_path(dir: &Path) -> Option<PathBuf> {
+    snapshot_paths_newest_first(dir).into_iter().next()
 }
 
 /// Point-in-time counters of a [`SnapshotPersister`].
@@ -226,19 +234,7 @@ fn worker_loop(shared: Arc<Shared>, dir: PathBuf, keep_last: usize) {
 /// Remove all but the newest `keep_last` snapshot files. Best effort:
 /// retention failures never take the lane down.
 fn prune(dir: &Path, keep_last: usize) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut snapshots: Vec<(u64, PathBuf)> = entries
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name();
-            let id = parse_snapshot_id(name.to_str()?)?;
-            Some((id, e.path()))
-        })
-        .collect();
-    snapshots.sort_unstable_by_key(|(id, _)| std::cmp::Reverse(*id));
-    for (_, path) in snapshots.into_iter().skip(keep_last) {
+    for path in snapshot_paths_newest_first(dir).into_iter().skip(keep_last) {
         let _ = std::fs::remove_file(path);
     }
 }

@@ -14,12 +14,13 @@
 //! to discover an ephemeral (`:0`) port.
 //!
 //! `--snapshot-dir DIR` turns on the persistent snapshot store: at boot
-//! the newest `snap-<id>.qsnap` in DIR is loaded and served directly
-//! (skipping graph construction entirely); if the directory is empty or
-//! the file fails validation, the server logs why and falls back to a
-//! full rebuild — a corrupt snapshot never takes the server down. A file
-//! that fails validation is renamed aside to `snap-<id>.qsnap.rejected`,
-//! out of reach of the next boot and of pruning. Every published snapshot
+//! the `snap-<id>.qsnap` files in DIR are tried newest first and the first
+//! that passes validation is served directly (skipping graph construction
+//! entirely); if the directory is empty or no file loads, the server logs
+//! why and falls back to a full rebuild — a corrupt snapshot never takes
+//! the server down. Each file that fails validation is renamed aside to
+//! `snap-<id>.qsnap.rejected`, out of reach of the next boot and of
+//! pruning. Every published snapshot
 //! is then written back to DIR by a background lane, keeping the newest
 //! `--snapshot-keep` files (default 2).
 
@@ -27,7 +28,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use q_core::{latest_snapshot_path, GraphSnapshot, LiveServer, QConfig};
+use q_core::{snapshot_paths_newest_first, GraphSnapshot, LiveServer, QConfig};
 use q_datasets::{gbco_source_specs_with_fks, GbcoConfig};
 use q_matchers::MetadataMatcher;
 use q_serve::{BootMode, BootStats, QServe, ServeOptions};
@@ -100,42 +101,44 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Try the snapshot boot path: newest file in `dir`, validated load,
-/// serve-as-is. Any failure is reported and answered with `None` — the
-/// caller rebuilds; a missing or corrupt snapshot must never take the
-/// server down.
+/// Try the snapshot boot path: the snapshot files in `dir`, newest first,
+/// each validated on load; the first that loads is served as-is. Every
+/// failure is reported; `None` when no file loads — the caller rebuilds,
+/// since a missing or corrupt snapshot must never take the server down.
 ///
 /// A file that fails validation is renamed aside. Left in place it would
-/// keep the highest id after the rebuild (whose ids start low again), so
-/// every later boot would pick it and rebuild, and pruning would delete the
-/// valid files instead of it.
+/// keep its id above the rebuild's (whose ids start low again), so every
+/// later boot would try it first, and pruning would delete the valid
+/// files instead of it.
 fn boot_from_snapshot(dir: &std::path::Path) -> Option<LiveServer> {
-    let path = latest_snapshot_path(dir)?;
-    match GraphSnapshot::load(&path) {
-        Ok((snapshot, info)) => {
-            println!(
-                "q-serve booting from snapshot {} ({} bytes, id {})",
-                path.display(),
-                info.file_bytes,
-                snapshot.id(),
-            );
-            Some(LiveServer::from_snapshot(snapshot, QConfig::default()))
-        }
-        Err(err) => {
-            eprintln!(
-                "snapshot {} failed validation ({err}); falling back to a full rebuild",
-                path.display()
-            );
-            let mut rejected = path.clone().into_os_string();
-            rejected.push(".rejected");
-            let rejected = PathBuf::from(rejected);
-            match std::fs::rename(&path, &rejected) {
-                Ok(()) => eprintln!("renamed the rejected snapshot to {}", rejected.display()),
-                Err(err) => eprintln!("could not rename {} aside ({err})", path.display()),
+    for path in snapshot_paths_newest_first(dir) {
+        match GraphSnapshot::load(&path) {
+            Ok((snapshot, info)) => {
+                println!(
+                    "q-serve booting from snapshot {} ({} bytes, id {})",
+                    path.display(),
+                    info.file_bytes,
+                    snapshot.id(),
+                );
+                return Some(LiveServer::from_snapshot(snapshot, QConfig::default()));
             }
-            None
+            Err(err) => {
+                eprintln!("snapshot {} failed validation ({err})", path.display());
+                let mut rejected = path.clone().into_os_string();
+                rejected.push(".rejected");
+                let rejected = PathBuf::from(rejected);
+                match std::fs::rename(&path, &rejected) {
+                    Ok(()) => eprintln!("renamed the rejected snapshot to {}", rejected.display()),
+                    Err(err) => eprintln!("could not rename {} aside ({err})", path.display()),
+                }
+            }
         }
     }
+    eprintln!(
+        "no snapshot in {} loads; falling back to a full rebuild",
+        dir.display()
+    );
+    None
 }
 
 fn main() -> ExitCode {

@@ -202,6 +202,9 @@ fn boot_and_query(dir: &Path, snapshots: &Path) -> (Json, Json, String) {
     )
 }
 
+/// Ids of the planted version-1 files, above any id a rebuild reaches.
+const V1_IDS: [u64; 2] = [1_000_000, 2_000_000];
+
 #[test]
 fn a_rejected_snapshot_is_set_aside_and_the_rebuild_is_restored() {
     let dir = scratch_dir("rejected");
@@ -214,12 +217,15 @@ fn a_rejected_snapshot_is_set_aside_and_the_rebuild_is_restored() {
         .map(|e| e.path())
         .find(|p| p.extension().is_some_and(|x| x == "qsnap"))
         .expect("a .qsnap file");
-    // The same bytes under format version 1, at an id no rebuild reaches.
+    // The same bytes under format version 1, at two ids no rebuild reaches:
+    // a directory kept at the default `--snapshot-keep 2` holds two files.
     let mut bytes = std::fs::read(written).expect("snapshot readable");
     bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
     let snapshots = dir.join("snapshots");
     std::fs::create_dir_all(&snapshots).expect("snapshot dir");
-    std::fs::write(snapshots.join("snap-1000000.qsnap"), bytes).expect("planted");
+    for id in V1_IDS {
+        std::fs::write(snapshots.join(format!("snap-{id}.qsnap")), &bytes).expect("planted");
+    }
 
     let (first_mode, _, first_result) = boot_and_query(&dir, &snapshots);
     let (second_mode, _, second_result) = boot_and_query(&dir, &snapshots);
@@ -230,7 +236,9 @@ fn a_rejected_snapshot_is_set_aside_and_the_rebuild_is_restored() {
         "the second boot picked the rejected file again"
     );
     assert_eq!(first_result, second_result, "restored answer diverged");
-    assert!(snapshots.join("snap-1000000.qsnap.rejected").exists());
+    for id in V1_IDS {
+        assert!(snapshots.join(format!("snap-{id}.qsnap.rejected")).exists());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -126,9 +126,6 @@ pub struct SnapshotComponents<'a> {
     pub graph: &'a SearchGraph,
     /// The keyword index.
     pub keyword: &'a KeywordIndex,
-    /// [`accounted_bytes`] of `graph` and `keyword`, computed once by the
-    /// snapshot that owns them.
-    pub accounted_bytes: u64,
 }
 
 /// Owned output of [`read_snapshot`]: every component reconstructed, ready
@@ -174,7 +171,8 @@ impl SnapshotInfo {
 /// global CSR's [`byte_size`](q_graph::Csr::byte_size) plus the keyword
 /// index's [`postings_byte_estimate`](KeywordIndex::postings_byte_estimate).
 /// The one definition behind the meta section's cross-check and the
-/// `q_snapshot_bytes` gauge; linear in the corpus, so callers keep it.
+/// `q_snapshot_bytes` gauge; linear in the corpus, so a serving snapshot
+/// computes it once and keeps it.
 pub fn accounted_bytes(graph: &SearchGraph, keyword: &KeywordIndex) -> u64 {
     graph.csr().byte_size() as u64 + keyword.postings_byte_estimate()
 }
@@ -186,7 +184,7 @@ fn encode_meta(c: &SnapshotComponents<'_>) -> Vec<u8> {
     w.u64(c.graph.edge_count() as u64);
     w.u64(c.keyword.len() as u64);
     w.u64(c.catalog.relations().len() as u64);
-    w.u64(c.accounted_bytes);
+    w.u64(accounted_bytes(c.graph, c.keyword));
     w.into_bytes()
 }
 
@@ -562,7 +560,6 @@ mod tests {
                 catalog: &cat,
                 graph: &graph,
                 keyword: &index,
-                accounted_bytes: accounted_bytes(&graph, &index),
             },
         )
         .unwrap();
@@ -598,22 +595,25 @@ mod tests {
 
     #[test]
     fn misstated_accounting_is_corrupt() {
-        let (cat, graph, index) = components();
-        let path = tmp_path("misstated.qsnap");
-        write_snapshot(
-            &path,
-            &SnapshotComponents {
-                id: 1,
-                catalog: &cat,
-                graph: &graph,
-                keyword: &index,
-                accounted_bytes: accounted_bytes(&graph, &index) + 1,
-            },
-        )
-        .unwrap();
+        let (path, _) = write_components("misstated.qsnap", 1);
+        let mut bytes = fs::read(&path).unwrap();
+        // The meta section is the first payload; its last u64 is the
+        // accounted bytes. Bump it, then re-seal the section and table
+        // checksums so only the load-time cross-check can catch it.
+        let meta = HEADER_BYTES + 5 * TABLE_ENTRY_BYTES;
+        let meta_len = 6 * 8;
+        let field = meta + meta_len - 8;
+        let stated = u64::from_le_bytes(bytes[field..field + 8].try_into().unwrap());
+        bytes[field..field + 8].copy_from_slice(&(stated + 1).to_le_bytes());
+        let section_sum = checksum64(&bytes[meta..meta + meta_len]);
+        bytes[HEADER_BYTES + 24..HEADER_BYTES + 32].copy_from_slice(&section_sum.to_le_bytes());
+        let table_sum = checksum64(&bytes[HEADER_BYTES..meta]);
+        bytes[16..24].copy_from_slice(&table_sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             read_snapshot(&path),
-            Err(SnapError::Corrupt { .. })
+            Err(SnapError::Corrupt { context })
+                if context == "loaded csr and index disagree with persisted accounting"
         ));
     }
 

@@ -61,7 +61,6 @@ fn pristine() -> &'static [u8] {
                 catalog: &cat,
                 graph: &graph,
                 keyword: &index,
-                accounted_bytes: accounted_bytes(&graph, &index),
             },
         )
         .unwrap();

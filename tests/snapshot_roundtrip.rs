@@ -1,11 +1,12 @@
 //! Persistent-snapshot round-trip equivalence: a [`GraphSnapshot`] saved to
 //! disk and loaded back must serve the full GBCO workload **byte-identically**
-//! to the server it was saved from — across cache dispositions (misses, hits, post-feedback revalidations), and across the
-//! publishes that follow the reload. Plus the serving-layer contracts that
-//! ride on the store: the `/metrics` byte gauge reconciles with the
-//! persisted section sizes, the background persistence lane retains the
-//! newest files only, and a corrupt newest snapshot is rejected with a
-//! typed error (the `q-serve` fallback path).
+//! to the server it was saved from — across cache dispositions (misses,
+//! hits, post-feedback revalidations), and across the publishes that follow
+//! the reload. Plus the serving-layer contracts that ride on the store: the
+//! `/metrics` byte gauge reconciles with the persisted section sizes, the
+//! background persistence lane retains the newest files only, and a corrupt
+//! newest snapshot is rejected with a typed error (the `q-serve` fallback
+//! path).
 
 use std::path::PathBuf;
 
