@@ -26,6 +26,16 @@
 //! list: a repeated raw union is dropped before the MST/leaf-strip pruning
 //! even runs, and distinct unions that prune to the same tree are caught by
 //! a second fingerprint afterwards.
+//!
+//! Most roots never get that far. A root `r` that is not a terminal, whose
+//! parent edge is the same edge `e = (r, p)` in every terminal's tree, has
+//! the union `{e} ∪ U(p)` with `r` a leaf hanging off `e`: its pruned tree is
+//! `p`'s. When `p` comes earlier in root order (a dense position array in the
+//! scratch, not a cost comparison — zero-cost edges tie on Σ dist), that tree
+//! is already recorded, so `r` is counted as a duplicate without walking its
+//! paths (the *known-root skip*; DESIGN.md gives the proof). The prune itself
+//! runs on reused scratch: each candidate edge is priced once for Kruskal,
+//! and non-terminal leaves are stripped with a degree queue.
 
 use std::collections::HashSet;
 
@@ -148,9 +158,12 @@ pub struct SteinerStats {
     /// Candidate roots expanded (nodes reachable from every terminal, after
     /// the `max_roots` cutoff).
     pub roots_considered: usize,
-    /// Candidate trees generated before edge-set deduplication.
+    /// Candidate trees generated before edge-set deduplication: one per
+    /// root considered, including the roots the known-root skip never walks.
     pub candidates_generated: usize,
-    /// Candidates discarded as duplicates of an earlier tree's edge set.
+    /// Candidates discarded as duplicates of an earlier tree's edge set,
+    /// including every root the known-root skip passes over (its tree is its
+    /// parent's, recorded earlier).
     pub duplicates_pruned: usize,
     /// Distinct trees dropped for exceeding [`SteinerConfig::max_cost`].
     pub trees_over_budget: usize,
@@ -230,11 +243,12 @@ impl ShortestPaths {
 }
 
 /// Reusable scratch buffers for [`approx_top_k`]: the per-terminal
-/// shortest-path arrays, the indexed Dijkstra frontier, the per-root
-/// candidate edge list and the two fingerprint dedup sets. One instance
-/// serves any number of searches over graphs of any size (buffers grow to
-/// the largest graph seen and are then reused) — batch workers keep one per
-/// thread via [`approx_top_k_with`].
+/// shortest-path arrays, the indexed Dijkstra frontier, the candidate roots
+/// and their positions, the per-root candidate edge list, the prune buffers
+/// and the two fingerprint dedup sets. One instance serves any number of
+/// searches over graphs of any size (buffers grow to the largest graph seen
+/// and are then reused) — batch workers keep one per thread via
+/// [`approx_top_k_with`].
 #[derive(Debug, Clone, Default)]
 pub struct SteinerScratch {
     paths: Vec<ShortestPaths>,
@@ -243,9 +257,47 @@ pub struct SteinerScratch {
     /// drives its per-terminal searches on `heap_pool[i - 1]` while worker 0
     /// keeps using `heap`. Grown on demand, reused across queries.
     heap_pool: Vec<IndexedHeap>,
+    /// Candidate roots of the current search with their Σ dist, in root
+    /// order.
+    roots: Vec<(NodeId, f64)>,
+    /// `node → position in roots`, [`UNSET`] for every other node.
+    /// A search sets the entries of its roots and resets exactly those.
+    root_position: Vec<u32>,
     candidate_edges: Vec<EdgeId>,
+    prune: PruneScratch,
     seen_raw: HashSet<u128>,
     seen_trees: HashSet<u128>,
+}
+
+/// The empty slot of the dense `node → index` arrays in the scratch: a node
+/// that is not a candidate root, or that the candidate being pruned does not
+/// touch.
+const UNSET: u32 = u32::MAX;
+
+/// Buffers of [`prune_to_tree`], reused across every candidate.
+#[derive(Debug, Clone, Default)]
+struct PruneScratch {
+    /// `node → local index` of the nodes the candidate touches, [`UNSET`]
+    /// elsewhere; reset entry by entry from `touched` after every prune.
+    local: Vec<u32>,
+    /// `local index → node`.
+    touched: Vec<NodeId>,
+    /// Candidate edges as `(cost, edge, local a, local b)`, in Kruskal order.
+    by_cost: Vec<(f64, EdgeId, u32, u32)>,
+    /// Union-find parents over local indices.
+    uf: Vec<u32>,
+    /// Spanning-forest edges as `(edge, local a, local b)`.
+    mst: Vec<(EdgeId, u32, u32)>,
+    /// Per local node: its degree in the forest still standing, and the XOR
+    /// of the indices (into `mst`) of its standing edges — for a leaf, its
+    /// one edge.
+    degree: Vec<u32>,
+    edge_xor: Vec<u32>,
+    is_terminal: Vec<bool>,
+    /// Non-terminal leaves waiting to be stripped.
+    leaves: Vec<u32>,
+    /// The pruned tree's edges, sorted.
+    kept: Vec<EdgeId>,
 }
 
 /// 128-bit fingerprint of a sorted edge list (two independent FNV-1a lanes).
@@ -417,10 +469,20 @@ fn rank_candidate_trees<G: GraphView>(
     scratch: &mut SteinerScratch,
     mut stats: SteinerStats,
 ) -> (Vec<SteinerTree>, SteinerStats) {
-    let per_terminal = &scratch.paths[..terminals.len()];
+    let SteinerScratch {
+        paths,
+        roots,
+        root_position,
+        candidate_edges: edges,
+        prune,
+        seen_raw,
+        seen_trees,
+        ..
+    } = scratch;
+    let per_terminal = &paths[..terminals.len()];
 
     // Candidate roots: nodes reachable from every terminal.
-    let mut roots: Vec<(NodeId, f64)> = Vec::new();
+    roots.clear();
     'outer: for n in 0..graph.node_count() {
         let mut total = 0.0;
         for paths in per_terminal {
@@ -438,12 +500,22 @@ fn rank_candidate_trees<G: GraphView>(
     }
 
     stats.roots_considered = roots.len();
+    if root_position.len() < graph.node_count() {
+        root_position.resize(graph.node_count(), UNSET);
+    }
+    for (i, (root, _)) in roots.iter().enumerate() {
+        root_position[root.index()] = i as u32;
+    }
 
-    scratch.seen_raw.clear();
-    scratch.seen_trees.clear();
+    seen_raw.clear();
+    seen_trees.clear();
     let mut trees: Vec<SteinerTree> = Vec::new();
-    for (root, _) in roots {
-        let edges = &mut scratch.candidate_edges;
+    for (i, &(root, _)) in roots.iter().enumerate() {
+        stats.candidates_generated += 1;
+        if parent_tree_is_known(per_terminal, root_position, root, i) {
+            stats.duplicates_pruned += 1;
+            continue;
+        }
         edges.clear();
         for paths in per_terminal {
             // Walk from the root back towards the terminal.
@@ -455,21 +527,23 @@ fn rank_candidate_trees<G: GraphView>(
         }
         edges.sort_unstable();
         edges.dedup();
-        stats.candidates_generated += 1;
         // Roots whose path union was already produced yield the same pruned
         // tree (pruning is a pure function of the edge set): drop them
         // before paying for the MST + leaf-strip.
-        if !scratch.seen_raw.insert(edge_fingerprint(edges)) {
+        if !seen_raw.insert(edge_fingerprint(edges)) {
             stats.duplicates_pruned += 1;
             continue;
         }
-        let pruned = prune_to_tree(graph, edges, terminals);
+        let pruned = prune_to_tree(graph, edges, terminals, prune);
         // Distinct unions can still prune to the same tree.
-        if !scratch.seen_trees.insert(edge_fingerprint(&pruned)) {
+        if !seen_trees.insert(edge_fingerprint(pruned)) {
             stats.duplicates_pruned += 1;
             continue;
         }
-        trees.push(SteinerTree::from_edges(graph, pruned, terminals));
+        trees.push(SteinerTree::from_edges(graph, pruned.to_vec(), terminals));
+    }
+    for (root, _) in roots.iter() {
+        root_position[root.index()] = UNSET;
     }
     trees.sort_by(|a, b| a.cost.total_cmp(&b.cost));
     if config.max_cost.is_finite() {
@@ -482,37 +556,84 @@ fn rank_candidate_trees<G: GraphView>(
     (trees, stats)
 }
 
+/// The known-root skip: true when `root` (at position `at` in root order)
+/// has the same parent edge `e = (root, p)` in every terminal's tree and `p`
+/// comes earlier in root order. Then `root` is a non-terminal leaf hanging
+/// off the bridge `e` of its union `{e} ∪ U(p)`, Kruskal keeps `e` and
+/// makes `U(p)`'s choices everywhere else, and the leaf strip removes `e`
+/// again: its pruned tree is `p`'s, recorded when `p` was ranked. A terminal
+/// root has no parent edge in its own tree, so it never qualifies.
+#[inline]
+fn parent_tree_is_known(
+    per_terminal: &[ShortestPaths],
+    root_position: &[u32],
+    root: NodeId,
+    at: usize,
+) -> bool {
+    let edge = per_terminal[0].parent_edge(root.index());
+    edge != NO_PARENT
+        && per_terminal[1..]
+            .iter()
+            .all(|paths| paths.parent_edge(root.index()) == edge)
+        && (root_position[per_terminal[0].parent_node(root.index()).index()] as usize) < at
+}
+
 /// Prune a candidate edge set (sorted, deduplicated) down to a tree that
 /// still connects the terminals: build a minimum spanning forest of the
-/// subgraph, then repeatedly strip non-terminal leaves. Returns a sorted
-/// edge list. Works over node ids compacted to the candidate subgraph, so
-/// the union-find and degree arrays are small dense vectors.
-fn prune_to_tree<G: GraphView>(graph: &G, edges: &[EdgeId], terminals: &[NodeId]) -> Vec<EdgeId> {
+/// subgraph (Kruskal in `(cost, edge id)` order, each edge priced once),
+/// then strip non-terminal leaves with a degree queue until none is left.
+/// Returns the kept edges, sorted, in `scratch`. Works over node ids
+/// compacted to the candidate subgraph, so the union-find and degree arrays
+/// are small dense vectors, and allocates nothing once the buffers have
+/// grown.
+fn prune_to_tree<'s, G: GraphView>(
+    graph: &G,
+    edges: &[EdgeId],
+    terminals: &[NodeId],
+    scratch: &'s mut PruneScratch,
+) -> &'s [EdgeId] {
+    let PruneScratch {
+        local,
+        touched,
+        by_cost,
+        uf,
+        mst,
+        degree,
+        edge_xor,
+        is_terminal,
+        leaves,
+        kept,
+    } = scratch;
+    kept.clear();
     if edges.is_empty() {
-        return Vec::new();
+        return kept;
     }
-    // Compact the touched nodes to local indices.
-    let mut local_nodes: Vec<NodeId> = Vec::with_capacity(edges.len() * 2);
-    for e in edges {
-        let (a, b) = graph.edge_endpoints(*e);
-        local_nodes.push(a);
-        local_nodes.push(b);
+    if local.len() < graph.node_count() {
+        local.resize(graph.node_count(), UNSET);
     }
-    local_nodes.sort();
-    local_nodes.dedup();
-    let local = |n: NodeId| local_nodes.binary_search(&n).expect("touched node");
+    // Compact the touched nodes to local indices, pricing each edge once.
+    touched.clear();
+    let mut local_of = |n: NodeId| {
+        let slot = &mut local[n.index()];
+        if *slot == UNSET {
+            *slot = touched.len() as u32;
+            touched.push(n);
+        }
+        *slot
+    };
+    by_cost.clear();
+    for &e in edges {
+        let (a, b) = graph.edge_endpoints(e);
+        by_cost.push((graph.edge_cost(e), e, local_of(a), local_of(b)));
+    }
+    let nodes = touched.len();
 
     // Kruskal MST over the candidate edges (connects everything the
     // candidate set connects, with minimum cost, and removes cycles). Cost
     // ties break by edge id so the result is independent of input order.
-    let mut by_cost: Vec<EdgeId> = edges.to_vec();
-    by_cost.sort_by(|a, b| {
-        graph
-            .edge_cost(*a)
-            .total_cmp(&graph.edge_cost(*b))
-            .then(a.cmp(b))
-    });
-    let mut uf: Vec<u32> = (0..local_nodes.len() as u32).collect();
+    by_cost.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+    uf.clear();
+    uf.extend(0..nodes as u32);
     fn find(uf: &mut [u32], x: u32) -> u32 {
         let mut root = x;
         while uf[root as usize] != root {
@@ -527,57 +648,65 @@ fn prune_to_tree<G: GraphView>(graph: &G, edges: &[EdgeId], terminals: &[NodeId]
         }
         root
     }
-    let mut mst: Vec<EdgeId> = Vec::with_capacity(local_nodes.len());
-    for e in by_cost {
-        let (a, b) = graph.edge_endpoints(e);
-        let ra = find(&mut uf, local(a) as u32);
-        let rb = find(&mut uf, local(b) as u32);
+    mst.clear();
+    for &(_, e, a, b) in by_cost.iter() {
+        let (ra, rb) = (find(uf, a), find(uf, b));
         if ra != rb {
             uf[ra as usize] = rb;
-            mst.push(e);
+            mst.push((e, a, b));
         }
     }
 
-    // Strip non-terminal leaves until fixpoint.
-    let mut is_terminal = vec![false; local_nodes.len()];
+    // Strip non-terminal leaves until fixpoint. The fixpoint of a forest is
+    // unique (the edges on paths between terminals), so stripping one leaf
+    // at a time from a queue reaches the same tree as stripping in rounds.
+    degree.clear();
+    degree.resize(nodes, 0);
+    edge_xor.clear();
+    edge_xor.resize(nodes, 0);
+    for (i, &(_, a, b)) in mst.iter().enumerate() {
+        for v in [a, b] {
+            degree[v as usize] += 1;
+            edge_xor[v as usize] ^= i as u32;
+        }
+    }
+    is_terminal.clear();
+    is_terminal.resize(nodes, false);
     for t in terminals {
-        if let Ok(i) = local_nodes.binary_search(t) {
-            is_terminal[i] = true;
+        let i = local[t.index()];
+        if i != UNSET {
+            is_terminal[i as usize] = true;
         }
     }
-    let mut alive = vec![true; mst.len()];
-    let mut degree = vec![0u32; local_nodes.len()];
-    loop {
-        degree.iter_mut().for_each(|d| *d = 0);
-        for (i, e) in mst.iter().enumerate() {
-            if alive[i] {
-                let (a, b) = graph.edge_endpoints(*e);
-                degree[local(a)] += 1;
-                degree[local(b)] += 1;
-            }
+    for &n in touched.iter() {
+        local[n.index()] = UNSET;
+    }
+    leaves.clear();
+    leaves
+        .extend((0..nodes as u32).filter(|&v| degree[v as usize] == 1 && !is_terminal[v as usize]));
+    while let Some(v) = leaves.pop() {
+        if degree[v as usize] != 1 {
+            // Its last edge went when the other end was stripped.
+            continue;
         }
-        let mut removed_any = false;
-        for (i, e) in mst.iter().enumerate() {
-            if !alive[i] {
-                continue;
+        let i = edge_xor[v as usize];
+        let (_, a, b) = mst[i as usize];
+        for u in [a, b] {
+            degree[u as usize] -= 1;
+            edge_xor[u as usize] ^= i;
+            if u != v && degree[u as usize] == 1 && !is_terminal[u as usize] {
+                leaves.push(u);
             }
-            let (a, b) = graph.edge_endpoints(*e);
-            let (la, lb) = (local(a), local(b));
-            if (degree[la] == 1 && !is_terminal[la]) || (degree[lb] == 1 && !is_terminal[lb]) {
-                alive[i] = false;
-                removed_any = true;
-            }
-        }
-        if !removed_any {
-            break;
         }
     }
-    let mut kept: Vec<EdgeId> = mst
-        .into_iter()
-        .zip(alive)
-        .filter_map(|(e, keep)| keep.then_some(e))
-        .collect();
-    kept.sort();
+    // A stripped edge left its leaf at degree 0 for good; a standing edge
+    // has both ends at degree 1 or more.
+    kept.extend(
+        mst.iter()
+            .filter(|&&(_, a, b)| degree[a as usize] > 0 && degree[b as usize] > 0)
+            .map(|&(e, _, _)| e),
+    );
+    kept.sort_unstable();
     kept
 }
 
