@@ -28,7 +28,6 @@
 use q_matchers::SchemaMatcher;
 use q_storage::{Catalog, SourceSpec};
 
-use crate::cache::DEFAULT_CACHE_CAPACITY;
 use crate::config::QConfig;
 use crate::error::QError;
 use crate::system::QSystem;
@@ -39,7 +38,6 @@ pub struct QSystemBuilder {
     config: QConfig,
     matchers: Vec<Box<dyn SchemaMatcher + Send + Sync>>,
     sources: Vec<SourceSpec>,
-    cache_capacity: usize,
 }
 
 impl Default for QSystemBuilder {
@@ -49,7 +47,6 @@ impl Default for QSystemBuilder {
             config: QConfig::default(),
             matchers: Vec::new(),
             sources: Vec::new(),
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
         }
     }
 }
@@ -93,12 +90,6 @@ impl QSystemBuilder {
         self
     }
 
-    /// Bound the answer cache at `capacity` views (clamped to at least 1).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
     /// Validate the configuration, load any pending sources, and construct
     /// the system (search graph, keyword index and value index are built
     /// here, exactly as `QSystem::new` does).
@@ -108,7 +99,6 @@ impl QSystemBuilder {
             config,
             matchers,
             sources,
-            cache_capacity,
         } = self;
 
         if config.top_k == 0 {
@@ -154,7 +144,6 @@ impl QSystemBuilder {
         }
 
         let mut system = QSystem::new(catalog, config);
-        system.set_cache_capacity(cache_capacity);
         for matcher in matchers {
             system.add_matcher(matcher);
         }
@@ -182,10 +171,8 @@ mod tests {
             .source(go_spec())
             .matcher(Box::new(MetadataMatcher::new()))
             .matcher(Box::new(MadMatcher::new()))
-            .cache_capacity(8)
             .build()
             .expect("valid configuration builds");
-        assert_eq!(q.query_cache().capacity(), 8);
         let view_id = q.create_view(&["plasma membrane", "acc"]).unwrap();
         assert!(!q.view(view_id).unwrap().answers.is_empty());
     }
@@ -199,11 +186,9 @@ mod tests {
         assert_eq!(built.graph().node_count(), manual.graph().node_count());
         assert_eq!(built.graph().edge_count(), manual.graph().edge_count());
         let request = crate::QueryRequest::new(["plasma membrane"]);
-        let mut built = built;
-        let mut manual = manual;
         assert_eq!(
-            &*built.query(&request).unwrap().view,
-            &*manual.query(&request).unwrap().view
+            built.answer(&request).unwrap(),
+            manual.answer(&request).unwrap()
         );
     }
 

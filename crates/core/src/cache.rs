@@ -15,22 +15,13 @@
 //! Every moved epoch reaches the cache through one call,
 //! [`QueryCache::sync`], with what changed passed as data ([`Publish`]).
 //! The publish-level facts are computed at most once per publish; then
-//! each entry gets one verdict. **Keep**: it stays cached with its stamp and FIFO position,
-//! and hits report [`CacheStatus::Revalidated`](crate::CacheStatus).
-//! **Reprice**: kept, with its view re-priced in place. **Park**: it
-//! leaves the cache (lookups miss) and is returned in
-//! [`SyncReport::parked`] for the [re-validation lane](crate::revalidate).
-//! **Drop**: it leaves the cache; the next lookup recomputes.
+//! each entry gets one verdict. **Keep**: it stays cached with its stamp
+//! and FIFO position, and hits report
+//! [`CacheStatus::Revalidated`](crate::CacheStatus). **Park**: it leaves
+//! the cache (lookups miss) and is returned in [`SyncReport::parked`] for
+//! the [re-validation lane](crate::revalidate). **Drop**: it leaves the
+//! cache; the next lookup recomputes.
 //!
-//! * [`Publish::Epoch`] (`QSystem`). Topology growth drops everything: new
-//!   join paths can create answers no re-costing of old trees predicts. A
-//!   same-topology bump is a re-pricing (a weight update, or a matcher
-//!   opinion merged into an existing edge's features), so every entry is
-//!   re-costed in O(edges) from its [`RevalidationModel`], with no search
-//!   run. An entry whose ranked order holds within the request's budget is
-//!   kept (when every cost is bit-identical) or repriced; a disturbed
-//!   ranking drops it, because a re-ranked view may differ from a fresh
-//!   search.
 //! * [`Publish::Reprice`] (live feedback, a live merged opinion). A live
 //!   hit must be byte-identical to the snapshot it names, so nothing is
 //!   re-priced in place: an entry whose costs are all bit-identical under
@@ -38,6 +29,8 @@
 //! * [`Publish::Growth`] (a live ingest, a new association edge). Keep,
 //!   park or drop by per-entry reachability pricing; see
 //!   [`QueryCache::sync`].
+//! * Lane admission ([`QueryCache::insert`] with `revalidated` set): the
+//!   re-validation lane re-admits a parked entry it settled.
 //!
 //! # What "kept" means
 //!
@@ -49,14 +42,6 @@
 //! no tree the publish enabled displaces the ranked list; the costs
 //! echoed stay those of the stamped snapshot, which is why the stamp must
 //! not advance.
-//!
-//! Re-costing is a *ranking-preserving* heuristic, not a proof: a
-//! re-pricing could in principle promote a join tree the cached search
-//! never generated. The trade is deliberate — MIRA's margin updates are
-//! local, the workloads replay the same views over and over, and a dropped
-//! entry only costs one recomputation — and it is pinned by the
-//! `revalidation` integration tests, which compare revalidated entries
-//! against fresh recomputes after real feedback.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -88,7 +73,7 @@ pub fn normalize_keywords(keywords: &[&str]) -> Vec<String> {
 /// [`QueryRequest::params_key`](crate::QueryRequest::params_key)). Two
 /// requests with equal keys produce byte-identical ranked answers under
 /// equal weight epochs; a request with no overrides has the default
-/// `params`, sharing entries with the deprecated slice-taking methods.
+/// `params`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryKey {
     /// Normalized keywords, order and arity preserved.
@@ -161,12 +146,12 @@ pub struct RevalidationModel {
     /// One cost model per ranked query of the view, in rank order.
     pub trees: Vec<TreeCostModel>,
     /// Effective cost budget of the request (`f64::INFINITY` when none):
-    /// a re-priced tree exceeding it would have been dropped by a fresh
-    /// search, so the entry cannot be kept.
+    /// the growth verdict's displacement threshold for a partial ranked
+    /// list.
     pub budget: f64,
     /// False for answers whose strategy cannot be revalidated by re-costing
     /// (e.g. an exact-minimum search: new weights may crown a different
-    /// provably-minimum tree). Such entries are dropped on any re-pricing.
+    /// provably-minimum tree). Such entries are dropped at every publish.
     pub revalidatable: bool,
     /// Effective `top_k` the answer was computed under. The growth verdict
     /// needs it to know whether the ranked list is *full*:
@@ -193,7 +178,7 @@ impl Default for RevalidationModel {
 /// as [`CacheStatus::Revalidated`](crate::CacheStatus)).
 #[derive(Debug, Clone)]
 pub struct CacheLookup {
-    /// The cached (possibly re-priced) view.
+    /// The cached view.
     pub view: Arc<RankedView>,
     /// True when the entry was kept across a publish or re-admitted by the
     /// re-validation lane.
@@ -248,10 +233,6 @@ pub struct IngestionDelta<'a> {
 /// docs for the verdicts each kind produces.
 #[derive(Debug, Clone, Copy)]
 pub enum Publish<'a> {
-    /// `QSystem`'s weight epoch moved over this graph. A sync at the epoch
-    /// the cache already holds is a no-op, so callers sync before every
-    /// lookup.
-    Epoch(&'a SearchGraph),
     /// A live same-topology publish with new prices, over the new graph.
     Reprice(&'a SearchGraph),
     /// A live publish that grew the graph.
@@ -280,7 +261,7 @@ pub struct ParkedEntry {
 /// re-validation lane, what dropped outright.
 #[derive(Debug, Default)]
 pub struct SyncReport {
-    /// Entries kept or repriced: still cached, and hits report
+    /// Entries kept: still cached, and hits report
     /// [`CacheStatus::Revalidated`](crate::CacheStatus).
     pub kept: u64,
     /// Entries parked: removed from the cache (lookups miss — no stale
@@ -293,7 +274,6 @@ pub struct SyncReport {
 /// One entry's verdict at a publish (see the module docs).
 enum Verdict {
     Keep,
-    Reprice(Arc<RankedView>),
     Park,
     Drop,
 }
@@ -301,8 +281,6 @@ enum Verdict {
 /// The publish-level facts every verdict reads, computed at most once per
 /// sync.
 enum Facts<'a> {
-    /// A `QSystem` epoch move over `graph`; `grew` drops every entry.
-    Epoch { graph: &'a SearchGraph, grew: bool },
     /// A live same-topology re-pricing over the new graph.
     Reprice(&'a SearchGraph),
     /// A live growth publish.
@@ -377,8 +355,6 @@ pub struct QueryCache {
     misses: u64,
     invalidations: u64,
     revalidations: u64,
-    /// Graph edge count at the last sync; a difference means topology grew.
-    synced_edge_count: usize,
     /// Reusable multi-source Dijkstra buffers for growth publishes (grown
     /// once, reused every publish).
     pricer: DeltaPricer,
@@ -387,20 +363,16 @@ pub struct QueryCache {
 /// Default maximum number of cached views.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-impl Default for QueryCache {
-    fn default() -> Self {
-        QueryCache::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-}
-
 impl QueryCache {
-    /// Cache holding at most `capacity` views. A capacity of `0` is clamped
-    /// to 1 rather than panicking or silently caching nothing — the serving
-    /// path relies on "insert then get" succeeding at least for the entry
-    /// just computed.
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// Empty cache holding at most `capacity` views, synced at `epoch`:
+    /// answers computed against that epoch (in live serving: the published
+    /// snapshot id) are admitted, older ones are not. A capacity of `0` is
+    /// clamped to 1 rather than panicking or silently caching nothing — the
+    /// serving path relies on "insert then get" succeeding at least for the
+    /// entry just computed.
+    pub fn new(capacity: usize, epoch: u64) -> Self {
         QueryCache {
-            epoch: 0,
+            epoch,
             entries: HashMap::new(),
             insertion_order: VecDeque::new(),
             capacity: capacity.max(1),
@@ -408,7 +380,6 @@ impl QueryCache {
             misses: 0,
             invalidations: 0,
             revalidations: 0,
-            synced_edge_count: 0,
             pricer: DeltaPricer::default(),
         }
     }
@@ -435,20 +406,9 @@ impl QueryCache {
     /// re-costing argument at all (non-revalidatable strategy, malformed
     /// model) drop outright.
     pub fn sync(&mut self, epoch: u64, publish: &Publish) -> SyncReport {
-        if matches!(publish, Publish::Epoch(_)) && self.epoch == epoch {
-            return SyncReport::default();
-        }
         self.epoch = epoch;
-        let graph = match *publish {
-            Publish::Epoch(graph) | Publish::Reprice(graph) => graph,
-            Publish::Growth(delta) => delta.graph,
-        };
         let mut facts = match *publish {
-            Publish::Epoch(_) => Facts::Epoch {
-                graph,
-                grew: graph.edge_count() != self.synced_edge_count,
-            },
-            Publish::Reprice(_) => Facts::Reprice(graph),
+            Publish::Reprice(graph) => Facts::Reprice(graph),
             Publish::Growth(delta) => {
                 self.pricer.run(delta.graph, delta.bridge_seeds);
                 Facts::Growth(KeywordFacts {
@@ -463,12 +423,6 @@ impl QueryCache {
         self.entries
             .retain(|key, entry| match Self::verdict(key, entry, &mut facts) {
                 Verdict::Keep => {
-                    entry.revalidated = true;
-                    report.kept += 1;
-                    true
-                }
-                Verdict::Reprice(view) => {
-                    entry.view = view;
                     entry.revalidated = true;
                     report.kept += 1;
                     true
@@ -494,7 +448,6 @@ impl QueryCache {
             self.insertion_order
                 .retain(|k| self.entries.contains_key(k));
         }
-        self.synced_edge_count = graph.edge_count();
         self.enforce_capacity();
         report
     }
@@ -507,8 +460,6 @@ impl QueryCache {
             return Verdict::Drop;
         }
         match facts {
-            Facts::Epoch { grew: true, .. } => Verdict::Drop,
-            Facts::Epoch { graph, grew: false } => Self::recost(entry, graph),
             Facts::Reprice(graph) => {
                 let unchanged = model
                     .trees
@@ -560,46 +511,6 @@ impl QueryCache {
                 }
             }
         }
-    }
-
-    /// The [`Publish::Epoch`] re-pricing verdict: re-cost the entry's trees
-    /// under the graph's current weights.
-    fn recost(entry: &CacheEntry, graph: &SearchGraph) -> Verdict {
-        let new_costs: Vec<f64> = entry.model.trees.iter().map(|m| m.cost(graph)).collect();
-        // The ranking must be unchanged and every tree must still fit the
-        // request's budget — otherwise a fresh search would rank or filter
-        // differently. Adjacent costs must stay strictly increasing; a
-        // *newly created* tie is a disturbance (a fresh search may generate
-        // the tied trees in the other order and its stable sort would keep
-        // them swapped), so equal new costs are only acceptable where the
-        // cached costs were already equal.
-        let order_preserved = new_costs
-            .windows(2)
-            .zip(entry.view.queries.windows(2))
-            .all(|(n, q)| n[0] < n[1] || (n[0] == n[1] && q[0].cost == q[1].cost));
-        let within_budget = new_costs.iter().all(|c| *c <= entry.model.budget + 1e-9);
-        if !order_preserved || !within_budget {
-            return Verdict::Drop;
-        }
-        let unchanged = new_costs
-            .iter()
-            .zip(&entry.view.queries)
-            .all(|(n, q)| n.to_bits() == q.cost.to_bits());
-        if unchanged {
-            return Verdict::Keep;
-        }
-        // Re-price the view: query costs, their trees' costs, and the
-        // per-answer cost echoes. Ranked order is untouched, so answers
-        // stay sorted (they are grouped by query in rank order).
-        let mut view = (*entry.view).clone();
-        for (q, c) in view.queries.iter_mut().zip(&new_costs) {
-            q.cost = *c;
-            q.tree.cost = *c;
-        }
-        for a in &mut view.answers {
-            a.cost = new_costs[a.query_index];
-        }
-        Verdict::Reprice(Arc::new(view))
     }
 
     /// Look up a query key, counting the hit or miss.
@@ -698,14 +609,12 @@ impl QueryCache {
     }
 
     /// Entries dropped by a sync verdict (not capacity eviction or
-    /// parking): topology growth, a disturbed ranking, a blown budget, or
-    /// no re-costing model.
+    /// parking): costs moved by a re-pricing, or no re-costing model.
     pub fn invalidations(&self) -> u64 {
         self.invalidations
     }
 
-    /// Entries kept or repriced by a sync verdict, plus lane
-    /// re-admissions.
+    /// Entries kept by a sync verdict, plus lane re-admissions.
     pub fn revalidations(&self) -> u64 {
         self.revalidations
     }
@@ -821,7 +730,7 @@ mod tests {
             params: crate::QueryRequest::new(["a"]).top_k(1).params_key(),
         };
         assert_ne!(plain, tuned);
-        let mut cache = QueryCache::default();
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, 0);
         admit(
             &mut cache,
             plain.clone(),
@@ -841,8 +750,7 @@ mod tests {
     #[test]
     fn hit_after_insert_miss_before() {
         let (g, _) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         let key = key(&["plasma membrane"]);
         assert!(cache.get(&key).is_none());
         admit(
@@ -859,211 +767,37 @@ mod tests {
     }
 
     #[test]
-    fn topology_growth_still_invalidates_everything() {
-        let (mut g, _) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        admit(
-            &mut cache,
-            key(&["a"]),
-            view("a"),
-            RevalidationModel::default(),
-        );
-        admit(
-            &mut cache,
-            key(&["b"]),
-            view("b"),
-            RevalidationModel::default(),
-        );
-        // A new association edge is a topology change: re-costing cached
-        // trees cannot account for answers the new edge enables.
-        let x = g
-            .association_edges()
-            .next()
-            .map(|(_, a, _)| a)
-            .expect("association exists");
-        g.add_association(x, q_storage::AttributeId(2), "manual", 0.5);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        assert!(cache.is_empty());
-        assert_eq!(cache.invalidations(), 2);
-        assert_eq!(cache.revalidations(), 0);
-    }
-
-    #[test]
-    fn order_preserving_repricing_keeps_and_reprices_entries() {
-        let (mut g, e) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        let (v, model) = priced_view(&g, e);
-        let old_cost = v.queries[0].cost;
-        admit(&mut cache, key(&["q"]), Arc::clone(&v), model);
-
-        // Uniform re-pricing: bump the shared default weight.
-        let mut w = g.weights().clone();
-        let default = g.feature_space().get("default").unwrap();
-        w.set(default, w.get(default) + 0.25);
-        g.set_weights(w);
-
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.revalidations(), 1);
-        assert_eq!(cache.invalidations(), 0);
-        let hit = cache.get(&key(&["q"])).expect("kept");
-        assert!(hit.revalidated);
-        let new_cost = hit.view.queries[0].cost;
-        assert!(new_cost > old_cost, "entry was not re-priced");
-        assert_eq!(new_cost.to_bits(), g.edge_cost(e).to_bits());
-        assert_eq!(hit.view.queries[0].tree.cost.to_bits(), new_cost.to_bits());
-    }
-
-    #[test]
-    fn ranking_disturbance_drops_the_entry() {
-        let (mut g, e) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        // Two-query view: a cheap base-edge tree ranked above a fixed-cost
-        // local tree. Raising the base edge above the local cost disturbs
-        // the ranking.
-        let base_cost = g.edge_cost(e);
-        let local_cost = base_cost + 0.5;
-        let local_fv = {
-            let mut fv = FeatureVector::empty();
-            fv.add(g.feature_space().get("keyword_base").unwrap(), 1.0);
-            fv
-        };
-        let local_model_cost = local_fv.dot(g.weights());
-        let view = Arc::new(RankedView {
-            keywords: vec!["q".into()],
-            queries: vec![
-                RankedQuery {
-                    tree: SteinerTree {
-                        edges: vec![e],
-                        nodes: vec![],
-                        cost: base_cost,
-                    },
-                    query: ConjunctiveQuery::new(),
-                    cost: base_cost,
-                },
-                RankedQuery {
-                    tree: SteinerTree {
-                        edges: vec![],
-                        nodes: vec![],
-                        cost: local_cost,
-                    },
-                    query: ConjunctiveQuery::new(),
-                    cost: local_model_cost,
-                },
-            ],
-            ..RankedView::default()
-        });
-        let model = RevalidationModel {
-            trees: vec![
-                TreeCostModel::new(vec![CostTerm::Base(e)]),
-                TreeCostModel::new(vec![CostTerm::Local(local_fv)]),
-            ],
-            budget: f64::INFINITY,
-            revalidatable: true,
-            ..RevalidationModel::default()
-        };
-        admit(&mut cache, key(&["q"]), view, model);
-
-        // Price the association edge above the keyword edge: rank flips.
-        let mut w = g.weights().clone();
-        let default = g.feature_space().get("default").unwrap();
-        w.set(default, w.get(default) + 10.0);
-        g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        assert!(cache.is_empty(), "disturbed ranking must drop the entry");
-        assert_eq!(cache.invalidations(), 1);
-    }
-
-    #[test]
-    fn blown_budget_drops_the_entry() {
-        let (mut g, e) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        let (v, mut model) = priced_view(&g, e);
-        model.budget = g.edge_cost(e) + 0.1;
-        admit(&mut cache, key(&["q"]), v, model);
-        let mut w = g.weights().clone();
-        let default = g.feature_space().get("default").unwrap();
-        w.set(default, w.get(default) + 1.0);
-        g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        assert!(cache.is_empty(), "over-budget tree cannot stay cached");
-    }
-
-    #[test]
     fn non_revalidatable_entries_drop_on_any_repricing() {
         let (mut g, e) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         let (v, mut model) = priced_view(&g, e);
         model.revalidatable = false;
         admit(&mut cache, key(&["q"]), v, model);
-        let mut w = g.weights().clone();
-        let default = g.feature_space().get("default").unwrap();
-        w.set(default, w.get(default) + 0.01);
+        // Even a re-pricing that moves no cost (a revalidatable twin is
+        // kept: see the next test) drops an entry with no re-costing model.
+        let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
         assert!(cache.is_empty());
     }
 
     #[test]
     fn identical_weights_epoch_bump_keeps_entries_verbatim() {
         let (mut g, e) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         let (v, model) = priced_view(&g, e);
         admit(&mut cache, key(&["q"]), Arc::clone(&v), model);
         // Re-setting the same weights bumps the epoch without changing any
-        // cost: the re-cost confirms every price, so the entry survives
-        // with its original allocation.
+        // cost: every price is bit-identical, so the entry survives with its
+        // original allocation.
         let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.invalidations(), 0);
         assert_eq!(cache.revalidations(), 1);
         let hit = cache.get(&key(&["q"])).unwrap();
         assert!(Arc::ptr_eq(&hit.view, &v), "view must be kept verbatim");
-    }
-
-    #[test]
-    fn merged_matcher_opinion_reprices_cached_entries() {
-        // Merging another matcher's opinion into an *existing* association
-        // edge changes that edge's feature vector (and so its cost) without
-        // growing the topology — and, when the bin feature is already
-        // interned, without changing any weight. The re-cost must still see
-        // the new price: detection cannot rely on the weight vector alone.
-        let (mut g, e) = graph();
-        // Pre-intern the low-confidence metadata bin on a *different* edge
-        // so the later merge changes no weight.
-        let x = q_storage::AttributeId(0);
-        let z = q_storage::AttributeId(3);
-        g.add_association(x, z, "metadata", 0.1);
-        let (_, a, b) = g.association_edges().next().unwrap();
-
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        let (v, model) = priced_view(&g, e);
-        let old_cost = v.queries[0].cost;
-        admit(&mut cache, key(&["q"]), v, model);
-
-        // The merge bumps the epoch, keeps edge_count, keeps all weights.
-        let edges_before = g.edge_count();
-        g.add_association(a, b, "metadata", 0.1);
-        assert_eq!(g.edge_count(), edges_before, "merge must not add edges");
-        assert_ne!(g.edge_cost(e).to_bits(), old_cost.to_bits());
-
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
-        let hit = cache.get(&key(&["q"])).expect("order-preserving merge");
-        assert!(hit.revalidated);
-        assert_eq!(
-            hit.view.queries[0].cost.to_bits(),
-            g.edge_cost(e).to_bits(),
-            "cached entry must serve the merged price, not the stale one"
-        );
     }
 
     /// The state after ingesting source `c` (relation `r3`, disjoint
@@ -1126,8 +860,7 @@ mod tests {
     #[test]
     fn growth_keeps_entries_the_new_source_cannot_displace() {
         let (cat, g, e) = fixture();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         let snap0 = cache.epoch();
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1; // the ranked list is full
@@ -1153,19 +886,17 @@ mod tests {
             hit.snapshot, snap0,
             "provenance stays at the pricing snapshot"
         );
-        // The growth was accounted: a later weight-only epoch bump does not
-        // read as topology growth and wholesale-drop the survivors.
+        // A later re-pricing that moves no cost keeps the survivor too.
         let w = grown.g.weights().clone();
         grown.g.set_weights(w);
-        cache.sync(grown.g.weight_epoch(), &Publish::Epoch(&grown.g));
+        cache.sync(grown.g.weight_epoch(), &Publish::Reprice(&grown.g));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn growth_parks_entries_the_bridge_prices_into() {
         let (cat, g, e) = fixture();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         let snap0 = cache.epoch();
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1;
@@ -1187,8 +918,7 @@ mod tests {
     #[test]
     fn pricing_is_per_entry_not_a_global_floor() {
         let (cat, g, e) = fixture();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         // Two full-list entries with the same displacement threshold; they
         // differ only in where their keyword sits relative to the bridge.
         let (near, mut m_near) = priced_view(&g, e);
@@ -1233,16 +963,16 @@ mod tests {
             parked.sort_by(|a, b| a.keywords.cmp(&b.keywords));
             (counts(&sync), parked)
         };
-        let mut shared = QueryCache::default();
+        let mut shared = QueryCache::new(DEFAULT_CACHE_CAPACITY, 0);
         for (k, v, m) in &entries {
             admit(&mut shared, k.clone(), Arc::clone(v), m.clone());
         }
         assert_eq!(verdicts(&mut shared), ((1, 1, 0), vec![key(&["r1"])]));
-        let mut alone = QueryCache::default();
+        let mut alone = QueryCache::new(DEFAULT_CACHE_CAPACITY, 0);
         let (k, v, m) = &entries[0];
         admit(&mut alone, k.clone(), Arc::clone(v), m.clone());
         assert_eq!(verdicts(&mut alone), ((0, 1, 0), vec![key(&["r1"])]));
-        let mut alone = QueryCache::default();
+        let mut alone = QueryCache::new(DEFAULT_CACHE_CAPACITY, 0);
         let (k, v, m) = &entries[1];
         admit(&mut alone, k.clone(), Arc::clone(v), m.clone());
         assert_eq!(verdicts(&mut alone), ((1, 0, 0), vec![]));
@@ -1251,8 +981,7 @@ mod tests {
     #[test]
     fn growth_parks_partial_lists_and_keyword_matches() {
         let (cat, g, e) = fixture();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         // Entry 1: partial ranked list (top_k 5, one tree) with no budget —
         // any affordable new tree could extend it, so it cannot be kept.
         let (v1, mut m1) = priced_view(&g, e);
@@ -1281,8 +1010,7 @@ mod tests {
     #[test]
     fn non_revalidatable_entries_never_survive_growth() {
         let (cat, g, e) = fixture();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1;
         model.revalidatable = false;
@@ -1295,8 +1023,7 @@ mod tests {
     #[test]
     fn lane_admission_restores_a_parked_entry_with_its_stamp() {
         let (cat, g, e) = fixture();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1;
         admit(&mut cache, key(&["r1"]), v, model);
@@ -1327,8 +1054,7 @@ mod tests {
     #[test]
     fn live_repricing_keeps_only_bit_identical_entries() {
         let (mut g, e) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         // One entry whose tree crosses the association edge, one with no
         // base edge at all: only the first sees the re-pricing.
         let (crossing, m_crossing) = priced_view(&g, e);
@@ -1360,8 +1086,7 @@ mod tests {
     #[test]
     fn lookups_carry_the_snapshot_that_priced_the_entry() {
         let (g, e) = graph();
-        let mut cache = QueryCache::default();
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
         let (v, model) = priced_view(&g, e);
         admit(&mut cache, key(&["q"]), v, model);
         let hit = cache.get(&key(&["q"])).unwrap();
@@ -1372,8 +1097,7 @@ mod tests {
     #[test]
     fn capacity_invariant_holds_across_every_mutation() {
         let (cat, mut g, e) = fixture();
-        let mut cache = QueryCache::with_capacity(2);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(2, g.weight_epoch());
         // Over-insert.
         for tag in ["a", "b", "c", "d"] {
             let (v, mut m) = priced_view(&g, e);
@@ -1386,12 +1110,11 @@ mod tests {
         m.top_k = 1;
         admit(&mut cache, key(&["d"]), v, m);
         assert!(cache.len() <= cache.capacity());
-        // Keeping syncs (re-pricing, then growth) stay bounded.
-        let mut w = g.weights().clone();
-        let default = g.feature_space().get("default").unwrap();
-        w.set(default, w.get(default) + 0.25);
+        // Keeping syncs (a re-pricing that moves no cost, then growth)
+        // stay bounded.
+        let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
         assert!(cache.len() <= cache.capacity());
         let grown = ingest_r3(cat, g, 0.05);
         cache.sync(5, &grown.publish());
@@ -1401,7 +1124,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_first() {
-        let mut cache = QueryCache::with_capacity(2);
+        let mut cache = QueryCache::new(2, 0);
         admit(
             &mut cache,
             key(&["a"]),
@@ -1429,18 +1152,15 @@ mod tests {
     #[test]
     fn revalidation_kept_entries_retain_their_insertion_order() {
         let (mut g, e) = graph();
-        let mut cache = QueryCache::with_capacity(2);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        let mut cache = QueryCache::new(2, g.weight_epoch());
         // `old` inserted first, then `young`; both survive a re-pricing.
         let (v1, m1) = priced_view(&g, e);
         let (v2, m2) = priced_view(&g, e);
         admit(&mut cache, key(&["old"]), v1, m1);
         admit(&mut cache, key(&["young"]), v2, m2);
-        let mut w = g.weights().clone();
-        let default = g.feature_space().get("default").unwrap();
-        w.set(default, w.get(default) + 0.25);
+        let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Epoch(&g));
+        cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.revalidations(), 2);
         // Revalidation must not refresh `old`'s FIFO position: the next
@@ -1454,7 +1174,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped_to_one_instead_of_degrading() {
-        let mut cache = QueryCache::with_capacity(0);
+        let mut cache = QueryCache::new(0, 0);
         assert_eq!(cache.capacity(), 1);
         // The just-inserted entry is still retrievable.
         admit(

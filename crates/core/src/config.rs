@@ -48,8 +48,7 @@ pub struct QConfig {
     pub shards: usize,
     /// The Dijkstra fan-out: worker threads running the independent
     /// per-terminal backward Dijkstras of one query miss. `1` keeps the miss
-    /// single-threaded (batch serving already parallelises across queries);
-    /// answers are byte-identical for any value.
+    /// single-threaded; answers are byte-identical for any value.
     pub shard_workers: usize,
 }
 

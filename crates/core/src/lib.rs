@@ -19,6 +19,12 @@
 //!   feedback on answers into MIRA weight updates (`q-learn`), repairing bad
 //!   alignments and re-weighting matchers.
 //!
+//! [`QSystem::answer`] answers one typed [`QueryRequest`] uncached, for
+//! the experiments. [`LiveServer`] is the one serving engine: cached,
+//! concurrent `&self` reads from published [`GraphSnapshot`]s while sources
+//! are ingested and feedback is applied, with one [`QueryCache`] judging
+//! every entry at every publish.
+//!
 //! The [`evaluation`] module provides the precision/recall machinery used by
 //! the paper's Section 5.2 experiments.
 
@@ -58,4 +64,4 @@ pub use revalidate::RevalidationStats;
 pub use snapstore::{
     latest_snapshot_path, snapshot_paths_newest_first, PersistStats, SnapshotPersister,
 };
-pub use system::{BatchOptions, BatchOutcome, QSystem, RegistrationReport};
+pub use system::{QSystem, RegistrationReport};

@@ -3,10 +3,9 @@
 //!
 //! The paper's headline capability is *automatically incorporating new
 //! sources* into a running keyword-search integration system. A plain
-//! [`QSystem`](crate::QSystem) does incorporate sources, but through
-//! `&mut self` — registration and serving exclude each other, so every
-//! topology change is a stop-the-world event for readers. This module
-//! removes that coupling:
+//! [`QSystem`](crate::QSystem) incorporates sources through `&mut self`
+//! and caches nothing. This module is the one serving engine — cached,
+//! concurrent, and never stopped by a topology change:
 //!
 //! * **[`GraphSnapshot`]** — one immutable, self-contained serving state:
 //!   catalog + search graph (packed CSR) + keyword index, stamped with a
@@ -70,6 +69,7 @@ use q_storage::{AttributeId, Catalog, RelationId, SourceId, SourceSpec};
 use crate::answer::RankedView;
 use crate::cache::{
     normalize_keywords, IngestionDelta, Publish, QueryCache, QueryKey, RevalidationModel,
+    DEFAULT_CACHE_CAPACITY,
 };
 use crate::config::QConfig;
 use crate::error::QError;
@@ -200,16 +200,7 @@ impl GraphSnapshot {
     /// involvement. Concurrent serving is pinned against exactly this — the
     /// stress harness replays every observed outcome through it.
     pub fn answer(&self, config: &QConfig, request: &QueryRequest) -> Result<RankedView, QError> {
-        request.validate()?;
-        let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
-        self.serving(config)
-            .answer_keywords(
-                &refs,
-                ServeParams::resolve(config, request),
-                false,
-                &mut SteinerScratch::default(),
-            )
-            .map(|(view, _, _)| view)
+        self.serving(config).answer(request)
     }
 
     /// This snapshot as the state a query is answered against.
@@ -348,7 +339,7 @@ pub struct LiveServer {
 thread_local! {
     /// Per-thread Steiner scratch: readers answer many misses in a row, and
     /// the generation-stamped buffers make starting the next search O(1) —
-    /// they must not be rebuilt per query (mirrors the batch workers).
+    /// they must not be rebuilt per query.
     static SCRATCH: std::cell::RefCell<SteinerScratch> =
         std::cell::RefCell::new(SteinerScratch::default());
 }
@@ -370,9 +361,10 @@ impl LiveServer {
     /// matching or finalization.
     pub fn from_snapshot(snapshot: GraphSnapshot, config: QConfig) -> Self {
         let snapshot = Arc::new(snapshot);
-        let mut cache = QueryCache::default();
-        cache.sync(snapshot.id, &Publish::Epoch(&snapshot.graph));
-        let cache = Arc::new(Mutex::new(cache));
+        let cache = Arc::new(Mutex::new(QueryCache::new(
+            DEFAULT_CACHE_CAPACITY,
+            snapshot.id,
+        )));
         LiveServer {
             revalidator: RevalidationLane::start(config, Arc::clone(&cache)),
             config,
@@ -435,9 +427,7 @@ impl LiveServer {
 
     /// Replace the answer cache with an empty one holding `capacity` views.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
-        let snapshot = self.snapshot();
-        let mut cache = QueryCache::with_capacity(capacity);
-        cache.sync(snapshot.id, &Publish::Epoch(&snapshot.graph));
+        let cache = QueryCache::new(capacity, self.snapshot().id);
         *self.cache.lock().expect("cache lock poisoned") = cache;
     }
 
@@ -835,6 +825,162 @@ mod tests {
         assert!(Arc::ptr_eq(&miss.view, &hit.view));
         assert_eq!(hit.snapshot, Some(published.id()));
         assert_eq!(server.cache_stats().hits, 1);
+    }
+
+    /// The fixture server with the GO ↔ InterPro association published, and
+    /// with a second (bad) association too when `alternatives` is set, so
+    /// `["plasma membrane", "entry"]` ranks more than one tree.
+    fn associated_server(alternatives: bool) -> LiveServer {
+        let server = server();
+        let snap = server.snapshot();
+        let resolve = |name: &str| snap.catalog().resolve_qualified(name).unwrap();
+        server.publish_association(resolve("go_term.acc"), resolve("interpro2go.go_id"), 0.9);
+        if alternatives {
+            server.publish_association(resolve("go_term.name"), resolve("entry.name"), 0.9);
+        }
+        server
+    }
+
+    #[test]
+    fn normalized_spellings_share_one_entry() {
+        let server = associated_server(false);
+        let o1 = server
+            .query(&QueryRequest::new(["plasma membrane", "entry"]))
+            .unwrap();
+        assert!(!o1.view.answers.is_empty());
+        assert_eq!(o1.cache, CacheStatus::Miss);
+        assert!(o1.steiner.is_some(), "a miss reports search stats");
+        // Case / whitespace variants normalise to the same key: served from
+        // the cache, same allocation.
+        let o2 = server
+            .query(&QueryRequest::new(["  Plasma Membrane ", "ENTRY"]))
+            .unwrap();
+        assert!(Arc::ptr_eq(&o1.view, &o2.view));
+        assert_eq!(o2.cache, CacheStatus::Hit);
+        assert!(o2.steiner.is_none(), "a hit ran no search");
+        assert_eq!(o1.snapshot, o2.snapshot);
+        assert_eq!(server.cache_stats().hits, 1);
+        assert_eq!(server.cache_stats().misses, 1);
+        // A different query is its own entry.
+        let o3 = server
+            .query(&QueryRequest::new(["kinase activity"]))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&o1.view, &o3.view));
+        assert_eq!(server.cache_stats().len, 2);
+        // A blank extra keyword adds an unreachable Steiner terminal and
+        // empties the view — it must be a distinct cache entry, not a hit
+        // on the two-keyword query.
+        let o4 = server
+            .query(&QueryRequest::new(["plasma membrane", "entry", "  "]))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&o1.view, &o4.view));
+        assert!(o4.view.answers.is_empty());
+        assert_eq!(server.cache_stats().len, 3);
+    }
+
+    #[test]
+    fn cache_policies_bypass_and_refresh_behave_as_documented() {
+        let server = associated_server(false);
+        let keywords = ["plasma membrane", "entry"];
+
+        // Bypass never touches the cache.
+        let bypass = server
+            .query(&QueryRequest::new(keywords).cache_policy(CachePolicy::Bypass))
+            .unwrap();
+        assert_eq!(bypass.cache, CacheStatus::Bypassed);
+        assert_eq!(server.cache_stats().len, 0);
+        assert_eq!(server.cache_stats().misses, 0);
+
+        // A cached miss populates; a refresh recomputes and replaces the
+        // entry (fresh allocation, same bytes on an unchanged snapshot).
+        let miss = server.query(&QueryRequest::new(keywords)).unwrap();
+        assert_eq!(miss.cache, CacheStatus::Miss);
+        let refreshed = server
+            .query(&QueryRequest::new(keywords).cache_policy(CachePolicy::Refresh))
+            .unwrap();
+        assert_eq!(refreshed.cache, CacheStatus::Refreshed);
+        assert!(!Arc::ptr_eq(&miss.view, &refreshed.view));
+        assert_eq!(&*miss.view, &*refreshed.view);
+        // The refreshed allocation is what the cache now serves.
+        let hit = server.query(&QueryRequest::new(keywords)).unwrap();
+        assert_eq!(hit.cache, CacheStatus::Hit);
+        assert!(Arc::ptr_eq(&refreshed.view, &hit.view));
+    }
+
+    #[test]
+    fn per_request_overrides_never_share_an_entry() {
+        let server = associated_server(true);
+        let keywords = ["plasma membrane", "entry"];
+
+        let default = server.query(&QueryRequest::new(keywords)).unwrap();
+        assert!(default.view.queries.len() >= 2, "need alternative trees");
+
+        // top_k = 1 keeps only the best tree — on the same snapshot.
+        let top1 = server.query(&QueryRequest::new(keywords).top_k(1)).unwrap();
+        assert_eq!(top1.cache, CacheStatus::Miss);
+        assert_eq!(top1.view.queries.len(), 1);
+        assert_eq!(top1.view.queries[0], default.view.queries[0]);
+
+        // The exact strategy also ranks exactly one (provably cheapest) tree.
+        let exact = server
+            .query(&QueryRequest::new(keywords).strategy(SearchStrategy::Exact))
+            .unwrap();
+        assert_eq!(exact.cache, CacheStatus::Miss);
+        assert_eq!(exact.view.queries.len(), 1);
+        assert!(exact.view.queries[0].cost <= default.view.queries[0].cost + 1e-9);
+
+        // A budget below the second tree's cost prunes the tail.
+        let cutoff = default.view.queries[0].cost + 1e-6;
+        let budgeted = server
+            .query(&QueryRequest::new(keywords).cost_budget(cutoff))
+            .unwrap();
+        assert_eq!(budgeted.cache, CacheStatus::Miss);
+        assert_eq!(budgeted.view.queries.len(), 1);
+        assert!(budgeted.steiner.unwrap().trees_over_budget >= 1);
+
+        // Differently-parameterised requests never share cache entries: the
+        // default request still hits its own (unchanged) entry.
+        let again = server.query(&QueryRequest::new(keywords)).unwrap();
+        assert_eq!(again.cache, CacheStatus::Hit);
+        assert!(Arc::ptr_eq(&default.view, &again.view));
+        assert_eq!(server.cache_stats().len, 4);
+
+        // An exact-strategy tree dropped by the budget reads as "over
+        // budget", not as "terminals unconnected".
+        let starved = server
+            .query(
+                &QueryRequest::new(keywords)
+                    .strategy(SearchStrategy::Exact)
+                    .cost_budget(exact.view.queries[0].cost / 2.0),
+            )
+            .unwrap();
+        assert!(starved.view.queries.is_empty());
+        let stats = starved.steiner.unwrap();
+        assert_eq!(stats.candidates_generated, 1);
+        assert_eq!(stats.trees_over_budget, 1);
+        assert_eq!(stats.trees_returned, 0);
+    }
+
+    #[test]
+    fn invalid_requests_are_rejected_not_served() {
+        let server = server();
+        let err = server
+            .query(&QueryRequest::new(["plasma membrane"]).top_k(0))
+            .unwrap_err();
+        assert!(matches!(err, QError::InvalidRequest { field: "top_k", .. }));
+        let err = server
+            .query(&QueryRequest::new(["plasma membrane"]).cost_budget(-1.0))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            QError::InvalidRequest {
+                field: "cost_budget",
+                ..
+            }
+        ));
+        // Nothing was cached or counted.
+        assert_eq!(server.cache_stats().len, 0);
+        assert_eq!(server.cache_stats().misses, 0);
     }
 
     #[test]

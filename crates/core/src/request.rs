@@ -1,14 +1,15 @@
 //! Typed query surface: [`QueryRequest`] in, [`QueryOutcome`] out.
 //!
-//! [`QSystem::query`](crate::QSystem::query) and
-//! [`QSystem::query_batch`](crate::QSystem::query_batch) are the two serving
-//! entry points. A request carries the keywords plus per-request overrides
-//! of the serving knobs that used to be frozen in [`QConfig`](crate::QConfig)
+//! [`LiveServer::query`](crate::LiveServer::query) serves a request through
+//! the answer cache; [`QSystem::answer`](crate::QSystem::answer) and
+//! [`GraphSnapshot::answer`](crate::GraphSnapshot::answer) answer one
+//! uncached. A request carries the keywords plus per-request overrides of
+//! the serving knobs that used to be frozen in [`QConfig`](crate::QConfig)
 //! at construction time — `top_k`, the Steiner [`SearchStrategy`], an
 //! optional cost budget — and a [`CachePolicy`] deciding how the request
 //! interacts with the answer cache. An outcome pairs the ranked view with
-//! its provenance: cache status, the weight epoch the answer was priced
-//! under, the Steiner search statistics and the compute wall time.
+//! its provenance: cache status, the snapshot the answer was computed on,
+//! the Steiner search statistics and the compute wall time.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,7 +50,8 @@ pub enum SearchStrategy {
 
 /// A keyword query plus its per-request serving parameters.
 ///
-/// Build fluently and pass to [`QSystem::query`](crate::QSystem::query):
+/// Build fluently and pass to [`LiveServer::query`](crate::LiveServer::query)
+/// or [`QSystem::answer`](crate::QSystem::answer):
 ///
 /// ```no_run
 /// use q_core::{CachePolicy, QueryRequest};
@@ -90,7 +92,8 @@ impl QueryRequest {
     }
 
     /// Override how many ranked queries (Steiner trees) the view keeps.
-    /// `QSystem::query` rejects `0` with [`QError::InvalidRequest`].
+    /// [`validate`](Self::validate) rejects `0` with
+    /// [`QError::InvalidRequest`].
     pub fn top_k(mut self, top_k: usize) -> Self {
         self.top_k = Some(top_k);
         self
@@ -103,7 +106,8 @@ impl QueryRequest {
     }
 
     /// Drop join trees costing more than `budget` before ranking. Must be
-    /// positive and not NaN; `QSystem::query` rejects anything else.
+    /// positive and not NaN; [`validate`](Self::validate) rejects anything
+    /// else.
     pub fn cost_budget(mut self, budget: f64) -> Self {
         self.cost_budget = Some(budget);
         self
@@ -162,8 +166,7 @@ impl QueryRequest {
     /// The overrides that change the computed answer, in hashable form.
     /// Requests with equal normalized keywords *and* equal params keys are
     /// interchangeable in the answer cache; a request with no overrides
-    /// yields [`QueryParamsKey::default`] (sharing entries with the
-    /// deprecated slice-taking methods).
+    /// yields [`QueryParamsKey::default`].
     pub fn params_key(&self) -> QueryParamsKey {
         QueryParamsKey {
             top_k: self.top_k,
@@ -188,8 +191,7 @@ pub struct QueryParamsKey {
 /// How a [`QueryOutcome`] was obtained from the cache's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CacheStatus {
-    /// Served from the answer cache (or, in a batch, from an identical
-    /// earlier in-batch request's single computation).
+    /// Served from the answer cache.
     Hit,
     /// Computed fresh and inserted into the cache.
     Miss,
@@ -199,11 +201,11 @@ pub enum CacheStatus {
     /// ([`CachePolicy::Refresh`]).
     Refreshed,
     /// Served from the cache after the entry was kept across at least one
-    /// publish — its trees re-costed under the new weights with their
-    /// ranking intact, or its ranked list proven safe from a grown graph
-    /// (see [`QueryCache::sync`](crate::QueryCache::sync)) — or re-admitted
-    /// by the re-validation lane. The feedback loop sees these instead of
-    /// cold misses after a MIRA re-pricing.
+    /// publish — every cost bit-identical under the new prices, or its
+    /// ranked list proven safe from a grown graph (see
+    /// [`QueryCache::sync`](crate::QueryCache::sync)) — or re-admitted by
+    /// the re-validation lane. The feedback loop sees these instead of cold
+    /// misses after a MIRA re-pricing.
     Revalidated,
 }
 
@@ -226,9 +228,8 @@ pub struct QueryOutcome {
     /// the live-ingestion engine ([`LiveServer`](crate::LiveServer)):
     /// "answered from snapshot N". For a cache hit this is the snapshot
     /// that originally priced the entry — an entry surviving an ingestion
-    /// keeps reporting its own snapshot, not the latest one. `None` when
-    /// served by a plain [`QSystem`](crate::QSystem), whose answers version
-    /// by weight epoch instead.
+    /// keeps reporting its own snapshot, not the latest one. Every outcome
+    /// [`LiveServer::query`](crate::LiveServer::query) returns carries it.
     pub snapshot: Option<u64>,
 }
 

@@ -1,15 +1,10 @@
-//! The `QSystem` façade: view creation, source registration, feedback and
-//! the typed, cached, batched query-serving path.
+//! The `QSystem` façade: view creation, source registration with its
+//! alignment strategies, and feedback — what the paper's experiments drive.
 //!
-//! Serving goes through the typed request/response API:
-//! [`QSystem::query`] answers one [`QueryRequest`], [`QSystem::query_batch`]
-//! answers a workload of them, and [`QSystem::query_shared`] is the `&self`
-//! path for cache-bypassing callers behind a shared reference; all return
-//! [`QueryOutcome`]s carrying the ranked view plus serving provenance.
-
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+//! [`QSystem::answer`] answers one typed [`QueryRequest`] uncached, exactly
+//! as [`GraphSnapshot::answer`](crate::GraphSnapshot::answer) does on the
+//! same state. Cached, batched and concurrent serving is
+//! [`LiveServer`](crate::LiveServer)'s job.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,13 +21,11 @@ use q_matchers::{AttributeAlignment, SchemaMatcher};
 use q_storage::{AttributeId, Catalog, SourceId, SourceSpec, ValueIndex};
 
 use crate::answer::{RankedQuery, RankedView, ViewId};
-use crate::cache::{
-    normalize_keywords, CostTerm, Publish, QueryCache, QueryKey, RevalidationModel, TreeCostModel,
-};
+use crate::cache::{CostTerm, RevalidationModel, TreeCostModel};
 use crate::config::{AlignmentStrategy, QConfig};
 use crate::error::QError;
 use crate::feedback::{Feedback, FeedbackOutcome, FeedbackRequest, FeedbackTarget};
-use crate::request::{CachePolicy, CacheStatus, QueryOutcome, QueryRequest, SearchStrategy};
+use crate::request::{QueryRequest, SearchStrategy};
 use crate::translate::{materialize_view, tree_to_query};
 
 /// Report returned by [`QSystem::register_source`].
@@ -48,49 +41,6 @@ pub struct RegistrationReport {
     pub refreshed_views: Vec<ViewId>,
 }
 
-/// Options for [`QSystem::query_batch`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchOptions {
-    /// Worker threads answering cache misses. `0` (the default) uses the
-    /// machine's available parallelism. Results are deterministic regardless
-    /// of the value — workers only change wall-clock time.
-    pub workers: usize,
-}
-
-impl BatchOptions {
-    /// Resolve the configured worker count against `pending` computations:
-    /// `0` expands to the machine's available parallelism, the result is
-    /// capped at `pending` (no idle workers) and clamped to at least 1 (a
-    /// request for zero workers is a configuration mistake, not a reason to
-    /// hang or panic).
-    pub fn effective_workers(&self, pending: usize) -> usize {
-        match self.workers {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            w => w,
-        }
-        .min(pending)
-        .max(1)
-    }
-}
-
-/// Outcome of [`QSystem::query_batch`]: one [`QueryOutcome`] (or error) per
-/// request, in request order, plus batch-level cache accounting.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// Per-request outcomes, in the order the requests were given. A request
-    /// that fails validation gets its error here without affecting the rest
-    /// of the batch.
-    pub outcomes: Vec<Result<QueryOutcome, QError>>,
-    /// Requests served without a fresh computation: cache hits as the batch
-    /// started, plus duplicates of an earlier in-batch request (answered
-    /// once, shared).
-    pub cache_hits: usize,
-    /// Distinct computations the batch performed.
-    pub cache_misses: usize,
-    /// Worker threads actually used.
-    pub workers: usize,
-}
-
 /// The Q data-integration system (Figure 1 of the paper).
 pub struct QSystem {
     catalog: Catalog,
@@ -101,11 +51,9 @@ pub struct QSystem {
     matchers: Vec<Box<dyn SchemaMatcher + Send + Sync>>,
     views: Vec<RankedView>,
     mira: Mira,
-    cache: QueryCache,
-    /// Steiner scratch reused across sequential cache misses (batch workers
-    /// carry their own, one per thread) — the generation-stamped buffers
-    /// make starting the next search O(1), so they must not be rebuilt per
-    /// query.
+    /// Steiner scratch reused across view computations — the
+    /// generation-stamped buffers make starting the next search O(1), so
+    /// they must not be rebuilt per view.
     scratch: SteinerScratch,
 }
 
@@ -126,7 +74,6 @@ impl QSystem {
             matchers: Vec::new(),
             views: Vec::new(),
             mira: Mira::new(),
-            cache: QueryCache::default(),
             scratch: SteinerScratch::default(),
         }
     }
@@ -218,11 +165,16 @@ impl QSystem {
 
     /// Compute a view through the shared scratch — the feedback loop
     /// refreshes every persistent view per interaction, which must not
-    /// rebuild the search buffers per view.
+    /// rebuild the search buffers per view. [`QSystem::serving`] borrows
+    /// all of `self`, so the scratch steps out for the call.
     fn compute_view_reusing_scratch(&mut self, keywords: &[&str]) -> Result<RankedView, QError> {
         let params = ServeParams::defaults(&self.config);
-        self.answer_reusing_scratch(keywords, params, false)
-            .map(|(view, _, _)| view)
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let answered = self
+            .serving()
+            .answer_keywords(keywords, params, false, &mut scratch);
+        self.scratch = scratch;
+        answered.map(|(view, _, _)| view)
     }
 
     /// The state a query is answered against.
@@ -235,344 +187,14 @@ impl QSystem {
         }
     }
 
-    /// One miss through the system's own scratch. [`QSystem::serving`]
-    /// borrows all of `self`, so the scratch steps out for the call.
-    fn answer_reusing_scratch(
-        &mut self,
-        keywords: &[&str],
-        params: ServeParams,
-        build_model: bool,
-    ) -> Result<Answered, QError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let answered = self
-            .serving()
-            .answer_keywords(keywords, params, build_model, &mut scratch);
-        self.scratch = scratch;
-        answered
-    }
-
-    // ------------------------------------------------------------------
-    // Typed query serving
-    // ------------------------------------------------------------------
-
-    /// Answer one typed [`QueryRequest`].
-    ///
-    /// The request's [`CachePolicy`] decides how the weight-epoch-keyed
-    /// answer cache participates: `Cached` serves repeats under unchanged
-    /// weights from the cache (any re-pricing or topology change bumps the
-    /// graph's epoch and forces a recomputation), `Bypass` recomputes
-    /// without touching the cache, `Refresh` recomputes and overwrites the
-    /// cached entry. Per-request `top_k` / [`SearchStrategy`] / cost-budget
-    /// overrides are threaded down into the Steiner search — and into the
-    /// cache key, so differently-parameterised requests never share an
-    /// entry. Unlike [`QSystem::create_view`] this registers no persistent
-    /// view.
-    pub fn query(&mut self, request: &QueryRequest) -> Result<QueryOutcome, QError> {
-        request.validate()?;
-        let epoch = self.graph.weight_epoch();
-        let params = ServeParams::resolve(&self.config, request);
-        let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
-        // Bypass requests never touch the cache, so they skip key
-        // construction entirely — this is the hot sequential baseline.
-        let key = (request.cache() != CachePolicy::Bypass).then(|| {
-            self.cache.sync(epoch, &Publish::Epoch(&self.graph));
-            QueryKey {
-                keywords: normalize_keywords(&refs),
-                params: request.params_key(),
-            }
-        });
-        if request.cache() == CachePolicy::Cached {
-            let key = key.as_ref().expect("cached policy builds a key");
-            if let Some(hit) = self.cache.get(key) {
-                return Ok(QueryOutcome {
-                    view: hit.view,
-                    cache: if hit.revalidated {
-                        CacheStatus::Revalidated
-                    } else {
-                        CacheStatus::Hit
-                    },
-                    weight_epoch: epoch,
-                    steiner: None,
-                    wall_time: Duration::ZERO,
-                    snapshot: None,
-                });
-            }
-        }
-
-        let start = Instant::now();
-        let (view, stats, model) =
-            self.answer_reusing_scratch(&refs, params, request.cache() != CachePolicy::Bypass)?;
-        let wall_time = start.elapsed();
-        let view = Arc::new(view);
-        let cache = match request.cache() {
-            CachePolicy::Bypass => CacheStatus::Bypassed,
-            policy => {
-                self.cache.insert(
-                    key.expect("non-bypass policy builds a key"),
-                    Arc::clone(&view),
-                    model.expect("non-bypass policy builds a model"),
-                    epoch,
-                    false,
-                );
-                if policy == CachePolicy::Refresh {
-                    CacheStatus::Refreshed
-                } else {
-                    CacheStatus::Miss
-                }
-            }
-        };
-        Ok(QueryOutcome {
-            view,
-            cache,
-            weight_epoch: epoch,
-            steiner: Some(stats),
-            wall_time,
-            snapshot: None,
-        })
-    }
-
-    /// Answer a workload of typed requests, filling the required
-    /// computations across `std::thread::scope` workers.
-    ///
-    /// Outcomes come back in request order and are byte-identical to
-    /// answering each request sequentially through [`QSystem::query`],
-    /// regardless of worker count: each distinct `(keywords, overrides)`
-    /// combination is computed exactly once by a pure function of the
-    /// (immutable during the batch) graph, and written to its own slot.
-    /// Requests that fail validation receive their error in their slot
-    /// without affecting the rest of the batch.
-    pub fn query_batch(
-        &mut self,
-        requests: &[QueryRequest],
-        options: &BatchOptions,
-    ) -> BatchOutcome {
-        let epoch = self.graph.weight_epoch();
-        self.cache.sync(epoch, &Publish::Epoch(&self.graph));
-
-        // Resolve each request against the cache; collect the distinct
-        // computations (first occurrence wins, duplicates share it).
-        let mut outcomes: Vec<Option<Result<QueryOutcome, QError>>> = vec![None; requests.len()];
-        let mut miss_of: Vec<Option<usize>> = vec![None; requests.len()];
-        let mut first_miss: HashMap<QueryKey, usize> = HashMap::new();
-        // Per distinct computation: requester index, key, params, whether
-        // any requester wants the result cached.
-        let mut miss_requester: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<QueryKey> = Vec::new();
-        let mut miss_params: Vec<ServeParams> = Vec::new();
-        let mut miss_cache_it: Vec<bool> = Vec::new();
-        let mut cache_hits = 0usize;
-        for (i, request) in requests.iter().enumerate() {
-            if let Err(e) = request.validate() {
-                outcomes[i] = Some(Err(e));
-                continue;
-            }
-            let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
-            let key = QueryKey {
-                keywords: normalize_keywords(&refs),
-                params: request.params_key(),
-            };
-            if let Some(&first) = first_miss.get(&key) {
-                // Duplicate of an earlier in-batch computation: answered
-                // once, and the cache's own counters see only the first
-                // occurrence.
-                miss_of[i] = Some(first);
-                miss_cache_it[first] |= request.cache() != CachePolicy::Bypass;
-                cache_hits += 1;
-                continue;
-            }
-            if request.cache() == CachePolicy::Cached {
-                if let Some(hit) = self.cache.get(&key) {
-                    outcomes[i] = Some(Ok(QueryOutcome {
-                        view: hit.view,
-                        cache: if hit.revalidated {
-                            CacheStatus::Revalidated
-                        } else {
-                            CacheStatus::Hit
-                        },
-                        weight_epoch: epoch,
-                        steiner: None,
-                        wall_time: Duration::ZERO,
-                        snapshot: None,
-                    }));
-                    cache_hits += 1;
-                    continue;
-                }
-            }
-            first_miss.insert(key.clone(), miss_requester.len());
-            miss_of[i] = Some(miss_requester.len());
-            miss_requester.push(i);
-            miss_keys.push(key);
-            miss_params.push(ServeParams::resolve(&self.config, request));
-            miss_cache_it.push(request.cache() != CachePolicy::Bypass);
-        }
-
-        let workers = options.effective_workers(miss_requester.len());
-
-        // Fan the computations out over scoped workers on a strided
-        // schedule; each worker reuses one Steiner scratch across its
-        // queries and returns `(miss index, result)` pairs, so no slot is
-        // written twice and the merged outcome is independent of scheduling.
-        // A fully-warm batch skips the scope entirely.
-        let serving = self.serving();
-        let mut computed: Vec<Option<(Result<Answered, QError>, Duration)>> =
-            vec![None; miss_requester.len()];
-        if !miss_requester.is_empty() {
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let miss_requester = &miss_requester;
-                    let miss_params = &miss_params;
-                    let miss_cache_it = &miss_cache_it;
-                    let requests = &requests;
-                    handles.push(s.spawn(move || {
-                        let mut scratch = SteinerScratch::default();
-                        let mut out = Vec::new();
-                        let mut i = w;
-                        while i < miss_requester.len() {
-                            let request = &requests[miss_requester[i]];
-                            let refs: Vec<&str> =
-                                request.keywords().iter().map(String::as_str).collect();
-                            let start = Instant::now();
-                            let result = serving.answer_keywords(
-                                &refs,
-                                miss_params[i],
-                                miss_cache_it[i],
-                                &mut scratch,
-                            );
-                            out.push((i, (result, start.elapsed())));
-                            i += workers;
-                        }
-                        out
-                    }));
-                }
-                for handle in handles {
-                    for (i, result) in handle.join().expect("batch worker panicked") {
-                        computed[i] = Some(result);
-                    }
-                }
-            });
-        }
-
-        // Cache the fresh views and resolve every slot in request order.
-        type Shared = (
-            Result<(Arc<RankedView>, SteinerStats, Option<RevalidationModel>), QError>,
-            Duration,
-        );
-        let computed: Vec<Shared> = computed
-            .into_iter()
-            .map(|slot| {
-                let (result, elapsed) = slot.expect("every miss computed");
-                (
-                    result.map(|(view, stats, model)| (Arc::new(view), stats, model)),
-                    elapsed,
-                )
-            })
-            .collect();
-        for (m, (result, _)) in computed.iter().enumerate() {
-            // A model exists exactly when some requester wants the result
-            // cached (`miss_cache_it` was passed as `build_model`).
-            if let (Ok((view, _, Some(model))), true) = (result, miss_cache_it[m]) {
-                self.cache.insert(
-                    miss_keys[m].clone(),
-                    Arc::clone(view),
-                    model.clone(),
-                    epoch,
-                    false,
-                );
-            }
-        }
-        let outcomes = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                Some(r) => r,
-                None => {
-                    let m = miss_of[i].expect("slot is hit, error or miss");
-                    let (result, elapsed) = &computed[m];
-                    result.clone().map(|(view, stats, _)| {
-                        if miss_requester[m] == i {
-                            // The requester that triggered the computation.
-                            let cache = match requests[i].cache() {
-                                CachePolicy::Cached => CacheStatus::Miss,
-                                CachePolicy::Refresh => CacheStatus::Refreshed,
-                                CachePolicy::Bypass => CacheStatus::Bypassed,
-                            };
-                            QueryOutcome {
-                                view,
-                                cache,
-                                weight_epoch: epoch,
-                                steiner: Some(stats),
-                                wall_time: *elapsed,
-                                snapshot: None,
-                            }
-                        } else {
-                            // In-batch duplicate: shares the computation.
-                            QueryOutcome {
-                                view,
-                                cache: CacheStatus::Hit,
-                                weight_epoch: epoch,
-                                steiner: None,
-                                wall_time: Duration::ZERO,
-                                snapshot: None,
-                            }
-                        }
-                    })
-                }
-            })
-            .collect();
-        BatchOutcome {
-            outcomes,
-            cache_hits,
-            cache_misses: miss_requester.len(),
-            workers,
-        }
-    }
-
-    /// Answer one typed [`QueryRequest`] through a *shared* reference: the
-    /// `&self` serving path for callers that hold the system behind a read
-    /// lock. Because the answer cache needs `&mut self`, the
-    /// request's policy must be [`CachePolicy::Bypass`] — anything else is
-    /// rejected as [`QError::InvalidRequest`] rather than silently served
-    /// uncached. Answers are byte-identical to [`QSystem::query`] with the
-    /// same request.
-    pub fn query_shared(&self, request: &QueryRequest) -> Result<QueryOutcome, QError> {
-        request.validate()?;
-        if request.cache() != CachePolicy::Bypass {
-            return Err(QError::InvalidRequest {
-                field: "cache",
-                reason: "query_shared serves through `&self` and cannot touch the answer \
-                         cache — use `CachePolicy::Bypass` (or `QSystem::query`)"
-                    .into(),
-            });
-        }
-        let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
-        let start = Instant::now();
-        let (view, stats, _) = self.serving().answer_keywords(
-            &refs,
-            ServeParams::resolve(&self.config, request),
-            false,
-            &mut SteinerScratch::default(),
-        )?;
-        Ok(QueryOutcome {
-            view: Arc::new(view),
-            cache: CacheStatus::Bypassed,
-            weight_epoch: self.graph.weight_epoch(),
-            steiner: Some(stats),
-            wall_time: start.elapsed(),
-            snapshot: None,
-        })
-    }
-
-    /// The answer cache and its statistics.
-    pub fn query_cache(&self) -> &QueryCache {
-        &self.cache
-    }
-
-    /// Replace the answer cache with an empty one holding `capacity` views
-    /// (clamped to at least 1). Cached entries and counters are dropped;
-    /// subsequent queries repopulate under the current weight epoch.
-    pub fn set_cache_capacity(&mut self, capacity: usize) {
-        self.cache = QueryCache::with_capacity(capacity);
+    /// Answer one typed [`QueryRequest`] against the current graph and
+    /// weights, with its per-request `top_k` / [`SearchStrategy`] /
+    /// cost-budget overrides. The non-persistent sibling of
+    /// [`QSystem::create_view`]: it registers no view and caches nothing.
+    /// Byte-identical to [`GraphSnapshot::answer`](crate::GraphSnapshot::answer)
+    /// on the same catalog, graph and index.
+    pub fn answer(&self, request: &QueryRequest) -> Result<RankedView, QError> {
+        self.serving().answer(request)
     }
 
     /// Search-graph nodes matched by a view's keywords (value matches map to
@@ -891,8 +513,7 @@ pub(crate) fn learn_feedback(
 }
 
 /// The per-request serving parameters after merging a [`QueryRequest`]'s
-/// overrides with the system [`QConfig`]. Copyable so batch workers can
-/// carry one per pending computation.
+/// overrides with the system [`QConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ServeParams {
     top_k: usize,
@@ -901,8 +522,8 @@ pub(crate) struct ServeParams {
 }
 
 impl ServeParams {
-    /// The config-default parameters (what the deprecated slice-taking
-    /// methods and the persistent-view path serve with).
+    /// The config-default parameters (what the persistent-view path serves
+    /// with).
     pub(crate) fn defaults(config: &QConfig) -> Self {
         ServeParams {
             top_k: config.top_k,
@@ -962,19 +583,35 @@ pub(crate) struct ServingState<'a> {
 }
 
 impl ServingState<'_> {
+    /// The sequential reference answer to a request: validate it, merge its
+    /// overrides over the config and answer it through a fresh scratch,
+    /// with no cache involvement. [`QSystem::answer`] and
+    /// [`GraphSnapshot::answer`](crate::GraphSnapshot::answer) are this.
+    pub(crate) fn answer(&self, request: &QueryRequest) -> Result<RankedView, QError> {
+        request.validate()?;
+        let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
+        self.answer_keywords(
+            &refs,
+            ServeParams::resolve(self.config, request),
+            false,
+            &mut SteinerScratch::default(),
+        )
+        .map(|(view, _, _)| view)
+    }
+
     /// Answer one keyword query: match the keywords, build the query graph,
     /// run the requested Steiner search (into the caller's scratch buffers),
     /// translate trees to conjunctive queries and materialise the ranked
-    /// view. Pure in its inputs — the batch path calls this from worker
-    /// threads holding only shared references.
+    /// view. Pure in its inputs — readers call this concurrently holding
+    /// only shared references.
     ///
     /// When `build_model` is set (the answer is destined for the cache), it
-    /// also returns the [`RevalidationModel`] the cache needs to re-price the
-    /// answer on a later weight-epoch delta: per-tree cost terms (base edges
-    /// by id — the graph stays authoritative for their features — and copies
-    /// of the query-local edge features, which die with the query graph),
-    /// the effective cost budget, and whether the strategy is revalidatable
-    /// at all.
+    /// also returns the [`RevalidationModel`] the cache needs to judge the
+    /// answer at a later publish: per-tree cost terms (base edges by id —
+    /// the graph stays authoritative for their features — and copies of the
+    /// query-local edge features, which die with the query graph), the
+    /// effective cost budget, and whether the strategy is revalidatable at
+    /// all.
     pub(crate) fn answer_keywords(
         &self,
         keywords: &[&str],
@@ -1311,283 +948,26 @@ mod tests {
     }
 
     #[test]
-    fn cached_query_hits_on_normalized_repeats() {
+    fn answer_is_the_snapshot_answer_and_the_view_without_registering_one() {
         let mut q = system();
         let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
         let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
         q.add_manual_association(acc, go_id, 0.95);
-
-        let o1 = q
-            .query(&QueryRequest::new(["plasma membrane", "entry"]))
-            .unwrap();
-        assert!(!o1.view.answers.is_empty());
-        assert_eq!(o1.cache, CacheStatus::Miss);
-        assert!(o1.steiner.is_some(), "a miss reports search stats");
-        // Case / whitespace variants normalise to the same key: served from
-        // the cache, same allocation.
-        let o2 = q
-            .query(&QueryRequest::new(["  Plasma Membrane ", "ENTRY"]))
-            .unwrap();
-        assert!(Arc::ptr_eq(&o1.view, &o2.view));
-        assert_eq!(o2.cache, CacheStatus::Hit);
-        assert!(o2.steiner.is_none(), "a hit ran no search");
-        assert_eq!(o1.weight_epoch, o2.weight_epoch);
-        assert_eq!(q.query_cache().hits(), 1);
-        assert_eq!(q.query_cache().misses(), 1);
-        // A different query is its own entry.
-        let o3 = q.query(&QueryRequest::new(["kinase activity"])).unwrap();
-        assert!(!Arc::ptr_eq(&o1.view, &o3.view));
-        assert_eq!(q.query_cache().len(), 2);
-        // A blank extra keyword adds an unreachable Steiner terminal and
-        // empties the view — it must be a distinct cache entry, not a hit
-        // on the two-keyword query.
-        let o4 = q
-            .query(&QueryRequest::new(["plasma membrane", "entry", "  "]))
-            .unwrap();
-        assert!(!Arc::ptr_eq(&o1.view, &o4.view));
-        assert!(o4.view.answers.is_empty());
-        assert_eq!(q.query_cache().len(), 3);
-    }
-
-    #[test]
-    fn cache_policies_bypass_and_refresh_behave_as_documented() {
-        let mut q = system();
-        let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
-        let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
-        q.add_manual_association(acc, go_id, 0.95);
-        let keywords = ["plasma membrane", "entry"];
-
-        // Bypass never touches the cache.
-        let bypass = q
-            .query(&QueryRequest::new(keywords).cache_policy(CachePolicy::Bypass))
-            .unwrap();
-        assert_eq!(bypass.cache, CacheStatus::Bypassed);
-        assert!(q.query_cache().is_empty());
-        assert_eq!(q.query_cache().misses(), 0);
-
-        // A cached miss populates; a refresh recomputes and replaces the
-        // entry (fresh allocation, same bytes under an unchanged epoch).
-        let miss = q.query(&QueryRequest::new(keywords)).unwrap();
-        assert_eq!(miss.cache, CacheStatus::Miss);
-        let refreshed = q
-            .query(&QueryRequest::new(keywords).cache_policy(CachePolicy::Refresh))
-            .unwrap();
-        assert_eq!(refreshed.cache, CacheStatus::Refreshed);
-        assert!(!Arc::ptr_eq(&miss.view, &refreshed.view));
-        assert_eq!(&*miss.view, &*refreshed.view);
-        // The refreshed allocation is what the cache now serves.
-        let hit = q.query(&QueryRequest::new(keywords)).unwrap();
-        assert_eq!(hit.cache, CacheStatus::Hit);
-        assert!(Arc::ptr_eq(&refreshed.view, &hit.view));
-    }
-
-    #[test]
-    fn per_request_overrides_change_answers_without_rebuilding() {
-        let mut q = system();
-        let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
-        let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
-        let entry_name = q.catalog().resolve_qualified("entry.name").unwrap();
-        let term_name = q.catalog().resolve_qualified("go_term.name").unwrap();
-        q.add_manual_association(acc, go_id, 0.9);
-        q.graph_mut()
-            .add_association(term_name, entry_name, "metadata", 0.9);
-        let keywords = ["plasma membrane", "entry"];
-
-        let default = q.query(&QueryRequest::new(keywords)).unwrap();
-        assert!(default.view.queries.len() >= 2, "need alternative trees");
-
-        // top_k = 1 keeps only the best tree — on the same system instance.
-        let top1 = q.query(&QueryRequest::new(keywords).top_k(1)).unwrap();
-        assert_eq!(top1.view.queries.len(), 1);
-        assert_eq!(top1.view.queries[0], default.view.queries[0]);
-
-        // The exact strategy also ranks exactly one (provably cheapest) tree.
-        let exact = q
-            .query(&QueryRequest::new(keywords).strategy(SearchStrategy::Exact))
-            .unwrap();
-        assert_eq!(exact.view.queries.len(), 1);
-        assert!(exact.view.queries[0].cost <= default.view.queries[0].cost + 1e-9);
-
-        // A budget below the second tree's cost prunes the tail.
-        let cutoff = default.view.queries[0].cost + 1e-6;
-        let budgeted = q
-            .query(&QueryRequest::new(keywords).cost_budget(cutoff))
-            .unwrap();
-        assert_eq!(budgeted.view.queries.len(), 1);
-        assert!(budgeted.steiner.unwrap().trees_over_budget >= 1);
-
-        // Differently-parameterised requests never share cache entries: the
-        // default request still hits its own (unchanged) entry.
-        let again = q.query(&QueryRequest::new(keywords)).unwrap();
-        assert_eq!(again.cache, CacheStatus::Hit);
-        assert!(Arc::ptr_eq(&default.view, &again.view));
-
-        // An exact-strategy tree dropped by the budget reads as "over
-        // budget", not as "terminals unconnected".
-        let starved = q
-            .query(
-                &QueryRequest::new(keywords)
-                    .strategy(SearchStrategy::Exact)
-                    .cost_budget(exact.view.queries[0].cost / 2.0),
-            )
-            .unwrap();
-        assert!(starved.view.queries.is_empty());
-        let stats = starved.steiner.unwrap();
-        assert_eq!(stats.candidates_generated, 1);
-        assert_eq!(stats.trees_over_budget, 1);
-        assert_eq!(stats.trees_returned, 0);
-    }
-
-    #[test]
-    fn invalid_requests_are_rejected_not_served() {
-        let mut q = system();
+        let request = QueryRequest::new(["plasma membrane", "entry"]);
+        let answered = q.answer(&request).unwrap();
+        assert!(!answered.answers.is_empty());
+        assert!(q.views().is_empty(), "answer registers no view");
+        // The same bytes as the persistent view of the same keywords...
+        let view_id = q.create_view(&["plasma membrane", "entry"]).unwrap();
+        assert_eq!(q.view(view_id).unwrap(), &answered);
+        // ...and as a snapshot of the same state.
+        let snapshot = crate::GraphSnapshot::assemble(q.catalog().clone(), q.graph().clone(), 0);
+        assert_eq!(snapshot.answer(q.config(), &request).unwrap(), answered);
+        // Invalid requests are rejected, not served.
         let err = q
-            .query(&QueryRequest::new(["plasma membrane"]).top_k(0))
+            .answer(&QueryRequest::new(["plasma membrane"]).top_k(0))
             .unwrap_err();
         assert!(matches!(err, QError::InvalidRequest { field: "top_k", .. }));
-        let err = q
-            .query(&QueryRequest::new(["plasma membrane"]).cost_budget(-1.0))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            QError::InvalidRequest {
-                field: "cost_budget",
-                ..
-            }
-        ));
-        // Nothing was cached or counted.
-        assert!(q.query_cache().is_empty());
-        assert_eq!(q.query_cache().misses(), 0);
-    }
-
-    #[test]
-    fn feedback_repricing_invalidates_the_cache_and_recomputes_costs() {
-        let mut q = system();
-        let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
-        let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
-        let entry_name = q.catalog().resolve_qualified("entry.name").unwrap();
-        let term_name = q.catalog().resolve_qualified("go_term.name").unwrap();
-        q.add_manual_association(acc, go_id, 0.9);
-        q.graph_mut()
-            .add_association(term_name, entry_name, "metadata", 0.9);
-
-        let keywords = ["plasma membrane", "entry"];
-        let before = q.query(&QueryRequest::new(keywords)).unwrap();
-        assert!(before.view.queries.len() >= 2, "need alternative trees");
-
-        // MIRA re-prices association edges through a persistent view.
-        let view_id = q.create_view(&keywords).unwrap();
-        q.feedback(view_id, Feedback::Correct { answer: 0 })
-            .unwrap();
-
-        // The repeat must miss (epoch moved) and reflect the new costs: the
-        // recomputed view equals the freshly computed persistent view, not
-        // the stale cached one.
-        let after = q.query(&QueryRequest::new(keywords)).unwrap();
-        assert!(!Arc::ptr_eq(&before.view, &after.view), "stale cache hit");
-        assert_eq!(after.cache, CacheStatus::Miss);
-        assert!(
-            after.weight_epoch > before.weight_epoch,
-            "feedback must bump the weight epoch"
-        );
-        assert!(q.query_cache().invalidations() > 0);
-        let fresh = q.view(view_id).unwrap();
-        assert_eq!(&*after.view, fresh);
-        let costs_before: Vec<f64> = before.view.queries.iter().map(|rq| rq.cost).collect();
-        let costs_after: Vec<f64> = after.view.queries.iter().map(|rq| rq.cost).collect();
-        assert_ne!(costs_before, costs_after, "feedback did not re-price");
-    }
-
-    #[test]
-    fn batch_matches_sequential_and_counts_hits() {
-        let mut q = system();
-        let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
-        let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
-        q.add_manual_association(acc, go_id, 0.95);
-
-        let requests: Vec<QueryRequest> = [
-            vec!["plasma membrane", "entry"],
-            vec!["kinase activity"],
-            vec!["plasma membrane", "entry"], // in-batch duplicate
-            vec!["qqzzvv"],                   // matches nothing
-        ]
-        .iter()
-        .map(|kws| QueryRequest::new(kws.iter().copied()))
-        .collect();
-
-        // Sequential reference on an identically prepared system.
-        let mut q_seq = system();
-        q_seq.add_manual_association(acc, go_id, 0.95);
-        let sequential: Vec<Arc<RankedView>> = requests
-            .iter()
-            .map(|r| q_seq.query(r).unwrap().view)
-            .collect();
-
-        let batch = q.query_batch(&requests, &BatchOptions { workers: 3 });
-        assert_eq!(batch.outcomes.len(), requests.len());
-        assert_eq!(batch.cache_misses, 3, "three distinct queries");
-        assert_eq!(batch.cache_hits, 1, "the in-batch duplicate");
-        for (outcome, seq) in batch.outcomes.iter().zip(&sequential) {
-            assert_eq!(&*outcome.as_ref().unwrap().view, &**seq);
-        }
-        // Duplicate slots share one computation; provenance says which one
-        // triggered it.
-        let first = batch.outcomes[0].as_ref().unwrap();
-        let duplicate = batch.outcomes[2].as_ref().unwrap();
-        assert!(Arc::ptr_eq(&first.view, &duplicate.view));
-        assert_eq!(first.cache, CacheStatus::Miss);
-        assert_eq!(duplicate.cache, CacheStatus::Hit);
-        assert!(first.steiner.is_some());
-        assert!(duplicate.steiner.is_none());
-
-        // A second batch under unchanged weights is all hits.
-        let warm = q.query_batch(&requests, &BatchOptions::default());
-        assert_eq!(warm.cache_misses, 0);
-        assert_eq!(warm.cache_hits, requests.len());
-        for (w, c) in warm.outcomes.iter().zip(&batch.outcomes) {
-            let (w, c) = (w.as_ref().unwrap(), c.as_ref().unwrap());
-            assert!(Arc::ptr_eq(&w.view, &c.view));
-            assert_eq!(w.cache, CacheStatus::Hit);
-        }
-    }
-
-    #[test]
-    fn batch_isolates_invalid_requests_and_mixes_policies() {
-        let mut q = system();
-        let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
-        let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
-        q.add_manual_association(acc, go_id, 0.95);
-
-        let requests = vec![
-            QueryRequest::new(["plasma membrane", "entry"]),
-            QueryRequest::new(["kinase activity"]).top_k(0), // invalid
-            QueryRequest::new(["kinase activity"]).cache_policy(CachePolicy::Bypass),
-        ];
-        let batch = q.query_batch(&requests, &BatchOptions { workers: 2 });
-        assert!(batch.outcomes[0].is_ok());
-        assert!(matches!(
-            batch.outcomes[1],
-            Err(QError::InvalidRequest { field: "top_k", .. })
-        ));
-        let bypass = batch.outcomes[2].as_ref().unwrap();
-        assert_eq!(bypass.cache, CacheStatus::Bypassed);
-        // The error slot counted as neither hit nor miss; the bypass request
-        // computed but did not populate the cache.
-        assert_eq!(batch.cache_misses, 2);
-        assert_eq!(batch.cache_hits, 0);
-        assert_eq!(q.query_cache().len(), 1, "only the cached request stored");
-    }
-
-    #[test]
-    fn effective_workers_resolves_and_clamps() {
-        // Explicit counts are capped by pending work and floored at 1.
-        assert_eq!(BatchOptions { workers: 8 }.effective_workers(3), 3);
-        assert_eq!(BatchOptions { workers: 2 }.effective_workers(10), 2);
-        assert_eq!(BatchOptions { workers: 5 }.effective_workers(0), 1);
-        // `0` = auto-detect; whatever the machine reports, the result is
-        // at least 1 and never exceeds the pending count.
-        let auto = BatchOptions::default().effective_workers(2);
-        assert!((1..=2).contains(&auto));
     }
 
     #[test]

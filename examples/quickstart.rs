@@ -1,11 +1,12 @@
 //! Quickstart: build two small bioinformatics sources, link them with a
 //! matcher-proposed association, ask a typed keyword query and print the
 //! ranked, provenance-annotated answers — then re-ask with per-request
-//! overrides, no rebuild needed.
+//! overrides, no rebuild needed, and serve the same query through the
+//! cached live engine.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use q_integration::{CachePolicy, QSystem, QueryRequest, RelationSpec, SourceSpec};
+use q_integration::{CachePolicy, LiveServer, QSystem, QueryRequest, RelationSpec, SourceSpec};
 use q_matchers::{MadMatcher, MetadataMatcher};
 
 fn main() {
@@ -40,8 +41,8 @@ fn main() {
     //    index are constructed from the assembled catalog.
     // ------------------------------------------------------------------
     let mut q = QSystem::builder()
-        .source(go)
-        .source(interpro)
+        .source(go.clone())
+        .source(interpro.clone())
         .matcher(Box::new(MetadataMatcher::new()))
         .matcher(Box::new(MadMatcher::new()))
         .build()
@@ -55,25 +56,14 @@ fn main() {
 
     // ------------------------------------------------------------------
     // 3. Ask a typed keyword query and print the ranked view with its
-    //    serving provenance.
+    //    provenance.
     // ------------------------------------------------------------------
-    let outcome = q
-        .query(&QueryRequest::new(["insulin secretion", "entry"]))
+    let view = q
+        .answer(&QueryRequest::new(["insulin secretion", "entry"]))
         .expect("query answers");
-    let view = &outcome.view;
 
     println!("keywords : {:?}", view.keywords);
     println!("columns  : {:?}", view.columns);
-    println!(
-        "served   : {:?} at weight epoch {} in {:?}",
-        outcome.cache, outcome.weight_epoch, outcome.wall_time
-    );
-    if let Some(stats) = outcome.steiner {
-        println!(
-            "search   : {} roots considered, {} candidate trees, {} returned",
-            stats.roots_considered, stats.candidates_generated, stats.trees_returned
-        );
-    }
     println!("queries  : {} ranked join queries", view.queries.len());
     for (i, rq) in view.queries.iter().enumerate() {
         println!(
@@ -103,26 +93,45 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 4. Per-request overrides: the same system serves a top-1 answer and
-    //    a cache-bypassing recomputation without being rebuilt.
+    // 4. Per-request overrides: the same system answers top-1 without
+    //    being rebuilt.
     // ------------------------------------------------------------------
     let top1 = q
-        .query(&QueryRequest::new(["insulin secretion", "entry"]).top_k(1))
+        .answer(&QueryRequest::new(["insulin secretion", "entry"]).top_k(1))
         .expect("query answers");
+    println!("\ntop_k=1  : {} ranked query", top1.queries.len());
+
+    // ------------------------------------------------------------------
+    // 5. Cached serving: a `LiveServer` over the same sources answers
+    //    through `&self` from a published snapshot; a repeat is a cache
+    //    hit, and every outcome names the snapshot it was computed on.
+    // ------------------------------------------------------------------
+    let catalog =
+        q_integration::storage::loader::load_catalog(&[go, interpro]).expect("sources load");
+    let live = LiveServer::new(catalog, *q.config());
+    let snapshot = live.publish_association(acc, go_id, 0.95);
+    let request = QueryRequest::new(["insulin secretion", "entry"]);
+    let miss = live.query(&request).expect("query answers");
+    assert_eq!(*miss.view, view, "the live engine serves the same bytes");
     println!(
-        "\ntop_k=1  : {} ranked query (served {:?})",
-        top1.view.queries.len(),
-        top1.cache
+        "\nlive     : served {:?} from snapshot {} in {:?}",
+        miss.cache,
+        snapshot.id(),
+        miss.wall_time
     );
-    let repeat = q
-        .query(&QueryRequest::new(["insulin secretion", "entry"]))
-        .expect("query answers");
+    if let Some(stats) = miss.steiner {
+        println!(
+            "search   : {} roots considered, {} candidate trees, {} returned",
+            stats.roots_considered, stats.candidates_generated, stats.trees_returned
+        );
+    }
+    let repeat = live.query(&request).expect("query answers");
     println!(
         "repeat   : served {:?} (same bytes, zero compute)",
         repeat.cache
     );
-    let bypass = q
-        .query(&QueryRequest::new(["insulin secretion", "entry"]).cache_policy(CachePolicy::Bypass))
+    let bypass = live
+        .query(&request.cache_policy(CachePolicy::Bypass))
         .expect("query answers");
     println!(
         "bypass   : served {:?} in {:?}",

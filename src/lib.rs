@@ -32,19 +32,20 @@
 //!
 //! ## Typed query API
 //!
-//! Serving goes through the typed request/response surface: construct the
+//! Queries go through the typed request/response surface: construct the
 //! system with [`QSystem::builder`](q_core::QSystem::builder), describe each
 //! query with a [`QueryRequest`] (keywords + per-request `top_k`, search
-//! strategy, cost budget, cache policy), and get a [`QueryOutcome`] back
-//! (the ranked view + cache/epoch/search provenance):
+//! strategy, cost budget, cache policy). [`QSystem`] answers a request
+//! uncached; [`LiveServer`] is the one serving engine — cached, concurrent,
+//! live-ingesting — and returns a [`QueryOutcome`] (the ranked view +
+//! cache/snapshot/search provenance):
 //!
 //! | Task | Call |
 //! |---|---|
 //! | Build a system | `QSystem::builder().catalog(..).config(..).matcher(..).build()?` |
-//! | Answer a query | `q.query(&QueryRequest::new(["a", "b"]))?.view` |
-//! | Answer without caching | `q.query(&QueryRequest::new(["a", "b"]).cache_policy(CachePolicy::Bypass))?` |
-//! | Answer a workload | `q.query_batch(&requests, &opts)` |
-//! | Answer through `&self` | `q.query_shared(&request)?` (requires `CachePolicy::Bypass`) |
+//! | Answer a query (uncached) | `q.answer(&QueryRequest::new(["a", "b"]))?` |
+//! | Serve a query (cached) | `live.query(&QueryRequest::new(["a", "b"]))?.view` |
+//! | Serve without caching | `live.query(&QueryRequest::new(["a", "b"]).cache_policy(CachePolicy::Bypass))?` |
 //! | Apply feedback | `q.apply_feedback(&FeedbackRequest::on_view(id, feedback))?` |
 //! | Override parameters per request | `QueryRequest::new(..).top_k(k).strategy(..).cost_budget(..)` |
 //!
@@ -79,10 +80,10 @@ pub use q_snap as snap;
 pub use q_storage as storage;
 
 pub use q_core::{
-    latest_snapshot_path, BatchOptions, BatchOutcome, CachePolicy, CacheStatus, Feedback,
-    FeedbackOutcome, FeedbackRequest, FeedbackTarget, GraphSnapshot, IngestReport,
-    LiveFeedbackReport, LiveServer, PersistStats, QConfig, QError, QSystem, QSystemBuilder,
-    QueryOutcome, QueryRequest, SearchStrategy, SnapError, SnapshotInfo, SnapshotPersister,
+    latest_snapshot_path, CachePolicy, CacheStatus, Feedback, FeedbackOutcome, FeedbackRequest,
+    FeedbackTarget, GraphSnapshot, IngestReport, LiveFeedbackReport, LiveServer, PersistStats,
+    QConfig, QError, QSystem, QSystemBuilder, QueryOutcome, QueryRequest, SearchStrategy,
+    SnapError, SnapshotInfo, SnapshotPersister,
 };
 pub use q_serve::{BootMode, BootStats, QServe, ServeOptions};
 pub use q_storage::{Catalog, RelationSpec, SourceSpec, StorageError, Value};

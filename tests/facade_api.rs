@@ -1,11 +1,12 @@
 //! Guards the public API surface promised by `src/lib.rs`: every workspace
 //! crate must stay reachable through the `q_integration` façade re-exports,
 //! and the top-level convenience re-exports must be enough to stand up a
-//! working `QSystem` without naming any `q_*` crate directly.
+//! working `QSystem` and `LiveServer` without naming any `q_*` crate
+//! directly.
 
 use q_integration::{
-    CachePolicy, CacheStatus, Catalog, Feedback, QConfig, QSystem, QueryRequest, RelationSpec,
-    SourceSpec, Value,
+    CachePolicy, CacheStatus, Catalog, Feedback, LiveServer, QConfig, QSystem, QueryRequest,
+    RelationSpec, SourceSpec, Value,
 };
 
 /// A two-source catalog, built purely through façade re-exports.
@@ -53,32 +54,31 @@ fn facade_reexports_support_the_full_pipeline() {
 fn facade_exposes_the_typed_query_api() {
     // Builder, request, outcome and error types must all be reachable from
     // the façade without naming a `q_*` crate.
-    let mut q = QSystem::builder()
+    let q = QSystem::builder()
         .catalog(tiny_catalog())
         .config(QConfig::default())
         .matcher(Box::new(q_integration::matchers::MetadataMatcher::new()))
         .build()
         .expect("builder works through the façade");
-
     let request = QueryRequest::new(["insulin", "secretion"]);
-    let miss = q.query(&request).expect("query answers");
+    let answered = q.answer(&request).expect("query answers");
+
+    // Cached serving is the live engine's, over the same catalog.
+    let live = LiveServer::new(tiny_catalog(), QConfig::default());
+    let miss = live.query(&request).expect("query answers");
     assert_eq!(miss.cache, CacheStatus::Miss);
     assert!(miss.view.answer_count() > 0);
-    let hit = q.query(&request).expect("query answers");
+    assert_eq!(*miss.view, answered);
+    let hit = live.query(&request).expect("query answers");
     assert_eq!(hit.cache, CacheStatus::Hit);
 
-    let batch = q.query_batch(
-        &[request.clone().cache_policy(CachePolicy::Bypass)],
-        &q_integration::BatchOptions::default(),
-    );
-    assert_eq!(batch.outcomes.len(), 1);
-    assert_eq!(
-        batch.outcomes[0].as_ref().unwrap().cache,
-        CacheStatus::Bypassed
-    );
+    let bypass = live
+        .query(&request.clone().cache_policy(CachePolicy::Bypass))
+        .expect("query answers");
+    assert_eq!(bypass.cache, CacheStatus::Bypassed);
 
     // The unified error chain is visible through the façade.
-    let err = q
+    let err = live
         .query(&QueryRequest::new(["insulin"]).top_k(0))
         .expect_err("invalid request rejected");
     assert!(matches!(err, q_integration::QError::InvalidRequest { .. }));

@@ -538,10 +538,10 @@ fn incremental_ingestion_matches_the_all_at_once_build_byte_for_byte() {
     // ...and so is every top-k answer of the gold workload, byte for byte.
     for request in trial_requests() {
         let request = request.cache_policy(CachePolicy::Bypass);
-        let from_batch = batch.query(&request).expect("batch answers");
+        let from_batch = batch.answer(&request).expect("batch answers");
         let from_live = live.query(&request).expect("live answers");
         assert_eq!(
-            format!("{:?}", from_batch.view),
+            format!("{:?}", from_batch),
             format!("{:?}", from_live.view),
             "answers diverged for {:?}",
             request.keywords()

@@ -45,29 +45,29 @@ fn build() -> (QSystem, usize) {
     (q, total_rows)
 }
 
-fn answers(q: &mut QSystem) -> Vec<String> {
+fn answers(q: &QSystem) -> Vec<String> {
     gbco_trials()
         .iter()
         .map(|trial| {
             let request = QueryRequest::new(trial.keywords.iter().cloned());
-            format!("{:?}", q.query(&request).expect("scale query answers").view)
+            format!("{:?}", q.answer(&request).expect("scale query answers"))
         })
         .collect()
 }
 
 #[test]
 fn two_builds_of_the_scaled_corpus_answer_byte_identically() {
-    let (mut first, rows) = build();
+    let (first, rows) = build();
     assert_eq!(
         first.catalog().sources().len(),
         18 + EXTRA_SOURCES,
         "the corpus reaches 200 sources"
     );
     assert!(rows >= 50_000, "the corpus reaches ~50k rows, got {rows}");
-    let first_answers = answers(&mut first);
+    let first_answers = answers(&first);
 
-    let (mut second, _) = build();
-    let second_answers = answers(&mut second);
+    let (second, _) = build();
+    let second_answers = answers(&second);
     assert_eq!(
         first_answers, second_answers,
         "two builds from the same seed must answer byte-identically"

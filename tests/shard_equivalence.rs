@@ -6,13 +6,13 @@
 //! * the fanned Steiner search splits only the *independent* per-terminal
 //!   Dijkstras — the shared ranking tail is a pure function of their
 //!   results;
-//! * end to end, a `QSystem` at any `shard_workers` answers the GBCO
+//! * end to end, a `LiveServer` at any `shard_workers` answers the GBCO
 //!   workload — misses, hits, and post-feedback revalidations — identically
 //!   to the single-worker baseline, cache statuses included.
 
 use proptest::prelude::*;
 
-use q_core::{CacheStatus, Feedback, QConfig, QSystem, QueryRequest};
+use q_core::{CacheStatus, Feedback, FeedbackRequest, LiveServer, QConfig, QueryRequest};
 use q_datasets::{gbco_catalog, gbco_trials, GbcoConfig};
 use q_graph::steiner::GraphView;
 use q_graph::{
@@ -130,9 +130,9 @@ proptest! {
 // End to end: the GBCO workload across worker counts.
 // ---------------------------------------------------------------------------
 
-fn system(shard_workers: usize) -> QSystem {
+fn system(shard_workers: usize) -> LiveServer {
     let catalog = gbco_catalog(&GbcoConfig::default());
-    QSystem::new(
+    LiveServer::new(
         catalog,
         QConfig {
             shard_workers,
@@ -144,7 +144,7 @@ fn system(shard_workers: usize) -> QSystem {
 /// Replay the full GBCO trial workload through `q` three ways — cold
 /// (misses), warm (hits), and again after a MIRA re-pricing (revalidations
 /// and recomputes) — returning every (cache status, rendered view) pair.
-fn transcript(q: &mut QSystem) -> Vec<(CacheStatus, String)> {
+fn transcript(q: &LiveServer) -> Vec<(CacheStatus, String)> {
     let trials = gbco_trials();
     let requests: Vec<QueryRequest> = trials
         .iter()
@@ -162,13 +162,14 @@ fn transcript(q: &mut QSystem) -> Vec<(CacheStatus, String)> {
             log.push((outcome.cache, format!("{:?}", outcome.view)));
         }
     }
-    // Re-price through feedback on the first trial's view, then replay: the
-    // cache serves a mix of revalidations and recomputes — the mix itself
-    // must be identical at every worker count.
-    let keywords: Vec<&str> = trials[0].keywords.iter().map(String::as_str).collect();
-    let view = q.create_view(&keywords).expect("feedback view builds");
-    q.feedback(view, Feedback::Correct { answer: 0 })
-        .expect("feedback applies");
+    // Re-price through feedback on the first trial's keywords, then replay:
+    // the cache serves a mix of revalidations and recomputes — the mix
+    // itself must be identical at every worker count.
+    q.feedback(&FeedbackRequest::on_keywords(
+        trials[0].keywords.iter().cloned(),
+        Feedback::Correct { answer: 0 },
+    ))
+    .expect("feedback applies");
     for request in &requests {
         let outcome = q.query(request).expect("post-feedback query answers");
         assert!(
@@ -183,13 +184,13 @@ fn transcript(q: &mut QSystem) -> Vec<(CacheStatus, String)> {
 
 #[test]
 fn gbco_workload_is_byte_identical_across_the_shard_worker_grid() {
-    let baseline = transcript(&mut system(1));
+    let baseline = transcript(&system(1));
     assert!(
         baseline.iter().any(|(s, _)| *s == CacheStatus::Revalidated),
         "the workload must exercise the revalidation path"
     );
     for workers in [2, 3] {
-        let log = transcript(&mut system(workers));
+        let log = transcript(&system(workers));
         assert_eq!(
             log.len(),
             baseline.len(),
