@@ -17,7 +17,7 @@ use q_core::evaluation::{
     average_edge_costs, gold_target_query, pr_curve_from_alignments, pr_curve_from_graph, AttrPair,
     EdgeCostSummary, PrPoint,
 };
-use q_core::{Feedback, QConfig, QSystem};
+use q_core::{Feedback, FeedbackRequest, QConfig, QSystem};
 use q_datasets::{interpro_go_catalog, interpro_go_gold, interpro_go_queries, InterproGoConfig};
 
 use crate::matchers::{mad_alignments, metadata_alignments};
@@ -75,20 +75,6 @@ pub struct LearningResult {
     pub steps_to_perfect_precision: Vec<(f64, Option<usize>)>,
     /// Total feedback steps actually applied.
     pub feedback_steps: usize,
-}
-
-/// Best F-measure over a PR curve (convenience for comparisons).
-pub fn best_f_measure(curve: &[PrPoint]) -> f64 {
-    curve
-        .iter()
-        .map(|p| {
-            if p.precision + p.recall > 0.0 {
-                2.0 * p.precision * p.recall / (p.precision + p.recall)
-            } else {
-                0.0
-            }
-        })
-        .fold(0.0, f64::max)
 }
 
 /// Run the Figures 10–12 / Table 2 experiment.
@@ -149,9 +135,11 @@ pub fn run_learning_experiment(config: &LearningConfig) -> LearningResult {
             else {
                 continue;
             };
-            if q.feedback(*view_id, Feedback::Correct { answer: answer_idx })
-                .is_err()
-            {
+            let feedback = FeedbackRequest::on_keywords(
+                view.keywords.clone(),
+                Feedback::Correct { answer: answer_idx },
+            );
+            if q.apply_feedback(&feedback).is_err() {
                 continue;
             }
             steps += 1;
@@ -197,6 +185,20 @@ pub fn run_learning_experiment(config: &LearningConfig) -> LearningResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Best F-measure over a PR curve.
+    fn best_f_measure(curve: &[PrPoint]) -> f64 {
+        curve
+            .iter()
+            .map(|p| {
+                if p.precision + p.recall > 0.0 {
+                    2.0 * p.precision * p.recall / (p.precision + p.recall)
+                } else {
+                    0.0
+                }
+            })
+            .fold(0.0, f64::max)
+    }
 
     #[test]
     fn feedback_widens_the_gold_vs_non_gold_cost_gap_and_lifts_quality() {

@@ -96,7 +96,10 @@ pub fn run_scaling_experiment(config: &ScalingExperimentConfig) -> ScalingResult
             {
                 break;
             }
-            let _ = q.feedback(view_id, q_core::Feedback::Correct { answer: 0 });
+            let _ = q.apply_feedback(&q_core::FeedbackRequest::on_keywords(
+                &trial.keywords,
+                q_core::Feedback::Correct { answer: 0 },
+            ));
         }
         let alpha = q
             .view(view_id)

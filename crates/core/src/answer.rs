@@ -69,13 +69,6 @@ impl RankedView {
     pub fn answer_count(&self) -> usize {
         self.answers.len()
     }
-
-    /// Answers produced by one particular ranked query.
-    pub fn answers_of_query(&self, query_index: usize) -> impl Iterator<Item = &Answer> {
-        self.answers
-            .iter()
-            .filter(move |a| a.query_index == query_index)
-    }
 }
 
 #[cfg(test)]
@@ -107,29 +100,16 @@ mod tests {
     }
 
     #[test]
-    fn answers_filter_by_query_index() {
+    fn answer_count_counts_the_answers_of_every_query() {
+        let answer = |query_index| Answer {
+            values: vec![],
+            query_index,
+            cost: 1.0,
+        };
         let view = RankedView {
-            answers: vec![
-                Answer {
-                    values: vec![],
-                    query_index: 0,
-                    cost: 1.0,
-                },
-                Answer {
-                    values: vec![],
-                    query_index: 1,
-                    cost: 2.0,
-                },
-                Answer {
-                    values: vec![],
-                    query_index: 0,
-                    cost: 1.0,
-                },
-            ],
+            answers: vec![answer(0), answer(1), answer(0)],
             ..RankedView::default()
         };
-        assert_eq!(view.answers_of_query(0).count(), 2);
-        assert_eq!(view.answers_of_query(1).count(), 1);
         assert_eq!(view.answer_count(), 3);
     }
 }

@@ -83,16 +83,6 @@ pub struct QueryKey {
     pub params: QueryParamsKey,
 }
 
-impl QueryKey {
-    /// Key for a default request (no overrides) over raw keywords.
-    pub fn from_keywords(keywords: &[&str]) -> Self {
-        QueryKey {
-            keywords: normalize_keywords(keywords),
-            params: QueryParamsKey::default(),
-        }
-    }
-}
-
 /// One summand of a cached tree's cost under arbitrary weights.
 ///
 /// Terms are kept in the tree's sorted-edge order so the re-priced sum is
@@ -583,11 +573,6 @@ impl QueryCache {
         self.epoch
     }
 
-    /// Maximum number of entries the cache holds (always at least 1).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -634,8 +619,12 @@ mod tests {
         })
     }
 
+    /// Key for a default request (no overrides) over raw keywords.
     fn key(keywords: &[&str]) -> QueryKey {
-        QueryKey::from_keywords(keywords)
+        QueryKey {
+            keywords: normalize_keywords(keywords),
+            params: QueryParamsKey::default(),
+        }
     }
 
     /// Insert a freshly computed view, stamped with the cache's epoch.
@@ -1103,22 +1092,22 @@ mod tests {
             let (v, mut m) = priced_view(&g, e);
             m.top_k = 1;
             admit(&mut cache, key(&[tag]), v, m);
-            assert!(cache.len() <= cache.capacity());
+            assert!(cache.len() <= cache.capacity);
         }
         // Overwrite an existing key at capacity.
         let (v, mut m) = priced_view(&g, e);
         m.top_k = 1;
         admit(&mut cache, key(&["d"]), v, m);
-        assert!(cache.len() <= cache.capacity());
+        assert!(cache.len() <= cache.capacity);
         // Keeping syncs (a re-pricing that moves no cost, then growth)
         // stay bounded.
         let w = g.weights().clone();
         g.set_weights(w);
         cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
-        assert!(cache.len() <= cache.capacity());
+        assert!(cache.len() <= cache.capacity);
         let grown = ingest_r3(cat, g, 0.05);
         cache.sync(5, &grown.publish());
-        assert!(cache.len() <= cache.capacity());
+        assert!(cache.len() <= cache.capacity);
         assert!(!cache.is_empty(), "full budgetless lists survive via top_k");
     }
 
@@ -1175,7 +1164,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped_to_one_instead_of_degrading() {
         let mut cache = QueryCache::new(0, 0);
-        assert_eq!(cache.capacity(), 1);
+        assert_eq!(cache.capacity, 1);
         // The just-inserted entry is still retrievable.
         admit(
             &mut cache,

@@ -31,7 +31,9 @@ pub struct QConfig {
     pub top_y: usize,
     /// Keyword matching thresholds.
     pub match_config: MatchConfig,
-    /// Steiner search configuration.
+    /// Steiner search bounds: only `max_roots` and `max_cost` are read.
+    /// Every search takes `k` from [`top_k`](Self::top_k), so `steiner.k`
+    /// is never read.
     pub steiner: SteinerConfig,
     /// Alignment strategy used when registering new sources.
     pub strategy: AlignmentStrategy,

@@ -46,8 +46,6 @@ pub enum QError {
         /// Why the value was rejected.
         reason: String,
     },
-    /// The referenced view does not exist.
-    UnknownView(usize),
     /// The referenced answer index does not exist in the view.
     UnknownAnswer {
         /// View the answer was looked up in.
@@ -72,7 +70,6 @@ impl QError {
             QError::ViewMaterialization { .. } => "view_materialization",
             QError::InvalidRequest { .. } => "invalid_request",
             QError::InvalidBuild { .. } => "invalid_build",
-            QError::UnknownView(_) => "unknown_view",
             QError::UnknownAnswer { .. } => "unknown_answer",
             QError::NoQueryTrees => "no_query_trees",
         }
@@ -96,7 +93,6 @@ impl fmt::Display for QError {
             QError::InvalidBuild { field, reason } => {
                 write!(f, "invalid system configuration: `{field}` {reason}")
             }
-            QError::UnknownView(v) => write!(f, "unknown view #{v}"),
             QError::UnknownAnswer { view, answer } => {
                 write!(f, "view #{view} has no answer #{answer}")
             }
@@ -129,7 +125,8 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        assert!(QError::UnknownView(3).to_string().contains('3'));
+        let e = QError::UnknownAnswer { view: 3, answer: 9 };
+        assert!(e.to_string().contains('3') && e.to_string().contains('9'));
         let e: QError = StorageError::UnknownRelation("x".into()).into();
         assert!(matches!(e, QError::Storage(_)));
         assert!(e.to_string().contains("storage"));
@@ -190,7 +187,6 @@ mod tests {
                 field: "top_k",
                 reason: String::new(),
             },
-            QError::UnknownView(0),
             QError::UnknownAnswer { view: 0, answer: 0 },
             QError::NoQueryTrees,
         ];
@@ -210,7 +206,9 @@ mod tests {
     #[test]
     fn leaf_variants_have_no_source() {
         assert!(QError::NoQueryTrees.source().is_none());
-        assert!(QError::UnknownView(0).source().is_none());
+        assert!(QError::UnknownAnswer { view: 0, answer: 0 }
+            .source()
+            .is_none());
         assert!(QError::InvalidBuild {
             field: "catalog",
             reason: "empty".into()

@@ -50,10 +50,7 @@ pub struct EdgeCostSummary {
 }
 
 /// Compute precision / recall / F-measure from predicted and gold pair sets.
-pub fn precision_recall(
-    predicted: &HashSet<AttrPair>,
-    gold: &HashSet<AttrPair>,
-) -> (f64, f64, f64) {
+fn precision_recall(predicted: &HashSet<AttrPair>, gold: &HashSet<AttrPair>) -> (f64, f64, f64) {
     if predicted.is_empty() || gold.is_empty() {
         return (0.0, 0.0, 0.0);
     }
@@ -70,7 +67,7 @@ pub fn precision_recall(
 
 /// Predicted pairs from a set of matcher alignments: the top-`top_y`
 /// candidates per new attribute with confidence at or above `min_confidence`.
-pub fn predicted_from_alignments(
+fn predicted_from_alignments(
     alignments: &[AttributeAlignment],
     top_y: usize,
     min_confidence: f64,
@@ -110,7 +107,7 @@ pub fn precision_recall_alignments(
 /// Predicted pairs from the search graph: for each attribute its `top_y`
 /// cheapest incident association edges whose cost is at most
 /// `cost_threshold`.
-pub fn predicted_from_graph(
+fn predicted_from_graph(
     graph: &SearchGraph,
     top_y: usize,
     cost_threshold: f64,

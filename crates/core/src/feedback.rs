@@ -4,15 +4,14 @@
 //! answer; Q generalises each annotation to the query tree that produced the
 //! answer (via its provenance) and feeds ranking constraints to the MIRA
 //! learner. This module defines the feedback vocabulary ([`Feedback`]), the
-//! typed request surface ([`FeedbackRequest`] — what
+//! typed request surface ([`FeedbackRequest`], which names the annotated
+//! answers by their keyword query — what
 //! [`QSystem::apply_feedback`](crate::QSystem::apply_feedback) and
 //! [`LiveServer::feedback`](crate::LiveServer::feedback) consume, and what
 //! the network `/feedback` endpoint decodes into) and the outcome report
 //! ([`FeedbackOutcome`]).
 
 use serde::{Deserialize, Serialize};
-
-use crate::answer::ViewId;
 
 /// One piece of user feedback on a view's answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,51 +37,29 @@ pub enum Feedback {
     },
 }
 
-/// What a [`FeedbackRequest`] annotates: either a persistent view by id
-/// (the [`QSystem`](crate::QSystem) path) or a keyword query (the live
-/// serving path, where answers are computed per request and no persistent
-/// view exists).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FeedbackTarget {
-    /// A persistent view registered with
-    /// [`QSystem::create_view`](crate::QSystem::create_view).
-    View(ViewId),
-    /// The ranked answers of a keyword query, as currently served.
-    /// [`QSystem::apply_feedback`](crate::QSystem::apply_feedback) resolves
-    /// this to an existing view with the same keywords (creating one when
-    /// none exists);
-    /// [`LiveServer::feedback`](crate::LiveServer::feedback) annotates the
-    /// current snapshot's sequential answer directly.
-    Keywords(Vec<String>),
-}
-
-/// A typed feedback request: which answers are being annotated, and how.
+/// A typed feedback request: the keyword query whose ranked answers are
+/// annotated, and the annotation.
+/// [`QSystem::apply_feedback`](crate::QSystem::apply_feedback) resolves the
+/// keywords to the persistent view with the same keywords (creating one when
+/// none exists); [`LiveServer::feedback`](crate::LiveServer::feedback)
+/// annotates the current snapshot's sequential answer directly.
 ///
 /// ```no_run
 /// use q_core::{Feedback, FeedbackRequest};
 ///
-/// let by_view = FeedbackRequest::on_view(0, Feedback::Correct { answer: 0 });
-/// let by_query = FeedbackRequest::on_keywords(
+/// let request = FeedbackRequest::on_keywords(
 ///     ["plasma membrane", "entry"],
 ///     Feedback::Prefer { better: 0, worse: 2 },
 /// );
-/// # let _ = (by_view, by_query);
+/// # let _ = request;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeedbackRequest {
-    target: FeedbackTarget,
+    keywords: Vec<String>,
     feedback: Feedback,
 }
 
 impl FeedbackRequest {
-    /// Feedback on a persistent view's answers.
-    pub fn on_view(view: ViewId, feedback: Feedback) -> Self {
-        FeedbackRequest {
-            target: FeedbackTarget::View(view),
-            feedback,
-        }
-    }
-
     /// Feedback on the ranked answers of a keyword query.
     pub fn on_keywords<I, S>(keywords: I, feedback: Feedback) -> Self
     where
@@ -90,14 +67,14 @@ impl FeedbackRequest {
         S: Into<String>,
     {
         FeedbackRequest {
-            target: FeedbackTarget::Keywords(keywords.into_iter().map(Into::into).collect()),
+            keywords: keywords.into_iter().map(Into::into).collect(),
             feedback,
         }
     }
 
-    /// What the request targets.
-    pub fn target(&self) -> &FeedbackTarget {
-        &self.target
+    /// The keyword query whose answers are annotated.
+    pub fn keywords(&self) -> &[String] {
+        &self.keywords
     }
 
     /// The annotation itself.

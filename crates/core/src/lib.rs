@@ -15,7 +15,7 @@
 //!   a new source: its schema joins the graph, the configured schema matchers
 //!   propose alignments through one of the alignment strategies
 //!   (`q-align`), and affected views are refreshed.
-//! * **Association cost learning** — [`QSystem::feedback`] turns user
+//! * **Association cost learning** — [`QSystem::apply_feedback`] turns user
 //!   feedback on answers into MIRA weight updates (`q-learn`), repairing bad
 //!   alignments and re-weighting matchers.
 //!
@@ -54,7 +54,7 @@ pub use evaluation::{
     average_edge_costs, pr_curve_from_alignments, pr_curve_from_graph, precision_recall_graph,
     EdgeCostSummary, PrPoint,
 };
-pub use feedback::{Feedback, FeedbackOutcome, FeedbackRequest, FeedbackTarget};
+pub use feedback::{Feedback, FeedbackOutcome, FeedbackRequest};
 pub use live::{GraphSnapshot, IngestReport, LiveCacheStats, LiveFeedbackReport, LiveServer};
 pub use q_snap::{SnapError, SnapshotInfo};
 pub use request::{

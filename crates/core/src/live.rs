@@ -73,7 +73,7 @@ use crate::cache::{
 };
 use crate::config::QConfig;
 use crate::error::QError;
-use crate::feedback::{FeedbackOutcome, FeedbackRequest, FeedbackTarget};
+use crate::feedback::{FeedbackOutcome, FeedbackRequest};
 use crate::request::{CachePolicy, CacheStatus, QueryOutcome, QueryRequest};
 use crate::revalidate::{RevalidationLane, RevalidationStats};
 use crate::snapstore::{PersistStats, SnapshotPersister};
@@ -639,30 +639,20 @@ impl LiveServer {
     /// Apply user feedback to the live model and publish the re-priced
     /// snapshot, without stopping reads.
     ///
-    /// Live serving has no persistent views, so the request must target a
-    /// keyword query ([`FeedbackTarget::Keywords`]); the annotated answers
-    /// are the current snapshot's sequential answer for those keywords —
-    /// exactly the bytes a [`query`](Self::query) against this snapshot
-    /// serves, so answer indices in the annotation line up with what the
-    /// user saw. [`FeedbackTarget::View`] is rejected as an invalid request.
+    /// The annotated answers are the current snapshot's sequential answer
+    /// for the request's keywords — exactly the bytes a
+    /// [`query`](Self::query) against this snapshot serves, so answer
+    /// indices in the annotation line up with what the user saw.
     ///
     /// The MIRA update re-prices association edges (same topology, new
     /// weights), so this is a re-pricing publish: cached entries whose costs
     /// moved drop, bit-identical ones are kept.
     pub fn feedback(&self, request: &FeedbackRequest) -> Result<LiveFeedbackReport, QError> {
-        let FeedbackTarget::Keywords(keywords) = request.target() else {
-            return Err(QError::InvalidRequest {
-                field: "target",
-                reason: "live serving has no persistent views — target feedback by \
-                         keywords"
-                    .into(),
-            });
-        };
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.snapshot();
 
         // The view being annotated: the snapshot's sequential answer.
-        let query = QueryRequest::new(keywords.iter().cloned());
+        let query = QueryRequest::new(request.keywords().iter().cloned());
         let view = base.answer(&self.config, &query)?;
 
         let mut graph = base.graph.clone();
@@ -1223,22 +1213,9 @@ mod tests {
     }
 
     #[test]
-    fn feedback_rejects_view_targets_and_publishes_nothing_on_error() {
+    fn feedback_publishes_nothing_on_error() {
         let server = server();
         let before = server.snapshot();
-        let err = server
-            .feedback(&FeedbackRequest::on_view(
-                0,
-                Feedback::Correct { answer: 0 },
-            ))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            QError::InvalidRequest {
-                field: "target",
-                ..
-            }
-        ));
 
         // Annotating an answer the query does not have fails without
         // publishing.

@@ -25,11 +25,10 @@ use crate::error::QError;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CachePolicy {
     /// Serve from the cache when possible; cache the answer on a miss (the
-    /// default, and the behaviour of the old `run_query_cached`).
+    /// default).
     #[default]
     Cached,
-    /// Compute from scratch without reading or writing the cache (the
-    /// behaviour of the old `run_query_uncached`).
+    /// Compute from scratch without reading or writing the cache.
     Bypass,
     /// Compute from scratch and overwrite any cached entry for this request.
     Refresh,

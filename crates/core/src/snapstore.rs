@@ -31,7 +31,7 @@ const FILE_PREFIX: &str = "snap-";
 const FILE_SUFFIX: &str = ".qsnap";
 
 /// Snapshot file name for an id.
-pub fn snapshot_file_name(id: u64) -> String {
+fn snapshot_file_name(id: u64) -> String {
     format!("{FILE_PREFIX}{id}{FILE_SUFFIX}")
 }
 
@@ -144,11 +144,6 @@ impl SnapshotPersister {
             handle: Some(handle),
             dir,
         })
-    }
-
-    /// The directory snapshots are written into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Deposit a snapshot for persistence and return immediately. An

@@ -24,7 +24,7 @@ use crate::answer::{RankedQuery, RankedView, ViewId};
 use crate::cache::{CostTerm, RevalidationModel, TreeCostModel};
 use crate::config::{AlignmentStrategy, QConfig};
 use crate::error::QError;
-use crate::feedback::{Feedback, FeedbackOutcome, FeedbackRequest, FeedbackTarget};
+use crate::feedback::{Feedback, FeedbackOutcome, FeedbackRequest};
 use crate::request::{QueryRequest, SearchStrategy};
 use crate::translate::{materialize_view, tree_to_query};
 
@@ -109,11 +109,6 @@ impl QSystem {
         &self.config
     }
 
-    /// The pre-built value index.
-    pub fn value_index(&self) -> &ValueIndex {
-        &self.value_index
-    }
-
     /// A view by id.
     pub fn view(&self, id: ViewId) -> Option<&RankedView> {
         self.views.get(id)
@@ -138,29 +133,18 @@ impl QSystem {
         Ok(self.views.len() - 1)
     }
 
-    /// Recompute one view's definition and contents against the current
-    /// search graph and weights.
-    pub fn refresh_view(&mut self, id: ViewId) -> Result<(), QError> {
-        let keywords: Vec<String> = self
-            .views
-            .get(id)
-            .ok_or(QError::UnknownView(id))?
-            .keywords
-            .clone();
-        let keyword_refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
-        let view = self.compute_view_reusing_scratch(&keyword_refs)?;
-        self.views[id] = view;
-        Ok(())
-    }
-
-    /// Refresh every view; returns the refreshed ids.
-    pub fn refresh_all_views(&mut self) -> Vec<ViewId> {
-        let ids: Vec<ViewId> = (0..self.views.len()).collect();
-        for id in &ids {
+    /// Recompute every view's definition and contents against the current
+    /// search graph and weights; returns the refreshed ids.
+    fn refresh_all_views(&mut self) -> Vec<ViewId> {
+        for id in 0..self.views.len() {
+            let keywords = self.views[id].keywords.clone();
+            let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
             // Keywords always re-resolve, so refresh cannot fail here.
-            let _ = self.refresh_view(*id);
+            if let Ok(view) = self.compute_view_reusing_scratch(&refs) {
+                self.views[id] = view;
+            }
         }
-        ids
+        (0..self.views.len()).collect()
     }
 
     /// Compute a view through the shared scratch — the feedback loop
@@ -374,53 +358,31 @@ impl QSystem {
     // User feedback & corrections (Section 4, Algorithm 4)
     // ------------------------------------------------------------------
 
-    /// Apply one typed [`FeedbackRequest`]: resolve its target to a
-    /// persistent view (a [`FeedbackTarget::Keywords`] target reuses the
-    /// existing view with those keywords, creating one when none exists),
-    /// run the MIRA update, and refresh every view.
+    /// Apply one typed [`FeedbackRequest`] to the persistent view with its
+    /// keywords (creating that view when none exists): generalise the
+    /// annotated answer to its originating query tree, build margin
+    /// constraints against the current K-best trees, update the weights with
+    /// MIRA, keep edge costs positive, and refresh every view.
     pub fn apply_feedback(&mut self, request: &FeedbackRequest) -> Result<FeedbackOutcome, QError> {
-        let view_id = match request.target() {
-            FeedbackTarget::View(id) => *id,
-            FeedbackTarget::Keywords(keywords) => {
-                match self.views.iter().position(|v| &v.keywords == keywords) {
-                    Some(id) => id,
-                    None => {
-                        let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
-                        self.create_view(&refs)?
-                    }
-                }
+        let keywords = request.keywords();
+        let view_id = match self.views.iter().position(|v| v.keywords == keywords) {
+            Some(id) => id,
+            None => {
+                let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
+                self.create_view(&refs)?
             }
         };
-        let view = self
-            .views
-            .get(view_id)
-            .ok_or(QError::UnknownView(view_id))?;
         let outcome = learn_feedback(
             &mut self.graph,
             &self.keyword_index,
             &self.config,
             &mut self.mira,
-            view,
+            &self.views[view_id],
             view_id,
             request.feedback(),
         )?;
         self.refresh_all_views();
         Ok(outcome)
-    }
-
-    /// Apply one piece of user feedback to a view: generalise the annotated
-    /// answer to its originating query tree, build margin constraints against
-    /// the current K-best trees, update the weights with MIRA, keep edge
-    /// costs positive, and refresh every view.
-    ///
-    /// Thin wrapper over [`QSystem::apply_feedback`] with a
-    /// [`FeedbackTarget::View`] target.
-    pub fn feedback(
-        &mut self,
-        view_id: ViewId,
-        feedback: Feedback,
-    ) -> Result<FeedbackOutcome, QError> {
-        self.apply_feedback(&FeedbackRequest::on_view(view_id, feedback))
     }
 }
 
@@ -434,7 +396,7 @@ impl QSystem {
 /// publish it as the next snapshot).
 ///
 /// `view_label` is only used to label [`QError::UnknownAnswer`] — the live
-/// path, which has no persistent views, passes the id its caller targeted.
+/// path, which has no persistent views, passes 0.
 pub(crate) fn learn_feedback(
     graph: &mut SearchGraph,
     keyword_index: &KeywordIndex,
@@ -921,13 +883,50 @@ mod tests {
         // Mark the best answer correct; weights must change such that its
         // query stays cheapest and all views refresh without error.
         let outcome = q
-            .feedback(view_id, Feedback::Correct { answer: 0 })
+            .apply_feedback(&FeedbackRequest::on_keywords(
+                ["plasma membrane", "entry"],
+                Feedback::Correct { answer: 0 },
+            ))
             .unwrap();
         assert!(outcome.constraints > 0);
+        assert_eq!(q.views().len(), 1, "the keywords resolved to the view");
         let view = q.view(view_id).unwrap();
         assert!(!view.queries.is_empty());
         // All edge costs remain positive after learning.
         assert!(q.graph().min_learnable_edge_cost().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn keyword_feedback_creates_the_view_once_and_then_reuses_it() {
+        let mut q = system();
+        let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
+        let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
+        let entry_name = q.catalog().resolve_qualified("entry.name").unwrap();
+        let term_name = q.catalog().resolve_qualified("go_term.name").unwrap();
+        q.add_manual_association(acc, go_id, 0.9);
+        q.add_manual_association(term_name, entry_name, 0.9);
+        let keywords = ["plasma membrane", "entry"];
+        assert!(q.views().is_empty());
+
+        // No view has these keywords yet: the annotation creates one and
+        // learns from it.
+        let outcome = q
+            .apply_feedback(&FeedbackRequest::on_keywords(
+                keywords,
+                Feedback::Correct { answer: 0 },
+            ))
+            .unwrap();
+        assert!(outcome.constraints > 0);
+        assert_eq!(q.views().len(), 1);
+        assert_eq!(q.views()[0].keywords, keywords);
+
+        // A second annotation of the same keywords reuses that view.
+        q.apply_feedback(&FeedbackRequest::on_keywords(
+            keywords,
+            Feedback::Correct { answer: 0 },
+        ))
+        .unwrap();
+        assert_eq!(q.views().len(), 1);
     }
 
     #[test]
@@ -936,15 +935,13 @@ mod tests {
         let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
         let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
         q.add_manual_association(acc, go_id, 0.9);
-        let view_id = q.create_view(&["plasma membrane", "entry"]).unwrap();
         let err = q
-            .feedback(view_id, Feedback::Correct { answer: 10_000 })
+            .apply_feedback(&FeedbackRequest::on_keywords(
+                ["plasma membrane", "entry"],
+                Feedback::Correct { answer: 10_000 },
+            ))
             .unwrap_err();
         assert!(matches!(err, QError::UnknownAnswer { .. }));
-        assert!(matches!(
-            q.feedback(99, Feedback::Correct { answer: 0 }).unwrap_err(),
-            QError::UnknownView(99)
-        ));
     }
 
     #[test]

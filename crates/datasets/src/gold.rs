@@ -34,11 +34,6 @@ impl GoldStandard {
         self.pairs.is_empty()
     }
 
-    /// The qualified-name pairs.
-    pub fn pairs(&self) -> &[(String, String)] {
-        &self.pairs
-    }
-
     /// Resolve the pairs against a catalog, returning attribute-id pairs in
     /// canonical (smaller id first) order. Panics if a name does not resolve,
     /// since the gold standard and catalog are generated together.

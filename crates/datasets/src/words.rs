@@ -8,7 +8,7 @@ use rand::Rng;
 /// Biological-ish term fragments used to build names, titles and
 /// descriptions. Combining fragments keeps the vocabulary realistic while
 /// still producing the value overlaps the experiments rely on.
-pub const TERM_WORDS: &[&str] = &[
+const TERM_WORDS: &[&str] = &[
     "plasma",
     "membrane",
     "kinase",
@@ -56,7 +56,7 @@ pub const TERM_WORDS: &[&str] = &[
 ];
 
 /// Journal-like names.
-pub const JOURNAL_WORDS: &[&str] = &[
+const JOURNAL_WORDS: &[&str] = &[
     "nature",
     "science",
     "cell",
@@ -74,7 +74,7 @@ pub const JOURNAL_WORDS: &[&str] = &[
 ];
 
 /// Author-ish surnames for publication metadata.
-pub const SURNAMES: &[&str] = &[
+const SURNAMES: &[&str] = &[
     "smith",
     "chen",
     "garcia",
@@ -94,7 +94,7 @@ pub const SURNAMES: &[&str] = &[
 ];
 
 /// Evidence / category codes.
-pub const CODES: &[&str] = &[
+const CODES: &[&str] = &[
     "IDA", "IEA", "IMP", "IGI", "IPI", "ISS", "TAS", "NAS", "EXP", "HDA",
 ];
 
@@ -104,7 +104,7 @@ pub fn padded_id(prefix: &str, number: usize, width: usize) -> String {
 }
 
 /// A phrase of `words` fragments drawn from a pool.
-pub fn phrase(rng: &mut StdRng, pool: &[&str], words: usize) -> String {
+fn phrase(rng: &mut StdRng, pool: &[&str], words: usize) -> String {
     let mut parts = Vec::with_capacity(words);
     for _ in 0..words {
         parts.push(*pool.choose(rng).expect("non-empty pool"));

@@ -86,15 +86,6 @@ impl DeltaPricer {
         self.dist_of(node)
     }
 
-    /// Cheapest distance into a node set (∞ for an empty set): the cost
-    /// bound for "the delta reaches one of these nodes".
-    pub fn cheapest_into(&self, nodes: &[NodeId]) -> f64 {
-        nodes
-            .iter()
-            .map(|n| self.dist_of(*n))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     #[inline]
     fn dist_of(&self, node: NodeId) -> f64 {
         let i = node.index();
@@ -168,12 +159,6 @@ mod tests {
         // Node 3 is cheaper from the far seed.
         assert_eq!(pricer.dist(NodeId(3)), 1.1);
         assert_eq!(pricer.dist(NodeId(4)), 0.1);
-        assert_eq!(
-            pricer.cheapest_into(&[NodeId(1), NodeId(3)]),
-            1.1,
-            "set pricing takes the cheapest member"
-        );
-        assert_eq!(pricer.cheapest_into(&[]), f64::INFINITY);
     }
 
     #[test]
@@ -194,6 +179,6 @@ mod tests {
     fn fresh_pricer_reports_infinity_everywhere() {
         let pricer = DeltaPricer::default();
         assert_eq!(pricer.dist(NodeId(7)), f64::INFINITY);
-        assert_eq!(pricer.cheapest_into(&[NodeId(0)]), f64::INFINITY);
+        assert_eq!(pricer.dist(NodeId(0)), f64::INFINITY);
     }
 }

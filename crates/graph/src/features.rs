@@ -101,7 +101,7 @@ impl FeatureSpace {
     }
 
     /// Default weight of one feature.
-    pub fn default_weight(&self, id: FeatureId) -> f64 {
+    fn default_weight(&self, id: FeatureId) -> f64 {
         self.default_weights.get(id.index()).copied().unwrap_or(0.0)
     }
 
@@ -217,13 +217,6 @@ pub struct WeightVector {
 }
 
 impl WeightVector {
-    /// All-zero weight vector sized for a feature space.
-    pub fn zeros(space: &FeatureSpace) -> Self {
-        WeightVector {
-            weights: vec![0.0; space.len()],
-        }
-    }
-
     /// Wrap a raw weight array (what a persistent snapshot stores).
     pub fn from_raw(weights: Vec<f64>) -> Self {
         WeightVector { weights }

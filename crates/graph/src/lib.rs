@@ -39,6 +39,6 @@ pub use query_graph::{KeywordNode, QueryGraph};
 pub use search_graph::{AssociationProvenance, SearchGraph, SearchGraphParts};
 pub use shard::ShardSet;
 pub use steiner::{
-    approx_top_k, approx_top_k_detailed, approx_top_k_detailed_fanned, approx_top_k_with,
-    exact_minimum_steiner, SteinerConfig, SteinerScratch, SteinerStats, SteinerTree,
+    approx_top_k, approx_top_k_detailed, approx_top_k_detailed_fanned, exact_minimum_steiner,
+    SteinerConfig, SteinerScratch, SteinerStats, SteinerTree,
 };

@@ -64,11 +64,6 @@ impl Node {
     pub fn is_keyword(&self) -> bool {
         matches!(self, Node::Keyword(_))
     }
-
-    /// True for data-value nodes.
-    pub fn is_value(&self) -> bool {
-        matches!(self, Node::Value { .. })
-    }
 }
 
 impl fmt::Display for Node {
@@ -98,11 +93,6 @@ mod tests {
             Some(AttributeId(5))
         );
         assert!(Node::Keyword("publication".into()).is_keyword());
-        assert!(Node::Value {
-            attribute: AttributeId(1),
-            value: "plasma membrane".into()
-        }
-        .is_value());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use q_storage::AttributeId;
 
 use crate::csr::Csr;
 use crate::edge::{Edge, EdgeId, EdgeKind};
-use crate::features::{FeatureVector, WeightVector};
+use crate::features::FeatureVector;
 use crate::keyword::{KeywordIndex, KeywordMatch, MatchConfig, MatchTarget};
 use crate::node::{Node, NodeId};
 use crate::search_graph::SearchGraph;
@@ -185,21 +185,9 @@ impl<'a> QueryGraph<'a> {
         }
     }
 
-    /// True if the edge belongs to the underlying search graph (as opposed to
-    /// being a query-local keyword/value edge).
-    pub fn is_base_edge(&self, id: EdgeId) -> bool {
-        id.index() < self.base.edge_count()
-    }
-
     /// Cost of an edge under the search graph's current weights.
     pub fn edge_cost(&self, id: EdgeId) -> f64 {
         self.edge(id).cost(self.base.weights())
-    }
-
-    /// Cost of an edge under an explicit weight vector (used by the learner
-    /// while exploring candidate weight updates).
-    pub fn edge_cost_with(&self, id: EdgeId, weights: &WeightVector) -> f64 {
-        self.edge(id).cost(weights)
     }
 
     /// Feature vector of an edge.
@@ -210,7 +198,7 @@ impl<'a> QueryGraph<'a> {
     /// Edges incident to a node, including query-local ones — a borrowed
     /// slice into the packed combined adjacency.
     #[inline]
-    pub fn adjacent(&self, node: NodeId) -> &[(EdgeId, NodeId)] {
+    fn adjacent(&self, node: NodeId) -> &[(EdgeId, NodeId)] {
         self.csr.neighbors(node)
     }
 
@@ -398,11 +386,16 @@ mod tests {
     fn base_edges_and_query_edges_are_distinguished() {
         let (_cat, graph, index) = setup();
         let qg = QueryGraph::build(&graph, &index, &["title"], &MatchConfig::default());
+        // Base edges keep their ids; query-local edges follow them.
         for e in 0..graph.edge_count() {
-            assert!(qg.is_base_edge(EdgeId(e as u32)));
+            let id = EdgeId(e as u32);
+            assert_eq!(qg.edge(id), graph.edge(id));
         }
         for e in graph.edge_count()..qg.edge_count() {
-            assert!(!qg.is_base_edge(EdgeId(e as u32)));
+            assert!(matches!(
+                qg.edge(EdgeId(e as u32)).kind,
+                EdgeKind::KeywordMatch | EdgeKind::KeywordValue | EdgeKind::ValueAttribute
+            ));
         }
         assert!(qg.edge_count() > graph.edge_count());
     }

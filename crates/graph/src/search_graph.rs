@@ -21,17 +21,17 @@ use crate::node::{Node, NodeId};
 
 /// Default weight of the feature shared by every learnable edge. Its weight
 /// is the uniform cost offset that keeps all edge costs positive.
-pub const DEFAULT_EDGE_WEIGHT: f64 = 0.5;
+const DEFAULT_EDGE_WEIGHT: f64 = 0.5;
 
 /// Default additional cost of a key–foreign-key edge (`c_d` in Section 2.1).
-pub const DEFAULT_FOREIGN_KEY_WEIGHT: f64 = 0.5;
+const DEFAULT_FOREIGN_KEY_WEIGHT: f64 = 0.5;
 
 /// Default weight of the base feature every keyword-match edge carries.
 pub const KEYWORD_BASE_WEIGHT: f64 = 0.1;
 
 /// Default weight scaling the keyword mismatch score `s_i` (Section 2.2's
 /// `w_i`), so a keyword edge initially costs `0.1 + (1 - similarity)`.
-pub const KEYWORD_MISMATCH_WEIGHT: f64 = 1.0;
+const KEYWORD_MISMATCH_WEIGHT: f64 = 1.0;
 
 /// Record of one matcher's opinion about an association edge.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,8 +87,7 @@ pub struct SearchGraph {
     features: FeatureSpace,
     weights: WeightVector,
     /// Monotone counter bumped whenever anything that can change an edge
-    /// cost changes: weight updates (MIRA re-pricing, authoritativeness) and
-    /// topology growth (new sources, new associations). Answer caches key on
+    /// cost changes: weight updates (MIRA re-pricing) and topology growth (new sources, new associations). Answer caches key on
     /// it — see `q-core`'s `QueryCache`.
     weight_epoch: u64,
     /// Canonically ordered attribute pair -> association edge. Ordered map so
@@ -333,30 +332,6 @@ impl SearchGraph {
         self.associations.iter().map(|((a, b), e)| (*e, *a, *b))
     }
 
-    /// Matchers' recorded opinions about an association edge.
-    pub fn provenance(&self, edge: EdgeId) -> &[AssociationProvenance] {
-        self.provenance.get(&edge).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Confidence reported by a specific matcher for an association edge.
-    pub fn matcher_confidence(&self, edge: EdgeId, matcher: &str) -> Option<f64> {
-        self.provenance(edge)
-            .iter()
-            .filter(|p| p.matcher == matcher)
-            .map(|p| p.confidence)
-            .fold(None, |acc, c| Some(acc.map_or(c, |a: f64| a.max(c))))
-    }
-
-    /// Declare a relation's authoritativeness `auth ∈ (0, 1]`. The feature
-    /// weight becomes `-ln(auth)` so authoritative relations add no cost.
-    pub fn set_relation_authoritativeness(&mut self, relation: RelationId, auth: f64) {
-        let a = auth.clamp(1e-6, 1.0);
-        let feature = self.features.intern(&format!("relation:{relation}"), 0.0);
-        self.weights.sync_with(&self.features);
-        self.weights.set(feature, -a.ln());
-        self.weight_epoch += 1;
-    }
-
     /// The learned weight attached to a relation's authoritativeness feature
     /// (0 if never learned). Lower means more preferred; used as the vertex
     /// prior of PreferentialAligner.
@@ -429,7 +404,7 @@ impl SearchGraph {
 
     /// Relation that an attribute node is attached to (via its zero-cost
     /// attribute–relation edge).
-    pub fn relation_of_attribute(&self, attribute: AttributeId) -> Option<RelationId> {
+    fn relation_of_attribute(&self, attribute: AttributeId) -> Option<RelationId> {
         let attr_node = self.attribute_node(attribute)?;
         self.neighbors(attr_node)
             .iter()
@@ -463,10 +438,10 @@ impl SearchGraph {
     }
 
     /// Current weight epoch: a monotone version counter for the edge-cost
-    /// model. It increases whenever a weight update (MIRA re-pricing,
-    /// authoritativeness) or a topology change (new source, new or re-binned
-    /// association) can alter any query's answers. `(query, epoch)` is
-    /// therefore a sound cache key: equal epochs imply identical costs.
+    /// model. It increases whenever a weight update (MIRA re-pricing) or a
+    /// topology change (new source, new or re-binned association) can alter
+    /// any query's answers. `(query, epoch)` is therefore a sound cache key:
+    /// equal epochs imply identical costs.
     pub fn weight_epoch(&self) -> u64 {
         self.weight_epoch
     }
@@ -474,11 +449,6 @@ impl SearchGraph {
     /// The feature space shared by all edges.
     pub fn feature_space(&self) -> &FeatureSpace {
         &self.features
-    }
-
-    /// Mutable feature space (the learner may intern loss features).
-    pub fn feature_space_mut(&mut self) -> &mut FeatureSpace {
-        &mut self.features
     }
 
     /// Smallest cost over all learnable (non-fixed) edges. The learner uses
@@ -498,17 +468,17 @@ impl SearchGraph {
     /// All nodes reachable from any start node with accumulated edge cost at
     /// most `alpha`, under the current weights (multi-source Dijkstra).
     pub fn cost_neighborhood(&self, starts: &[NodeId], alpha: f64) -> HashSet<NodeId> {
-        let dist = self.distances_from(starts, Some(alpha));
+        let dist = self.distances_from(starts, alpha);
         dist.into_iter()
             .filter(|(_, d)| *d <= alpha + 1e-12)
             .map(|(n, _)| n)
             .collect()
     }
 
-    /// Multi-source Dijkstra distances, optionally bounded by `limit`.
+    /// Multi-source Dijkstra distances, bounded by `limit`.
     /// Runs on the shared [`IndexedHeap`](crate::IndexedHeap) (total-order
     /// `f64::total_cmp` keys, in-place decrease-key) like the Steiner search.
-    pub fn distances_from(&self, starts: &[NodeId], limit: Option<f64>) -> HashMap<NodeId, f64> {
+    fn distances_from(&self, starts: &[NodeId], limit: f64) -> HashMap<NodeId, f64> {
         let mut dist: HashMap<NodeId, f64> = HashMap::new();
         let mut heap = crate::IndexedHeap::new();
         heap.reset(self.node_count());
@@ -518,17 +488,13 @@ impl SearchGraph {
         }
         while let Some((d, node)) = heap.pop() {
             let node = NodeId(node);
-            if let Some(l) = limit {
-                if d > l + 1e-12 {
-                    continue;
-                }
+            if d > limit + 1e-12 {
+                continue;
             }
             for &(edge_id, next) in self.neighbors(node) {
                 let nd = d + self.edge_cost(edge_id).max(0.0);
-                if let Some(l) = limit {
-                    if nd > l + 1e-12 {
-                        continue;
-                    }
+                if nd > limit + 1e-12 {
+                    continue;
                 }
                 let better = dist.get(&next).map(|cur| nd < *cur - 1e-12).unwrap_or(true);
                 if better {
@@ -725,10 +691,11 @@ mod tests {
         let e1 = g.add_association(a, b, "mad", 0.9);
         let e2 = g.add_association(b, a, "metadata", 0.7);
         assert_eq!(e1, e2);
-        assert_eq!(g.provenance(e1).len(), 2);
-        assert_eq!(g.matcher_confidence(e1, "mad"), Some(0.9));
-        assert_eq!(g.matcher_confidence(e1, "metadata"), Some(0.7));
-        assert_eq!(g.matcher_confidence(e1, "other"), None);
+        let opinions: Vec<(&str, f64)> = g.provenance[&e1]
+            .iter()
+            .map(|p| (p.matcher.as_str(), p.confidence))
+            .collect();
+        assert_eq!(opinions, [("mad", 0.9), ("metadata", 0.7)]);
         assert_eq!(g.association_between(a, b), Some(e1));
     }
 
@@ -775,19 +742,6 @@ mod tests {
         set.insert(g.attribute_node(acc).unwrap());
         let rels = g.relations_in(&set);
         assert_eq!(rels, vec![cat.relation_by_name("go_term").unwrap().id]);
-    }
-
-    #[test]
-    fn authoritativeness_sets_relation_feature_weight() {
-        let cat = catalog();
-        let mut g = SearchGraph::from_catalog(&cat);
-        let rel = cat.relation_by_name("entry").unwrap().id;
-        g.set_relation_authoritativeness(rel, 0.5);
-        let w = g.relation_feature_weight(rel);
-        assert!((w - 0.5f64.ln().abs()).abs() < 1e-9);
-        // Fully authoritative relation adds no cost.
-        g.set_relation_authoritativeness(rel, 1.0);
-        assert!(g.relation_feature_weight(rel).abs() < 1e-9);
     }
 
     #[test]
@@ -867,15 +821,10 @@ mod tests {
         g.add_association(a, b, "metadata", 0.1);
         assert_eq!(g.weight_epoch(), e3);
 
-        // Authoritativeness re-pricing bumps.
-        g.set_relation_authoritativeness(cat.relation_by_name("entry").unwrap().id, 0.5);
-        assert!(g.weight_epoch() > e3);
-
         // Pure reads never bump.
-        let e4 = g.weight_epoch();
         let _ = g.min_learnable_edge_cost();
         let _ = g.neighbors(NodeId(0));
-        assert_eq!(g.weight_epoch(), e4);
+        assert_eq!(g.weight_epoch(), e3);
     }
 
     #[test]

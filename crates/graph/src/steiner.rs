@@ -118,11 +118,6 @@ impl SteinerTree {
         }
         (diff + (self.edges.len() - i) + (other.edges.len() - j)) as f64
     }
-
-    /// True if the tree uses the given edge.
-    pub fn contains_edge(&self, edge: EdgeId) -> bool {
-        self.edges.binary_search(&edge).is_ok()
-    }
 }
 
 /// Configuration of the approximate top-k search.
@@ -247,8 +242,8 @@ impl ShortestPaths {
 /// and their positions, the per-root candidate edge list, the prune buffers
 /// and the two fingerprint dedup sets. One instance serves any number of
 /// searches over graphs of any size (buffers grow to the largest graph seen
-/// and are then reused) — batch workers keep one per thread via
-/// [`approx_top_k_with`].
+/// and are then reused) — a serving thread keeps one across queries and
+/// passes it to [`approx_top_k_detailed`].
 #[derive(Debug, Clone, Default)]
 pub struct SteinerScratch {
     paths: Vec<ShortestPaths>,
@@ -350,21 +345,11 @@ pub fn approx_top_k<G: GraphView>(
     terminals: &[NodeId],
     config: &SteinerConfig,
 ) -> Vec<SteinerTree> {
-    approx_top_k_with(graph, terminals, config, &mut SteinerScratch::default())
+    approx_top_k_detailed(graph, terminals, config, &mut SteinerScratch::default()).0
 }
 
 /// [`approx_top_k`] with caller-provided scratch buffers, for hot loops that
-/// run many searches (the batched query path, the learner's K-best).
-pub fn approx_top_k_with<G: GraphView>(
-    graph: &G,
-    terminals: &[NodeId],
-    config: &SteinerConfig,
-    scratch: &mut SteinerScratch,
-) -> Vec<SteinerTree> {
-    approx_top_k_detailed(graph, terminals, config, scratch).0
-}
-
-/// [`approx_top_k_with`], additionally reporting [`SteinerStats`] about the
+/// run many searches, additionally reporting [`SteinerStats`] about the
 /// search — how many roots were expanded, how many candidates were pruned as
 /// duplicates or dropped over the cost budget. The serving layer surfaces
 /// these stats as per-query provenance.
@@ -1042,30 +1027,33 @@ mod tests {
         let mut scratch = SteinerScratch::default();
         let runs = [
             (
-                approx_top_k_with(
+                approx_top_k_detailed(
                     &big,
                     &[NodeId(0), NodeId(3)],
                     &SteinerConfig::default(),
                     &mut scratch,
-                ),
+                )
+                .0,
                 approx_top_k(&big, &[NodeId(0), NodeId(3)], &SteinerConfig::default()),
             ),
             (
-                approx_top_k_with(
+                approx_top_k_detailed(
                     &small,
                     &[NodeId(0), NodeId(2)],
                     &SteinerConfig::default(),
                     &mut scratch,
-                ),
+                )
+                .0,
                 approx_top_k(&small, &[NodeId(0), NodeId(2)], &SteinerConfig::default()),
             ),
             (
-                approx_top_k_with(
+                approx_top_k_detailed(
                     &big,
                     &[NodeId(1), NodeId(4), NodeId(5)],
                     &SteinerConfig::default(),
                     &mut scratch,
-                ),
+                )
+                .0,
                 approx_top_k(
                     &big,
                     &[NodeId(1), NodeId(4), NodeId(5)],
@@ -1131,17 +1119,6 @@ mod tests {
         assert_eq!(a.symmetric_loss(&b), 3.0);
         assert_eq!(a.symmetric_loss(&a), 0.0);
         assert_eq!(b.symmetric_loss(&a), 3.0);
-    }
-
-    #[test]
-    fn contains_edge_uses_sorted_lookup() {
-        let t = SteinerTree {
-            edges: vec![EdgeId(1), EdgeId(4), EdgeId(9)],
-            nodes: vec![],
-            cost: 0.0,
-        };
-        assert!(t.contains_edge(EdgeId(4)));
-        assert!(!t.contains_edge(EdgeId(5)));
     }
 
     #[test]

@@ -18,6 +18,6 @@
 pub mod mira;
 
 pub use mira::{
-    constraints_from_candidates, enforce_positive_costs, tree_feature_vector, Mira, MiraConfig,
-    MiraUpdateSummary, TreeConstraint,
+    constraints_from_candidates, enforce_positive_costs, Mira, MiraConfig, MiraUpdateSummary,
+    TreeConstraint,
 };

@@ -136,7 +136,7 @@ impl Mira {
 }
 
 /// Accumulate the feature vectors of a tree's edges: `Φ(T) = Σ_{e ∈ T} f(e)`.
-pub fn tree_feature_vector<F>(tree: &SteinerTree, mut edge_features: F) -> FeatureVector
+fn tree_feature_vector<F>(tree: &SteinerTree, mut edge_features: F) -> FeatureVector
 where
     F: FnMut(EdgeId) -> FeatureVector,
 {

@@ -118,8 +118,6 @@ impl PackedAdjacency {
 /// Outcome of one MAD propagation run.
 #[derive(Debug, Clone)]
 pub struct MadResult {
-    /// The label universe: label index i corresponds to `labels[i]`.
-    labels: Vec<AttributeId>,
     /// Per-attribute label scores (excluding the dummy label), sorted
     /// descending by score. Ordered map so alignment derivation is
     /// deterministic.
@@ -133,25 +131,6 @@ pub struct MadResult {
 }
 
 impl MadResult {
-    /// Label scores estimated for an attribute (own label excluded), sorted
-    /// by decreasing score.
-    pub fn distribution(&self, attribute: AttributeId) -> &[(AttributeId, f64)] {
-        self.distributions
-            .get(&attribute)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// All attributes that received a distribution.
-    pub fn attributes(&self) -> impl Iterator<Item = AttributeId> + '_ {
-        self.distributions.keys().copied()
-    }
-
-    /// Number of labels propagated.
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Derive the top-Y attribute alignments per attribute, keeping only
     /// scores at or above `threshold` and only pairs that span two different
     /// relations.
@@ -375,7 +354,6 @@ impl MadMatcher {
         }
 
         MadResult {
-            labels: attr_nodes,
             distributions,
             node_count: n,
             edge_count,
@@ -533,6 +511,16 @@ mod tests {
     use super::*;
     use q_storage::{RelationSpec, SourceSpec};
 
+    /// Label scores estimated for an attribute (own label excluded), sorted
+    /// by decreasing score.
+    fn distribution(result: &MadResult, attribute: AttributeId) -> &[(AttributeId, f64)] {
+        result
+            .distributions
+            .get(&attribute)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
     /// Catalog mimicking Figure 4: go_term.acc and interpro2go.go_id share
     /// most of their values; pub.title shares nothing with either.
     fn catalog() -> Catalog {
@@ -571,13 +559,13 @@ mod tests {
         let result = mad.propagate(&cat, &[]);
         let acc = cat.resolve_qualified("go_term.acc").unwrap();
         let go_id = cat.resolve_qualified("interpro2go.go_id").unwrap();
-        let dist = result.distribution(acc);
+        let dist = distribution(&result, acc);
         assert!(
             dist.first().map(|(a, _)| *a) == Some(go_id),
             "go_term.acc should be labelled with interpro2go.go_id, got {dist:?}"
         );
         // And vice versa.
-        let dist_back = result.distribution(go_id);
+        let dist_back = distribution(&result, go_id);
         assert_eq!(dist_back.first().map(|(a, _)| *a), Some(acc));
     }
 
@@ -588,7 +576,7 @@ mod tests {
         let result = mad.propagate(&cat, &[]);
         let title = cat.resolve_qualified("interpro_pub.title").unwrap();
         let go_id = cat.resolve_qualified("interpro2go.go_id").unwrap();
-        let dist = result.distribution(title);
+        let dist = distribution(&result, title);
         assert!(
             !dist.iter().any(|(a, s)| *a == go_id && *s > 0.05),
             "title should not strongly align with go_id: {dist:?}"
@@ -698,7 +686,7 @@ mod tests {
         });
         let result = mad.propagate(&cat, &[]);
         assert_eq!(result.iterations_run, 1);
-        assert!(result.label_count() > 0);
+        assert!(result.node_count > 0);
     }
 
     #[test]
@@ -715,8 +703,8 @@ mod tests {
         })
         .propagate(&cat, &[]);
         let acc = cat.resolve_qualified("go_term.acc").unwrap();
-        let ds = serial.distribution(acc);
-        let dp = parallel.distribution(acc);
+        let ds = distribution(&serial, acc);
+        let dp = distribution(&parallel, acc);
         assert_eq!(ds.len(), dp.len());
         for ((a1, s1), (a2, s2)) in ds.iter().zip(dp.iter()) {
             assert_eq!(a1, a2);

@@ -73,7 +73,7 @@ impl MetadataMatcher {
     }
 
     /// Name similarity between two attribute names (no structural context).
-    pub fn name_similarity(&self, a: &str, b: &str) -> f64 {
+    fn name_similarity(&self, a: &str, b: &str) -> f64 {
         let c = &self.config;
         let base_weight = c.token_weight + c.trigram_weight + c.edit_weight + c.containment_weight;
         if base_weight <= 0.0 {

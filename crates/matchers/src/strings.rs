@@ -56,7 +56,7 @@ pub fn trigram_dice(a: &str, b: &str) -> f64 {
 }
 
 /// Levenshtein edit distance.
-pub fn edit_distance(a: &str, b: &str) -> usize {
+fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {

@@ -35,7 +35,7 @@ pub struct HttpRequest {
 
 impl HttpRequest {
     /// First value of a header, by case-insensitive name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers
             .iter()

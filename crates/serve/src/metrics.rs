@@ -150,7 +150,7 @@ impl Metrics {
     }
 
     /// Total queries answered.
-    pub fn queries_total(&self) -> u64 {
+    fn queries_total(&self) -> u64 {
         self.latency_count.load(Ordering::Relaxed)
     }
 

@@ -24,9 +24,8 @@
 //! (`None`) and an explicit SQL NULL is `{"null": true}`.
 
 use q_core::{
-    CachePolicy, CacheStatus, Feedback, FeedbackOutcome, FeedbackRequest, FeedbackTarget,
-    IngestReport, LiveFeedbackReport, QError, QueryOutcome, QueryRequest, RankedView,
-    SearchStrategy,
+    CachePolicy, CacheStatus, Feedback, FeedbackOutcome, FeedbackRequest, IngestReport,
+    LiveFeedbackReport, QError, QueryOutcome, QueryRequest, RankedView, SearchStrategy,
 };
 use q_storage::{RelationSpec, SourceSpec, Value};
 
@@ -118,7 +117,7 @@ impl WireError {
     pub fn from_qerror(err: &QError) -> Self {
         let status = match err.code() {
             "invalid_request" | "invalid_build" => 400,
-            "unknown_view" | "unknown_answer" => 404,
+            "unknown_answer" => 404,
             "no_query_trees" => 422,
             _ => 500,
         };
@@ -617,36 +616,21 @@ pub fn encode_ingest(spec: &SourceSpec) -> Json {
 /// Decode a `POST /feedback` body.
 pub fn decode_feedback(json: &Json) -> Result<FeedbackRequest, WireError> {
     const CTX: &str = "feedback request";
-    let fields = check_versioned_object(json, CTX, &["view", "keywords", "feedback"])?;
+    let fields = check_versioned_object(json, CTX, &["keywords", "feedback"])?;
     let feedback = decode_feedback_kind(require(fields, "feedback", CTX)?)?;
-    match (get(fields, "view"), get(fields, "keywords")) {
-        (Some(view), None) => Ok(FeedbackRequest::on_view(
-            expect_usize(view, "feedback request `view`")?,
-            feedback,
-        )),
-        (None, Some(keywords)) => Ok(FeedbackRequest::on_keywords(
-            string_array(keywords, "feedback request `keywords`")?,
-            feedback,
-        )),
-        _ => Err(WireError::invalid_field(
-            CTX,
-            "exactly one of `view` and `keywords` must be present",
-        )),
-    }
+    let keywords = string_array(
+        require(fields, "keywords", CTX)?,
+        "feedback request `keywords`",
+    )?;
+    Ok(FeedbackRequest::on_keywords(keywords, feedback))
 }
 
 /// Encode a feedback request (the exact inverse of [`decode_feedback`]).
 pub fn encode_feedback(request: &FeedbackRequest) -> Json {
-    let target = match request.target() {
-        FeedbackTarget::View(id) => ("view", Json::Int(*id as i64)),
-        FeedbackTarget::Keywords(keywords) => (
-            "keywords",
-            Json::Array(keywords.iter().map(|k| Json::Str(k.clone())).collect()),
-        ),
-    };
+    let keywords = request.keywords().iter().map(|k| Json::Str(k.clone()));
     Json::object([
         ("v", Json::Int(WIRE_VERSION)),
-        target,
+        ("keywords", Json::Array(keywords.collect())),
         ("feedback", encode_feedback_kind(request.feedback())),
     ])
 }
@@ -734,7 +718,7 @@ pub struct WireAnswer {
 
 impl WireView {
     /// Project a core view onto the wire.
-    pub fn from_view(view: &RankedView) -> Self {
+    fn from_view(view: &RankedView) -> Self {
         WireView {
             keywords: view.keywords.clone(),
             columns: view.columns.clone(),
@@ -1127,7 +1111,6 @@ mod tests {
     #[test]
     fn feedback_requests_round_trip() {
         let requests = [
-            FeedbackRequest::on_view(3, Feedback::Correct { answer: 0 }),
             FeedbackRequest::on_keywords(["a", "b"], Feedback::Invalid { answer: 2 }),
             FeedbackRequest::on_keywords(
                 ["x"],
@@ -1226,7 +1209,7 @@ mod tests {
                 },
                 400,
             ),
-            (QError::UnknownView(3), 404),
+            (QError::UnknownAnswer { view: 0, answer: 3 }, 404),
             (QError::NoQueryTrees, 422),
             (
                 QError::Storage(q_storage::StorageError::InvalidAtom(0)),

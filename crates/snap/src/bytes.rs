@@ -263,11 +263,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append an `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append an `f64` as its IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -373,13 +368,6 @@ impl<'a> ByteReader<'a> {
     /// Read a `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Read an `i64`.
-    pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
@@ -498,7 +486,6 @@ mod tests {
         w.u16(0xBEEF);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 1);
-        w.i64(-42);
         w.f64(-0.0);
         w.str("plasma membrane");
         w.vec_u32(&[1, 2, 3]);
@@ -511,7 +498,6 @@ mod tests {
         assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.str().unwrap(), "plasma membrane");
         assert_eq!(r.vec_u32().unwrap(), vec![1, 2, 3]);

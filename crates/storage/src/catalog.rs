@@ -233,7 +233,7 @@ impl Catalog {
     }
 
     /// Attribute of a relation by name.
-    pub fn attribute_of(&self, relation: RelationId, name: &str) -> Option<&Attribute> {
+    fn attribute_of(&self, relation: RelationId, name: &str) -> Option<&Attribute> {
         let rel = self.relation(relation)?;
         rel.attributes
             .iter()
@@ -260,31 +260,6 @@ impl Catalog {
         let (rel_name, attr_name) = qualified.split_once('.')?;
         let rel = self.relation_by_name(rel_name)?;
         self.attribute_of(rel.id, attr_name).map(|a| a.id)
-    }
-
-    /// Number of attributes belonging to a source.
-    pub fn source_attribute_count(&self, source: SourceId) -> usize {
-        self.source(source)
-            .map(|s| {
-                s.relations
-                    .iter()
-                    .filter_map(|r| self.relation(*r))
-                    .map(|r| r.arity())
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Iterate over `(attribute, value)` pairs of a relation's stored data.
-    pub fn attribute_values<'a>(
-        &'a self,
-        relation: RelationId,
-    ) -> impl Iterator<Item = (AttributeId, &'a Value)> + 'a {
-        self.relation(relation).into_iter().flat_map(|rel| {
-            rel.tuples
-                .iter()
-                .flat_map(move |t| rel.attributes.iter().copied().zip(t.values().iter()))
-        })
     }
 
     /// Distinct normalised values of one attribute.
@@ -433,21 +408,5 @@ mod tests {
         cat.add_foreign_key(go_id, acc).unwrap();
         cat.add_foreign_key(acc, go_id).unwrap();
         assert_eq!(cat.foreign_keys().len(), 1);
-    }
-
-    #[test]
-    fn source_attribute_count_sums_relations() {
-        let (cat, _, _) = small_catalog();
-        let go = cat.source_by_name("go").unwrap().id;
-        let interpro = cat.source_by_name("interpro").unwrap().id;
-        assert_eq!(cat.source_attribute_count(go), 3);
-        assert_eq!(cat.source_attribute_count(interpro), 2);
-    }
-
-    #[test]
-    fn attribute_values_iterates_all_cells() {
-        let (cat, term, _) = small_catalog();
-        let cells: Vec<_> = cat.attribute_values(term).collect();
-        assert_eq!(cells.len(), 6); // 2 tuples x 3 attributes
     }
 }

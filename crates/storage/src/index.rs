@@ -1,22 +1,17 @@
-//! Inverted value index.
+//! Value index.
 //!
-//! Q pre-indexes the data values of every registered source so that
-//! (1) keyword queries can be matched against data values (Section 2.2) and
-//! (2) the *value-overlap filter* of the alignment experiments can skip
+//! Q pre-indexes the distinct data values of every registered attribute so
+//! that the *value-overlap filter* of the alignment experiments can skip
 //! attribute pairs that share no values (Figure 7).
 
 use std::collections::{HashMap, HashSet};
 
 use crate::catalog::Catalog;
-use crate::schema::{AttributeId, RelationId, SourceId};
-use crate::value::Value;
+use crate::schema::{AttributeId, RelationId};
 
-/// Inverted index from normalised values to the attributes containing them,
-/// plus per-attribute distinct-value sets.
+/// Per-attribute sets of distinct normalised values.
 #[derive(Debug, Clone, Default)]
 pub struct ValueIndex {
-    /// normalised value -> set of attributes containing it
-    postings: HashMap<String, HashSet<AttributeId>>,
     /// attribute -> set of distinct normalised values
     by_attribute: HashMap<AttributeId, HashSet<String>>,
 }
@@ -31,17 +26,6 @@ impl ValueIndex {
         idx
     }
 
-    /// Build an index over the relations of a single source.
-    pub fn build_for_source(catalog: &Catalog, source: SourceId) -> Self {
-        let mut idx = ValueIndex::default();
-        if let Some(src) = catalog.source(source) {
-            for rel in &src.relations {
-                idx.index_relation(catalog, *rel);
-            }
-        }
-        idx
-    }
-
     /// Add one relation's stored tuples to the index (used when a new source
     /// is registered after the initial build).
     pub fn index_relation(&mut self, catalog: &Catalog, relation: RelationId) {
@@ -50,36 +34,11 @@ impl ValueIndex {
         };
         for tuple in &rel.tuples {
             for (attr, value) in rel.attributes.iter().zip(tuple.values()) {
-                self.index_value(*attr, value);
+                if let Some(norm) = value.normalized() {
+                    self.by_attribute.entry(*attr).or_default().insert(norm);
+                }
             }
         }
-    }
-
-    /// Index a single value occurrence.
-    pub fn index_value(&mut self, attribute: AttributeId, value: &Value) {
-        if let Some(norm) = value.normalized() {
-            self.postings
-                .entry(norm.clone())
-                .or_default()
-                .insert(attribute);
-            self.by_attribute.entry(attribute).or_default().insert(norm);
-        }
-    }
-
-    /// Attributes whose data contains the exact normalised value.
-    pub fn attributes_containing(&self, normalized_value: &str) -> Vec<AttributeId> {
-        let mut v: Vec<AttributeId> = self
-            .postings
-            .get(normalized_value)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort();
-        v
-    }
-
-    /// Distinct normalised values stored under one attribute.
-    pub fn values_of(&self, attribute: AttributeId) -> Option<&HashSet<String>> {
-        self.by_attribute.get(&attribute)
     }
 
     /// Number of distinct values shared by two attributes.
@@ -118,27 +77,12 @@ impl ValueIndex {
     pub fn overlaps(&self, a: AttributeId, b: AttributeId) -> bool {
         self.overlap(a, b) > 0
     }
-
-    /// Number of distinct indexed values overall.
-    pub fn distinct_value_count(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Iterate over `(value, attributes)` postings.
-    pub fn postings(&self) -> impl Iterator<Item = (&str, &HashSet<AttributeId>)> {
-        self.postings.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// All indexed attributes.
-    pub fn attributes(&self) -> impl Iterator<Item = AttributeId> + '_ {
-        self.by_attribute.keys().copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::Catalog;
+    use crate::value::Value;
 
     fn catalog_with_overlap() -> (Catalog, AttributeId, AttributeId, AttributeId) {
         let mut cat = Catalog::new();
@@ -190,43 +134,14 @@ mod tests {
     }
 
     #[test]
-    fn attributes_containing_finds_postings() {
-        let (cat, ax, by, _) = catalog_with_overlap();
-        let idx = ValueIndex::build(&cat);
-        assert_eq!(idx.attributes_containing("go:2"), vec![ax, by]);
-        assert!(idx.attributes_containing("missing").is_empty());
-    }
-
-    #[test]
-    fn distinct_value_count_counts_unique_values() {
-        let (cat, _, _, _) = catalog_with_overlap();
-        let idx = ValueIndex::build(&cat);
-        // go:1 go:2 go:3 other
-        assert_eq!(idx.distinct_value_count(), 4);
-    }
-
-    #[test]
-    fn build_for_source_restricts_scope() {
-        let mut cat = Catalog::new();
-        let s1 = cat.add_source("one").unwrap();
-        let s2 = cat.add_source("two").unwrap();
-        let r1 = cat.add_relation(s1, "r1", &["a"]).unwrap();
-        let r2 = cat.add_relation(s2, "r2", &["b"]).unwrap();
-        cat.insert_rows(r1, vec![vec![Value::from("v1")]]).unwrap();
-        cat.insert_rows(r2, vec![vec![Value::from("v2")]]).unwrap();
-        let idx = ValueIndex::build_for_source(&cat, s1);
-        assert_eq!(idx.distinct_value_count(), 1);
-        assert_eq!(idx.attributes_containing("v1").len(), 1);
-        assert!(idx.attributes_containing("v2").is_empty());
-    }
-
-    #[test]
     fn nulls_are_not_indexed() {
         let mut cat = Catalog::new();
         let s = cat.add_source("db").unwrap();
         let r = cat.add_relation(s, "r", &["a"]).unwrap();
         cat.insert_rows(r, vec![vec![Value::Null]]).unwrap();
+        let a = cat.resolve_qualified("r.a").unwrap();
         let idx = ValueIndex::build(&cat);
-        assert_eq!(idx.distinct_value_count(), 0);
+        // A column of nulls shares no value even with itself.
+        assert_eq!(idx.overlap(a, a), 0);
     }
 }

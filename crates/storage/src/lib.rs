@@ -8,8 +8,8 @@
 //!   tuples,
 //! * typed [`Value`]s with the normalisation rules used for keyword and
 //!   instance-level matching,
-//! * an inverted [`ValueIndex`] used both for keyword→value matching and for
-//!   the value-overlap filter of the alignment experiments (Figure 7), and
+//! * a [`ValueIndex`] of distinct values per attribute, used by the
+//!   value-overlap filter of the alignment experiments (Figure 7), and
 //! * a small conjunctive-query [`executor`](crate::exec) that evaluates the
 //!   select/join/selection trees produced from Steiner trees.
 //!

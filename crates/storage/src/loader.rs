@@ -94,11 +94,6 @@ impl SourceSpec {
         self
     }
 
-    /// Total number of attributes across the spec's relations.
-    pub fn attribute_count(&self) -> usize {
-        self.relations.iter().map(|r| r.attributes.len()).sum()
-    }
-
     /// Register this source against a *shared* catalog without mutating it:
     /// the catalog is cloned, the source loaded into the clone, and the
     /// extended catalog returned alongside the new source id.
@@ -224,14 +219,6 @@ mod tests {
         // All-or-nothing: the shared catalog gained nothing.
         assert!(base.source_by_name("bad").is_none());
         assert_eq!(base.sources().len(), 1);
-    }
-
-    #[test]
-    fn attribute_count_sums_relations() {
-        let spec = SourceSpec::new("s")
-            .relation(RelationSpec::new("a", &["x", "y"]))
-            .relation(RelationSpec::new("b", &["z"]));
-        assert_eq!(spec.attribute_count(), 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 
 use q_core::evaluation::{average_edge_costs, gold_target_query, precision_recall_graph, AttrPair};
-use q_core::{Feedback, QSystem};
+use q_core::{Feedback, FeedbackRequest, QSystem};
 use q_datasets::{interpro_go_catalog, interpro_go_gold, interpro_go_queries, InterproGoConfig};
 use q_matchers::{MadMatcher, MetadataMatcher, SchemaMatcher};
 
@@ -67,7 +67,9 @@ fn main() {
             let Some(answer) = view.answers.iter().position(|a| a.query_index == target) else {
                 continue;
             };
-            if q.feedback(*view_id, Feedback::Correct { answer }).is_ok() {
+            let feedback =
+                FeedbackRequest::on_keywords(view.keywords.clone(), Feedback::Correct { answer });
+            if q.apply_feedback(&feedback).is_ok() {
                 steps += 1;
             }
         }

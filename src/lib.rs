@@ -46,7 +46,7 @@
 //! | Answer a query (uncached) | `q.answer(&QueryRequest::new(["a", "b"]))?` |
 //! | Serve a query (cached) | `live.query(&QueryRequest::new(["a", "b"]))?.view` |
 //! | Serve without caching | `live.query(&QueryRequest::new(["a", "b"]).cache_policy(CachePolicy::Bypass))?` |
-//! | Apply feedback | `q.apply_feedback(&FeedbackRequest::on_view(id, feedback))?` |
+//! | Apply feedback | `q.apply_feedback(&FeedbackRequest::on_keywords(["a", "b"], feedback))?` |
 //! | Override parameters per request | `QueryRequest::new(..).top_k(k).strategy(..).cost_budget(..)` |
 //!
 //! ## Live ingestion
@@ -81,9 +81,9 @@ pub use q_storage as storage;
 
 pub use q_core::{
     latest_snapshot_path, CachePolicy, CacheStatus, Feedback, FeedbackOutcome, FeedbackRequest,
-    FeedbackTarget, GraphSnapshot, IngestReport, LiveFeedbackReport, LiveServer, PersistStats,
-    QConfig, QError, QSystem, QSystemBuilder, QueryOutcome, QueryRequest, SearchStrategy,
-    SnapError, SnapshotInfo, SnapshotPersister,
+    GraphSnapshot, IngestReport, LiveFeedbackReport, LiveServer, PersistStats, QConfig, QError,
+    QSystem, QSystemBuilder, QueryOutcome, QueryRequest, SearchStrategy, SnapError, SnapshotInfo,
+    SnapshotPersister,
 };
 pub use q_serve::{BootMode, BootStats, QServe, ServeOptions};
 pub use q_storage::{Catalog, RelationSpec, SourceSpec, StorageError, Value};

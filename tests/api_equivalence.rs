@@ -1,11 +1,7 @@
-//! Pins the typed API to its determinism guarantees: the typed feedback
-//! surface must behave identically whether it targets a view id or the
-//! view's keywords, and per-request overrides must change answers *without*
-//! rebuilding the system.
+//! Pins the typed API to its determinism guarantees: per-request overrides
+//! must change answers *without* rebuilding the system.
 
-use q_core::{
-    Feedback, FeedbackRequest, QConfig, QSystem, QueryRequest, RankedView, SearchStrategy,
-};
+use q_core::{QConfig, QSystem, QueryRequest, RankedView, SearchStrategy};
 use q_datasets::{
     declare_foreign_keys, gbco_foreign_keys, gbco_source_specs, gbco_trials, GbcoConfig,
 };
@@ -50,55 +46,6 @@ fn trial_keywords() -> Vec<Vec<String>> {
 
 fn render(view: &RankedView) -> String {
     format!("{view:?}")
-}
-
-#[test]
-fn feedback_by_keywords_matches_feedback_by_view_id() {
-    // Two identically prepared systems, the same annotation: one addressed
-    // by view id, one by the view's keywords. The typed request surface
-    // must resolve both to the same MIRA update.
-    let mut by_id = build_system();
-    let mut by_keywords = build_system();
-    let keywords = trial_keywords()
-        .into_iter()
-        .find(|kws| {
-            by_id
-                .answer(&QueryRequest::new(kws.iter().cloned()))
-                .map(|v| v.queries.len() >= 2 && !v.answers.is_empty())
-                .unwrap_or(false)
-        })
-        .expect("some GBCO trial yields multiple trees");
-    let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
-    let view_id = by_id.create_view(&refs).expect("view materialises");
-
-    let annotation = Feedback::Invalid { answer: 0 };
-    let id_outcome = by_id
-        .apply_feedback(&FeedbackRequest::on_view(view_id, annotation))
-        .expect("feedback applies");
-    // The keyword form creates the view on demand (none exists yet) and
-    // then applies the identical update.
-    let kw_outcome = by_keywords
-        .apply_feedback(&FeedbackRequest::on_keywords(keywords.clone(), annotation))
-        .expect("feedback applies");
-    assert_eq!(id_outcome, kw_outcome);
-    assert!(id_outcome.constraints > 0);
-
-    // Both systems converged to the same re-priced answers.
-    let request = QueryRequest::new(keywords.iter().cloned());
-    let a = by_id.answer(&request).expect("answers");
-    let b = by_keywords.answer(&request).expect("answers");
-    assert_eq!(render(&a), render(&b));
-
-    // A second keyword-addressed annotation reuses the materialised view
-    // instead of growing the view table.
-    let views_before = by_keywords.views().len();
-    by_keywords
-        .apply_feedback(&FeedbackRequest::on_keywords(
-            keywords.clone(),
-            Feedback::Correct { answer: 0 },
-        ))
-        .expect("feedback applies");
-    assert_eq!(by_keywords.views().len(), views_before);
 }
 
 #[test]

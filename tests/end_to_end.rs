@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 
 use q_core::evaluation::{average_edge_costs, gold_target_query, precision_recall_graph, AttrPair};
-use q_core::{AlignmentStrategy, Feedback, QConfig, QSystem};
+use q_core::{AlignmentStrategy, Feedback, FeedbackRequest, QConfig, QSystem};
 use q_datasets::{
     interpro_go_catalog, interpro_go_gold, interpro_go_queries, interpro_go_source_specs,
     InterproGoConfig,
@@ -108,7 +108,9 @@ fn combined_matchers_cover_the_gold_standard_and_feedback_separates_costs() {
         let Some(answer) = view.answers.iter().position(|a| a.query_index == target) else {
             continue;
         };
-        q.feedback(*view_id, Feedback::Correct { answer }).unwrap();
+        let feedback =
+            FeedbackRequest::on_keywords(view.keywords.clone(), Feedback::Correct { answer });
+        q.apply_feedback(&feedback).unwrap();
         applied += 1;
     }
     assert!(

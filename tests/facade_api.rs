@@ -5,8 +5,8 @@
 //! directly.
 
 use q_integration::{
-    CachePolicy, CacheStatus, Catalog, Feedback, LiveServer, QConfig, QSystem, QueryRequest,
-    RelationSpec, SourceSpec, Value,
+    CachePolicy, CacheStatus, Catalog, Feedback, FeedbackRequest, LiveServer, QConfig, QSystem,
+    QueryRequest, RelationSpec, SourceSpec, Value,
 };
 
 /// A two-source catalog, built purely through façade re-exports.
@@ -45,9 +45,12 @@ fn facade_reexports_support_the_full_pipeline() {
     );
 
     // Feedback through the façade type keeps the system consistent.
-    q.feedback(view_id, Feedback::Correct { answer: 0 })
-        .unwrap();
-    assert!(q.view(view_id).is_some());
+    q.apply_feedback(&FeedbackRequest::on_keywords(
+        ["insulin", "secretion"],
+        Feedback::Correct { answer: 0 },
+    ))
+    .unwrap();
+    assert_eq!(q.views().len(), 1, "the keywords resolved to the view");
 }
 
 #[test]

@@ -84,14 +84,13 @@ fn request_strategy() -> impl Strategy<Value = QueryRequest> {
         )
 }
 
-/// Feedback requests across both targets and all three feedback kinds.
+/// Feedback requests across all three feedback kinds.
 fn feedback_strategy() -> impl Strategy<Value = FeedbackRequest> {
     (
-        0u8..2,
-        (0usize..100, proptest::collection::vec("[a-z]{1,8}", 1..4)),
+        proptest::collection::vec("[a-z]{1,8}", 1..4),
         (0u8..3, 0usize..50, 0usize..50),
     )
-        .prop_map(|(target, (view, keywords), (kind, a, b))| {
+        .prop_map(|(keywords, (kind, a, b))| {
             let feedback = match kind {
                 0 => Feedback::Correct { answer: a },
                 1 => Feedback::Invalid { answer: a },
@@ -100,10 +99,7 @@ fn feedback_strategy() -> impl Strategy<Value = FeedbackRequest> {
                     worse: b,
                 },
             };
-            match target {
-                0 => FeedbackRequest::on_view(view, feedback),
-                _ => FeedbackRequest::on_keywords(keywords, feedback),
-            }
+            FeedbackRequest::on_keywords(keywords, feedback)
         })
 }
 
@@ -214,7 +210,7 @@ proptest! {
         prop_assert_eq!(wire::encode_batch(&decoded).encode(), encoded);
     }
 
-    /// Feedback bodies round-trip both target kinds and all three verdicts.
+    /// Feedback bodies round-trip all three verdicts.
     #[test]
     fn feedback_requests_round_trip_bit_exact(request in feedback_strategy()) {
         let encoded = wire::encode_feedback(&request).encode();
@@ -264,6 +260,17 @@ proptest! {
     }
 }
 
+/// The bytes of one feedback body, pinned literally: the round trip above
+/// only proves the encoder agrees with itself.
+#[test]
+fn feedback_request_bytes_are_pinned() {
+    let request = FeedbackRequest::on_keywords(["a", "b"], Feedback::Correct { answer: 0 });
+    assert_eq!(
+        wire::encode_feedback(&request).encode(),
+        r#"{"v":1,"keywords":["a","b"],"feedback":{"type":"correct","answer":0}}"#
+    );
+}
+
 /// Error responses round-trip for every wire-level constructor and every
 /// core error code, carrying their HTTP status out of band.
 #[test]
@@ -282,7 +289,6 @@ fn error_responses_round_trip_every_code() {
             field: "cache",
             reason: "test".into(),
         }),
-        wire::WireError::from_qerror(&QError::UnknownView(7)),
         wire::WireError::from_qerror(&QError::UnknownAnswer { view: 7, answer: 3 }),
         wire::WireError::from_qerror(&QError::NoQueryTrees),
     ];
@@ -430,17 +436,37 @@ fn malformed_bodies_get_typed_400s_and_never_wedge_the_connection() {
     // (path, body, expected code) — one case per documented failure mode.
     let cases: Vec<(&str, String, &str)> = vec![
         // Truncated JSON: a prefix of a valid query body.
-        ("/query", "{\"v\":1,\"keywords\":[\"kin".to_string(), "bad_json"),
+        (
+            "/query",
+            "{\"v\":1,\"keywords\":[\"kin".to_string(),
+            "bad_json",
+        ),
         // Empty body.
         ("/query", String::new(), "bad_json"),
         // Valid JSON, wrong version.
-        ("/query", "{\"v\":2,\"keywords\":[\"a\"]}".to_string(), "unsupported_version"),
+        (
+            "/query",
+            "{\"v\":2,\"keywords\":[\"a\"]}".to_string(),
+            "unsupported_version",
+        ),
         // Version missing entirely.
-        ("/query", "{\"keywords\":[\"a\"]}".to_string(), "unsupported_version"),
+        (
+            "/query",
+            "{\"keywords\":[\"a\"]}".to_string(),
+            "unsupported_version",
+        ),
         // Unknown field (typo'd `keywords`).
-        ("/query", "{\"v\":1,\"keywordz\":[\"a\"]}".to_string(), "unknown_field"),
+        (
+            "/query",
+            "{\"v\":1,\"keywordz\":[\"a\"]}".to_string(),
+            "unknown_field",
+        ),
         // Type confusion: keywords must be an array of strings.
-        ("/query", "{\"v\":1,\"keywords\":\"a\"}".to_string(), "invalid_field"),
+        (
+            "/query",
+            "{\"v\":1,\"keywords\":\"a\"}".to_string(),
+            "invalid_field",
+        ),
         // Bad nested strategy.
         (
             "/query",
@@ -448,19 +474,22 @@ fn malformed_bodies_get_typed_400s_and_never_wedge_the_connection() {
             "invalid_field",
         ),
         // Duplicate keys are a parse error, not silent last-wins.
-        ("/query", "{\"v\":1,\"keywords\":[\"a\"],\"keywords\":[\"b\"]}".to_string(), "bad_json"),
+        (
+            "/query",
+            "{\"v\":1,\"keywords\":[\"a\"],\"keywords\":[\"b\"]}".to_string(),
+            "bad_json",
+        ),
         // Batch entries must not carry their own version.
         (
             "/query/batch",
             "{\"v\":1,\"queries\":[{\"v\":1,\"keywords\":[\"a\"]}]}".to_string(),
             "unknown_field",
         ),
-        // Feedback needs exactly one target.
+        // Feedback is addressed by keywords; a view id is not a field.
         (
             "/feedback",
-            "{\"v\":1,\"view\":0,\"keywords\":[\"a\"],\"feedback\":{\"type\":\"correct\",\"answer\":0}}"
-                .to_string(),
-            "invalid_field",
+            "{\"v\":1,\"view\":0,\"feedback\":{\"type\":\"correct\",\"answer\":0}}".to_string(),
+            "unknown_field",
         ),
         // Ingest rows must match the attribute count.
         (
