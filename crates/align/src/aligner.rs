@@ -20,9 +20,6 @@ pub struct AlignerConfig {
     /// How many candidate alignments to keep per new-source attribute
     /// (`Y`, typically 2 or 3).
     pub top_y: usize,
-    /// If true, only attribute pairs that share at least one data value are
-    /// compared (requires a [`ValueIndex`]); otherwise every pair is compared.
-    pub use_value_overlap_filter: bool,
     /// If true, count comparisons but skip the actual matcher invocation.
     /// Used by the scaling experiment of Figure 8, whose synthetic relations
     /// have no realistic labels to match on.
@@ -33,7 +30,6 @@ impl Default for AlignerConfig {
     fn default() -> Self {
         AlignerConfig {
             top_y: 2,
-            use_value_overlap_filter: false,
             count_only: false,
         }
     }
@@ -50,7 +46,8 @@ pub struct AlignmentOutcome {
 
 /// Shared pairwise-matching loop: compare each relation of `new_source`
 /// against each candidate relation, counting comparisons and collecting
-/// alignments.
+/// alignments. With a `value_index`, `filtered_comparisons` counts only the
+/// value-overlapping pairs; without one it equals `attribute_comparisons`.
 fn align_against_candidates(
     catalog: &Catalog,
     matcher: &dyn SchemaMatcher,
@@ -332,10 +329,7 @@ mod tests {
             &matcher,
             new_source,
             Some(&index),
-            &AlignerConfig {
-                use_value_overlap_filter: true,
-                ..AlignerConfig::default()
-            },
+            &AlignerConfig::default(),
         );
         // Only go_annotation.go_acc shares values (GO:1 with go_term.acc).
         assert!(outcome.stats.filtered_comparisons < outcome.stats.attribute_comparisons);

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use q_align::{
     AlignerConfig, AlignmentStats, ExhaustiveAligner, PreferentialAligner, ViewBasedAligner,
 };
-use q_core::{AlignmentStrategy, QConfig, QSystem};
+use q_core::{view_nodes, LiveServer, QConfig, QueryRequest};
 use q_datasets::gbco::{
     declare_foreign_keys, gbco_foreign_keys, gbco_source_specs, gbco_trials, GbcoConfig,
 };
@@ -111,40 +111,40 @@ pub fn run_aligner_experiment(config: &AlignerExperimentConfig) -> AlignerExperi
         let mut catalog = q_storage::loader::load_catalog(&base_specs).expect("base specs load");
         declare_foreign_keys(&mut catalog, &fks);
 
-        // The user's view over the base relations, built through the full Q
-        // pipeline so the α bound comes from real ranked queries.
-        let mut q = QSystem::new(
-            catalog,
-            QConfig {
-                strategy: AlignmentStrategy::ViewBased,
-                ..QConfig::default()
-            },
+        // The user's view over the base relations, answered by the serving
+        // engine so the α bound comes from real ranked queries.
+        let live = LiveServer::new(catalog, QConfig::default());
+        let base = live.snapshot();
+        let view = base
+            .answer(
+                live.config(),
+                &QueryRequest::new(trial.keywords.iter().cloned()),
+            )
+            .expect("view answers");
+        let alpha = view.alpha().unwrap_or(f64::INFINITY);
+        let view_nodes = view_nodes(
+            base.graph(),
+            base.keyword_index(),
+            &live.config().match_config,
+            &view.keywords,
         );
-        let keywords: Vec<&str> = trial.keywords.iter().map(String::as_str).collect();
-        let view_id = q.create_view(&keywords).expect("view creation succeeds");
-        let alpha = q
-            .view(view_id)
-            .and_then(|v| v.alpha())
-            .unwrap_or(f64::INFINITY);
-        let view_nodes = q.view_nodes(view_id);
 
         for new_source_name in &trial.new_sources {
             let spec = all_specs
                 .iter()
                 .find(|s| &s.name == new_source_name)
                 .expect("trial source exists");
-            // Register the source's schema (catalog + graph) without running
-            // the system's own aligner — the three strategies are measured
-            // explicitly below on identical state.
-            let mut catalog = q.catalog().clone();
+            // Register the source's schema (catalog + graph) on the base
+            // snapshot without running any aligner — the three strategies
+            // are measured explicitly below on identical state.
+            let mut catalog = base.catalog().clone();
             let source = spec.load_into(&mut catalog).expect("source loads");
-            let mut graph = q.graph().clone();
+            let mut graph = base.graph().clone();
             graph.add_source(&catalog, source);
             let value_index = ValueIndex::build(&catalog);
 
             let aligner_config = AlignerConfig {
                 top_y: config.top_y,
-                use_value_overlap_filter: true,
                 ..AlignerConfig::default()
             };
 

@@ -17,8 +17,9 @@ use q_core::evaluation::{
     average_edge_costs, gold_target_query, pr_curve_from_alignments, pr_curve_from_graph, AttrPair,
     EdgeCostSummary, PrPoint,
 };
-use q_core::{Feedback, FeedbackRequest, QConfig, QSystem};
+use q_core::{Feedback, FeedbackRequest, GraphSnapshot, LiveServer, QConfig, QueryRequest};
 use q_datasets::{interpro_go_catalog, interpro_go_gold, interpro_go_queries, InterproGoConfig};
+use q_graph::SearchGraph;
 
 use crate::matchers::{mad_alignments, metadata_alignments};
 
@@ -89,24 +90,26 @@ pub fn run_learning_experiment(config: &LearningConfig) -> LearningResult {
     let mad_pr = pr_curve_from_alignments(&mad, &gold, config.top_y);
 
     // ---------------- combined graph + views ----------------
-    let mut q = QSystem::new(
-        catalog,
+    let mut graph = SearchGraph::from_catalog(&catalog);
+    for (alignments, matcher) in [(&metadata, "metadata"), (&mad, "mad")] {
+        for a in alignments {
+            graph.add_association(a.new_attribute, a.existing_attribute, matcher, a.confidence);
+        }
+    }
+    let baseline_pr = pr_curve_from_graph(&graph, &gold, config.top_y);
+    let live = LiveServer::from_snapshot(
+        GraphSnapshot::assemble(catalog, graph, 0),
         QConfig {
             top_k: config.top_k,
             top_y: config.top_y,
             ..QConfig::default()
         },
     );
-    q.add_alignments(&metadata, "metadata");
-    q.add_alignments(&mad, "mad");
-    let baseline_pr = pr_curve_from_graph(q.graph(), &gold, config.top_y);
 
-    let queries = interpro_go_queries();
-    let mut view_ids = Vec::new();
-    for query in &queries {
-        let keywords = query.keyword_refs();
-        view_ids.push(q.create_view(&keywords).expect("view creation succeeds"));
-    }
+    let views: Vec<QueryRequest> = interpro_go_queries()
+        .iter()
+        .map(|query| QueryRequest::new(query.keyword_refs()))
+        .collect();
 
     // ---------------- feedback loop ----------------
     let recall_levels = [12.5, 25.0, 37.5, 50.0, 62.5, 75.0, 87.5, 100.0];
@@ -119,13 +122,14 @@ pub fn run_learning_experiment(config: &LearningConfig) -> LearningResult {
     let mut steps = 0usize;
 
     for pass in 0..config.passes {
-        for view_id in &view_ids {
-            let Some(view) = q.view(*view_id) else {
-                continue;
-            };
+        for request in &views {
+            let snapshot = live.snapshot();
+            let view = snapshot
+                .answer(live.config(), request)
+                .expect("view answers");
             // Simulated expert: endorse an answer whose tree only uses gold
             // association edges.
-            let Some(target_query) = gold_target_query(view, q.graph(), &gold) else {
+            let Some(target_query) = gold_target_query(&view, snapshot.graph(), &gold) else {
                 continue;
             };
             let Some(answer_idx) = view
@@ -139,13 +143,14 @@ pub fn run_learning_experiment(config: &LearningConfig) -> LearningResult {
                 view.keywords.clone(),
                 Feedback::Correct { answer: answer_idx },
             );
-            if q.apply_feedback(&feedback).is_err() {
+            let Ok(report) = live.feedback(&feedback) else {
                 continue;
-            }
+            };
             steps += 1;
 
-            edge_cost_trajectory.push(average_edge_costs(q.graph(), &gold));
-            let curve = pr_curve_from_graph(q.graph(), &gold, config.top_y);
+            let graph = report.snapshot.graph();
+            edge_cost_trajectory.push(average_edge_costs(graph, &gold));
+            let curve = pr_curve_from_graph(graph, &gold, config.top_y);
             for (level, first_step) in steps_to_precision.iter_mut() {
                 if first_step.is_none()
                     && curve
@@ -159,15 +164,15 @@ pub fn run_learning_experiment(config: &LearningConfig) -> LearningResult {
                 q_pr_after_1 = curve;
             }
         }
-        let snapshot = pr_curve_from_graph(q.graph(), &gold, config.top_y);
+        let curve = pr_curve_from_graph(live.snapshot().graph(), &gold, config.top_y);
         if pass == 0 {
-            q_pr_after_pass_1 = snapshot;
+            q_pr_after_pass_1 = curve;
         } else if pass == 1 {
-            q_pr_after_pass_2 = snapshot;
+            q_pr_after_pass_2 = curve;
         }
     }
 
-    let q_pr_final = pr_curve_from_graph(q.graph(), &gold, config.top_y);
+    let q_pr_final = pr_curve_from_graph(live.snapshot().graph(), &gold, config.top_y);
     LearningResult {
         metadata_pr,
         mad_pr,

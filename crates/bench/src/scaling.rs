@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use q_align::{AlignerConfig, ExhaustiveAligner, PreferentialAligner, ViewBasedAligner};
-use q_core::{QConfig, QSystem};
+use q_core::{view_nodes, Feedback, FeedbackRequest, LiveServer, QConfig, QueryRequest};
 use q_datasets::gbco::{
     declare_foreign_keys, gbco_foreign_keys, gbco_source_specs, gbco_trials, GbcoConfig,
 };
@@ -81,41 +81,43 @@ pub fn run_scaling_experiment(config: &ScalingExperimentConfig) -> ScalingResult
         // synthetic sources up to the target size.
         let mut catalog = q_storage::loader::load_catalog(&all_specs).expect("gbco specs load");
         declare_foreign_keys(&mut catalog, &fks);
-        let mut q = QSystem::new(catalog.clone(), QConfig::default());
+        let live = LiveServer::new(catalog.clone(), QConfig::default());
         // The user's view (first trial's keywords) provides the α bound. As
         // in the paper, the edge costs are first calibrated by feedback that
         // keeps the base query on top; α is then the cost of the view's k-th
         // top-scoring result.
         let trial = &trials[0];
-        let keywords: Vec<&str> = trial.keywords.iter().map(String::as_str).collect();
-        let view_id = q.create_view(&keywords).expect("view creation succeeds");
+        let request = QueryRequest::new(trial.keywords.iter().cloned());
+        let answer = || {
+            live.snapshot()
+                .answer(live.config(), &request)
+                .expect("view answers")
+        };
         for _ in 0..3 {
-            if q.view(view_id)
-                .map(|v| v.answers.is_empty())
-                .unwrap_or(true)
-            {
+            if answer().answers.is_empty() {
                 break;
             }
-            let _ = q.apply_feedback(&q_core::FeedbackRequest::on_keywords(
+            let _ = live.feedback(&FeedbackRequest::on_keywords(
                 &trial.keywords,
-                q_core::Feedback::Correct { answer: 0 },
+                Feedback::Correct { answer: 0 },
             ));
         }
-        let alpha = q
-            .view(view_id)
-            .and_then(|v| {
-                let k = q.config().top_k;
-                let answers = &v.answers;
-                if answers.is_empty() {
-                    v.alpha()
-                } else {
-                    Some(answers[(k - 1).min(answers.len() - 1)].cost)
-                }
-            })
-            .unwrap_or(f64::INFINITY);
-        let view_nodes = q.view_nodes(view_id);
+        let view = answer();
+        let k = live.config().top_k;
+        let alpha = match view.answers.len() {
+            0 => view.alpha(),
+            n => Some(view.answers[(k - 1).min(n - 1)].cost),
+        }
+        .unwrap_or(f64::INFINITY);
+        let calibrated = live.snapshot();
+        let view_nodes = view_nodes(
+            calibrated.graph(),
+            calibrated.keyword_index(),
+            &live.config().match_config,
+            &view.keywords,
+        );
 
-        let mut graph = q.graph().clone();
+        let mut graph = calibrated.graph().clone();
         if *target_sources > catalog.sources().len() {
             let additional = target_sources - catalog.sources().len();
             expand_with_synthetic_sources(&mut catalog, &mut graph, additional, &config.scaling);

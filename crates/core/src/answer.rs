@@ -5,9 +5,6 @@ use serde::{Deserialize, Serialize};
 use q_graph::SteinerTree;
 use q_storage::{AttributeId, ConjunctiveQuery, Value};
 
-/// Identifier of a persistent view within a [`QSystem`](crate::QSystem).
-pub type ViewId = usize;
-
 /// One ranked conjunctive query of a view: the Steiner tree it came from, the
 /// executable query, and its cost (the `e` term output by each union branch).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,7 +29,7 @@ pub struct Answer {
     pub cost: f64,
 }
 
-/// A persistent keyword-query view: its definition (ranked queries) and its
+/// A ranked keyword-query view: its definition (ranked queries) and its
 /// current materialised contents.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RankedView {

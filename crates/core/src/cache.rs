@@ -48,7 +48,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use q_graph::keyword::MatchConfig;
-use q_graph::{DeltaPricer, EdgeId, FeatureVector, KeywordIndex, MatchTarget, NodeId, SearchGraph};
+use q_graph::{DeltaPricer, EdgeId, FeatureVector, KeywordIndex, NodeId, SearchGraph};
 use q_storage::{Catalog, RelationId};
 
 use crate::answer::RankedView;
@@ -315,14 +315,9 @@ impl KeywordFacts<'_> {
             .keyword_index
             .matches(keyword, d.match_config)
             .iter()
-            .filter_map(|m| match &m.target {
-                MatchTarget::Relation(r) => d.graph.relation_node(*r),
-                // A value node attaches to its attribute at zero cost, so
-                // the attribute's distance bounds the value's too.
-                MatchTarget::Attribute(a) | MatchTarget::Value { attribute: a, .. } => {
-                    d.graph.attribute_node(*a)
-                }
-            })
+            // A value node attaches to its attribute at zero cost, so the
+            // attribute's distance bounds the value's too.
+            .filter_map(|m| d.graph.match_node(&m.target))
             .map(|n| self.pricer.dist(n))
             .fold(f64::INFINITY, f64::min);
         self.price.insert(keyword.to_owned(), price);

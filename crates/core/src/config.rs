@@ -5,23 +5,6 @@ use serde::{Deserialize, Serialize};
 use q_graph::keyword::MatchConfig;
 use q_graph::SteinerConfig;
 
-/// Which alignment search strategy `register_source` uses (Section 3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AlignmentStrategy {
-    /// Match the new source against every existing relation.
-    Exhaustive,
-    /// Algorithm 2: match only inside the α-cost neighbourhood of existing
-    /// views (α = cost of each view's k-th best answer). Preserves every
-    /// view's top-k exactly.
-    ViewBased,
-    /// Algorithm 3: match only against the `limit` most-preferred relations
-    /// according to the learned relation-authoritativeness prior.
-    Preferential {
-        /// How many top-priority relations to consider.
-        limit: usize,
-    },
-}
-
 /// Tunable parameters of the Q system.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QConfig {
@@ -35,8 +18,6 @@ pub struct QConfig {
     /// Every search takes `k` from [`top_k`](Self::top_k), so `steiner.k`
     /// is never read.
     pub steiner: SteinerConfig,
-    /// Alignment strategy used when registering new sources.
-    pub strategy: AlignmentStrategy,
     /// Cost threshold below which association edges are considered usable
     /// when aligning output columns of the disjoint union (`t` in
     /// Section 2.2).
@@ -64,7 +45,6 @@ impl Default for QConfig {
                 k: 5,
                 ..SteinerConfig::default()
             },
-            strategy: AlignmentStrategy::ViewBased,
             column_merge_threshold: 1.5,
             min_edge_cost: 0.05,
             max_answers: 200,
@@ -85,16 +65,6 @@ mod tests {
         assert!(c.top_y >= 1);
         assert!(c.min_edge_cost > 0.0);
         assert_eq!(c.steiner.k, c.top_k);
-        assert!(matches!(c.strategy, AlignmentStrategy::ViewBased));
         assert!(c.shard_workers >= 1);
-    }
-
-    #[test]
-    fn strategies_compare() {
-        assert_ne!(AlignmentStrategy::Exhaustive, AlignmentStrategy::ViewBased);
-        assert_eq!(
-            AlignmentStrategy::Preferential { limit: 3 },
-            AlignmentStrategy::Preferential { limit: 3 }
-        );
     }
 }

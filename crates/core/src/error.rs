@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use q_storage::StorageError;
+use q_storage::{AttributeId, StorageError};
 
 /// Errors surfaced by the Q system API.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,20 +38,21 @@ pub enum QError {
         /// Why the value was rejected.
         reason: String,
     },
-    /// [`QSystemBuilder::build`](crate::QSystemBuilder::build) rejected the
-    /// configuration.
-    InvalidBuild {
-        /// The offending configuration field.
-        field: &'static str,
-        /// Why the value was rejected.
-        reason: String,
-    },
     /// The referenced answer index does not exist in the view.
     UnknownAnswer {
-        /// View the answer was looked up in.
-        view: usize,
+        /// How many answers the view has.
+        answers: usize,
         /// Offending answer index.
         answer: usize,
+    },
+    /// An ingest's alignment strategy proposed an alignment that does not
+    /// start at an attribute of the source being ingested
+    /// ([`LiveServer::ingest_source_with`](crate::LiveServer::ingest_source_with)).
+    MisplacedAlignment {
+        /// Name of the source being ingested.
+        source_name: String,
+        /// The offending alignment's `new_attribute`.
+        attribute: AttributeId,
     },
     /// A keyword query produced no usable query trees.
     NoQueryTrees,
@@ -69,8 +70,8 @@ impl QError {
             QError::SourceLoad { .. } => "source_load",
             QError::ViewMaterialization { .. } => "view_materialization",
             QError::InvalidRequest { .. } => "invalid_request",
-            QError::InvalidBuild { .. } => "invalid_build",
             QError::UnknownAnswer { .. } => "unknown_answer",
+            QError::MisplacedAlignment { .. } => "misplaced_alignment",
             QError::NoQueryTrees => "no_query_trees",
         }
     }
@@ -90,12 +91,20 @@ impl fmt::Display for QError {
             QError::InvalidRequest { field, reason } => {
                 write!(f, "invalid query request: `{field}` {reason}")
             }
-            QError::InvalidBuild { field, reason } => {
-                write!(f, "invalid system configuration: `{field}` {reason}")
+            QError::UnknownAnswer { answers, answer } => {
+                let plural = if *answers == 1 { "" } else { "s" };
+                write!(
+                    f,
+                    "no answer #{answer}: the view has {answers} answer{plural}"
+                )
             }
-            QError::UnknownAnswer { view, answer } => {
-                write!(f, "view #{view} has no answer #{answer}")
-            }
+            QError::MisplacedAlignment {
+                source_name,
+                attribute,
+            } => write!(
+                f,
+                "alignment from {attribute} is not on the ingested source `{source_name}`"
+            ),
             QError::NoQueryTrees => write!(f, "keyword query produced no query trees"),
         }
     }
@@ -125,7 +134,10 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        let e = QError::UnknownAnswer { view: 3, answer: 9 };
+        let e = QError::UnknownAnswer {
+            answers: 3,
+            answer: 9,
+        };
         assert!(e.to_string().contains('3') && e.to_string().contains('9'));
         let e: QError = StorageError::UnknownRelation("x".into()).into();
         assert!(matches!(e, QError::Storage(_)));
@@ -183,11 +195,14 @@ mod tests {
                 field: "top_k",
                 reason: String::new(),
             },
-            QError::InvalidBuild {
-                field: "top_k",
-                reason: String::new(),
+            QError::UnknownAnswer {
+                answers: 0,
+                answer: 0,
             },
-            QError::UnknownAnswer { view: 0, answer: 0 },
+            QError::MisplacedAlignment {
+                source_name: "s".into(),
+                attribute: AttributeId(0),
+            },
             QError::NoQueryTrees,
         ];
         let codes: Vec<&str> = variants.iter().map(QError::code).collect();
@@ -206,12 +221,15 @@ mod tests {
     #[test]
     fn leaf_variants_have_no_source() {
         assert!(QError::NoQueryTrees.source().is_none());
-        assert!(QError::UnknownAnswer { view: 0, answer: 0 }
-            .source()
-            .is_none());
-        assert!(QError::InvalidBuild {
-            field: "catalog",
-            reason: "empty".into()
+        assert!(QError::UnknownAnswer {
+            answers: 0,
+            answer: 0
+        }
+        .source()
+        .is_none());
+        assert!(QError::MisplacedAlignment {
+            source_name: "s".into(),
+            attribute: AttributeId(0),
         }
         .source()
         .is_none());

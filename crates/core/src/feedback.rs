@@ -6,8 +6,7 @@
 //! learner. This module defines the feedback vocabulary ([`Feedback`]), the
 //! typed request surface ([`FeedbackRequest`], which names the annotated
 //! answers by their keyword query — what
-//! [`QSystem::apply_feedback`](crate::QSystem::apply_feedback) and
-//! [`LiveServer::feedback`](crate::LiveServer::feedback) consume, and what
+//! [`LiveServer::feedback`](crate::LiveServer::feedback) consumes, and what
 //! the network `/feedback` endpoint decodes into) and the outcome report
 //! ([`FeedbackOutcome`]).
 
@@ -39,10 +38,8 @@ pub enum Feedback {
 
 /// A typed feedback request: the keyword query whose ranked answers are
 /// annotated, and the annotation.
-/// [`QSystem::apply_feedback`](crate::QSystem::apply_feedback) resolves the
-/// keywords to the persistent view with the same keywords (creating one when
-/// none exists); [`LiveServer::feedback`](crate::LiveServer::feedback)
-/// annotates the current snapshot's sequential answer directly.
+/// [`LiveServer::feedback`](crate::LiveServer::feedback) annotates the
+/// current snapshot's sequential answer for the keywords.
 ///
 /// ```no_run
 /// use q_core::{Feedback, FeedbackRequest};

@@ -2,10 +2,9 @@
 //! sources are incorporated end-to-end.
 //!
 //! The paper's headline capability is *automatically incorporating new
-//! sources* into a running keyword-search integration system. A plain
-//! [`QSystem`](crate::QSystem) incorporates sources through `&mut self`
-//! and caches nothing. This module is the one serving engine — cached,
-//! concurrent, and never stopped by a topology change:
+//! sources* into a running keyword-search integration system. This module
+//! is the one engine for reads and writes alike — cached, concurrent, and
+//! never stopped by a topology change:
 //!
 //! * **[`GraphSnapshot`]** — one immutable, self-contained serving state:
 //!   catalog + search graph (packed CSR) + keyword index, stamped with a
@@ -23,7 +22,10 @@
 //!   keyword-index append, matcher scoring of only the new columns
 //!   ([`SchemaMatcher::match_source`]) — and publishes the next snapshot
 //!   atomically. Readers in flight keep their snapshot; new readers see the
-//!   new one.
+//!   new one. [`LiveServer::ingest_source_with`] runs the same ingest with
+//!   another alignment strategy (e.g. [`view_based_alignments`]), and
+//!   [`LiveServer::feedback`] / [`LiveServer::publish_association`] publish
+//!   re-priced or newly associated graphs the same way.
 //!
 //! # Epoch/publish protocol and the cache verdict
 //!
@@ -61,23 +63,30 @@
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use q_graph::{KeywordIndex, NodeId, SearchGraph, ShardSet, SteinerScratch};
-use q_learn::Mira;
+use q_align::{
+    AlignerConfig, AlignmentOutcome, AlignmentStats, ExhaustiveAligner, ViewBasedAligner,
+};
+use q_graph::keyword::MatchConfig;
+use q_graph::{
+    approx_top_k, approx_top_k_detailed_fanned, exact_minimum_steiner, KeywordIndex, KeywordMatch,
+    NodeId, QueryGraph, SearchGraph, ShardSet, SteinerConfig, SteinerScratch, SteinerStats,
+};
+use q_learn::{constraints_from_candidates, enforce_positive_costs, Mira};
 use q_matchers::{AttributeAlignment, SchemaMatcher};
-use q_storage::{AttributeId, Catalog, RelationId, SourceId, SourceSpec};
+use q_storage::{AttributeId, Catalog, RelationId, SourceId, SourceSpec, ValueIndex};
 
-use crate::answer::RankedView;
+use crate::answer::{RankedQuery, RankedView};
 use crate::cache::{
-    normalize_keywords, IngestionDelta, Publish, QueryCache, QueryKey, RevalidationModel,
-    DEFAULT_CACHE_CAPACITY,
+    normalize_keywords, CostTerm, IngestionDelta, Publish, QueryCache, QueryKey, RevalidationModel,
+    TreeCostModel, DEFAULT_CACHE_CAPACITY,
 };
 use crate::config::QConfig;
 use crate::error::QError;
-use crate::feedback::{FeedbackOutcome, FeedbackRequest};
-use crate::request::{CachePolicy, CacheStatus, QueryOutcome, QueryRequest};
+use crate::feedback::{Feedback, FeedbackOutcome, FeedbackRequest};
+use crate::request::{CachePolicy, CacheStatus, QueryOutcome, QueryRequest, SearchStrategy};
 use crate::revalidate::{RevalidationLane, RevalidationStats};
 use crate::snapstore::{PersistStats, SnapshotPersister};
-use crate::system::{learn_feedback, ServeParams, ServingState};
+use crate::translate::{materialize_view, tree_to_query};
 
 /// One immutable published serving state: everything a reader needs to
 /// answer a query, frozen at publish time. Cheap to share (`Arc`) and safe
@@ -258,6 +267,103 @@ pub struct IngestReport {
     pub cache_parked: u64,
     /// Cached entries dropped outright by the publish.
     pub cache_dropped: u64,
+}
+
+/// What an ingest's alignment strategy reads for one matcher (see
+/// [`LiveServer::ingest_source_with`]): the next snapshot as far as it is
+/// built.
+pub struct IngestDraft<'a> {
+    /// The catalog with the new source loaded.
+    pub catalog: &'a Catalog,
+    /// The keyword index with the new source's relations appended.
+    pub keyword_index: &'a KeywordIndex,
+    /// The grown search graph, holding the associations of every matcher
+    /// that ran before this one.
+    pub graph: &'a SearchGraph,
+    /// The source being ingested.
+    pub source: SourceId,
+    /// The server's configuration.
+    pub config: &'a QConfig,
+}
+
+/// VIEWBASEDALIGNER (Algorithm 2) as an ingest's alignment strategy, for
+/// [`LiveServer::ingest_source_with`]: align the new source inside the
+/// α-cost neighbourhood of each view, where α is the view's k-th best cost
+/// and the neighbourhood starts at its keywords' nodes on the grown index,
+/// then keep the top-Y alignments per new attribute across views. With no
+/// views it falls back to exhaustive matching, so the source is still
+/// incorporated.
+pub fn view_based_alignments(
+    draft: &IngestDraft<'_>,
+    matcher: &dyn SchemaMatcher,
+    views: &[RankedView],
+) -> AlignmentOutcome {
+    let value_index = ValueIndex::build(draft.catalog);
+    let aligner_config = AlignerConfig {
+        top_y: draft.config.top_y,
+        ..AlignerConfig::default()
+    };
+    if views.is_empty() {
+        return ExhaustiveAligner.align(
+            draft.catalog,
+            matcher,
+            draft.source,
+            Some(&value_index),
+            &aligner_config,
+        );
+    }
+    let mut alignments = Vec::new();
+    let mut stats = AlignmentStats::default();
+    for view in views {
+        // A view with no answers yet has no α bound: any alignment
+        // reachable from its keyword nodes could give it its first results,
+        // so the neighbourhood is unbounded (but still restricted to the
+        // keywords' component).
+        let alpha = view.alpha().unwrap_or(f64::INFINITY);
+        let nodes = view_nodes(
+            draft.graph,
+            draft.keyword_index,
+            &draft.config.match_config,
+            &view.keywords,
+        );
+        let outcome = ViewBasedAligner::new(alpha).align(
+            draft.catalog,
+            draft.graph,
+            matcher,
+            draft.source,
+            &nodes,
+            Some(&value_index),
+            &aligner_config,
+        );
+        alignments.extend(outcome.alignments);
+        stats.merge(&outcome.stats);
+    }
+    AlignmentOutcome {
+        alignments: q_matchers::keep_top_y_per_attribute(alignments, draft.config.top_y),
+        stats,
+    }
+}
+
+/// The search-graph nodes `keywords` match, each once in match order (a
+/// value match lands on its attribute's node): where a view's α-cost
+/// neighbourhood starts.
+pub fn view_nodes(
+    graph: &SearchGraph,
+    keyword_index: &KeywordIndex,
+    match_config: &MatchConfig,
+    keywords: &[String],
+) -> Vec<NodeId> {
+    let mut nodes = Vec::new();
+    for keyword in keywords {
+        for m in keyword_index.matches(keyword, match_config) {
+            if let Some(n) = graph.match_node(&m.target) {
+                if !nodes.contains(&n) {
+                    nodes.push(n);
+                }
+            }
+        }
+    }
+    nodes
 }
 
 /// Point-in-time counters of a [`LiveServer`]'s shared answer cache.
@@ -556,6 +662,30 @@ impl LiveServer {
     ///
     /// Writers serialize on the writer lane; readers never wait on it.
     pub fn ingest_source(&self, spec: &SourceSpec) -> Result<IngestReport, QError> {
+        self.ingest_source_with(spec, |draft, matcher| {
+            matcher.match_source(draft.catalog, draft.source, draft.config.top_y)
+        })
+    }
+
+    /// [`ingest_source`](Self::ingest_source) with the alignment strategy
+    /// given: for each registered matcher in order, `align` proposes the
+    /// new source's alignments from the [`IngestDraft`], and they join the
+    /// graph under the matcher's name before the next matcher runs, so a
+    /// later matcher sees an earlier one's edges.
+    ///
+    /// Every alignment must start at an attribute of the new source: the
+    /// growth publish judges the cache as if each association were a new
+    /// edge, and one merged into an existing edge would re-price it behind
+    /// that verdict's back. Any other alignment fails the ingest with
+    /// [`QError::MisplacedAlignment`] and publishes nothing.
+    pub fn ingest_source_with<F>(
+        &self,
+        spec: &SourceSpec,
+        mut align: F,
+    ) -> Result<IngestReport, QError>
+    where
+        F: FnMut(&IngestDraft<'_>, &dyn SchemaMatcher) -> Vec<AttributeAlignment>,
+    {
         let writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.snapshot();
 
@@ -578,7 +708,25 @@ impl LiveServer {
         }
         let mut alignments: Vec<AttributeAlignment> = Vec::new();
         for matcher in &writer.matchers {
-            let proposed = matcher.match_source(&catalog, source, self.config.top_y);
+            let draft = IngestDraft {
+                catalog: &catalog,
+                keyword_index: &keyword_index,
+                graph: &graph,
+                source,
+                config: &self.config,
+            };
+            let proposed = align(&draft, matcher.as_ref());
+            let misplaced = proposed.iter().find(|a| {
+                catalog
+                    .attribute(a.new_attribute)
+                    .is_none_or(|at| !new_relations.contains(&at.relation))
+            });
+            if let Some(a) = misplaced {
+                return Err(QError::MisplacedAlignment {
+                    source_name: spec.name.clone(),
+                    attribute: a.new_attribute,
+                });
+            }
             for a in &proposed {
                 graph.add_association(
                     a.new_attribute,
@@ -662,7 +810,6 @@ impl LiveServer {
             &self.config,
             &mut writer.mira,
             &view,
-            0,
             request.feedback(),
         )?;
         let published = self.publish(
@@ -744,13 +891,317 @@ impl LiveServer {
     }
 }
 
+/// The MIRA learning step of [`LiveServer::feedback`]: generalise the
+/// annotated answers of `view` to their originating query trees, build
+/// margin constraints against the current K-best list, update the weights,
+/// and keep every edge cost positive. Mutates `graph` (weights only — the
+/// topology is untouched, so this is always a pure re-pricing) and `mira`;
+/// the caller publishes the re-priced graph as the next snapshot.
+fn learn_feedback(
+    graph: &mut SearchGraph,
+    keyword_index: &KeywordIndex,
+    config: &QConfig,
+    mira: &mut Mira,
+    view: &RankedView,
+    feedback: Feedback,
+) -> Result<FeedbackOutcome, QError> {
+    if view.queries.is_empty() {
+        return Err(QError::NoQueryTrees);
+    }
+
+    // Resolve the feedback to a target query and the candidate set.
+    let resolve = |answer: usize| -> Result<usize, QError> {
+        view.answers
+            .get(answer)
+            .map(|a| a.query_index)
+            .ok_or(QError::UnknownAnswer {
+                answers: view.answers.len(),
+                answer,
+            })
+    };
+    let (target_query, candidate_queries): (usize, Vec<usize>) = match feedback {
+        Feedback::Correct { answer } => {
+            let t = resolve(answer)?;
+            (t, (0..view.queries.len()).collect())
+        }
+        Feedback::Invalid { answer } => {
+            let bad = resolve(answer)?;
+            let target = (0..view.queries.len()).find(|q| *q != bad);
+            match target {
+                Some(t) => (t, vec![bad]),
+                None => return Err(QError::NoQueryTrees),
+            }
+        }
+        Feedback::Prefer { better, worse } => (resolve(better)?, vec![resolve(worse)?]),
+    };
+
+    // Rebuild the query graph (deterministic, so edge ids line up with
+    // the stored trees) and recompute the K-best list under the current
+    // weights, per Algorithm 4.
+    let keywords: Vec<&str> = view.keywords.iter().map(String::as_str).collect();
+    let query_graph = QueryGraph::build(graph, keyword_index, &keywords, &config.match_config);
+    let steiner = SteinerConfig {
+        k: config.top_k,
+        ..config.steiner
+    };
+    let mut candidates = approx_top_k(&query_graph, &query_graph.terminals(), &steiner);
+    for q in candidate_queries {
+        candidates.push(view.queries[q].tree.clone());
+    }
+    let target_tree = view.queries[target_query].tree.clone();
+
+    let constraints = constraints_from_candidates(&target_tree, &candidates, |e| {
+        query_graph.edge_features(e).clone()
+    });
+    let weights_before = graph.weights().clone();
+    let mut weights = weights_before.clone();
+    let summary = mira.update(&mut weights, &constraints);
+    graph.set_weights(weights);
+    let bump = enforce_positive_costs(graph, config.min_edge_cost);
+    // Surface the weight delta of this re-pricing (MIRA step plus
+    // positivity repair): the answer cache revalidates cached trees
+    // against the new prices instead of cold-starting.
+    let repriced_features = graph.weights().changed_features(&weights_before).len();
+
+    Ok(FeedbackOutcome {
+        target_query,
+        constraints: constraints.len(),
+        initially_violated: summary.initially_violated,
+        remaining_violations: summary.remaining_violations,
+        default_weight_bump: bump,
+        repriced_features,
+    })
+}
+
+/// The per-request serving parameters after merging a [`QueryRequest`]'s
+/// overrides with the system [`QConfig`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ServeParams {
+    top_k: usize,
+    strategy: SearchStrategy,
+    max_cost: f64,
+}
+
+impl ServeParams {
+    /// The config-default parameters.
+    pub(crate) fn defaults(config: &QConfig) -> Self {
+        ServeParams {
+            top_k: config.top_k,
+            strategy: SearchStrategy::Approx {
+                max_roots: config.steiner.max_roots,
+            },
+            max_cost: config.steiner.max_cost,
+        }
+    }
+
+    /// Merge a request's overrides over the config defaults.
+    pub(crate) fn resolve(config: &QConfig, request: &QueryRequest) -> Self {
+        let mut params = ServeParams::defaults(config);
+        if let Some(top_k) = request.top_k_override() {
+            params.top_k = top_k;
+        }
+        if let Some(strategy) = request.strategy_override() {
+            params.strategy = strategy;
+        }
+        if let Some(budget) = request.cost_budget_override() {
+            params.max_cost = budget;
+        }
+        params
+    }
+
+    /// Merge a cache key's recorded overrides over the config defaults: the
+    /// re-validation lane recomputes a parked entry exactly as the request
+    /// that priced it would be served today.
+    pub(crate) fn resolve_key(config: &QConfig, key: &crate::request::QueryParamsKey) -> Self {
+        let mut params = ServeParams::defaults(config);
+        if let Some(top_k) = key.top_k {
+            params.top_k = top_k;
+        }
+        if let Some(strategy) = key.strategy {
+            params.strategy = strategy;
+        }
+        if let Some(bits) = key.budget_bits {
+            params.max_cost = f64::from_bits(bits);
+        }
+        params
+    }
+}
+
+/// What one miss computes: the ranked view, the search's statistics and —
+/// when the answer is destined for the cache — its re-pricing model.
+pub(crate) type Answered = (RankedView, SteinerStats, Option<RevalidationModel>);
+
+/// The frozen serving state one keyword query is answered against, borrowed
+/// from a published [`GraphSnapshot`].
+#[derive(Clone, Copy)]
+pub(crate) struct ServingState<'a> {
+    pub(crate) catalog: &'a Catalog,
+    pub(crate) graph: &'a SearchGraph,
+    pub(crate) keyword_index: &'a KeywordIndex,
+    pub(crate) config: &'a QConfig,
+}
+
+impl ServingState<'_> {
+    /// The sequential reference answer to a request: validate it, merge its
+    /// overrides over the config and answer it through a fresh scratch,
+    /// with no cache involvement. [`GraphSnapshot::answer`] is this.
+    pub(crate) fn answer(&self, request: &QueryRequest) -> Result<RankedView, QError> {
+        request.validate()?;
+        let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
+        self.answer_keywords(
+            &refs,
+            ServeParams::resolve(self.config, request),
+            false,
+            &mut SteinerScratch::default(),
+        )
+        .map(|(view, _, _)| view)
+    }
+
+    /// Answer one keyword query: match the keywords, build the query graph,
+    /// run the requested Steiner search (into the caller's scratch buffers),
+    /// translate trees to conjunctive queries and materialise the ranked
+    /// view. Pure in its inputs — readers call this concurrently holding
+    /// only shared references.
+    ///
+    /// When `build_model` is set (the answer is destined for the cache), it
+    /// also returns the [`RevalidationModel`] the cache needs to judge the
+    /// answer at a later publish: per-tree cost terms (base edges by id —
+    /// the graph stays authoritative for their features — and copies of the
+    /// query-local edge features, which die with the query graph), the
+    /// effective cost budget, and whether the strategy is revalidatable at
+    /// all.
+    pub(crate) fn answer_keywords(
+        &self,
+        keywords: &[&str],
+        params: ServeParams,
+        build_model: bool,
+        scratch: &mut SteinerScratch,
+    ) -> Result<Answered, QError> {
+        let ServingState {
+            catalog,
+            graph,
+            keyword_index,
+            config,
+        } = *self;
+        let match_lists: Vec<Vec<KeywordMatch>> = keywords
+            .iter()
+            .map(|keyword| keyword_index.matches(keyword, &config.match_config))
+            .collect();
+        let query_graph = QueryGraph::build_with_matches(graph, keywords, match_lists);
+        let terminals = query_graph.terminals();
+        let (trees, stats) = match params.strategy {
+            SearchStrategy::Approx { max_roots } => {
+                let steiner = SteinerConfig {
+                    k: params.top_k,
+                    max_roots,
+                    max_cost: params.max_cost,
+                };
+                // The per-terminal backward Dijkstras fan across
+                // `shard_workers` threads; the fan-out is byte-identical to
+                // the sequential search, so it moves wall-clock only.
+                approx_top_k_detailed_fanned(
+                    &query_graph,
+                    &terminals,
+                    &steiner,
+                    scratch,
+                    config.shard_workers,
+                )
+            }
+            SearchStrategy::Exact => {
+                let found = exact_minimum_steiner(&query_graph, &terminals);
+                let candidates = usize::from(found.is_some());
+                let trees: Vec<_> = found
+                    .into_iter()
+                    .filter(|t| t.cost <= params.max_cost + 1e-9)
+                    .collect();
+                let stats = SteinerStats {
+                    terminals: terminals.len(),
+                    candidates_generated: candidates,
+                    // A found-but-too-expensive tree must read as "over budget",
+                    // not as "terminals unconnected".
+                    trees_over_budget: candidates - trees.len(),
+                    trees_returned: trees.len(),
+                    ..SteinerStats::default()
+                };
+                (trees, stats)
+            }
+        };
+        let mut queries: Vec<RankedQuery> = Vec::new();
+        for tree in trees {
+            if let Some(query) = tree_to_query(catalog, &query_graph, &tree) {
+                queries.push(RankedQuery {
+                    cost: tree.cost,
+                    tree,
+                    query,
+                });
+            }
+        }
+        queries.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+        // Cost models in final rank order: term order mirrors the sorted edge
+        // list so a re-priced sum is bit-identical to this computation's. Only
+        // built when the answer will enter the cache — the bypass path (the hot
+        // sequential baseline) would throw the feature-vector clones away.
+        let model = build_model.then(|| {
+            let models: Vec<TreeCostModel> = queries
+                .iter()
+                .map(|rq| {
+                    let terms = rq
+                        .tree
+                        .edges
+                        .iter()
+                        .map(|e| {
+                            if e.index() < graph.edge_count() {
+                                CostTerm::Base(*e)
+                            } else {
+                                let edge = query_graph.edge(*e);
+                                if edge.kind.is_fixed_zero() {
+                                    CostTerm::Local(q_graph::FeatureVector::empty())
+                                } else {
+                                    CostTerm::Local(edge.features.clone())
+                                }
+                            }
+                        })
+                        .collect();
+                    TreeCostModel::new(terms)
+                })
+                .collect();
+            RevalidationModel {
+                trees: models,
+                budget: params.max_cost,
+                revalidatable: matches!(params.strategy, SearchStrategy::Approx { .. }),
+                top_k: params.top_k,
+            }
+        });
+        let (columns, column_sources, answers) = materialize_view(
+            catalog,
+            graph,
+            &queries,
+            config.column_merge_threshold,
+            config.max_answers,
+        )
+        .map_err(|source| QError::ViewMaterialization {
+            keywords: keywords.iter().map(|s| s.to_string()).collect(),
+            source,
+        })?;
+        Ok((
+            RankedView {
+                keywords: keywords.iter().map(|s| s.to_string()).collect(),
+                columns,
+                column_sources,
+                queries,
+                answers,
+            },
+            stats,
+            model,
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feedback::Feedback;
-    use crate::request::SearchStrategy;
-    use q_matchers::MetadataMatcher;
-    use q_storage::RelationSpec;
+    use q_matchers::{MadMatcher, MetadataMatcher};
+    use q_storage::{RelationSpec, Value};
 
     fn base_specs() -> Vec<SourceSpec> {
         vec![
@@ -1232,9 +1683,192 @@ mod tests {
                 Feedback::Correct { answer: 10_000 },
             ))
             .unwrap_err();
-        assert!(matches!(err, QError::UnknownAnswer { .. }));
+        // The message names how many answers the view has, not a view id.
+        let answers = published
+            .answer(
+                server.config(),
+                &QueryRequest::new(["plasma membrane", "entry"]),
+            )
+            .unwrap()
+            .answers
+            .len();
+        assert_eq!(
+            err,
+            QError::UnknownAnswer {
+                answers,
+                answer: 10_000
+            }
+        );
+        assert_eq!(err.to_string(), "no answer #10000: the view has 1 answer");
         assert_eq!(server.snapshot().id(), published.id());
         assert!(server.snapshot().id() > before.id());
+    }
+
+    #[test]
+    fn feedback_demotes_the_tree_of_an_invalid_answer() {
+        let server = associated_server(true);
+        let request = QueryRequest::new(["plasma membrane", "entry"]);
+        let view = server.snapshot().answer(server.config(), &request).unwrap();
+        assert!(view.queries.len() >= 2, "need alternative trees");
+
+        // Mark the best answer correct; weights must change such that its
+        // query stays cheapest and the re-priced snapshot still answers.
+        let report = server
+            .feedback(&FeedbackRequest::on_keywords(
+                ["plasma membrane", "entry"],
+                Feedback::Correct { answer: 0 },
+            ))
+            .unwrap();
+        assert!(report.outcome.constraints > 0);
+        let view = report.snapshot.answer(server.config(), &request).unwrap();
+        assert!(!view.queries.is_empty());
+        // All edge costs remain positive after learning.
+        assert!(report.snapshot.graph().min_learnable_edge_cost().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn snapshot_answer_joins_sources_through_an_association_with_provenance() {
+        let server = associated_server(false);
+        let request = QueryRequest::new(["plasma membrane", "entry"]);
+        let view = server.snapshot().answer(server.config(), &request).unwrap();
+        assert!(!view.queries.is_empty());
+        assert!(!view.answers.is_empty());
+        assert!(view.alpha().unwrap() > 0.0);
+        // The InterPro entry IPR01 (or its name) is reachable through the
+        // GO:1 association, so the join across sources shows up in the view.
+        let found = view.answers.iter().any(|a| {
+            a.values.iter().flatten().any(
+                |v| matches!(v, Value::Text(s) if s.contains("Kringle") || s.contains("IPR01")),
+            )
+        });
+        assert!(found, "answers: {:?}", view.answers);
+    }
+
+    #[test]
+    fn unmatched_keywords_answer_an_empty_view_with_no_alpha() {
+        let server = server();
+        let request = QueryRequest::new(["qqqq", "zzzz"]);
+        let view = server.snapshot().answer(server.config(), &request).unwrap();
+        assert!(view.queries.is_empty());
+        assert!(view.answers.is_empty());
+        assert_eq!(view.alpha(), None);
+    }
+
+    #[test]
+    fn view_nodes_map_keywords_to_graph_nodes() {
+        let server = server();
+        let snap = server.snapshot();
+        let keywords = ["plasma membrane".to_string(), "entry".to_string()];
+        let nodes = view_nodes(
+            snap.graph(),
+            snap.keyword_index(),
+            &server.config().match_config,
+            &keywords,
+        );
+        assert!(!nodes.is_empty());
+        // "plasma membrane" is a go_term.name value: it lands on that
+        // attribute's node.
+        let name_attr = snap.catalog().resolve_qualified("go_term.name").unwrap();
+        let name_node = snap.graph().attribute_node(name_attr).unwrap();
+        assert!(nodes.contains(&name_node));
+        let mut distinct = nodes.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), nodes.len(), "each node once");
+    }
+
+    #[test]
+    fn view_based_ingest_adds_alignments_and_the_view_reaches_the_new_source() {
+        let mut server = associated_server(false);
+        server.add_matcher(Box::new(MadMatcher::new()));
+        let request = QueryRequest::new(["plasma membrane", "title"]);
+        let view = server.snapshot().answer(server.config(), &request).unwrap();
+        // Before the publication source arrives, "title" matches nothing.
+        assert!(view.answers.is_empty());
+
+        let mut matchers_run = 0;
+        let report = server
+            .ingest_source_with(&new_pub_source(), |draft, matcher| {
+                matchers_run += 1;
+                view_based_alignments(draft, matcher, std::slice::from_ref(&view)).alignments
+            })
+            .unwrap();
+        assert!(!report.alignments.is_empty());
+        assert_eq!(matchers_run, 2, "one call per registered matcher");
+        // The new source's entry_ac aligns with entry.entry_ac.
+        let snap = &report.snapshot;
+        let pub_entry_ac = snap.catalog().resolve_qualified("pub.entry_ac").unwrap();
+        let entry_ac = snap.catalog().resolve_qualified("entry.entry_ac").unwrap();
+        assert!(snap
+            .graph()
+            .association_between(pub_entry_ac, entry_ac)
+            .is_some());
+        // And the view now reaches publication titles.
+        let view = snap.answer(server.config(), &request).unwrap();
+        let found = view.answers.iter().any(|a| {
+            a.values
+                .iter()
+                .flatten()
+                .any(|v| matches!(v, Value::Text(s) if s.contains("Kringle structure")))
+        });
+        assert!(found, "answers: {:?}", view.answers);
+    }
+
+    #[test]
+    fn exhaustive_strategy_counts_more_comparisons_than_view_based() {
+        // Register the same source with the same matcher on two identical
+        // servers, once inside the view's α-neighbourhood and once through
+        // the no-views fallback, which is exhaustive.
+        let comparisons = |view_based: bool| {
+            let server = associated_server(false);
+            let request = QueryRequest::new(["plasma membrane", "entry"]);
+            let view = server.snapshot().answer(server.config(), &request).unwrap();
+            let views = if view_based { vec![view] } else { Vec::new() };
+            let mut comparisons = 0;
+            server
+                .ingest_source_with(&new_pub_source(), |draft, matcher| {
+                    let outcome = view_based_alignments(draft, matcher, &views);
+                    comparisons += outcome.stats.attribute_comparisons;
+                    outcome.alignments
+                })
+                .unwrap();
+            comparisons
+        };
+        let (ex_comparisons, vb_comparisons) = (comparisons(false), comparisons(true));
+        assert!(
+            vb_comparisons <= ex_comparisons,
+            "view-based ({vb_comparisons}) should not exceed exhaustive ({ex_comparisons})"
+        );
+    }
+
+    #[test]
+    fn ingest_source_with_rejects_an_alignment_from_an_existing_attribute() {
+        let server = server();
+        let before = server.snapshot();
+        let acc = before.catalog().resolve_qualified("go_term.acc").unwrap();
+        let go_id = before
+            .catalog()
+            .resolve_qualified("interpro2go.go_id")
+            .unwrap();
+        // Both ends already exist: not an alignment of the new source.
+        let err = server
+            .ingest_source_with(&new_pub_source(), |_, _| {
+                vec![AttributeAlignment::new(acc, go_id, 0.9)]
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            QError::MisplacedAlignment {
+                source_name: "pubdb".into(),
+                attribute: acc,
+            }
+        );
+        assert_eq!(server.snapshot().id(), before.id(), "nothing published");
+        assert!(server
+            .snapshot()
+            .catalog()
+            .source_by_name("pubdb")
+            .is_none());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Typed query surface: [`QueryRequest`] in, [`QueryOutcome`] out.
 //!
 //! [`LiveServer::query`](crate::LiveServer::query) serves a request through
-//! the answer cache; [`QSystem::answer`](crate::QSystem::answer) and
-//! [`GraphSnapshot::answer`](crate::GraphSnapshot::answer) answer one
-//! uncached. A request carries the keywords plus per-request overrides of
+//! the answer cache; [`GraphSnapshot::answer`](crate::GraphSnapshot::answer)
+//! answers one uncached. A request carries the keywords plus per-request overrides of
 //! the serving knobs that used to be frozen in [`QConfig`](crate::QConfig)
 //! at construction time — `top_k`, the Steiner [`SearchStrategy`], an
 //! optional cost budget — and a [`CachePolicy`] deciding how the request
@@ -50,7 +49,7 @@ pub enum SearchStrategy {
 /// A keyword query plus its per-request serving parameters.
 ///
 /// Build fluently and pass to [`LiveServer::query`](crate::LiveServer::query)
-/// or [`QSystem::answer`](crate::QSystem::answer):
+/// or [`GraphSnapshot::answer`](crate::GraphSnapshot::answer):
 ///
 /// ```no_run
 /// use q_core::{CachePolicy, QueryRequest};

@@ -72,8 +72,8 @@ fn zipf_index(rng: &mut StdRng, len: usize, skew: f64) -> usize {
 
 /// What one expansion did: the new source ids plus the synthetic
 /// association edges it added to the graph. The associations come back
-/// explicitly so a caller rebuilding a system from the expanded catalog
-/// (e.g. `tests/scale_smoke.rs`, whose `QSystem` re-derives its graph from
+/// explicitly so a caller rebuilding a graph from the expanded catalog
+/// (e.g. `tests/scale_smoke.rs`, whose snapshot re-derives its graph from
 /// the catalog) can re-apply them with
 /// `graph.add_association(a, b, "synthetic", confidence)`.
 #[derive(Debug, Clone, Default)]

@@ -17,6 +17,7 @@ use q_storage::{AttributeId, Catalog, RelationId, SourceId};
 use crate::csr::{Csr, CsrDelta};
 use crate::edge::{Edge, EdgeId, EdgeKind};
 use crate::features::{bin_confidence, FeatureSpace, FeatureVector, WeightVector};
+use crate::keyword::MatchTarget;
 use crate::node::{Node, NodeId};
 
 /// Default weight of the feature shared by every learnable edge. Its weight
@@ -356,6 +357,18 @@ impl SearchGraph {
         self.node_ids.get(&Node::Attribute(attribute)).copied()
     }
 
+    /// The base-graph node a keyword match lands on: its relation or
+    /// attribute node, and for a data value its attribute's node (the value
+    /// node a query graph adds hangs off it at zero cost).
+    pub fn match_node(&self, target: &MatchTarget) -> Option<NodeId> {
+        match target {
+            MatchTarget::Relation(r) => self.relation_node(*r),
+            MatchTarget::Attribute(a) | MatchTarget::Value { attribute: a, .. } => {
+                self.attribute_node(*a)
+            }
+        }
+    }
+
     /// The node stored under an id.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
@@ -638,6 +651,30 @@ mod tests {
 
     fn attr(cat: &Catalog, q: &str) -> AttributeId {
         cat.resolve_qualified(q).unwrap()
+    }
+
+    #[test]
+    fn match_node_maps_each_target_kind_to_its_base_node() {
+        let cat = catalog();
+        let g = SearchGraph::from_catalog(&cat);
+        let go_term = cat.relation_by_name("go_term").unwrap().id;
+        let name = attr(&cat, "go_term.name");
+        assert_eq!(
+            g.match_node(&MatchTarget::Relation(go_term)),
+            g.relation_node(go_term)
+        );
+        assert_eq!(
+            g.match_node(&MatchTarget::Attribute(name)),
+            g.attribute_node(name)
+        );
+        let value = MatchTarget::Value {
+            attribute: name,
+            value: "plasma membrane".into(),
+        };
+        assert_eq!(g.match_node(&value), g.attribute_node(name));
+        assert!(g.match_node(&value).is_some());
+        // A target the graph never saw has no node.
+        assert_eq!(g.match_node(&MatchTarget::Attribute(AttributeId(99))), None);
     }
 
     #[test]

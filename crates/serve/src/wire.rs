@@ -116,7 +116,7 @@ impl WireError {
     /// but empty search 422, and engine failures 500.
     pub fn from_qerror(err: &QError) -> Self {
         let status = match err.code() {
-            "invalid_request" | "invalid_build" => 400,
+            "invalid_request" => 400,
             "unknown_answer" => 404,
             "no_query_trees" => 422,
             _ => 500,
@@ -1209,7 +1209,13 @@ mod tests {
                 },
                 400,
             ),
-            (QError::UnknownAnswer { view: 0, answer: 3 }, 404),
+            (
+                QError::UnknownAnswer {
+                    answers: 2,
+                    answer: 3,
+                },
+                404,
+            ),
             (QError::NoQueryTrees, 422),
             (
                 QError::Storage(q_storage::StorageError::InvalidAtom(0)),

@@ -7,7 +7,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::catalog::Catalog;
-use crate::schema::{AttributeId, RelationId};
+use crate::schema::AttributeId;
 
 /// Per-attribute sets of distinct normalised values.
 #[derive(Debug, Clone, Default)]
@@ -21,24 +21,15 @@ impl ValueIndex {
     pub fn build(catalog: &Catalog) -> Self {
         let mut idx = ValueIndex::default();
         for rel in catalog.relations() {
-            idx.index_relation(catalog, rel.id);
-        }
-        idx
-    }
-
-    /// Add one relation's stored tuples to the index (used when a new source
-    /// is registered after the initial build).
-    pub fn index_relation(&mut self, catalog: &Catalog, relation: RelationId) {
-        let Some(rel) = catalog.relation(relation) else {
-            return;
-        };
-        for tuple in &rel.tuples {
-            for (attr, value) in rel.attributes.iter().zip(tuple.values()) {
-                if let Some(norm) = value.normalized() {
-                    self.by_attribute.entry(*attr).or_default().insert(norm);
+            for tuple in &rel.tuples {
+                for (attr, value) in rel.attributes.iter().zip(tuple.values()) {
+                    if let Some(norm) = value.normalized() {
+                        idx.by_attribute.entry(*attr).or_default().insert(norm);
+                    }
                 }
             }
         }
+        idx
     }
 
     /// Number of distinct values shared by two attributes.

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example alignment_strategies`.
 
 use q_align::{AlignerConfig, ExhaustiveAligner, PreferentialAligner, ViewBasedAligner};
-use q_core::QSystem;
+use q_core::{view_nodes, LiveServer, QConfig, QueryRequest};
 use q_datasets::gbco::{
     declare_foreign_keys, gbco_foreign_keys, gbco_source_specs, gbco_trials, GbcoConfig,
 };
@@ -33,20 +33,24 @@ fn main() {
     declare_foreign_keys(&mut catalog, &gbco_foreign_keys());
 
     // The user's view provides the α bound for ViewBasedAligner.
-    let mut q = QSystem::builder()
-        .catalog(catalog)
-        .build()
-        .expect("valid configuration builds");
-    let keywords: Vec<&str> = trial.keywords.iter().map(String::as_str).collect();
-    let view_id = q.create_view(&keywords).unwrap();
-    let alpha = q
-        .view(view_id)
-        .and_then(|v| v.alpha())
-        .unwrap_or(f64::INFINITY);
-    let view_nodes = q.view_nodes(view_id);
+    let live = LiveServer::new(catalog, QConfig::default());
+    let base = live.snapshot();
+    let view = base
+        .answer(
+            live.config(),
+            &QueryRequest::new(trial.keywords.iter().cloned()),
+        )
+        .unwrap();
+    let alpha = view.alpha().unwrap_or(f64::INFINITY);
+    let view_nodes = view_nodes(
+        base.graph(),
+        base.keyword_index(),
+        &live.config().match_config,
+        &view.keywords,
+    );
     println!(
         "view has {} ranked queries, alpha = {:.3}\n",
-        q.view(view_id).unwrap().queries.len(),
+        view.queries.len(),
         alpha
     );
 
@@ -57,15 +61,12 @@ fn main() {
     );
     for name in &trial.new_sources {
         let spec = specs.iter().find(|s| &s.name == name).unwrap();
-        let mut catalog = q.catalog().clone();
+        let mut catalog = base.catalog().clone();
         let source = spec.load_into(&mut catalog).unwrap();
-        let mut graph = q.graph().clone();
+        let mut graph = base.graph().clone();
         graph.add_source(&catalog, source);
         let index = ValueIndex::build(&catalog);
-        let config = AlignerConfig {
-            use_value_overlap_filter: true,
-            ..AlignerConfig::default()
-        };
+        let config = AlignerConfig::default();
 
         println!("-- registering `{name}` --");
         let out = ExhaustiveAligner.align(&catalog, &matcher, source, Some(&index), &config);

@@ -8,8 +8,9 @@
 use std::collections::HashSet;
 
 use q_core::evaluation::{average_edge_costs, gold_target_query, precision_recall_graph, AttrPair};
-use q_core::{Feedback, FeedbackRequest, QSystem};
+use q_core::{Feedback, FeedbackRequest, GraphSnapshot, LiveServer, QConfig, QueryRequest};
 use q_datasets::{interpro_go_catalog, interpro_go_gold, interpro_go_queries, InterproGoConfig};
+use q_graph::SearchGraph;
 use q_matchers::{MadMatcher, MetadataMatcher, SchemaMatcher};
 
 fn main() {
@@ -33,35 +34,39 @@ fn main() {
         .propagate(&catalog, &[])
         .top_alignments(&catalog, 2, 0.0);
 
-    let mut q = QSystem::builder()
-        .catalog(catalog)
-        .build()
-        .expect("valid configuration builds");
-    q.add_alignments(&metadata_alignments, "metadata");
-    q.add_alignments(&mad_alignments, "mad");
+    // The search graph holds both matchers' proposals from the start.
+    let mut graph = SearchGraph::from_catalog(&catalog);
+    for (alignments, matcher) in [(&metadata_alignments, "metadata"), (&mad_alignments, "mad")] {
+        for a in alignments {
+            graph.add_association(a.new_attribute, a.existing_attribute, matcher, a.confidence);
+        }
+    }
+    let live = LiveServer::from_snapshot(
+        GraphSnapshot::assemble(catalog, graph, 0),
+        QConfig::default(),
+    );
 
-    let report = |label: &str, q: &QSystem| {
-        let (p, r, f) = precision_recall_graph(q.graph(), &gold, 2, f64::INFINITY);
-        let costs = average_edge_costs(q.graph(), &gold);
+    let report = |label: &str| {
+        let snapshot = live.snapshot();
+        let (p, r, f) = precision_recall_graph(snapshot.graph(), &gold, 2, f64::INFINITY);
+        let costs = average_edge_costs(snapshot.graph(), &gold);
         println!(
             "{label:<22} precision {:.2}  recall {:.2}  F {:.2}  | avg cost gold {:.3} vs non-gold {:.3}",
             p, r, f, costs.gold_mean, costs.non_gold_mean
         );
     };
-    report("before feedback", &q);
+    report("before feedback");
 
-    // Create the 10 documentation-derived views and replay feedback twice.
-    let mut view_ids = Vec::new();
-    for query in interpro_go_queries() {
-        view_ids.push(q.create_view(&query.keyword_refs()).unwrap());
-    }
+    // Replay feedback on the 10 documentation-derived queries twice; each
+    // annotates the current snapshot's answer.
     let mut steps = 0;
     for pass in 0..2 {
-        for view_id in &view_ids {
-            let Some(view) = q.view(*view_id) else {
-                continue;
-            };
-            let Some(target) = gold_target_query(view, q.graph(), &gold) else {
+        for query in interpro_go_queries() {
+            let snapshot = live.snapshot();
+            let view = snapshot
+                .answer(live.config(), &QueryRequest::new(query.keyword_refs()))
+                .unwrap();
+            let Some(target) = gold_target_query(&view, snapshot.graph(), &gold) else {
                 continue;
             };
             let Some(answer) = view.answers.iter().position(|a| a.query_index == target) else {
@@ -69,11 +74,11 @@ fn main() {
             };
             let feedback =
                 FeedbackRequest::on_keywords(view.keywords.clone(), Feedback::Correct { answer });
-            if q.apply_feedback(&feedback).is_ok() {
+            if live.feedback(&feedback).is_ok() {
                 steps += 1;
             }
         }
-        report(&format!("after pass {}", pass + 1), &q);
+        report(&format!("after pass {}", pass + 1));
     }
     println!("({steps} feedback steps applied)");
 }

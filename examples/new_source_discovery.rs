@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example new_source_discovery`.
 
-use q_core::{AlignmentStrategy, QConfig, QSystem};
+use q_core::{view_based_alignments, LiveServer, QConfig, QueryRequest};
 use q_datasets::{interpro_go_source_specs, InterproGoConfig};
 use q_matchers::{MadMatcher, MetadataMatcher};
 
@@ -23,28 +23,26 @@ fn main() {
         .collect();
     let catalog = q_storage::loader::load_catalog(&initial).expect("initial catalog loads");
 
-    let mut q = QSystem::builder()
-        .catalog(catalog)
-        .config(QConfig {
-            strategy: AlignmentStrategy::ViewBased,
-            ..QConfig::default()
-        })
-        .matcher(Box::new(MetadataMatcher::new()))
-        .matcher(Box::new(MadMatcher::new()))
-        .build()
-        .expect("valid configuration builds");
+    let mut live = LiveServer::new(catalog, QConfig::default());
+    live.add_matcher(Box::new(MetadataMatcher::new()));
+    live.add_matcher(Box::new(MadMatcher::new()));
 
     // The user's ongoing information need: GO terms of InterPro entries.
-    let view_id = q
-        .create_view(&["term", "entry"])
-        .expect("view creation succeeds");
+    let request = QueryRequest::new(["term", "entry"]);
+    let answer = || {
+        live.snapshot()
+            .answer(live.config(), &request)
+            .expect("view answers")
+    };
+    let mut view = answer();
     println!(
         "initial view: {} ranked queries, {} answers (the two tables are not yet linked)",
-        q.view(view_id).unwrap().queries.len(),
-        q.view(view_id).unwrap().answer_count()
+        view.queries.len(),
+        view.answer_count()
     );
 
-    // Register the remaining sources one at a time, as a crawler would.
+    // Register the remaining sources one at a time, as a crawler would,
+    // aligning each only inside the view's α-cost neighbourhood.
     for name in [
         "interpro2go",
         "entry2pub",
@@ -54,23 +52,26 @@ fn main() {
         "journal",
     ] {
         let spec = specs.iter().find(|s| s.name == name).unwrap().clone();
-        let report = q.register_source(&spec).expect("registration succeeds");
-        let total_comparisons: usize = report
-            .stats_per_matcher
-            .iter()
-            .map(|(_, s)| s.attribute_comparisons)
-            .sum();
+        let (mut total_comparisons, mut matchers) = (0, 0);
+        let report = live
+            .ingest_source_with(&spec, |draft, matcher| {
+                let outcome = view_based_alignments(draft, matcher, std::slice::from_ref(&view));
+                total_comparisons += outcome.stats.attribute_comparisons;
+                matchers += 1;
+                outcome.alignments
+            })
+            .expect("registration succeeds");
+        view = answer();
         println!(
             "registered `{name}`: {} alignments added ({} attribute comparisons across {} matchers); view now has {} answers",
             report.alignments.len(),
             total_comparisons,
-            report.stats_per_matcher.len(),
-            q.view(view_id).unwrap().answer_count()
+            matchers,
+            view.answer_count()
         );
     }
 
     // Show a few answers of the final view.
-    let view = q.view(view_id).unwrap();
     println!("\nfinal view columns: {:?}", view.columns);
     for answer in view.answers.iter().take(5) {
         let row: Vec<String> = answer

@@ -2,12 +2,11 @@
 //! matcher-proposed association, ask a typed keyword query and print the
 //! ranked, provenance-annotated answers — then re-ask with per-request
 //! overrides, no rebuild needed, and serve the same query through the
-//! cached live engine.
+//! engine's answer cache.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use q_integration::{CachePolicy, LiveServer, QSystem, QueryRequest, RelationSpec, SourceSpec};
-use q_matchers::{MadMatcher, MetadataMatcher};
+use q_integration::{CachePolicy, LiveServer, QConfig, QueryRequest, RelationSpec, SourceSpec};
 
 fn main() {
     // ------------------------------------------------------------------
@@ -36,30 +35,33 @@ fn main() {
         .foreign_key("interpro2go.entry_ac", "entry.entry_ac");
 
     // ------------------------------------------------------------------
-    // 2. Build Q fluently: sources, matchers and config are validated in
-    //    one `build()` step; the search graph, keyword index and value
-    //    index are constructed from the assembled catalog.
+    // 2. Start Q over the loaded catalog: the search graph and keyword
+    //    index are built from it and published as the first snapshot.
     // ------------------------------------------------------------------
-    let mut q = QSystem::builder()
-        .source(go.clone())
-        .source(interpro.clone())
-        .matcher(Box::new(MetadataMatcher::new()))
-        .matcher(Box::new(MadMatcher::new()))
-        .build()
-        .expect("valid configuration builds");
+    let catalog =
+        q_integration::storage::loader::load_catalog(&[go, interpro]).expect("sources load");
+    let live = LiveServer::new(catalog, QConfig::default());
 
     // The go_term.acc / interpro2go.go_id link is not a declared foreign key;
     // add it as a matcher-style association (a schema matcher would find it).
-    let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
-    let go_id = q.catalog().resolve_qualified("interpro2go.go_id").unwrap();
-    q.add_manual_association(acc, go_id, 0.95);
+    // Every write publishes the next snapshot.
+    let base = live.snapshot();
+    let acc = base.catalog().resolve_qualified("go_term.acc").unwrap();
+    let go_id = base
+        .catalog()
+        .resolve_qualified("interpro2go.go_id")
+        .unwrap();
+    let snapshot = live.publish_association(acc, go_id, 0.95);
 
     // ------------------------------------------------------------------
-    // 3. Ask a typed keyword query and print the ranked view with its
-    //    provenance.
+    // 3. Ask a typed keyword query of that snapshot and print the ranked
+    //    view with its provenance.
     // ------------------------------------------------------------------
-    let view = q
-        .answer(&QueryRequest::new(["insulin secretion", "entry"]))
+    let view = snapshot
+        .answer(
+            live.config(),
+            &QueryRequest::new(["insulin secretion", "entry"]),
+        )
         .expect("query answers");
 
     println!("keywords : {:?}", view.keywords);
@@ -93,26 +95,25 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 4. Per-request overrides: the same system answers top-1 without
+    // 4. Per-request overrides: the same snapshot answers top-1 without
     //    being rebuilt.
     // ------------------------------------------------------------------
-    let top1 = q
-        .answer(&QueryRequest::new(["insulin secretion", "entry"]).top_k(1))
+    let top1 = snapshot
+        .answer(
+            live.config(),
+            &QueryRequest::new(["insulin secretion", "entry"]).top_k(1),
+        )
         .expect("query answers");
     println!("\ntop_k=1  : {} ranked query", top1.queries.len());
 
     // ------------------------------------------------------------------
-    // 5. Cached serving: a `LiveServer` over the same sources answers
-    //    through `&self` from a published snapshot; a repeat is a cache
-    //    hit, and every outcome names the snapshot it was computed on.
+    // 5. Cached serving: the server answers through `&self` from the
+    //    published snapshot; a repeat is a cache hit, and every outcome
+    //    names the snapshot it was computed on.
     // ------------------------------------------------------------------
-    let catalog =
-        q_integration::storage::loader::load_catalog(&[go, interpro]).expect("sources load");
-    let live = LiveServer::new(catalog, *q.config());
-    let snapshot = live.publish_association(acc, go_id, 0.95);
     let request = QueryRequest::new(["insulin secretion", "entry"]);
     let miss = live.query(&request).expect("query answers");
-    assert_eq!(*miss.view, view, "the live engine serves the same bytes");
+    assert_eq!(*miss.view, view, "the cache serves the snapshot's bytes");
     println!(
         "\nlive     : served {:?} from snapshot {} in {:?}",
         miss.cache,

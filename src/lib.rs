@@ -16,7 +16,7 @@
 //! * [`align`] — alignment search strategies (Exhaustive, ViewBasedAligner,
 //!   PreferentialAligner).
 //! * [`learn`] — the MIRA association-cost learner.
-//! * [`core`] — the [`QSystem`] tying everything together.
+//! * [`core`] — the [`LiveServer`] engine tying everything together.
 //! * [`datasets`] — synthetic GBCO and InterPro-GO datasets, gold standards
 //!   and workloads used by the experiments.
 //! * [`serve`] — the network serving layer: an HTTP/1.1 front end over
@@ -32,26 +32,26 @@
 //!
 //! ## Typed query API
 //!
-//! Queries go through the typed request/response surface: construct the
-//! system with [`QSystem::builder`](q_core::QSystem::builder), describe each
+//! Queries go through the typed request/response surface: describe each
 //! query with a [`QueryRequest`] (keywords + per-request `top_k`, search
-//! strategy, cost budget, cache policy). [`QSystem`] answers a request
-//! uncached; [`LiveServer`] is the one serving engine — cached, concurrent,
-//! live-ingesting — and returns a [`QueryOutcome`] (the ranked view +
-//! cache/snapshot/search provenance):
+//! strategy, cost budget, cache policy). [`LiveServer`] is the one engine —
+//! cached, concurrent, live-ingesting — and returns a [`QueryOutcome`] (the
+//! ranked view + cache/snapshot/search provenance); a published
+//! [`GraphSnapshot`] answers a request uncached:
 //!
 //! | Task | Call |
 //! |---|---|
-//! | Build a system | `QSystem::builder().catalog(..).config(..).matcher(..).build()?` |
-//! | Answer a query (uncached) | `q.answer(&QueryRequest::new(["a", "b"]))?` |
+//! | Start the engine | `let mut live = LiveServer::new(catalog, QConfig::default()); live.add_matcher(..);` |
+//! | Answer a query (uncached) | `live.snapshot().answer(live.config(), &QueryRequest::new(["a", "b"]))?` |
 //! | Serve a query (cached) | `live.query(&QueryRequest::new(["a", "b"]))?.view` |
 //! | Serve without caching | `live.query(&QueryRequest::new(["a", "b"]).cache_policy(CachePolicy::Bypass))?` |
-//! | Apply feedback | `q.apply_feedback(&FeedbackRequest::on_keywords(["a", "b"], feedback))?` |
+//! | Incorporate a source | `live.ingest_source(&spec)?`, or `live.ingest_source_with(&spec, align)?` |
+//! | Apply feedback | `live.feedback(&FeedbackRequest::on_keywords(["a", "b"], feedback))?` |
 //! | Override parameters per request | `QueryRequest::new(..).top_k(k).strategy(..).cost_budget(..)` |
 //!
 //! ## Live ingestion
 //!
-//! For serving *while* new sources arrive, use [`LiveServer`]: readers
+//! [`LiveServer`] serves *while* new sources arrive: readers
 //! answer [`QueryRequest`]s through `&self` against an immutable published
 //! [`GraphSnapshot`], and [`LiveServer::ingest_source`](q_core::LiveServer::ingest_source)
 //! incorporates a source end-to-end and publishes the next snapshot without
@@ -82,8 +82,7 @@ pub use q_storage as storage;
 pub use q_core::{
     latest_snapshot_path, CachePolicy, CacheStatus, Feedback, FeedbackOutcome, FeedbackRequest,
     GraphSnapshot, IngestReport, LiveFeedbackReport, LiveServer, PersistStats, QConfig, QError,
-    QSystem, QSystemBuilder, QueryOutcome, QueryRequest, SearchStrategy, SnapError, SnapshotInfo,
-    SnapshotPersister,
+    QueryOutcome, QueryRequest, SearchStrategy, SnapError, SnapshotInfo, SnapshotPersister,
 };
 pub use q_serve::{BootMode, BootStats, QServe, ServeOptions};
 pub use q_storage::{Catalog, RelationSpec, SourceSpec, StorageError, Value};

@@ -1,15 +1,20 @@
 //! Cross-crate integration tests: the full Q pipeline over the synthetic
-//! datasets — view creation, new-source registration, matcher combination and
-//! feedback-driven correction.
+//! datasets — view answers, new-source registration, matcher combination and
+//! feedback-driven correction, all through the serving engine.
 
 use std::collections::HashSet;
 
+use q_align::{AlignerConfig, ExhaustiveAligner};
 use q_core::evaluation::{average_edge_costs, gold_target_query, precision_recall_graph, AttrPair};
-use q_core::{AlignmentStrategy, Feedback, FeedbackRequest, QConfig, QSystem};
+use q_core::{
+    view_based_alignments, Feedback, FeedbackRequest, GraphSnapshot, LiveServer, QConfig,
+    QueryRequest, RankedView,
+};
 use q_datasets::{
     interpro_go_catalog, interpro_go_gold, interpro_go_queries, interpro_go_source_specs,
     InterproGoConfig,
 };
+use q_graph::SearchGraph;
 use q_matchers::{MadMatcher, MetadataMatcher, SchemaMatcher};
 
 fn small_config() -> InterproGoConfig {
@@ -17,6 +22,13 @@ fn small_config() -> InterproGoConfig {
         rows_per_table: 60,
         seed: 42,
     }
+}
+
+/// The current snapshot's uncached answer to `keywords`.
+fn answer(live: &LiveServer, keywords: &[&str]) -> RankedView {
+    live.snapshot()
+        .answer(live.config(), &QueryRequest::new(keywords.iter().copied()))
+        .expect("view answers")
 }
 
 #[test]
@@ -28,37 +40,39 @@ fn registering_new_sources_populates_an_existing_view() {
         .cloned()
         .collect();
     let catalog = q_storage::loader::load_catalog(&initial).unwrap();
-    let mut q = QSystem::new(
-        catalog,
-        QConfig {
-            strategy: AlignmentStrategy::ViewBased,
-            ..QConfig::default()
-        },
-    );
-    q.add_matcher(Box::new(MetadataMatcher::new()));
-    q.add_matcher(Box::new(MadMatcher::new()));
+    let mut live = LiveServer::new(catalog, QConfig::default());
+    live.add_matcher(Box::new(MetadataMatcher::new()));
+    live.add_matcher(Box::new(MadMatcher::new()));
 
-    let view_id = q.create_view(&["term", "entry"]).unwrap();
-    let before = q.view(view_id).unwrap().answer_count();
+    let view = answer(&live, &["term", "entry"]);
+    let before = view.answer_count();
 
-    // Register the linking table; the matchers should connect it to both
-    // existing sources and the view should gain answers.
+    // Register the linking table inside the view's neighbourhood; the
+    // matchers should connect it to both existing sources and the view
+    // should gain answers.
     let i2g = specs.iter().find(|s| s.name == "interpro2go").unwrap();
-    let report = q.register_source(i2g).unwrap();
+    let mut matchers_run = 0;
+    let report = live
+        .ingest_source_with(i2g, |draft, matcher| {
+            matchers_run += 1;
+            view_based_alignments(draft, matcher, std::slice::from_ref(&view)).alignments
+        })
+        .unwrap();
     assert!(!report.alignments.is_empty());
-    assert_eq!(report.stats_per_matcher.len(), 2);
+    assert_eq!(matchers_run, 2);
 
-    let go_id = q
+    let snapshot = live.snapshot();
+    let go_id = snapshot
         .catalog()
         .resolve_qualified("interpro_interpro2go.go_id")
         .unwrap();
-    let acc = q.catalog().resolve_qualified("go_term.acc").unwrap();
+    let acc = snapshot.catalog().resolve_qualified("go_term.acc").unwrap();
     assert!(
-        q.graph().association_between(go_id, acc).is_some(),
+        snapshot.graph().association_between(go_id, acc).is_some(),
         "instance-level matcher should link go_id to acc"
     );
 
-    let after = q.view(view_id).unwrap().answer_count();
+    let after = answer(&live, &["term", "entry"]).answer_count();
     assert!(
         after > before,
         "view should gain answers after registration ({before} -> {after})"
@@ -83,26 +97,29 @@ fn combined_matchers_cover_the_gold_standard_and_feedback_separates_costs() {
         .propagate(&catalog, &[])
         .top_alignments(&catalog, 2, 0.0);
 
-    let mut q = QSystem::new(catalog, QConfig::default());
-    q.add_alignments(&metadata_alignments, "metadata");
-    q.add_alignments(&mad_alignments, "mad");
+    let mut graph = SearchGraph::from_catalog(&catalog);
+    for (alignments, matcher) in [(&metadata_alignments, "metadata"), (&mad_alignments, "mad")] {
+        for a in alignments {
+            graph.add_association(a.new_attribute, a.existing_attribute, matcher, a.confidence);
+        }
+    }
 
     // With everything admitted, the combined graph reaches full recall.
-    let (_, recall, _) = precision_recall_graph(q.graph(), &gold, 2, f64::INFINITY);
+    let (_, recall, _) = precision_recall_graph(&graph, &gold, 2, f64::INFINITY);
     assert!(
         (recall - 1.0).abs() < 1e-9,
         "combined matchers should cover all 8 gold edges, got recall {recall}"
     );
+    let live = LiveServer::from_snapshot(
+        GraphSnapshot::assemble(catalog, graph, 0),
+        QConfig::default(),
+    );
 
     // Apply one pass of simulated feedback over the documentation queries.
-    let mut view_ids = Vec::new();
-    for query in interpro_go_queries() {
-        view_ids.push(q.create_view(&query.keyword_refs()).unwrap());
-    }
     let mut applied = 0;
-    for view_id in &view_ids {
-        let view = q.view(*view_id).unwrap();
-        let Some(target) = gold_target_query(view, q.graph(), &gold) else {
+    for query in interpro_go_queries() {
+        let view = answer(&live, &query.keyword_refs());
+        let Some(target) = gold_target_query(&view, live.snapshot().graph(), &gold) else {
             continue;
         };
         let Some(answer) = view.answers.iter().position(|a| a.query_index == target) else {
@@ -110,7 +127,7 @@ fn combined_matchers_cover_the_gold_standard_and_feedback_separates_costs() {
         };
         let feedback =
             FeedbackRequest::on_keywords(view.keywords.clone(), Feedback::Correct { answer });
-        q.apply_feedback(&feedback).unwrap();
+        live.feedback(&feedback).unwrap();
         applied += 1;
     }
     assert!(
@@ -120,7 +137,8 @@ fn combined_matchers_cover_the_gold_standard_and_feedback_separates_costs() {
 
     // Gold edges end up cheaper on average than non-gold edges (Figure 12's
     // qualitative claim), and all edge costs stay positive.
-    let costs = average_edge_costs(q.graph(), &gold);
+    let snapshot = live.snapshot();
+    let costs = average_edge_costs(snapshot.graph(), &gold);
     assert!(costs.gold_edges > 0 && costs.non_gold_edges > 0);
     assert!(
         costs.gold_mean < costs.non_gold_mean,
@@ -128,7 +146,7 @@ fn combined_matchers_cover_the_gold_standard_and_feedback_separates_costs() {
         costs.gold_mean,
         costs.non_gold_mean
     );
-    assert!(q.graph().min_learnable_edge_cost().unwrap() > 0.0);
+    assert!(snapshot.graph().min_learnable_edge_cost().unwrap() > 0.0);
 }
 
 #[test]
@@ -142,25 +160,33 @@ fn exhaustive_and_view_based_registration_agree_on_view_contents() {
         .cloned()
         .collect();
 
-    let build = |strategy: AlignmentStrategy| {
+    // The same MAD matcher, aligning against every relation or only inside
+    // the view's neighbourhood.
+    let build = |view_based: bool| {
         let catalog = q_storage::loader::load_catalog(&initial).unwrap();
-        let mut q = QSystem::new(
-            catalog,
-            QConfig {
-                strategy,
-                ..QConfig::default()
-            },
-        );
-        q.add_matcher(Box::new(MadMatcher::new()));
-        let view_id = q.create_view(&["term", "entry"]).unwrap();
+        let mut live = LiveServer::new(catalog, QConfig::default());
+        live.add_matcher(Box::new(MadMatcher::new()));
+        let view = answer(&live, &["term", "entry"]);
         let spec = specs.iter().find(|s| s.name == "interpro2go").unwrap();
-        q.register_source(spec).unwrap();
-        let view = q.view(view_id).unwrap().clone();
-        view
+        live.ingest_source_with(spec, |draft, matcher| {
+            if view_based {
+                view_based_alignments(draft, matcher, std::slice::from_ref(&view)).alignments
+            } else {
+                let config = AlignerConfig {
+                    top_y: draft.config.top_y,
+                    ..AlignerConfig::default()
+                };
+                ExhaustiveAligner
+                    .align(draft.catalog, matcher, draft.source, None, &config)
+                    .alignments
+            }
+        })
+        .unwrap();
+        answer(&live, &["term", "entry"])
     };
 
-    let exhaustive_view = build(AlignmentStrategy::Exhaustive);
-    let view_based_view = build(AlignmentStrategy::ViewBased);
+    let exhaustive_view = build(false);
+    let view_based_view = build(true);
     assert_eq!(
         exhaustive_view.answer_count(),
         view_based_view.answer_count(),

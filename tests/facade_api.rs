@@ -1,11 +1,10 @@
 //! Guards the public API surface promised by `src/lib.rs`: every workspace
 //! crate must stay reachable through the `q_integration` façade re-exports,
 //! and the top-level convenience re-exports must be enough to stand up a
-//! working `QSystem` and `LiveServer` without naming any `q_*` crate
-//! directly.
+//! working `LiveServer` without naming any `q_*` crate directly.
 
 use q_integration::{
-    CachePolicy, CacheStatus, Catalog, Feedback, FeedbackRequest, LiveServer, QConfig, QSystem,
+    CachePolicy, CacheStatus, Catalog, Feedback, FeedbackRequest, LiveServer, QConfig,
     QueryRequest, RelationSpec, SourceSpec, Value,
 };
 
@@ -33,41 +32,42 @@ fn tiny_catalog() -> Catalog {
 
 #[test]
 fn facade_reexports_support_the_full_pipeline() {
-    let mut q = QSystem::new(tiny_catalog(), QConfig::default());
-    q.add_matcher(Box::new(q_integration::matchers::MetadataMatcher::new()));
-    q.add_matcher(Box::new(q_integration::matchers::MadMatcher::new()));
+    let mut live = LiveServer::new(tiny_catalog(), QConfig::default());
+    live.add_matcher(Box::new(q_integration::matchers::MetadataMatcher::new()));
+    live.add_matcher(Box::new(q_integration::matchers::MadMatcher::new()));
 
-    let view_id = q.create_view(&["insulin", "secretion"]).unwrap();
-    let view = q.view(view_id).expect("view exists");
+    let request = QueryRequest::new(["insulin", "secretion"]);
+    let view = live.snapshot().answer(live.config(), &request).unwrap();
     assert!(
         view.answer_count() > 0,
         "keyword view over the loaded catalog should produce answers"
     );
 
-    // Feedback through the façade type keeps the system consistent.
-    q.apply_feedback(&FeedbackRequest::on_keywords(
-        ["insulin", "secretion"],
-        Feedback::Correct { answer: 0 },
-    ))
-    .unwrap();
-    assert_eq!(q.views().len(), 1, "the keywords resolved to the view");
+    // Feedback through the façade type publishes a re-priced snapshot that
+    // still answers.
+    let report = live
+        .feedback(&FeedbackRequest::on_keywords(
+            ["insulin", "secretion"],
+            Feedback::Correct { answer: 0 },
+        ))
+        .unwrap();
+    assert_eq!(live.snapshot().id(), report.snapshot.id());
+    let view = report.snapshot.answer(live.config(), &request).unwrap();
+    assert!(view.answer_count() > 0);
 }
 
 #[test]
 fn facade_exposes_the_typed_query_api() {
-    // Builder, request, outcome and error types must all be reachable from
+    // Engine, request, outcome and error types must all be reachable from
     // the façade without naming a `q_*` crate.
-    let q = QSystem::builder()
-        .catalog(tiny_catalog())
-        .config(QConfig::default())
-        .matcher(Box::new(q_integration::matchers::MetadataMatcher::new()))
-        .build()
-        .expect("builder works through the façade");
-    let request = QueryRequest::new(["insulin", "secretion"]);
-    let answered = q.answer(&request).expect("query answers");
-
-    // Cached serving is the live engine's, over the same catalog.
     let live = LiveServer::new(tiny_catalog(), QConfig::default());
+    let request = QueryRequest::new(["insulin", "secretion"]);
+    let answered = live
+        .snapshot()
+        .answer(live.config(), &request)
+        .expect("query answers");
+
+    // Cached serving answers the snapshot's bytes.
     let miss = live.query(&request).expect("query answers");
     assert_eq!(miss.cache, CacheStatus::Miss);
     assert!(miss.view.answer_count() > 0);

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use q_core::{CachePolicy, CacheStatus, GraphSnapshot, LiveServer, QConfig, QSystem, QueryRequest};
+use q_core::{CachePolicy, CacheStatus, GraphSnapshot, LiveServer, QConfig, QueryRequest};
 use q_datasets::{gbco_source_specs_with_fks, gbco_trials, GbcoConfig, GoldStandard};
 use q_matchers::{AttributeAlignment, MetadataMatcher, SchemaMatcher};
 use q_storage::{Catalog, RelationId, RelationSpec, SourceSpec};
@@ -508,10 +508,11 @@ fn incremental_ingestion_matches_the_all_at_once_build_byte_for_byte() {
     let full_catalog = q_storage::loader::load_catalog(&specs).expect("GBCO loads");
     let gold = gbco_gold();
     let resolved = gold.resolve(&full_catalog);
-    let mut batch = QSystem::new(full_catalog, QConfig::default());
+    let batch = LiveServer::new(full_catalog, QConfig::default());
     for (a, b) in &resolved {
-        batch.add_manual_association(*a, *b, 0.9);
+        batch.publish_association(*a, *b, 0.9);
     }
+    let batch = batch.snapshot();
 
     // Incremental: boot on the first source alone, stream the remaining 17
     // through live ingestion one by one, then publish the same gold
@@ -538,7 +539,9 @@ fn incremental_ingestion_matches_the_all_at_once_build_byte_for_byte() {
     // ...and so is every top-k answer of the gold workload, byte for byte.
     for request in trial_requests() {
         let request = request.cache_policy(CachePolicy::Bypass);
-        let from_batch = batch.answer(&request).expect("batch answers");
+        let from_batch = batch
+            .answer(live.config(), &request)
+            .expect("batch answers");
         let from_live = live.query(&request).expect("live answers");
         assert_eq!(
             format!("{:?}", from_batch),

@@ -5,7 +5,7 @@
 //! register sources through matchers → answer the trial workload) run
 //! twice in-process is byte-identical.
 
-use q_core::{QConfig, QSystem, QueryRequest};
+use q_core::{LiveServer, QConfig, QueryRequest};
 use q_datasets::{
     declare_foreign_keys, gbco_foreign_keys, gbco_source_specs, gbco_trials, GbcoConfig,
 };
@@ -22,7 +22,7 @@ fn small() -> GbcoConfig {
 /// so the transcript covers the alignment pipeline too.
 const HELD_OUT: [&str; 2] = ["pathway", "gene_pathway"];
 
-fn build_system() -> QSystem {
+fn build_system() -> LiveServer {
     let specs = gbco_source_specs(&small());
     let initial: Vec<_> = specs
         .iter()
@@ -31,13 +31,13 @@ fn build_system() -> QSystem {
         .collect();
     let mut catalog = q_storage::loader::load_catalog(&initial).expect("GBCO loads");
     declare_foreign_keys(&mut catalog, &gbco_foreign_keys());
-    let mut q = QSystem::new(catalog, QConfig::default());
-    q.add_matcher(Box::new(MetadataMatcher::new()));
-    q.add_matcher(Box::new(MadMatcher::new()));
+    let mut live = LiveServer::new(catalog, QConfig::default());
+    live.add_matcher(Box::new(MetadataMatcher::new()));
+    live.add_matcher(Box::new(MadMatcher::new()));
     for spec in specs.iter().filter(|s| HELD_OUT.contains(&s.name.as_str())) {
-        q.register_source(spec).expect("registration succeeds");
+        live.ingest_source(spec).expect("registration succeeds");
     }
-    q
+    live
 }
 
 fn workload() -> Vec<QueryRequest> {
@@ -49,10 +49,14 @@ fn workload() -> Vec<QueryRequest> {
 
 /// Answer the trial workload and render every ranked view to its canonical
 /// byte representation.
-fn transcript(q: &QSystem) -> String {
+fn transcript(live: &LiveServer) -> String {
+    let snapshot = live.snapshot();
     workload()
         .iter()
-        .map(|request| format!("{:?}\n", q.answer(request).expect("GBCO queries answer")))
+        .map(|request| {
+            let view = snapshot.answer(live.config(), request);
+            format!("{:?}\n", view.expect("GBCO queries answer"))
+        })
         .collect()
 }
 

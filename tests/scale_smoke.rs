@@ -3,7 +3,7 @@
 //! doctrine as the toy corpora: snapshot builds are deterministic (two
 //! builds from the same seed answer a fixed query mix byte-identically).
 
-use q_core::{QConfig, QSystem, QueryRequest};
+use q_core::{GraphSnapshot, QConfig, QueryRequest};
 use q_datasets::scaling::expand_with_synthetic_sources_detailed;
 use q_datasets::{gbco_catalog, gbco_trials, GbcoConfig, ScalingConfig};
 use q_graph::SearchGraph;
@@ -13,7 +13,7 @@ const EXTRA_SOURCES: usize = 182;
 /// Rows per synthetic relation; the GBCO seed gets the same density.
 const ROWS_PER_TABLE: usize = 250;
 
-fn build() -> (QSystem, usize) {
+fn build() -> (GraphSnapshot, usize) {
     let mut catalog = gbco_catalog(&GbcoConfig {
         rows_per_table: ROWS_PER_TABLE,
         seed: 7,
@@ -29,28 +29,28 @@ fn build() -> (QSystem, usize) {
             ..ScalingConfig::default()
         },
     );
-    drop(graph); // QSystem re-derives its graph from the catalog
-    let total_rows = catalog.relations().iter().map(|r| r.cardinality()).sum();
-    let mut q = QSystem::new(
-        catalog,
-        QConfig {
-            shard_workers: 2,
-            ..QConfig::default()
-        },
-    );
+    // The snapshot's graph is re-derived from the catalog, with the
+    // synthetic associations re-applied by name.
+    drop(graph);
+    let mut graph = SearchGraph::from_catalog(&catalog);
     for (a, b, confidence) in &expansion.associations {
-        q.graph_mut()
-            .add_association(*a, *b, "synthetic", *confidence);
+        graph.add_association(*a, *b, "synthetic", *confidence);
     }
-    (q, total_rows)
+    let total_rows = catalog.relations().iter().map(|r| r.cardinality()).sum();
+    (GraphSnapshot::assemble(catalog, graph, 0), total_rows)
 }
 
-fn answers(q: &QSystem) -> Vec<String> {
+fn answers(snapshot: &GraphSnapshot) -> Vec<String> {
+    let config = QConfig {
+        shard_workers: 2,
+        ..QConfig::default()
+    };
     gbco_trials()
         .iter()
         .map(|trial| {
             let request = QueryRequest::new(trial.keywords.iter().cloned());
-            format!("{:?}", q.answer(&request).expect("scale query answers"))
+            let view = snapshot.answer(&config, &request);
+            format!("{:?}", view.expect("scale query answers"))
         })
         .collect()
 }

@@ -289,7 +289,10 @@ fn error_responses_round_trip_every_code() {
             field: "cache",
             reason: "test".into(),
         }),
-        wire::WireError::from_qerror(&QError::UnknownAnswer { view: 7, answer: 3 }),
+        wire::WireError::from_qerror(&QError::UnknownAnswer {
+            answers: 7,
+            answer: 3,
+        }),
         wire::WireError::from_qerror(&QError::NoQueryTrees),
     ];
     for error in wire_errors {
