@@ -458,6 +458,18 @@ impl QueryCache {
                 }
             }
             Facts::Growth(keywords) => {
+                // Displacement threshold: what a new tree would have to
+                // beat. A full ranked list is guarded by its worst cost; a
+                // partial list accepts anything within the request's budget.
+                let threshold = match queries.last() {
+                    Some(worst) if queries.len() >= model.top_k => worst.cost,
+                    _ => model.budget,
+                };
+                // No price is strictly above an unbounded threshold, so
+                // such an entry parks without pricing anything.
+                if threshold == f64::INFINITY {
+                    return Verdict::Park;
+                }
                 // Every candidate tree a publish enables either touches the
                 // new region — and must then cross a bridge edge, so the
                 // price below bounds it — or uses only pre-existing nodes
@@ -470,22 +482,16 @@ impl QueryCache {
                 if key.keywords.iter().all(|kw| keywords.in_new(kw)) {
                     return Verdict::Park;
                 }
-                // Displacement threshold: what a new tree would have to
-                // beat. A full ranked list is guarded by its worst cost; a
-                // partial list accepts anything within the request's budget.
-                let threshold = match queries.last() {
-                    Some(worst) if queries.len() >= model.top_k => worst.cost,
-                    _ => model.budget,
-                };
                 // Any tree the publish enables connects *every* keyword's
                 // match node across a bridge, so it costs at least the max
                 // of the keywords' prices (edge costs are kept positive by
                 // the learner). Strictly above: a tie could reorder a fresh
-                // search's stable sort.
+                // search's stable sort. The max only grows, so pricing stops
+                // at the first keyword that clears the threshold.
                 let mut price: f64 = 0.0;
                 for kw in &key.keywords {
                     price = price.max(keywords.price(kw));
-                    if price.is_infinite() {
+                    if price > threshold {
                         break;
                     }
                 }

@@ -12,11 +12,19 @@
 //!
 //! The index stores its documents *columnar*: one shared text blob with
 //! per-document end offsets, a canonical token dictionary with flat
-//! per-document token-id runs, and per-document runs of packed `u64`
-//! character trigrams (three scalar values ≤ `0x10FFFF` < 2²¹, packed into
-//! 21-bit lanes — injective, so trigram set intersection over the packed
-//! keys equals intersection over the strings). Postings are flat arrays
-//! sliced by end offsets. Two properties follow:
+//! per-document token-id runs, and one distinct-trigram count per document.
+//! Character trigrams are packed into `u64` keys (three scalar values ≤
+//! `0x10FFFF` < 2²¹ in 21-bit lanes — injective, so trigram set
+//! intersection over the packed keys equals intersection over the strings).
+//! Postings are flat arrays sliced by end offsets.
+//!
+//! A document's trigrams are kept once, in the trigram postings. A lookup
+//! reads only a document's trigram *count* (its half of the Dice
+//! denominator); the document's own run is extracted once when it is
+//! appended and handed to the merge in a buffer local to that
+//! [`KeywordIndex::build`] or [`KeywordIndex::add_relation`] call, so no
+//! published index carries the (document, trigram) pairs twice. Two
+//! properties follow from the layout:
 //!
 //! * a persistent snapshot can reconstruct a serving index from the raw
 //!   columns with a handful of bulk copies ([`KeywordIndex::from_parts`])
@@ -134,6 +142,20 @@ impl Accumulators {
     }
 }
 
+/// What [`KeywordIndex::finalize`] needs of the documents appended since
+/// the last finalize beyond the index's own columns. It lives only inside
+/// one [`KeywordIndex::build`] or [`KeywordIndex::add_relation`] call, so no
+/// index or snapshot carries it.
+#[derive(Debug, Default)]
+struct Appended {
+    /// Provisional ids of the token names new to the dictionary.
+    fresh: HashMap<String, u32>,
+    /// The appended documents' sorted distinct packed trigram runs, flat in
+    /// append order; each run is as long as its document's
+    /// `trigram_counts` entry.
+    trigrams: Vec<u64>,
+}
+
 thread_local! {
     static ACCUMULATORS: RefCell<Accumulators> = RefCell::new(Accumulators::default());
 }
@@ -156,10 +178,9 @@ pub struct KeywordIndexParts {
     pub token_ids: Vec<u32>,
     /// Per-document end offset into `token_ids`.
     pub token_ends: Vec<u32>,
-    /// Flat per-document sorted distinct packed trigram runs.
-    pub doc_trigrams: Vec<u64>,
-    /// Per-document end offset into `doc_trigrams`.
-    pub trigram_ends: Vec<u32>,
+    /// Per-document number of distinct packed trigrams (the document's
+    /// half of the Dice denominator).
+    pub trigram_counts: Vec<u32>,
     /// Canonical (sorted) token dictionary.
     pub token_names: Vec<String>,
     /// Flat token postings: ascending document indices per token id.
@@ -194,10 +215,8 @@ pub struct KeywordIndexView<'a> {
     pub token_ids: &'a [u32],
     /// See [`KeywordIndexParts::token_ends`].
     pub token_ends: &'a [u32],
-    /// See [`KeywordIndexParts::doc_trigrams`].
-    pub doc_trigrams: &'a [u64],
-    /// See [`KeywordIndexParts::trigram_ends`].
-    pub trigram_ends: &'a [u32],
+    /// See [`KeywordIndexParts::trigram_counts`].
+    pub trigram_counts: &'a [u32],
     /// See [`KeywordIndexParts::token_names`].
     pub token_names: &'a [String],
     /// See [`KeywordIndexParts::token_postings`].
@@ -232,8 +251,7 @@ pub struct KeywordIndex {
     text_ends: Vec<u32>,
     token_ids: Vec<u32>,
     token_ends: Vec<u32>,
-    doc_trigrams: Vec<u64>,
-    trigram_ends: Vec<u32>,
+    trigram_counts: Vec<u32>,
     token_names: Vec<String>,
     token_postings: Vec<u32>,
     token_posting_ends: Vec<u32>,
@@ -256,22 +274,22 @@ impl KeywordIndex {
     /// value in the catalog.
     pub fn build(catalog: &Catalog) -> Self {
         let mut idx = KeywordIndex::default();
-        let mut fresh = HashMap::new();
+        let mut appended = Appended::default();
         for rel in catalog.relations() {
-            idx.add_document(&mut fresh, TARGET_RELATION, rel.id.0, &rel.name);
+            idx.add_document(&mut appended, TARGET_RELATION, rel.id.0, &rel.name);
             for attr_id in &rel.attributes {
                 if let Some(attr) = catalog.attribute(*attr_id) {
-                    idx.add_document(&mut fresh, TARGET_ATTRIBUTE, attr.id.0, &attr.name);
+                    idx.add_document(&mut appended, TARGET_ATTRIBUTE, attr.id.0, &attr.name);
                 }
             }
         }
         for rel in catalog.relations() {
             for attr_id in &rel.attributes {
                 let attr = catalog.attribute(*attr_id).expect("attribute exists");
-                idx.add_values(&mut fresh, rel, attr);
+                idx.add_values(&mut appended, rel, attr);
             }
         }
-        idx.finalize(catalog);
+        idx.finalize(catalog, &appended.trigrams);
         idx
     }
 
@@ -287,25 +305,25 @@ impl KeywordIndex {
         if at > 0 && self.canonical_key_of(catalog, at - 1) == key {
             return;
         }
-        let mut fresh = HashMap::new();
-        self.add_document(&mut fresh, TARGET_RELATION, rel.id.0, &rel.name);
+        let mut appended = Appended::default();
+        self.add_document(&mut appended, TARGET_RELATION, rel.id.0, &rel.name);
         for attr_id in &rel.attributes {
             if let Some(attr) = catalog.attribute(*attr_id) {
-                self.add_document(&mut fresh, TARGET_ATTRIBUTE, attr.id.0, &attr.name);
-                self.add_values(&mut fresh, rel, attr);
+                self.add_document(&mut appended, TARGET_ATTRIBUTE, attr.id.0, &attr.name);
+                self.add_values(&mut appended, rel, attr);
             }
         }
-        self.finalize(catalog);
+        self.finalize(catalog, &appended.trigrams);
     }
 
     /// Index the distinct textual values of one attribute, in row order.
-    fn add_values(&mut self, fresh: &mut HashMap<String, u32>, rel: &Relation, attr: &Attribute) {
+    fn add_values(&mut self, appended: &mut Appended, rel: &Relation, attr: &Attribute) {
         let mut seen = HashSet::new();
         for tuple in &rel.tuples {
             if let Some(value @ Value::Text(_)) = tuple.get(attr.position) {
                 if let Some(norm) = value.normalized() {
                     if !seen.contains(&norm) {
-                        self.add_document(fresh, TARGET_VALUE, attr.id.0, &norm);
+                        self.add_document(appended, TARGET_VALUE, attr.id.0, &norm);
                         seen.insert(norm);
                     }
                 }
@@ -325,8 +343,7 @@ impl KeywordIndex {
             text_ends: parts.text_ends,
             token_ids: parts.token_ids,
             token_ends: parts.token_ends,
-            doc_trigrams: parts.doc_trigrams,
-            trigram_ends: parts.trigram_ends,
+            trigram_counts: parts.trigram_counts,
             token_names: parts.token_names,
             token_postings: parts.token_postings,
             token_posting_ends: parts.token_posting_ends,
@@ -338,7 +355,14 @@ impl KeywordIndex {
         };
         debug_assert_eq!(idx.text_ends.len(), idx.len());
         debug_assert_eq!(idx.token_ends.len(), idx.len());
-        debug_assert_eq!(idx.trigram_ends.len(), idx.len());
+        debug_assert_eq!(idx.trigram_counts.len(), idx.len());
+        debug_assert_eq!(
+            idx.trigram_counts
+                .iter()
+                .map(|&c| c as usize)
+                .sum::<usize>(),
+            idx.trigram_postings.len()
+        );
         debug_assert_eq!(idx.doc_norm_sq.len(), idx.len());
         debug_assert_eq!(idx.idf.len(), idx.token_names.len());
         debug_assert_eq!(idx.token_posting_ends.len(), idx.token_names.len());
@@ -355,8 +379,7 @@ impl KeywordIndex {
             text_ends: &self.text_ends,
             token_ids: &self.token_ids,
             token_ends: &self.token_ends,
-            doc_trigrams: &self.doc_trigrams,
-            trigram_ends: &self.trigram_ends,
+            trigram_counts: &self.trigram_counts,
             token_names: &self.token_names,
             token_postings: &self.token_postings,
             token_posting_ends: &self.token_posting_ends,
@@ -388,12 +411,6 @@ impl KeywordIndex {
     fn doc_token_ids(&self, idx: usize) -> &[u32] {
         let (start, end) = run(&self.token_ends, idx);
         &self.token_ids[start..end]
-    }
-
-    /// Sorted distinct packed trigrams of one document.
-    fn doc_trigram_keys(&self, idx: usize) -> &[u64] {
-        let (start, end) = run(&self.trigram_ends, idx);
-        &self.doc_trigrams[start..end]
     }
 
     /// Posting list (ascending document indices) of one token id.
@@ -458,7 +475,7 @@ impl KeywordIndex {
             .iter()
             .map(|&t| self.token_names[t as usize].len() + 8)
             .sum();
-        let trigrams = self.doc_trigram_keys(idx).len() * (3 + 8);
+        let trigrams = self.trigram_counts[idx] as usize * (3 + 8);
         (self.doc_text(idx).len() + tokens + trigrams + 24) as u64
     }
 
@@ -543,8 +560,8 @@ impl KeywordIndex {
                 let dn = self.doc_norm_sq[doc];
                 let cos = (norm_sq > 0.0 && dn > 0.0).then(|| dot / (norm_sq.sqrt() * dn.sqrt()));
                 // Both trigram sets hold at least the padding trigram.
-                let (g_start, g_end) = run(&self.trigram_ends, doc);
-                let dice = 2.0 * common as f64 / (grams.len() + g_end - g_start) as f64;
+                let doc_grams = self.trigram_counts[doc] as usize;
+                let dice = 2.0 * common as f64 / (grams.len() + doc_grams) as f64;
                 let best = cos.unwrap_or(0.0).max(dice);
                 let text = self.doc_text(doc);
                 let (short, long) = (norm.len().min(text.len()), norm.len().max(text.len()));
@@ -569,9 +586,11 @@ impl KeywordIndex {
 
     /// Append one unfinalized document. A token of the finalized
     /// dictionary keeps its id; a new one gets the next provisional id past
-    /// it, remembered in `fresh` until [`KeywordIndex::finalize`] merges the
-    /// new names in.
-    fn add_document(&mut self, fresh: &mut HashMap<String, u32>, kind: u8, id: u32, text: &str) {
+    /// it, remembered in `appended.fresh` until [`KeywordIndex::finalize`]
+    /// merges the new names in. The document's trigrams are extracted here,
+    /// once: the index keeps their count, and `appended.trigrams` keeps the
+    /// run itself for `finalize` to post.
+    fn add_document(&mut self, appended: &mut Appended, kind: u8, id: u32, text: &str) {
         let norm = normalize(text);
         // The packed layout stores a value target as its attribute id only;
         // the value text is recovered from the document text, so the two
@@ -590,7 +609,7 @@ impl KeywordIndex {
                 Ok(id) => id as u32,
                 Err(_) => {
                     let next = self.token_names.len() as u32;
-                    *fresh.entry(tok).or_insert_with_key(|tok| {
+                    *appended.fresh.entry(tok).or_insert_with_key(|tok| {
                         self.token_names.push(tok.clone());
                         next
                     })
@@ -599,8 +618,9 @@ impl KeywordIndex {
             self.token_ids.push(id);
         }
         self.token_ends.push(self.token_ids.len() as u32);
-        self.doc_trigrams.extend(packed_trigrams(&norm));
-        self.trigram_ends.push(self.doc_trigrams.len() as u32);
+        let grams = packed_trigrams(&norm);
+        self.trigram_counts.push(grams.len() as u32);
+        appended.trigrams.extend(grams);
     }
 
     /// True when the keyword would match (at or above the configured
@@ -667,12 +687,21 @@ impl KeywordIndex {
 
     /// Merge the documents appended since the last finalize, `[base, n)`,
     /// into the finalized prefix `[0, base)`; [`KeywordIndex::build`] is the
-    /// same merge with `base = 0`. Only the delta's documents are sorted or
-    /// tokenised: the prefix is copied in runs and its postings are merged,
-    /// not rebuilt.
-    fn finalize(&mut self, catalog: &Catalog) {
+    /// same merge with `base = 0`. `trigrams` holds the delta's trigram
+    /// runs in append order ([`Appended::trigrams`]). Only the delta's
+    /// documents are sorted or tokenised: the prefix is copied in runs and
+    /// its postings are merged, not rebuilt.
+    fn finalize(&mut self, catalog: &Catalog, trigrams: &[u64]) {
         let (base, n) = (self.doc_norm_sq.len(), self.len());
         let base_tokens = self.idf.len();
+        // Where each delta document's run starts in `trigrams`, read before
+        // step 1 moves the counts.
+        let mut trigram_starts = Vec::with_capacity(n - base + 1);
+        trigram_starts.push(0);
+        for &count in &self.trigram_counts[base..] {
+            trigram_starts.push(trigram_starts[trigram_starts.len() - 1] + count as usize);
+        }
+        debug_assert_eq!(trigram_starts[n - base], trigrams.len());
         // 1. Canonical document order. The delta is stably sorted, and each
         //    delta document goes after every old document whose key is not
         //    greater: ties old-first, exactly the order a stable sort of
@@ -699,11 +728,11 @@ impl KeywordIndex {
             runs.push(from..base);
             self.target_kinds = gather(&self.target_kinds, &runs);
             self.target_ids = gather(&self.target_ids, &runs);
+            self.trigram_counts = gather(&self.trigram_counts, &runs);
             let mut text = std::mem::take(&mut self.text_blob).into_bytes();
             reorder(&mut text, &mut self.text_ends, &runs);
             self.text_blob = String::from_utf8(text).expect("documents split at char boundaries");
             reorder(&mut self.token_ids, &mut self.token_ends, &runs);
-            reorder(&mut self.doc_trigrams, &mut self.trigram_ends, &runs);
         }
         // 2. Canonical token dictionary: the new names sorted and merged into
         //    the sorted old ones. The id remap is monotone on the old ids, and
@@ -734,9 +763,9 @@ impl KeywordIndex {
         // 3. Token postings: each old list, mapped to the new document ids,
         //    merged with the delta's list of the same token.
         let mut tokens = Vec::new();
-        let delta_postings = count_postings(remap.len(), &new_of_delta, |doc, out| {
+        let delta_postings = count_postings(remap.len(), &new_of_delta, |k, out| {
             tokens.clear();
-            tokens.extend_from_slice(self.doc_token_ids(doc));
+            tokens.extend_from_slice(self.doc_token_ids(new_of_delta[k] as usize));
             tokens.sort_unstable();
             tokens.dedup();
             out.extend_from_slice(&tokens);
@@ -773,17 +802,14 @@ impl KeywordIndex {
             .collect();
         // 5. Trigram postings: the old keys and the delta's, sorted and
         //    deduplicated, each key's lists merged like a token's.
-        let mut keys: Vec<u64> = new_of_delta
-            .iter()
-            .flat_map(|&doc| self.doc_trigram_keys(doc as usize))
-            .chain(&self.trigram_keys)
-            .copied()
-            .collect();
+        let mut keys: Vec<u64> = trigrams.iter().chain(&self.trigram_keys).copied().collect();
         keys.sort_unstable();
         keys.dedup();
         let position = |g: &u64| keys.binary_search(g).expect("merged trigram key") as u32;
-        let delta_postings = count_postings(keys.len(), &new_of_delta, |doc, out| {
-            out.extend(self.doc_trigram_keys(doc).iter().map(position));
+        let delta_postings = count_postings(keys.len(), &new_of_delta, |k, out| {
+            let d = delta[k].1 - base;
+            let grams = &trigrams[trigram_starts[d]..trigram_starts[d + 1]];
+            out.extend(grams.iter().map(position));
         });
         let old_positions: Vec<u32> = self.trigram_keys.iter().map(position).collect();
         let (trigram_posting_ends, trigram_postings) = merge_postings(
@@ -820,9 +846,10 @@ fn reorder<T: Copy>(flat: &mut Vec<T>, ends: &mut Vec<u32>, runs: &[Range<usize>
     (*flat, *ends) = (out, out_ends);
 }
 
-/// Postings of `docs` (ascending document ids) by counting sort: `terms_of`
-/// writes the distinct term ids (below `terms`) of one document, once per
-/// document. Returns per-term end offsets and the flat ascending lists.
+/// Postings of `docs` (ascending document ids) by counting sort:
+/// `terms_of(k, out)` writes the distinct term ids (below `terms`) of
+/// `docs[k]`, once per document. Returns per-term end offsets and the flat
+/// ascending lists.
 fn count_postings(
     terms: usize,
     docs: &[u32],
@@ -831,9 +858,9 @@ fn count_postings(
     let mut flat = Vec::new();
     let mut ends = Vec::with_capacity(docs.len());
     let mut cursor = vec![0u32; terms];
-    for &doc in docs {
+    for k in 0..docs.len() {
         let start = flat.len();
-        terms_of(doc as usize, &mut flat);
+        terms_of(k, &mut flat);
         flat[start..].iter().for_each(|&t| cursor[t as usize] += 1);
         ends.push(flat.len() as u32);
     }
@@ -938,8 +965,7 @@ mod tests {
             text_ends: view.text_ends.to_vec(),
             token_ids: view.token_ids.to_vec(),
             token_ends: view.token_ends.to_vec(),
-            doc_trigrams: view.doc_trigrams.to_vec(),
-            trigram_ends: view.trigram_ends.to_vec(),
+            trigram_counts: view.trigram_counts.to_vec(),
             token_names: view.token_names.to_vec(),
             token_postings: view.token_postings.to_vec(),
             token_posting_ends: view.token_posting_ends.to_vec(),
@@ -1216,6 +1242,37 @@ mod tests {
             idx.add_relation(&cat, rel);
         }
         assert_eq!(format!("{idx:?}"), format!("{:?}", reloaded(&idx)));
+    }
+
+    #[test]
+    fn every_trigram_count_is_its_documents_distinct_trigrams() {
+        // The count column is all a lookup reads of a document's trigrams,
+        // so after each producer it must equal a fresh extraction.
+        let assert_counts = |idx: &KeywordIndex, producer: &str| {
+            assert_eq!(idx.trigram_counts.len(), idx.len(), "{producer}");
+            for doc in 0..idx.len() {
+                assert_eq!(
+                    idx.trigram_counts[doc] as usize,
+                    packed_trigrams(idx.doc_text(doc)).len(),
+                    "{producer}: document {doc} ({:?})",
+                    idx.doc_text(doc)
+                );
+            }
+        };
+        let mut cat = catalog();
+        let built = KeywordIndex::build(&cat);
+        assert_counts(&built, "build");
+        let mut grown = built.clone();
+        let src = cat.add_source("new").unwrap();
+        let rel = cat
+            .add_relation(src, "journal", &["journal_id", "journal_name"])
+            .unwrap();
+        let rows = ["Nature", "δοκιμή", "Plasma membrane", ""]
+            .map(|v| vec![Value::from("J1"), Value::from(v)]);
+        cat.insert_rows(rel, rows).unwrap();
+        grown.add_relation(&cat, rel);
+        assert_counts(&grown, "add_relation");
+        assert_counts(&reloaded(&grown), "from_parts");
     }
 
     #[test]

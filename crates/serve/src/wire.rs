@@ -112,11 +112,12 @@ impl WireError {
     }
 
     /// Convert a core error, mapping its stable code to an HTTP status:
-    /// client addressing errors are 404, bad parameters 400, an answerable
-    /// but empty search 422, and engine failures 500.
+    /// client addressing errors are 404, bad parameters and source specs
+    /// the catalog refuses 400, an answerable but empty search 422, and
+    /// engine failures 500.
     pub fn from_qerror(err: &QError) -> Self {
         let status = match err.code() {
-            "invalid_request" => 400,
+            "invalid_request" | "source_load" => 400,
             "unknown_answer" => 404,
             "no_query_trees" => 422,
             _ => 500,
@@ -1219,6 +1220,39 @@ mod tests {
             (QError::NoQueryTrees, 422),
             (
                 QError::Storage(q_storage::StorageError::InvalidAtom(0)),
+                500,
+            ),
+            // A spec the catalog refuses is the client's input, not an
+            // engine failure.
+            (
+                QError::SourceLoad {
+                    source_name: "go".into(),
+                    source: q_storage::StorageError::DuplicateSource("go".into()),
+                },
+                400,
+            ),
+            (
+                QError::SourceLoad {
+                    source_name: "a.b".into(),
+                    source: q_storage::StorageError::InvalidName {
+                        kind: "source",
+                        name: "a.b".into(),
+                    },
+                },
+                400,
+            ),
+            (
+                QError::SourceLoad {
+                    source_name: "s".into(),
+                    source: q_storage::StorageError::NoAttributes("r".into()),
+                },
+                400,
+            ),
+            (
+                QError::ViewMaterialization {
+                    keywords: vec!["a".into()],
+                    source: q_storage::StorageError::InvalidAtom(0),
+                },
                 500,
             ),
         ];

@@ -585,8 +585,7 @@ pub fn encode_keyword(view: &KeywordIndexView<'_>) -> Vec<u8> {
     w.vec_u32(view.text_ends);
     w.vec_u32(view.token_ids);
     w.vec_u32(view.token_ends);
-    w.vec_u64(view.doc_trigrams);
-    w.vec_u32(view.trigram_ends);
+    w.vec_u32(view.trigram_counts);
     // Token names are stored as one blob plus end offsets (not 90k+
     // length-prefixed strings): one bulk read and one UTF-8 validation on
     // the boot path.
@@ -633,8 +632,7 @@ pub fn decode_keyword(r: &mut SectionStream<'_, impl Read>) -> Result<KeywordInd
     let text_ends = r.vec_u32()?;
     let token_ids = r.vec_u32()?;
     let token_ends = r.vec_u32()?;
-    let doc_trigrams = r.vec_u64()?;
-    let trigram_ends = r.vec_u32()?;
+    let trigram_counts = r.vec_u32()?;
     let name_blob = String::from_utf8(r.vec_u8()?).map_err(|_| SnapError::Corrupt {
         context: "keyword token names are not utf-8",
     })?;
@@ -669,7 +667,7 @@ pub fn decode_keyword(r: &mut SectionStream<'_, impl Read>) -> Result<KeywordInd
     if target_ids.len() != docs
         || text_ends.len() != docs
         || token_ends.len() != docs
-        || trigram_ends.len() != docs
+        || trigram_counts.len() != docs
         || doc_norm_sq.len() != docs
     {
         return Err(SnapError::Corrupt {
@@ -688,7 +686,6 @@ pub fn decode_keyword(r: &mut SectionStream<'_, impl Read>) -> Result<KeywordInd
     }
     validate_ends(&text_ends, text_blob.len(), "keyword text offsets")?;
     validate_ends(&token_ends, token_ids.len(), "keyword token offsets")?;
-    validate_ends(&trigram_ends, doc_trigrams.len(), "keyword trigram offsets")?;
     validate_ends(
         &token_posting_ends,
         token_postings.len(),
@@ -699,6 +696,13 @@ pub fn decode_keyword(r: &mut SectionStream<'_, impl Read>) -> Result<KeywordInd
         trigram_postings.len(),
         "keyword trigram posting offsets",
     )?;
+    // Every (document, trigram) pair is one trigram posting, so the
+    // per-document counts must add up to the postings.
+    if trigram_counts.iter().map(|&c| c as u64).sum::<u64>() != trigram_postings.len() as u64 {
+        return Err(SnapError::Corrupt {
+            context: "keyword trigram counts disagree with the trigram postings",
+        });
+    }
     // Text runs are sliced as &str, so every boundary must fall on a char
     // boundary.
     if text_ends
@@ -730,8 +734,7 @@ pub fn decode_keyword(r: &mut SectionStream<'_, impl Read>) -> Result<KeywordInd
         text_ends,
         token_ids,
         token_ends,
-        doc_trigrams,
-        trigram_ends,
+        trigram_counts,
         token_names,
         token_postings,
         token_posting_ends,
@@ -891,6 +894,37 @@ mod tests {
         let bytes = encode_keyword(&index.view());
         let back = streamed(&bytes, "keyword index", |s| decode_keyword(s)).unwrap();
         assert_eq!(back.view(), index.view());
+    }
+
+    #[test]
+    fn trigram_counts_that_miss_the_postings_are_corrupt() {
+        let cat = catalog();
+        let index = KeywordIndex::build(&cat);
+        let view = index.view();
+        for delta in [1i64, -1] {
+            let mut counts = view.trigram_counts.to_vec();
+            counts[0] = (counts[0] as i64 + delta) as u32;
+            let bytes = encode_keyword(&KeywordIndexView {
+                trigram_counts: &counts,
+                ..view
+            });
+            assert!(matches!(
+                streamed(&bytes, "keyword index", |s| decode_keyword(s)),
+                Err(SnapError::Corrupt { context })
+                    if context == "keyword trigram counts disagree with the trigram postings"
+            ));
+        }
+        // A count column of the wrong length is caught before the sum.
+        let short = &view.trigram_counts[1..];
+        let bytes = encode_keyword(&KeywordIndexView {
+            trigram_counts: short,
+            ..view
+        });
+        assert!(matches!(
+            streamed(&bytes, "keyword index", |s| decode_keyword(s)),
+            Err(SnapError::Corrupt { context })
+                if context == "keyword document columns disagree on length"
+        ));
     }
 
     #[test]

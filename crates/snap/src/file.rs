@@ -1,7 +1,7 @@
 //! The on-disk container: header, section table, checksummed payloads, and
 //! the atomic write / validating read entry points.
 //!
-//! ## File layout (format version 2)
+//! ## File layout (format version 3)
 //!
 //! ```text
 //! offset  size  field
@@ -21,11 +21,18 @@
 //!                 3 graph      nodes, edges, cost model, provenance
 //!                 4 graph csr  offsets/targets lengths (2 × u64 LE), then
 //!                              the packed arrays (`Csr::byte_size` bytes)
-//!                 5 keyword    the columnar keyword index
+//!                 5 keyword    the columnar keyword index: per-document
+//!                              kinds, ids, text, token runs and
+//!                              distinct-trigram counts, then the token
+//!                              dictionary, token and trigram postings,
+//!                              idf and norms
 //! ```
 //!
-//! Any other format version, 1 included, is rejected as
-//! [`SnapError::UnsupportedVersion`] before the section table is read.
+//! Version 3 stores one distinct-trigram count per document where version 2
+//! stored every document's trigram run beside the trigram postings, which
+//! hold the same (document, trigram) pairs. Any other format version, 1 and
+//! 2 included, is rejected as [`SnapError::UnsupportedVersion`] before the
+//! section table is read.
 //!
 //! The magic borrows PNG's trick: a high-bit first byte plus an embedded
 //! `\r\n` so text-mode transfer mangling is caught before any parsing.
@@ -61,7 +68,7 @@ use crate::stream::SectionStream;
 pub const MAGIC: [u8; 8] = [0x89, b'Q', b'S', b'N', b'A', b'P', 0x0D, 0x0A];
 
 /// The format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Fixed header size: magic + version + section count + table checksum.
 const HEADER_BYTES: usize = 24;
@@ -628,14 +635,14 @@ mod tests {
     fn other_versions_are_unsupported() {
         let (path, _) = write_components("versions.qsnap", 1);
         let mut bytes = fs::read(&path).unwrap();
-        for version in [1u32, 3] {
+        for version in [1u32, 2, 4] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &bytes).unwrap();
             assert!(matches!(
                 read_snapshot(&path),
                 Err(SnapError::UnsupportedVersion {
                     found,
-                    supported: 2
+                    supported: 3
                 }) if found == version
             ));
         }

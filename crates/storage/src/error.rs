@@ -30,6 +30,16 @@ pub enum StorageError {
     InvalidAtom(usize),
     /// A query was structurally invalid (e.g. empty atom list).
     InvalidQuery(String),
+    /// A source, relation or attribute name in a source spec is empty or
+    /// contains `.`, the separator of qualified `relation.attribute` names.
+    InvalidName {
+        /// What the name names: `"source"`, `"relation"` or `"attribute"`.
+        kind: &'static str,
+        /// The rejected name.
+        name: String,
+    },
+    /// A relation in a source spec declares no attributes.
+    NoAttributes(String),
 }
 
 impl fmt::Display for StorageError {
@@ -51,6 +61,12 @@ impl fmt::Display for StorageError {
             ),
             StorageError::InvalidAtom(idx) => write!(f, "query references unknown atom #{idx}"),
             StorageError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
+            StorageError::InvalidName { kind, name } => {
+                write!(f, "invalid {kind} name `{name}`: empty or contains `.`")
+            }
+            StorageError::NoAttributes(relation) => {
+                write!(f, "relation `{relation}` declares no attributes")
+            }
         }
     }
 }

@@ -110,8 +110,11 @@ impl SourceSpec {
         Ok((next, source))
     }
 
-    /// Load this source into the catalog, returning the new source id.
+    /// Load this source into the catalog, returning the new source id. A
+    /// spec with an empty or dotted name, or a relation with no attributes,
+    /// is rejected before the catalog changes.
     pub fn load_into(&self, catalog: &mut Catalog) -> Result<SourceId, StorageError> {
+        self.check_names()?;
         let source = catalog.add_source(&self.name)?;
         for rel_spec in &self.relations {
             let attr_refs: Vec<&str> = rel_spec.attributes.iter().map(String::as_str).collect();
@@ -130,6 +133,32 @@ impl SourceSpec {
             catalog.add_foreign_key(from_id, to_id)?;
         }
         Ok(source)
+    }
+
+    /// Every name must be usable in a qualified `relation.attribute` name,
+    /// and every relation must have an attribute to carry its values.
+    fn check_names(&self) -> Result<(), StorageError> {
+        let check = |kind, name: &str| {
+            if name.is_empty() || name.contains('.') {
+                Err(StorageError::InvalidName {
+                    kind,
+                    name: name.to_string(),
+                })
+            } else {
+                Ok(())
+            }
+        };
+        check("source", &self.name)?;
+        for relation in &self.relations {
+            check("relation", &relation.name)?;
+            if relation.attributes.is_empty() {
+                return Err(StorageError::NoAttributes(relation.name.clone()));
+            }
+            for attribute in &relation.attributes {
+                check("attribute", attribute)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -189,6 +218,51 @@ mod tests {
             bad.load_into(&mut cat),
             Err(StorageError::UnknownAttribute(_))
         ));
+    }
+
+    #[test]
+    fn unusable_names_are_rejected_before_the_catalog_changes() {
+        let invalid = |kind, name: &str| {
+            Err(StorageError::InvalidName {
+                kind,
+                name: name.to_string(),
+            })
+        };
+        let cases = [
+            (SourceSpec::new(""), invalid("source", "")),
+            (SourceSpec::new("a.b"), invalid("source", "a.b")),
+            (
+                SourceSpec::new("s").relation(RelationSpec::new("", &["a"])),
+                invalid("relation", ""),
+            ),
+            (
+                SourceSpec::new("s").relation(RelationSpec::new("r.x", &["a"])),
+                invalid("relation", "r.x"),
+            ),
+            (
+                SourceSpec::new("s").relation(RelationSpec::new("r", &["a", ""])),
+                invalid("attribute", ""),
+            ),
+            (
+                SourceSpec::new("s").relation(RelationSpec::new("r", &["a.b"])),
+                invalid("attribute", "a.b"),
+            ),
+            (
+                SourceSpec::new("s")
+                    .relation(RelationSpec::new("r", &["a"]))
+                    .relation(RelationSpec::new("empty", &[])),
+                Err(StorageError::NoAttributes("empty".into())),
+            ),
+        ];
+        let mut cat = Catalog::new();
+        go_spec().load_into(&mut cat).unwrap();
+        let before = cat.clone();
+        for (spec, expected) in cases {
+            assert_eq!(spec.load_into(&mut cat), expected, "{spec:?}");
+            assert_eq!(cat.sources(), before.sources(), "{spec:?}");
+            assert_eq!(cat.relations(), before.relations(), "{spec:?}");
+            assert_eq!(cat.attributes(), before.attributes(), "{spec:?}");
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! small catalogs of hostile text, and a small GBCO federation grown with
 //! the scaling tier's zipf vocabulary — plus hostile text over a narrow
 //! alphabet, where an append often brings no new token or exactly one.
+//! `KEYWORD_ORACLE_SCALE` multiplies every property's case count (default
+//! 1).
 
 use proptest::prelude::*;
 
@@ -100,8 +102,7 @@ fn parts(view: KeywordIndexView<'_>) -> KeywordIndexParts {
         text_ends: view.text_ends.to_vec(),
         token_ids: view.token_ids.to_vec(),
         token_ends: view.token_ends.to_vec(),
-        doc_trigrams: view.doc_trigrams.to_vec(),
-        trigram_ends: view.trigram_ends.to_vec(),
+        trigram_counts: view.trigram_counts.to_vec(),
         token_names: view.token_names.to_vec(),
         token_postings: view.token_postings.to_vec(),
         token_posting_ends: view.token_posting_ends.to_vec(),
@@ -180,8 +181,18 @@ fn assert_appends_converge(full: &Catalog, prefix: usize, shuffle: &[usize]) {
     assert_same_columns(&shuffled, &batch, "relations added twice");
 }
 
+/// Proptest config of a property whose default case count is `default`:
+/// `KEYWORD_ORACLE_SCALE` (default 1) multiplies it, for a longer CI leg.
+fn cases(default: u32) -> ProptestConfig {
+    let scale: u32 = match std::env::var("KEYWORD_ORACLE_SCALE") {
+        Ok(v) => v.parse().expect("KEYWORD_ORACLE_SCALE is a number"),
+        Err(_) => 1,
+    };
+    ProptestConfig::with_cases(default * scale)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
 
     /// Random small corpora of hostile text.
     #[test]
@@ -202,7 +213,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
 
     /// Random small corpora of narrow-alphabet text.
     #[test]
@@ -223,7 +234,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
+    #![proptest_config(cases(3))]
 
     /// A small GBCO federation grown with the scaling tier's zipf
     /// vocabulary.

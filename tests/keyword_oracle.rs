@@ -23,7 +23,8 @@
 //! oracle prints — same targets, same order, bit-equal similarities — and
 //! that `keyword_matches_in` agrees with the oracle over random relation
 //! subsets, on hostile random corpora and on a small GBCO federation grown
-//! with the scaling tier's zipf vocabulary.
+//! with the scaling tier's zipf vocabulary. `KEYWORD_ORACLE_SCALE`
+//! multiplies every property's case count (default 1).
 
 use std::collections::{HashMap, HashSet};
 
@@ -315,8 +316,18 @@ fn hostile_catalog(relations: &[RandomRelation]) -> Catalog {
     catalog
 }
 
+/// Proptest config of a property whose default case count is `default`:
+/// `KEYWORD_ORACLE_SCALE` (default 1) multiplies it, for a longer CI leg.
+fn cases(default: u32) -> ProptestConfig {
+    let scale: u32 = match std::env::var("KEYWORD_ORACLE_SCALE") {
+        Ok(v) => v.parse().expect("KEYWORD_ORACLE_SCALE is a number"),
+        Err(_) => 1,
+    };
+    ProptestConfig::with_cases(default * scale)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(cases(96))]
 
     /// Random small corpora of hostile text.
     #[test]
@@ -345,7 +356,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(cases(6))]
 
     /// A small GBCO federation grown with the scaling tier's zipf
     /// vocabulary; keywords from schema terms, corpus phrases, the GBCO

@@ -551,6 +551,42 @@ fn unknown_routes_and_methods_get_typed_errors() {
 }
 
 #[test]
+fn refused_source_specs_are_400_and_publish_nothing() {
+    let server = boot_tiny_server();
+    let mut client = connect(&server);
+    let before = server.engine().snapshot();
+    let taken = before.catalog().sources()[0].name.clone();
+    let ingest = |source: &str, relation: &str, attributes: &str| {
+        format!(
+            "{{\"v\":1,\"source\":{{\"name\":\"{source}\",\"relations\":[{{\"name\":\
+             \"{relation}\",\"attributes\":[{attributes}]}}]}}}}"
+        )
+    };
+    let bodies = [
+        ingest(&taken, "fresh_rel", "\"a\""),
+        ingest("", "r", "\"a\""),
+        ingest("new.source", "r", "\"a\""),
+        ingest("new_source", "", "\"a\""),
+        ingest("new_source", "r.x", "\"a\""),
+        ingest("new_source", "r", "\"a\",\"b.c\""),
+        ingest("new_source", "r", ""),
+    ];
+    for body in bodies {
+        let error = post_expecting_error(&mut client, "/ingest", &body);
+        assert_eq!(
+            (error.code.as_str(), error.status),
+            ("source_load", 400),
+            "body {body:?} answered {}",
+            error.message
+        );
+        assert_eq!(server.engine().snapshot().id(), before.id(), "{body:?}");
+        assert_still_serving(&server, &mut client);
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn raw_protocol_garbage_is_rejected_without_wedging_the_server() {
     let server = boot_tiny_server();
 
