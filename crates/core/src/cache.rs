@@ -395,7 +395,8 @@ impl QueryCache {
         let mut facts = match *publish {
             Publish::Reprice(graph) => Facts::Reprice(graph),
             Publish::Growth(delta) => {
-                self.pricer.run(delta.graph, delta.bridge_seeds);
+                self.pricer
+                    .run(delta.graph, delta.bridge_seeds, f64::INFINITY);
                 Facts::Growth(KeywordFacts {
                     delta,
                     pricer: &self.pricer,

@@ -34,6 +34,7 @@ pub mod error;
 pub mod evaluation;
 pub mod feedback;
 pub mod live;
+mod mailbox;
 pub mod request;
 pub mod revalidate;
 pub mod snapstore;

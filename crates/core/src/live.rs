@@ -608,7 +608,7 @@ impl LiveServer {
         }
 
         let start = Instant::now();
-        let params = ServeParams::resolve(&self.config, request);
+        let params = ServeParams::resolve_key(&self.config, &request.params_key());
         let build_model = request.cache() != CachePolicy::Bypass;
         let (view, stats, model) = SCRATCH.with(|scratch| {
             snapshot.serving(&self.config).answer_keywords(
@@ -994,24 +994,11 @@ impl ServeParams {
         }
     }
 
-    /// Merge a request's overrides over the config defaults.
-    pub(crate) fn resolve(config: &QConfig, request: &QueryRequest) -> Self {
-        let mut params = ServeParams::defaults(config);
-        if let Some(top_k) = request.top_k_override() {
-            params.top_k = top_k;
-        }
-        if let Some(strategy) = request.strategy_override() {
-            params.strategy = strategy;
-        }
-        if let Some(budget) = request.cost_budget_override() {
-            params.max_cost = budget;
-        }
-        params
-    }
-
-    /// Merge a cache key's recorded overrides over the config defaults: the
-    /// re-validation lane recomputes a parked entry exactly as the request
-    /// that priced it would be served today.
+    /// Merge a request's overrides, as recorded in its cache key, over the
+    /// config defaults. Serving a request resolves its
+    /// [`params_key`](QueryRequest::params_key), so the re-validation lane
+    /// recomputes a parked entry exactly as the request that priced it
+    /// would be served today (the budget round-trips bit-exactly).
     pub(crate) fn resolve_key(config: &QConfig, key: &crate::request::QueryParamsKey) -> Self {
         let mut params = ServeParams::defaults(config);
         if let Some(top_k) = key.top_k {
@@ -1050,7 +1037,7 @@ impl ServingState<'_> {
         let refs: Vec<&str> = request.keywords().iter().map(String::as_str).collect();
         self.answer_keywords(
             &refs,
-            ServeParams::resolve(self.config, request),
+            ServeParams::resolve_key(self.config, &request.params_key()),
             false,
             &mut SteinerScratch::default(),
         )

@@ -9,7 +9,7 @@
 //! settles each parked entry with the ground truth: a fresh recompute of
 //! the entry's request against the snapshot that parked it, off the writer
 //! and reader paths, on a single background thread fed through the same
-//! **latest-only mailbox** as the persistence lane
+//! **latest-only mailbox** (`mailbox.rs`) as the persistence lane
 //! ([`SnapshotPersister`](crate::SnapshotPersister)). A publish deposits
 //! its batch of parked entries and returns immediately; if a newer publish
 //! lands before the worker drains the batch, the superseded batch is
@@ -36,14 +36,14 @@
 //! sequential answer of the snapshot stamped on it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 use q_graph::SteinerScratch;
 
 use crate::cache::{ParkedEntry, QueryCache};
 use crate::config::QConfig;
 use crate::live::GraphSnapshot;
+use crate::mailbox::Mailbox;
 
 /// Point-in-time counters of the re-validation lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,17 +68,7 @@ struct Batch {
 }
 
 #[derive(Default)]
-struct Mailbox {
-    next: Option<Batch>,
-    in_flight: bool,
-    shutdown: bool,
-}
-
-struct Shared {
-    mailbox: Mutex<Mailbox>,
-    /// Signals the worker (new deposit / shutdown) and flush waiters (batch
-    /// settled).
-    signal: Condvar,
+struct Counters {
     kept: AtomicU64,
     repriced: AtomicU64,
     dropped: AtomicU64,
@@ -88,8 +78,8 @@ struct Shared {
 /// Background re-validation lane. See the module docs for the protocol.
 /// Dropping the lane settles any deposited batch and joins the worker.
 pub(crate) struct RevalidationLane {
-    shared: Arc<Shared>,
-    handle: Option<JoinHandle<()>>,
+    mailbox: Mailbox<Batch>,
+    counters: Arc<Counters>,
 }
 
 impl std::fmt::Debug for RevalidationLane {
@@ -103,23 +93,18 @@ impl std::fmt::Debug for RevalidationLane {
 impl RevalidationLane {
     /// Start the lane re-admitting into `cache`, recomputing with `config`.
     pub(crate) fn start(config: QConfig, cache: Arc<Mutex<QueryCache>>) -> Self {
-        let shared = Arc::new(Shared {
-            mailbox: Mutex::new(Mailbox::default()),
-            signal: Condvar::new(),
-            kept: AtomicU64::new(0),
-            repriced: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-        });
-        let worker_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("q-revalidate".into())
-            .spawn(move || worker_loop(worker_shared, config, cache))
-            .expect("spawning re-validation thread");
-        RevalidationLane {
-            shared,
-            handle: Some(handle),
-        }
+        let counters = Arc::new(Counters::default());
+        let worker = Arc::clone(&counters);
+        let mut scratch = SteinerScratch::default();
+        let mailbox = Mailbox::start("q-revalidate", move |batch: Batch| {
+            for parked in batch.entries {
+                let counter = settle(&config, &batch.snapshot, &cache, parked, &mut scratch);
+                counter(&worker).fetch_add(1, Ordering::Relaxed);
+                worker.depth.fetch_sub(1, Ordering::Relaxed);
+            }
+        })
+        .expect("spawning re-validation thread");
+        RevalidationLane { mailbox, counters }
     }
 
     /// Deposit a publish's parked entries for re-validation against the
@@ -130,93 +115,31 @@ impl RevalidationLane {
         if entries.is_empty() {
             return;
         }
-        let mut mailbox = self
-            .shared
-            .mailbox
-            .lock()
-            .expect("revalidate lock poisoned");
-        self.shared
-            .depth
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        if let Some(old) = mailbox.next.replace(Batch { snapshot, entries }) {
+        // Counted before the deposit, so the worker never settles an entry
+        // `depth` does not hold yet.
+        let c = &self.counters;
+        c.depth.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        if let Some(old) = self.mailbox.deposit(Batch { snapshot, entries }) {
             let n = old.entries.len() as u64;
-            self.shared.dropped.fetch_add(n, Ordering::Relaxed);
-            self.shared.depth.fetch_sub(n, Ordering::Relaxed);
+            c.dropped.fetch_add(n, Ordering::Relaxed);
+            c.depth.fetch_sub(n, Ordering::Relaxed);
         }
-        self.shared.signal.notify_all();
     }
 
     /// Block until every deposited entry has been settled.
     pub(crate) fn flush(&self) {
-        let mut mailbox = self
-            .shared
-            .mailbox
-            .lock()
-            .expect("revalidate lock poisoned");
-        while mailbox.next.is_some() || mailbox.in_flight {
-            mailbox = self
-                .shared
-                .signal
-                .wait(mailbox)
-                .expect("revalidate lock poisoned");
-        }
+        self.mailbox.flush();
     }
 
     /// Current counters.
     pub(crate) fn stats(&self) -> RevalidationStats {
+        let c = &self.counters;
         RevalidationStats {
-            kept: self.shared.kept.load(Ordering::Relaxed),
-            repriced: self.shared.repriced.load(Ordering::Relaxed),
-            dropped: self.shared.dropped.load(Ordering::Relaxed),
-            depth: self.shared.depth.load(Ordering::Relaxed),
+            kept: c.kept.load(Ordering::Relaxed),
+            repriced: c.repriced.load(Ordering::Relaxed),
+            dropped: c.dropped.load(Ordering::Relaxed),
+            depth: c.depth.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl Drop for RevalidationLane {
-    fn drop(&mut self) {
-        {
-            let mut mailbox = self
-                .shared
-                .mailbox
-                .lock()
-                .expect("revalidate lock poisoned");
-            mailbox.shutdown = true;
-            self.shared.signal.notify_all();
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, config: QConfig, cache: Arc<Mutex<QueryCache>>) {
-    let mut scratch = SteinerScratch::default();
-    loop {
-        let batch = {
-            let mut mailbox = shared.mailbox.lock().expect("revalidate lock poisoned");
-            loop {
-                if let Some(batch) = mailbox.next.take() {
-                    mailbox.in_flight = true;
-                    break batch;
-                }
-                if mailbox.shutdown {
-                    return;
-                }
-                mailbox = shared
-                    .signal
-                    .wait(mailbox)
-                    .expect("revalidate lock poisoned");
-            }
-        };
-        for parked in batch.entries {
-            let counter = settle(&config, &batch.snapshot, &cache, parked, &mut scratch);
-            counter(&shared).fetch_add(1, Ordering::Relaxed);
-            shared.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        let mut mailbox = shared.mailbox.lock().expect("revalidate lock poisoned");
-        mailbox.in_flight = false;
-        shared.signal.notify_all();
     }
 }
 
@@ -229,7 +152,7 @@ fn settle(
     cache: &Mutex<QueryCache>,
     parked: ParkedEntry,
     scratch: &mut SteinerScratch,
-) -> fn(&Shared) -> &AtomicU64 {
+) -> fn(&Counters) -> &AtomicU64 {
     let Ok((view, model)) = snapshot.recompute_for_key(config, &parked.key, scratch) else {
         return |s| &s.dropped;
     };

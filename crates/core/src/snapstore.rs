@@ -3,7 +3,8 @@
 //!
 //! Persistence must never slow publishing down — a publish is a pointer
 //! swap, and disks are slow. The [`SnapshotPersister`] therefore runs a
-//! single background thread fed through a **latest-only mailbox**: a
+//! single background thread fed through a **latest-only mailbox**
+//! (`mailbox.rs`, shared with the re-validation lane): a
 //! publish deposits its `Arc<GraphSnapshot>` into a one-slot mailbox and
 //! returns immediately. If the writer thread is still busy with an earlier
 //! snapshot when the next publish lands, the mailbox slot is *replaced* —
@@ -18,12 +19,12 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use q_snap::SnapError;
 
 use crate::live::GraphSnapshot;
+use crate::mailbox::Mailbox;
 
 /// File-name prefix of persisted snapshots.
 const FILE_PREFIX: &str = "snap-";
@@ -82,17 +83,7 @@ pub struct PersistStats {
 }
 
 #[derive(Default)]
-struct Mailbox {
-    next: Option<Arc<GraphSnapshot>>,
-    in_flight: bool,
-    shutdown: bool,
-}
-
-struct Shared {
-    mailbox: Mutex<Mailbox>,
-    /// Signals the worker (new deposit / shutdown) and flush waiters
-    /// (write finished).
-    signal: Condvar,
+struct Counters {
     persisted: AtomicU64,
     failed: AtomicU64,
     superseded: AtomicU64,
@@ -103,8 +94,8 @@ struct Shared {
 /// mailbox protocol. Dropping the persister flushes any deposited snapshot
 /// and joins the worker thread.
 pub struct SnapshotPersister {
-    shared: Arc<Shared>,
-    handle: Option<JoinHandle<()>>,
+    mailbox: Mailbox<Arc<GraphSnapshot>>,
+    counters: Arc<Counters>,
     dir: PathBuf,
 }
 
@@ -124,24 +115,29 @@ impl SnapshotPersister {
     pub fn start(dir: PathBuf, keep_last: usize) -> Result<Self, SnapError> {
         std::fs::create_dir_all(&dir)
             .map_err(|e| SnapError::io("creating snapshot directory", e))?;
-        let shared = Arc::new(Shared {
-            mailbox: Mutex::new(Mailbox::default()),
-            signal: Condvar::new(),
-            persisted: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            superseded: AtomicU64::new(0),
-            last_persisted_id: AtomicU64::new(0),
-        });
-        let worker_shared = Arc::clone(&shared);
+        let counters = Arc::new(Counters::default());
+        let worker = Arc::clone(&counters);
         let worker_dir = dir.clone();
         let keep_last = keep_last.max(1);
-        let handle = std::thread::Builder::new()
-            .name("snap-persist".into())
-            .spawn(move || worker_loop(worker_shared, worker_dir, keep_last))
-            .map_err(|e| SnapError::io("spawning persistence thread", e))?;
+        let mailbox = Mailbox::start("snap-persist", move |snapshot: Arc<GraphSnapshot>| {
+            let path = worker_dir.join(snapshot_file_name(snapshot.id()));
+            match snapshot.save(&path) {
+                Ok(_) => {
+                    worker.persisted.fetch_add(1, Ordering::Relaxed);
+                    worker
+                        .last_persisted_id
+                        .store(snapshot.id(), Ordering::Relaxed);
+                    prune(&worker_dir, keep_last);
+                }
+                Err(_) => {
+                    worker.failed.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        })
+        .map_err(|e| SnapError::io("spawning persistence thread", e))?;
         Ok(SnapshotPersister {
-            shared,
-            handle: Some(handle),
+            mailbox,
+            counters,
             dir,
         })
     }
@@ -149,80 +145,25 @@ impl SnapshotPersister {
     /// Deposit a snapshot for persistence and return immediately. An
     /// unwritten earlier deposit is superseded (counted, never written).
     pub fn enqueue(&self, snapshot: Arc<GraphSnapshot>) {
-        let mut mailbox = self.shared.mailbox.lock().expect("persist lock poisoned");
-        if mailbox.next.replace(snapshot).is_some() {
-            self.shared.superseded.fetch_add(1, Ordering::Relaxed);
+        if self.mailbox.deposit(snapshot).is_some() {
+            self.counters.superseded.fetch_add(1, Ordering::Relaxed);
         }
-        self.shared.signal.notify_all();
     }
 
     /// Block until every deposited snapshot has been written (or failed).
     pub fn flush(&self) {
-        let mut mailbox = self.shared.mailbox.lock().expect("persist lock poisoned");
-        while mailbox.next.is_some() || mailbox.in_flight {
-            mailbox = self
-                .shared
-                .signal
-                .wait(mailbox)
-                .expect("persist lock poisoned");
-        }
+        self.mailbox.flush();
     }
 
     /// Current counters.
     pub fn stats(&self) -> PersistStats {
+        let c = &self.counters;
         PersistStats {
-            persisted: self.shared.persisted.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            superseded: self.shared.superseded.load(Ordering::Relaxed),
-            last_persisted_id: self.shared.last_persisted_id.load(Ordering::Relaxed),
+            persisted: c.persisted.load(Ordering::Relaxed),
+            failed: c.failed.load(Ordering::Relaxed),
+            superseded: c.superseded.load(Ordering::Relaxed),
+            last_persisted_id: c.last_persisted_id.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl Drop for SnapshotPersister {
-    fn drop(&mut self) {
-        {
-            let mut mailbox = self.shared.mailbox.lock().expect("persist lock poisoned");
-            mailbox.shutdown = true;
-            self.shared.signal.notify_all();
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, dir: PathBuf, keep_last: usize) {
-    loop {
-        let snapshot = {
-            let mut mailbox = shared.mailbox.lock().expect("persist lock poisoned");
-            loop {
-                if let Some(snapshot) = mailbox.next.take() {
-                    mailbox.in_flight = true;
-                    break snapshot;
-                }
-                if mailbox.shutdown {
-                    return;
-                }
-                mailbox = shared.signal.wait(mailbox).expect("persist lock poisoned");
-            }
-        };
-        let path = dir.join(snapshot_file_name(snapshot.id()));
-        match snapshot.save(&path) {
-            Ok(_) => {
-                shared.persisted.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .last_persisted_id
-                    .store(snapshot.id(), Ordering::Relaxed);
-                prune(&dir, keep_last);
-            }
-            Err(_) => {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let mut mailbox = shared.mailbox.lock().expect("persist lock poisoned");
-        mailbox.in_flight = false;
-        shared.signal.notify_all();
     }
 }
 

@@ -21,10 +21,16 @@
 //! per-entry bound, strictly tighter than the global cheapest-bridge floor
 //! (which is `min over all v of dist(v)`).
 //!
-//! The search reuses the PR 4 miss-path machinery: the 4-ary
-//! [`IndexedHeap`] with in-place decrease-key and generation-stamped dense
-//! distance buffers, so pricing the next publish is O(1) to start — no
-//! per-publish buffer zeroing.
+//! The search reuses the miss-path machinery: the 4-ary [`IndexedHeap`]
+//! with in-place decrease-key and generation-stamped dense distance
+//! buffers, so pricing the next publish is O(1) to start — no per-publish
+//! buffer zeroing.
+//!
+//! The same search, bounded by a distance limit, is the α-cost
+//! neighbourhood of Algorithm 2
+//! ([`SearchGraph::cost_neighborhood`](crate::SearchGraph::cost_neighborhood)):
+//! seeds at distance 0, limit α, and [`DeltaPricer::reached`] lists the
+//! neighbourhood.
 
 use crate::heap::IndexedHeap;
 use crate::node::NodeId;
@@ -47,8 +53,11 @@ impl DeltaPricer {
     /// each bridge edge contributes both endpoints at the bridge's cost —
     /// the cheapest way to "be at" that endpoint having crossed the
     /// bridge). Duplicate seed nodes keep their minimum. Negative costs are
-    /// clamped to zero like every other search in this crate.
-    pub fn run<G: GraphView>(&mut self, graph: &G, seeds: &[(NodeId, f64)]) {
+    /// clamped to zero like every other search in this crate. Nodes farther
+    /// than `limit` (within the search's `1e-12` tolerance) are never
+    /// reached; `f64::INFINITY` searches the whole graph.
+    pub fn run<G: GraphView>(&mut self, graph: &G, seeds: &[(NodeId, f64)], limit: f64) {
+        let limit = limit + 1e-12;
         let n = graph.node_count();
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
@@ -63,7 +72,7 @@ impl DeltaPricer {
         self.heap.reset(n);
         for &(node, cost) in seeds {
             let c = cost.max(0.0);
-            if node.index() < n && c < self.dist_of(node) {
+            if node.index() < n && c <= limit && c < self.dist_of(node) {
                 self.visit(node.index(), c);
                 self.heap.push(c, node.0);
             }
@@ -71,7 +80,7 @@ impl DeltaPricer {
         while let Some((d, node)) = self.heap.pop() {
             for &(edge, next) in graph.neighbors(NodeId(node)) {
                 let nd = d + graph.edge_cost(edge).max(0.0);
-                if nd < self.dist_of(next) - 1e-12 {
+                if nd <= limit && nd < self.dist_of(next) - 1e-12 {
                     self.visit(next.index(), nd);
                     self.heap.push(nd, next.0);
                 }
@@ -84,6 +93,13 @@ impl DeltaPricer {
     #[inline]
     pub fn dist(&self, node: NodeId) -> f64 {
         self.dist_of(node)
+    }
+
+    /// The nodes the latest [`run`](Self::run) reached, in id order.
+    pub fn reached(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.stamp.len() as u32)
+            .map(NodeId)
+            .filter(|&node| self.dist_of(node) < f64::INFINITY)
     }
 
     #[inline]
@@ -143,7 +159,7 @@ mod tests {
     fn distances_grow_away_from_the_seed() {
         let g = Line::new(5);
         let mut pricer = DeltaPricer::default();
-        pricer.run(&g, &[(NodeId(0), 0.5)]);
+        pricer.run(&g, &[(NodeId(0), 0.5)], f64::INFINITY);
         for (node, want) in [(0u32, 0.5), (1, 1.5), (2, 2.5), (3, 3.5), (4, 4.5)] {
             assert_eq!(pricer.dist(NodeId(node)), want);
         }
@@ -153,7 +169,11 @@ mod tests {
     fn multiple_seeds_take_the_cheapest_and_duplicates_keep_the_minimum() {
         let g = Line::new(5);
         let mut pricer = DeltaPricer::default();
-        pricer.run(&g, &[(NodeId(0), 0.2), (NodeId(4), 0.1), (NodeId(4), 9.0)]);
+        pricer.run(
+            &g,
+            &[(NodeId(0), 0.2), (NodeId(4), 0.1), (NodeId(4), 9.0)],
+            f64::INFINITY,
+        );
         assert_eq!(pricer.dist(NodeId(0)), 0.2);
         assert_eq!(pricer.dist(NodeId(1)), 1.2);
         // Node 3 is cheaper from the far seed.
@@ -165,14 +185,31 @@ mod tests {
     fn reruns_reset_state_without_refilling_buffers() {
         let g = Line::new(4);
         let mut pricer = DeltaPricer::default();
-        pricer.run(&g, &[(NodeId(0), 0.0)]);
+        pricer.run(&g, &[(NodeId(0), 0.0)], f64::INFINITY);
         assert_eq!(pricer.dist(NodeId(3)), 3.0);
-        pricer.run(&g, &[(NodeId(3), 0.0)]);
+        pricer.run(&g, &[(NodeId(3), 0.0)], f64::INFINITY);
         assert_eq!(pricer.dist(NodeId(0)), 3.0);
         assert_eq!(pricer.dist(NodeId(3)), 0.0);
         // No seeds: everything is unreachable.
-        pricer.run(&g, &[]);
+        pricer.run(&g, &[], f64::INFINITY);
         assert_eq!(pricer.dist(NodeId(0)), f64::INFINITY);
+    }
+
+    #[test]
+    fn a_limit_bounds_the_search_and_reached_lists_what_it_found() {
+        let g = Line::new(6);
+        let mut pricer = DeltaPricer::default();
+        pricer.run(&g, &[(NodeId(1), 0.0), (NodeId(5), 0.5)], 2.0);
+        let reached: Vec<u32> = pricer.reached().map(|n| n.0).collect();
+        assert_eq!(reached, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(pricer.dist(NodeId(4)), 1.5);
+        pricer.run(&g, &[(NodeId(1), 0.0)], 1.0);
+        let reached: Vec<u32> = pricer.reached().map(|n| n.0).collect();
+        assert_eq!(reached, vec![0, 1, 2]);
+        assert_eq!(pricer.dist(NodeId(3)), f64::INFINITY);
+        // A seed beyond the limit is not reached either.
+        pricer.run(&g, &[(NodeId(1), 0.5)], 0.25);
+        assert_eq!(pricer.reached().count(), 0);
     }
 
     #[test]

@@ -479,44 +479,13 @@ impl SearchGraph {
     // ------------------------------------------------------------------
 
     /// All nodes reachable from any start node with accumulated edge cost at
-    /// most `alpha`, under the current weights (multi-source Dijkstra).
+    /// most `alpha`, under the current weights: the bounded multi-source
+    /// Dijkstra of [`DeltaPricer`](crate::DeltaPricer), seeded at distance 0.
     pub fn cost_neighborhood(&self, starts: &[NodeId], alpha: f64) -> HashSet<NodeId> {
-        let dist = self.distances_from(starts, alpha);
-        dist.into_iter()
-            .filter(|(_, d)| *d <= alpha + 1e-12)
-            .map(|(n, _)| n)
-            .collect()
-    }
-
-    /// Multi-source Dijkstra distances, bounded by `limit`.
-    /// Runs on the shared [`IndexedHeap`](crate::IndexedHeap) (total-order
-    /// `f64::total_cmp` keys, in-place decrease-key) like the Steiner search.
-    fn distances_from(&self, starts: &[NodeId], limit: f64) -> HashMap<NodeId, f64> {
-        let mut dist: HashMap<NodeId, f64> = HashMap::new();
-        let mut heap = crate::IndexedHeap::new();
-        heap.reset(self.node_count());
-        for s in starts {
-            dist.insert(*s, 0.0);
-            heap.push(0.0, s.0);
-        }
-        while let Some((d, node)) = heap.pop() {
-            let node = NodeId(node);
-            if d > limit + 1e-12 {
-                continue;
-            }
-            for &(edge_id, next) in self.neighbors(node) {
-                let nd = d + self.edge_cost(edge_id).max(0.0);
-                if nd > limit + 1e-12 {
-                    continue;
-                }
-                let better = dist.get(&next).map(|cur| nd < *cur - 1e-12).unwrap_or(true);
-                if better {
-                    dist.insert(next, nd);
-                    heap.push(nd, next.0);
-                }
-            }
-        }
-        dist
+        let seeds: Vec<(NodeId, f64)> = starts.iter().map(|&s| (s, 0.0)).collect();
+        let mut search = crate::DeltaPricer::default();
+        search.run(self, &seeds, alpha);
+        search.reached().collect()
     }
 
     /// Relations whose relation node lies inside a node set (used by

@@ -1,14 +1,9 @@
-//! Little-endian byte encoding primitives and the folded 64-bit checksum.
+//! The little-endian encoder and the folded 64-bit checksum.
 //!
 //! All multi-byte integers are little-endian; floats are stored as their
 //! IEEE-754 bit patterns (`f64::to_bits`), so persisted costs and scores
 //! round-trip bit-exactly. Vectors are a `u64` element count followed by the
-//! raw elements. Every read is bounds-checked and *count-validated*: a
-//! decoded element count must fit in the bytes that remain, so a corrupted
-//! count can neither overrun the buffer nor provoke a pathological
-//! allocation.
-
-use crate::error::SnapError;
+//! raw elements. [`crate::stream::SectionStream`] is the matching decoder.
 
 /// Folded 64-bit content checksum.
 ///
@@ -149,12 +144,6 @@ pub struct Checksummer {
     total: u64,
 }
 
-impl Default for Checksummer {
-    fn default() -> Self {
-        Checksummer::new()
-    }
-}
-
 impl Checksummer {
     /// Fresh digest state.
     pub fn new() -> Self {
@@ -233,11 +222,6 @@ impl ByteWriter {
         self.buf.len()
     }
 
-    /// True when nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consume the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -310,238 +294,9 @@ impl ByteWriter {
     }
 }
 
-/// Bounds-checked little-endian decoder over a borrowed byte slice.
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    /// Which structure this reader is decoding — reported by truncation
-    /// errors.
-    context: &'static str,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Decode from `data`, reporting `context` in truncation errors.
-    pub fn new(data: &'a [u8], context: &'static str) -> Self {
-        ByteReader {
-            data,
-            pos: 0,
-            context,
-        }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if n > self.remaining() {
-            return Err(SnapError::Truncated {
-                context: self.context,
-            });
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a `u16`.
-    pub fn u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// Read a `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Read a `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Read an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Validate that a count of `elem_size`-byte elements fits in the
-    /// remaining bytes, returning it as `usize`. Rejecting impossible counts
-    /// up front means a corrupted length can never provoke a huge
-    /// allocation.
-    fn count(&self, n: u64, elem_size: usize) -> Result<usize, SnapError> {
-        let n = usize::try_from(n).map_err(|_| SnapError::Truncated {
-            context: self.context,
-        })?;
-        match n.checked_mul(elem_size) {
-            Some(total) if total <= self.remaining() => Ok(n),
-            _ => Err(SnapError::Truncated {
-                context: self.context,
-            }),
-        }
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SnapError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Corrupt {
-            context: "invalid utf-8 in string",
-        })
-    }
-
-    /// Read a length-prefixed `u8` vector.
-    pub fn vec_u8(&mut self) -> Result<Vec<u8>, SnapError> {
-        let n = self.u64()?;
-        let n = self.count(n, 1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Read a length-prefixed `u32` vector.
-    ///
-    /// Decodes into a pre-zeroed buffer with an index-free loop: LLVM turns
-    /// the zip over `chunks_exact` into wide vector loads, which matters when
-    /// a section is tens of megabytes of postings (the `extend`-an-iterator
-    /// shape keeps a capacity check per element and decodes ~5x slower).
-    pub fn vec_u32(&mut self) -> Result<Vec<u32>, SnapError> {
-        let n = self.u64()?;
-        let n = self.count(n, 4)?;
-        let bytes = self.take(n * 4)?;
-        let mut v = vec![0u32; n];
-        for (dst, src) in v.iter_mut().zip(bytes.chunks_exact(4)) {
-            *dst = u32::from_le_bytes(src.try_into().expect("4 bytes"));
-        }
-        Ok(v)
-    }
-
-    /// Read a length-prefixed `u64` vector.
-    pub fn vec_u64(&mut self) -> Result<Vec<u64>, SnapError> {
-        let n = self.u64()?;
-        let n = self.count(n, 8)?;
-        let bytes = self.take(n * 8)?;
-        let mut v = vec![0u64; n];
-        for (dst, src) in v.iter_mut().zip(bytes.chunks_exact(8)) {
-            *dst = u64::from_le_bytes(src.try_into().expect("8 bytes"));
-        }
-        Ok(v)
-    }
-
-    /// Read a length-prefixed `f64` vector (bit patterns).
-    pub fn vec_f64(&mut self) -> Result<Vec<f64>, SnapError> {
-        let n = self.u64()?;
-        let n = self.count(n, 8)?;
-        let bytes = self.take(n * 8)?;
-        let mut v = vec![0.0f64; n];
-        for (dst, src) in v.iter_mut().zip(bytes.chunks_exact(8)) {
-            *dst = f64::from_bits(u64::from_le_bytes(src.try_into().expect("8 bytes")));
-        }
-        Ok(v)
-    }
-
-    /// Read `n` raw bytes with no length prefix.
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        self.take(n)
-    }
-
-    /// Read a count that the caller will use to loop over variable-size
-    /// records, validated against a minimum per-record size.
-    pub fn record_count(&mut self, min_record_size: usize) -> Result<usize, SnapError> {
-        let n = self.u64()?;
-        self.count(n, min_record_size.max(1))
-    }
-
-    /// Require that every byte was consumed — trailing garbage means the
-    /// payload does not parse as the structure it claims to be.
-    pub fn expect_end(&self) -> Result<(), SnapError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(SnapError::Corrupt {
-                context: "trailing bytes after structure",
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip_primitives() {
-        let mut w = ByteWriter::new();
-        w.u8(7);
-        w.u16(0xBEEF);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX - 1);
-        w.f64(-0.0);
-        w.str("plasma membrane");
-        w.vec_u32(&[1, 2, 3]);
-        w.vec_u64(&[u64::MAX]);
-        w.vec_f64(&[1.5, f64::INFINITY]);
-        w.vec_u8(&[9, 8]);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "test");
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.str().unwrap(), "plasma membrane");
-        assert_eq!(r.vec_u32().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.vec_u64().unwrap(), vec![u64::MAX]);
-        let floats = r.vec_f64().unwrap();
-        assert_eq!(floats[0], 1.5);
-        assert!(floats[1].is_infinite());
-        assert_eq!(r.vec_u8().unwrap(), vec![9, 8]);
-        r.expect_end().unwrap();
-    }
-
-    #[test]
-    fn truncation_is_a_typed_error_not_a_panic() {
-        let mut w = ByteWriter::new();
-        w.u64(5);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes[..4], "short");
-        assert!(matches!(
-            r.u64(),
-            Err(SnapError::Truncated { context: "short" })
-        ));
-    }
-
-    #[test]
-    fn impossible_counts_are_rejected_before_allocation() {
-        // A vector claiming u64::MAX elements in a tiny buffer must fail
-        // cleanly (no multi-exabyte Vec::with_capacity).
-        let mut w = ByteWriter::new();
-        w.u64(u64::MAX);
-        w.u32(1);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "count");
-        assert!(matches!(r.vec_u32(), Err(SnapError::Truncated { .. })));
-    }
-
-    #[test]
-    fn invalid_utf8_is_corrupt_not_panic() {
-        let mut w = ByteWriter::new();
-        w.u32(2);
-        w.raw(&[0xFF, 0xFE]);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "str");
-        assert!(matches!(r.str(), Err(SnapError::Corrupt { .. })));
-    }
 
     #[test]
     fn checksum_detects_flips_truncation_and_extension() {

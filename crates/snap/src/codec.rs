@@ -25,7 +25,7 @@ use q_storage::{
     Value,
 };
 
-use crate::bytes::{ByteReader, ByteWriter};
+use crate::bytes::ByteWriter;
 use crate::error::SnapError;
 use crate::stream::SectionStream;
 use std::io::Read;
@@ -314,7 +314,7 @@ fn encode_node(w: &mut ByteWriter, node: &Node) {
     }
 }
 
-fn decode_node(r: &mut ByteReader<'_>) -> Result<Node, SnapError> {
+fn decode_node(r: &mut SectionStream<'_, impl Read>) -> Result<Node, SnapError> {
     Ok(match r.u8()? {
         0 => Node::Relation(RelationId(r.u32()?)),
         1 => Node::Attribute(AttributeId(r.u32()?)),
@@ -403,14 +403,13 @@ pub fn encode_graph(graph: &SearchGraph) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decode a graph section, pairing it with the CSR decoded from the
-/// adjacent CSR section.
-pub fn decode_graph(bytes: &[u8], csr: Csr) -> Result<SearchGraph, SnapError> {
-    let mut r = ByteReader::new(bytes, "graph");
+/// Decode a graph section: every part of the search graph but its CSR,
+/// which has a section of its own and joins through [`join_graph`].
+pub fn decode_graph(r: &mut SectionStream<'_, impl Read>) -> Result<SearchGraphParts, SnapError> {
     let n_nodes = r.record_count(5)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
-        nodes.push(decode_node(&mut r)?);
+        nodes.push(decode_node(r)?);
     }
     let n_edges = r.record_count(9)?;
     let mut edges = Vec::with_capacity(n_edges);
@@ -483,21 +482,37 @@ pub fn decode_graph(bytes: &[u8], csr: Csr) -> Result<SearchGraph, SnapError> {
         provenance.push((edge, entries));
     }
     r.expect_end()?;
-    validate_csr(&csr, n_nodes, "graph csr")?;
-    if csr.entry_count() > 2 * n_edges {
-        return Err(SnapError::Corrupt {
-            context: "graph csr holds more entries than edges allow",
-        });
-    }
-    Ok(SearchGraph::from_parts(SearchGraphParts {
+    Ok(SearchGraphParts {
         nodes,
         edges,
-        csr,
+        csr: Csr::default(),
         features: FeatureSpace::from_parts(names, default_weights),
         weights: WeightVector::from_raw(weights),
         weight_epoch,
         provenance,
-    }))
+    })
+}
+
+/// Join a decoded graph section with the CSR of its own section. The CSR
+/// decoder already checked that the offsets are a monotone prefix sum over
+/// the targets; here they must also span exactly the graph's nodes, so
+/// every `neighbors` slice is in bounds.
+pub fn join_graph(mut parts: SearchGraphParts, csr: Csr) -> Result<SearchGraph, SnapError> {
+    let offsets = csr.offsets();
+    let spans_nodes = (offsets.is_empty() && parts.nodes.is_empty())
+        || (offsets.len() == parts.nodes.len() + 1 && offsets.first() == Some(&0));
+    if !spans_nodes {
+        return Err(SnapError::Corrupt {
+            context: "graph csr",
+        });
+    }
+    if csr.entry_count() > 2 * parts.edges.len() {
+        return Err(SnapError::Corrupt {
+            context: "graph csr holds more entries than edges allow",
+        });
+    }
+    parts.csr = csr;
+    Ok(SearchGraph::from_parts(parts))
 }
 
 // ----------------------------------------------------------------------
@@ -525,51 +540,30 @@ pub fn encode_graph_csr(csr: &Csr) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decode the global CSR section.
-pub fn decode_graph_csr(bytes: &[u8]) -> Result<Csr, SnapError> {
+/// Decode the global CSR section. Both arrays are read in bulk, straight
+/// off the stream.
+pub fn decode_graph_csr(r: &mut SectionStream<'_, impl Read>) -> Result<Csr, SnapError> {
     const CONTEXT: &str = "graph csr";
-    let mut r = ByteReader::new(bytes, CONTEXT);
-    let offsets_len = r.record_count(0)?;
-    let targets_len =
-        usize::try_from(r.u64()?).map_err(|_| SnapError::Truncated { context: CONTEXT })?;
+    let offsets_len = r.u64()?;
+    let targets_len = r.u64()?;
     let expected = offsets_len
         .checked_mul(4)
         .and_then(|o| targets_len.checked_mul(8).and_then(|t| o.checked_add(t)));
-    if expected != Some(r.remaining()) {
+    if expected != Some(r.remaining() as u64) {
         return Err(SnapError::Corrupt { context: CONTEXT });
     }
-    let mut offsets = Vec::with_capacity(offsets_len);
-    for _ in 0..offsets_len {
-        offsets.push(r.u32()?);
-    }
-    let mut targets = Vec::with_capacity(targets_len);
-    for _ in 0..targets_len {
-        targets.push((EdgeId(r.u32()?), NodeId(r.u32()?)));
-    }
-    r.expect_end()?;
-    if offsets.last().copied().unwrap_or(0) as usize != targets_len
+    let offsets = r.u32s(offsets_len)?;
+    let targets: Vec<(EdgeId, NodeId)> = r
+        .u32s(2 * targets_len)?
+        .chunks_exact(2)
+        .map(|pair| (EdgeId(pair[0]), NodeId(pair[1])))
+        .collect();
+    if offsets.last().copied().unwrap_or(0) as usize != targets.len()
         || offsets.windows(2).any(|w| w[0] > w[1])
     {
         return Err(SnapError::Corrupt { context: CONTEXT });
     }
     Ok(Csr::from_parts(offsets, targets))
-}
-
-/// Validate that a decoded CSR is internally consistent for `node_count`
-/// nodes: the offset array is a monotone prefix sum over the target array
-/// sized one-past-the-last node, so every `neighbors` slice is in bounds.
-fn validate_csr(csr: &Csr, node_count: usize, context: &'static str) -> Result<(), SnapError> {
-    let offsets = csr.offsets();
-    let ok = (offsets.is_empty() && node_count == 0 && csr.targets().is_empty())
-        || (offsets.len() == node_count + 1
-            && offsets.first() == Some(&0)
-            && offsets.last().copied().unwrap_or(0) as usize == csr.targets().len()
-            && offsets.windows(2).all(|w| w[0] <= w[1]));
-    if ok {
-        Ok(())
-    } else {
-        Err(SnapError::Corrupt { context })
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -873,10 +867,10 @@ mod tests {
         let a = cat.resolve_qualified("go_term.acc").unwrap();
         let b = cat.resolve_qualified("interpro2go.go_id").unwrap();
         graph.add_association(a, b, "mad", 0.83);
-        let graph_bytes = encode_graph(&graph);
+        let parts = streamed(&encode_graph(&graph), "graph", |s| decode_graph(s)).unwrap();
         let csr_bytes = encode_graph_csr(graph.csr());
-        let csr = decode_graph_csr(&csr_bytes).unwrap();
-        let back = decode_graph(&graph_bytes, csr).unwrap();
+        let csr = streamed(&csr_bytes, "graph csr", |s| decode_graph_csr(s)).unwrap();
+        let back = join_graph(parts, csr).unwrap();
         assert_eq!(back.node_count(), graph.node_count());
         assert_eq!(back.edge_count(), graph.edge_count());
         assert_eq!(back.weight_epoch(), graph.weight_epoch());
@@ -933,7 +927,7 @@ mod tests {
         let graph = SearchGraph::from_catalog(&cat);
         let bytes = encode_graph_csr(graph.csr());
         assert_eq!(bytes.len(), graph.csr().byte_size() + 16);
-        let back = decode_graph_csr(&bytes).unwrap();
+        let back = streamed(&bytes, "graph csr", |s| decode_graph_csr(s)).unwrap();
         assert_eq!(back.offsets(), graph.csr().offsets());
         assert_eq!(back.targets(), graph.csr().targets());
     }
@@ -945,18 +939,21 @@ mod tests {
         let mut bytes = encode_graph(&graph);
         // Overwrite the first edge's `a` endpoint (right after the node
         // table) with an out-of-range id.
-        let mut r = ByteReader::new(&bytes, "scan");
-        let n_nodes = r.u64().unwrap();
-        for _ in 0..n_nodes {
-            decode_node(&mut r).unwrap();
-        }
-        r.u64().unwrap(); // edge count
-        let edge_a_pos = bytes.len() - r.remaining();
+        let edge_a_pos = streamed(&bytes, "scan", |s| {
+            let n_nodes = s.u64()?;
+            for _ in 0..n_nodes {
+                decode_node(s)?;
+            }
+            s.u64()?; // edge count
+            Ok(bytes.len() - s.remaining())
+        })
+        .unwrap();
         bytes[edge_a_pos..edge_a_pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let csr = decode_graph_csr(&encode_graph_csr(graph.csr())).unwrap();
         assert!(matches!(
-            decode_graph(&bytes, csr),
-            Err(SnapError::Corrupt { .. })
+            streamed(&bytes, "graph", |s| decode_graph(s)),
+            Err(SnapError::Corrupt {
+                context: "edge endpoint out of range"
+            })
         ));
     }
 }

@@ -3,10 +3,11 @@
 //! Every failure mode of the snapshot store — I/O, a foreign or truncated
 //! file, a corrupted section, an unsupported format version — surfaces as a
 //! [`SnapError`] variant. Nothing in this crate panics on malformed input:
-//! the reader validates magic, version, table and per-section checksums
-//! before decoding, and every decode read is bounds-checked, so a corrupt
-//! file can never yield a partially-loaded graph (the corruption property
-//! tests pin this).
+//! the reader validates magic, version and the table checksum before any
+//! payload is read, every decode read is bounds-checked, and each section's
+//! checksum is verified before any structure is assembled, so a corrupt
+//! file can never yield a partially-loaded graph (the corruption tests pin
+//! this, at every byte of their fixture).
 
 use std::fmt;
 

@@ -38,18 +38,20 @@
 //! `\r\n` so text-mode transfer mangling is caught before any parsing.
 //! Validation is strictly layered — magic, version, table bounds, table
 //! checksum, per-section bounds, then per-section decode with invariant
-//! checks, then cross-validation against the meta section. A file failing
+//! checks followed by the section's checksum, then cross-validation against
+//! the meta section. A file failing
 //! any layer yields a typed [`SnapError`] and **no** partially constructed
 //! graph.
 //!
-//! The reader never buffers the whole file: payloads stream off the
-//! descriptor section by section through [`SectionStream`], which digests
-//! every byte as it lands in its final allocation. Small sections are
-//! checksum-verified before they decode; the two big streaming sections
-//! (catalog, keyword) decode as they stream, so corrupted bytes there may
-//! surface as a decode-invariant error instead of a checksum mismatch —
-//! either way typed, and the checksum is still verified for any section that
-//! parses.
+//! The reader never buffers the whole file: the header, the table and
+//! every section stream off the descriptor through one decoder,
+//! [`SectionStream`], which digests every byte as it lands in its final
+//! allocation. The table's checksum is verified before any payload is read;
+//! each section decodes as it streams and its checksum is verified once it
+//! has parsed, so corrupted payload bytes may surface as a decode-invariant
+//! error instead of a checksum mismatch — either way typed. The writer
+//! encodes each section once and writes the header, the table and the
+//! sections straight into the file.
 
 use std::fs;
 use std::io::{Read, Write};
@@ -59,7 +61,7 @@ use q_graph::keyword::KeywordIndex;
 use q_graph::SearchGraph;
 use q_storage::Catalog;
 
-use crate::bytes::{checksum64, ByteReader, ByteWriter};
+use crate::bytes::{checksum64, ByteWriter};
 use crate::codec;
 use crate::error::SnapError;
 use crate::stream::SectionStream;
@@ -102,6 +104,17 @@ impl SectionKind {
             SectionKind::Graph => 3,
             SectionKind::GraphCsr => 4,
             SectionKind::Keyword => 5,
+        }
+    }
+
+    /// What a truncation error reports for this section.
+    fn context(self) -> &'static str {
+        match self {
+            SectionKind::Meta => "meta",
+            SectionKind::Catalog => "catalog",
+            SectionKind::Graph => "graph",
+            SectionKind::GraphCsr => "graph csr",
+            SectionKind::Keyword => "keyword index",
         }
     }
 
@@ -205,8 +218,7 @@ struct Meta {
     accounted_bytes: u64,
 }
 
-fn decode_meta(bytes: &[u8]) -> Result<Meta, SnapError> {
-    let mut r = ByteReader::new(bytes, "meta");
+fn decode_meta(r: &mut SectionStream<'_, impl Read>) -> Result<Meta, SnapError> {
     let meta = Meta {
         id: r.u64()?,
         node_count: r.u64()? as usize,
@@ -244,9 +256,11 @@ pub fn write_snapshot(
         ),
     ];
 
-    // Assemble header + table + payloads.
+    // The table records each payload's offset, length and checksum; the
+    // header carries the table's own checksum.
     let mut table = ByteWriter::with_capacity(sections.len() * TABLE_ENTRY_BYTES);
     let mut offset = (HEADER_BYTES + sections.len() * TABLE_ENTRY_BYTES) as u64;
+    let mut info = SnapshotInfo::default();
     for (kind, payload) in &sections {
         table.u16(kind.to_u16());
         table.u16(0);
@@ -255,22 +269,18 @@ pub fn write_snapshot(
         table.u64(payload.len() as u64);
         table.u64(checksum64(payload));
         offset += payload.len() as u64;
-    }
-    let table = table.into_bytes();
-    let mut file = ByteWriter::with_capacity(offset as usize);
-    file.raw(&MAGIC);
-    file.u32(FORMAT_VERSION);
-    file.u32(sections.len() as u32);
-    file.u64(checksum64(&table));
-    file.raw(&table);
-    let mut info = SnapshotInfo::default();
-    for (kind, payload) in &sections {
-        file.raw(payload);
         info.sections.push((*kind, payload.len() as u64));
         info.payload_bytes += payload.len() as u64;
     }
-    let bytes = file.into_bytes();
-    info.file_bytes = bytes.len() as u64;
+    let table = table.into_bytes();
+    let mut head = ByteWriter::with_capacity(HEADER_BYTES + table.len());
+    head.raw(&MAGIC);
+    head.u32(FORMAT_VERSION);
+    head.u32(sections.len() as u32);
+    head.u64(checksum64(&table));
+    head.raw(&table);
+    let head = head.into_bytes();
+    info.file_bytes = offset;
 
     // Atomic replace: temp sibling, fsync, rename, best-effort dir fsync.
     let file_name = path
@@ -282,8 +292,10 @@ pub fn write_snapshot(
     let tmp = path.with_file_name(format!("{file_name}.tmp"));
     let write_result = (|| {
         let mut f = fs::File::create(&tmp).map_err(|e| SnapError::io("creating temp file", e))?;
-        f.write_all(&bytes)
-            .map_err(|e| SnapError::io("writing snapshot bytes", e))?;
+        for bytes in std::iter::once(&head).chain(sections.iter().map(|(_, payload)| payload)) {
+            f.write_all(bytes)
+                .map_err(|e| SnapError::io("writing snapshot bytes", e))?;
+        }
         f.sync_all()
             .map_err(|e| SnapError::io("fsyncing snapshot", e))?;
         fs::rename(&tmp, path).map_err(|e| SnapError::io("renaming snapshot into place", e))
@@ -308,60 +320,42 @@ struct TableEntry {
     checksum: u64,
 }
 
-/// Read exactly `buf.len()` bytes, mapping a short read to [`SnapError::Truncated`].
-fn read_exact(file: &mut fs::File, buf: &mut [u8], context: &'static str) -> Result<(), SnapError> {
-    file.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            SnapError::Truncated { context }
-        } else {
-            SnapError::io("reading snapshot file", e)
-        }
-    })
-}
-
 /// Parse and validate the header and section table from the front of the
-/// file, leaving the cursor at the first payload byte. `file_len` bounds the
-/// contiguous-tiling check the old whole-file reader did with `bytes.len()`.
+/// file, leaving the cursor at the first payload byte. The payloads must
+/// tile the rest of the file's `file_len` bytes contiguously, which is what
+/// lets the reader stream them without seeking.
 fn read_table(file: &mut fs::File, file_len: u64) -> Result<Vec<TableEntry>, SnapError> {
-    let mut header = [0u8; HEADER_BYTES];
-    read_exact(file, &mut header, "file header")?;
-    if header[..8] != MAGIC {
+    let mut header = SectionStream::new(file, HEADER_BYTES, "file header");
+    if header.u64()?.to_le_bytes() != MAGIC {
         return Err(SnapError::BadMagic);
     }
-    let mut r = ByteReader::new(&header[8..], "file header");
-    let version = r.u32()?;
+    let version = header.u32()?;
     if version != FORMAT_VERSION {
         return Err(SnapError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let section_count = r.u32()? as usize;
+    let section_count = header.u32()? as usize;
     if section_count == 0 || section_count > MAX_SECTIONS {
         return Err(SnapError::Corrupt {
             context: "implausible section count",
         });
     }
-    let table_checksum = r.u64()?;
-    let mut table_bytes = vec![0u8; section_count * TABLE_ENTRY_BYTES];
-    read_exact(file, &mut table_bytes, "section table")?;
-    if checksum64(&table_bytes) != table_checksum {
-        return Err(SnapError::ChecksumMismatch {
-            region: "section table",
-        });
-    }
-    let mut entries = Vec::with_capacity(section_count);
-    let mut r = ByteReader::new(&table_bytes, "section table");
-    let mut expected_offset = (HEADER_BYTES + table_bytes.len()) as u64;
+    let table_checksum = header.u64()?;
+    let table_len = section_count * TABLE_ENTRY_BYTES;
+    let mut table = SectionStream::new(file, table_len, "section table");
+    let mut raw = Vec::with_capacity(section_count);
     for _ in 0..section_count {
-        let kind = SectionKind::from_u16(r.u16()?)?;
-        r.u16()?;
-        r.u32()?;
-        let offset = r.u64()?;
-        let len = r.u64()?;
-        let checksum = r.u64()?;
-        // Payloads must tile the rest of the file contiguously, which is
-        // what lets the reader stream them without seeking.
+        let kind = table.u16()?;
+        table.u16()?;
+        table.u32()?;
+        raw.push((kind, table.u64()?, table.u64()?, table.u64()?));
+    }
+    verify_digest(&table, table_checksum, "section table")?;
+    let mut entries = Vec::with_capacity(section_count);
+    let mut expected_offset = (HEADER_BYTES + table_len) as u64;
+    for (kind, offset, len, checksum) in raw {
         if offset != expected_offset || offset.checked_add(len).is_none_or(|e| e > file_len) {
             return Err(SnapError::Truncated {
                 context: "section payload",
@@ -369,7 +363,7 @@ fn read_table(file: &mut fs::File, file_len: u64) -> Result<Vec<TableEntry>, Sna
         }
         expected_offset = offset + len;
         entries.push(TableEntry {
-            kind,
+            kind: SectionKind::from_u16(kind)?,
             len: usize::try_from(len).map_err(|_| SnapError::Truncated {
                 context: "section payload",
             })?,
@@ -384,28 +378,28 @@ fn read_table(file: &mut fs::File, file_len: u64) -> Result<Vec<TableEntry>, Sna
     Ok(entries)
 }
 
-/// Require the fully-drained stream's digest to match the table entry.
+/// Require the fully-drained stream's digest to match the checksum stored
+/// for its region.
 fn verify_digest<R: Read>(
     stream: &SectionStream<'_, R>,
-    entry: &TableEntry,
+    checksum: u64,
+    region: &'static str,
 ) -> Result<(), SnapError> {
     stream.expect_end()?;
-    if stream.digest() != entry.checksum {
-        return Err(SnapError::ChecksumMismatch {
-            region: "section payload",
-        });
+    if stream.digest() != checksum {
+        return Err(SnapError::ChecksumMismatch { region });
     }
     Ok(())
 }
 
-fn no_dup<T>(slot: &Option<T>) -> Result<(), SnapError> {
-    if slot.is_some() {
-        Err(SnapError::Corrupt {
+/// Fill a section's slot, rejecting a second section of the same kind.
+fn fill<T>(slot: &mut Option<T>, value: T) -> Result<(), SnapError> {
+    if slot.replace(value).is_some() {
+        return Err(SnapError::Corrupt {
             context: "duplicate section",
-        })
-    } else {
-        Ok(())
+        });
     }
+    Ok(())
 }
 
 fn require<T>(slot: Option<T>) -> Result<T, SnapError> {
@@ -417,10 +411,12 @@ fn require<T>(slot: Option<T>) -> Result<T, SnapError> {
 /// Read and fully validate a snapshot file, reconstructing every serving
 /// component.
 ///
-/// Sections stream off the descriptor in file order, each through its own
-/// [`SectionStream`] that checksums bytes as they land in their final
-/// allocations — the big arrays are faulted in exactly once, which is what
-/// keeps a ~100 MB boot under the millisecond budget.
+/// The header, the section table and then each section stream off the
+/// descriptor in file order, each through its own stream decoder that
+/// checksums bytes as they land in their final allocations — the big arrays
+/// are faulted in exactly once, which is what keeps a ~100 MB boot fast.
+/// The table's checksum is verified before any payload is read; each
+/// section's once it has decoded.
 pub fn read_snapshot(path: &Path) -> Result<(SnapshotParts, SnapshotInfo), SnapError> {
     let mut file = fs::File::open(path).map_err(|e| SnapError::io("opening snapshot file", e))?;
     let file_len = file
@@ -429,62 +425,27 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotParts, SnapshotInfo), SnapE
         .len();
     let entries = read_table(&mut file, file_len)?;
 
-    let mut meta: Option<Meta> = None;
-    let mut catalog: Option<Catalog> = None;
-    let mut graph_bytes: Option<Vec<u8>> = None;
-    let mut csr: Option<q_graph::Csr> = None;
-    let mut keyword: Option<KeywordIndex> = None;
-
+    let mut meta = None;
+    let mut catalog = None;
+    let mut graph_parts = None;
+    let mut csr = None;
+    let mut keyword = None;
     for entry in &entries {
+        let mut s = SectionStream::new(&mut file, entry.len, entry.kind.context());
         match entry.kind {
-            // The two big sections decode while they stream; every other
-            // section is small enough to drain first (checksum before
-            // decode) and hand to its ByteReader decoder.
-            SectionKind::Catalog => {
-                no_dup(&catalog)?;
-                let mut s = SectionStream::new(&mut file, entry.len, "catalog");
-                let decoded = codec::decode_catalog(&mut s)?;
-                verify_digest(&s, entry)?;
-                catalog = Some(decoded);
-            }
-            SectionKind::Keyword => {
-                no_dup(&keyword)?;
-                let mut s = SectionStream::new(&mut file, entry.len, "keyword index");
-                let decoded = codec::decode_keyword(&mut s)?;
-                verify_digest(&s, entry)?;
-                keyword = Some(decoded);
-            }
-            kind => {
-                let context = match kind {
-                    SectionKind::Meta => "meta",
-                    SectionKind::Graph => "graph",
-                    _ => "graph csr",
-                };
-                let mut s = SectionStream::new(&mut file, entry.len, context);
-                let payload = s.take_rest()?;
-                verify_digest(&s, entry)?;
-                match kind {
-                    SectionKind::Meta => {
-                        no_dup(&meta)?;
-                        meta = Some(decode_meta(&payload)?);
-                    }
-                    SectionKind::Graph => {
-                        no_dup(&graph_bytes)?;
-                        graph_bytes = Some(payload);
-                    }
-                    _ => {
-                        no_dup(&csr)?;
-                        csr = Some(codec::decode_graph_csr(&payload)?);
-                    }
-                }
-            }
+            SectionKind::Meta => fill(&mut meta, decode_meta(&mut s)?)?,
+            SectionKind::Catalog => fill(&mut catalog, codec::decode_catalog(&mut s)?)?,
+            SectionKind::Graph => fill(&mut graph_parts, codec::decode_graph(&mut s)?)?,
+            SectionKind::GraphCsr => fill(&mut csr, codec::decode_graph_csr(&mut s)?)?,
+            SectionKind::Keyword => fill(&mut keyword, codec::decode_keyword(&mut s)?)?,
         }
+        verify_digest(&s, entry.checksum, "section payload")?;
     }
 
     let meta = require(meta)?;
     let catalog = require(catalog)?;
     let keyword = require(keyword)?;
-    let graph = codec::decode_graph(&require(graph_bytes)?, require(csr)?)?;
+    let graph = codec::join_graph(require(graph_parts)?, require(csr)?)?;
 
     // Cross-validate the decoded structures against the meta anchor.
     if graph.node_count() != meta.node_count

@@ -1,14 +1,22 @@
-//! Streaming section reader: the load-path twin of [`crate::bytes::ByteReader`].
+//! Streaming section reader: the one decoder of the snapshot format.
 //!
-//! Loading a 100×-tier snapshot through a whole-file buffer costs three
-//! passes over ~100 MB — fault-and-fill the file buffer, checksum it, then
-//! copy every array out of it — and the page faults of the two 100 MB
-//! allocations dominate boot time. [`SectionStream`] collapses this to one
-//! pass: payload bytes stream off the file descriptor **directly into the
-//! final `Vec`s**, and the per-section checksum is folded over each chunk
-//! right after the kernel copies it in, while it is still cache-hot. Small
-//! reads (counts, tags, strings) go through an internal refill buffer so the
-//! syscall count stays proportional to megabytes, not fields.
+//! Every region of a snapshot file — the header, the section table and each
+//! section payload — decodes through a [`SectionStream`] straight off the
+//! file descriptor. Loading a 100×-tier snapshot through a whole-file buffer
+//! would cost three passes over ~100 MB — fault-and-fill the file buffer,
+//! checksum it, then copy every array out of it — and the page faults of
+//! the two 100 MB allocations would dominate boot time. The stream collapses
+//! this to one pass: large arrays land **directly in their final `Vec`s**,
+//! and the region's checksum is folded over each chunk right after the
+//! kernel copies it in, while it is still cache-hot. Small reads (counts,
+//! tags, strings) go through an internal refill buffer so the syscall count
+//! stays proportional to megabytes, not fields.
+//!
+//! All multi-byte integers are little-endian; floats are their IEEE-754 bit
+//! patterns, so persisted costs round-trip bit-exactly. Every read is
+//! bounds-checked and *count-validated*: a decoded element count must fit in
+//! the bytes the region has left, so a corrupted count can neither overrun
+//! the region nor provoke a pathological allocation.
 //!
 //! The reader is generic over [`Read`] so codec unit tests drive it from an
 //! in-memory cursor; the real load path hands it a `File`.
@@ -81,13 +89,9 @@ fn f64s_as_bytes_mut(v: &mut [f64]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), v.len() * 8) }
 }
 
-/// Bounds-checked little-endian decoder over one section of a snapshot
-/// stream.
-///
-/// Mirrors the [`crate::bytes::ByteReader`] API (every read is count-validated
-/// against the bytes the section has left) and additionally digests every
-/// consumed byte, so [`SectionStream::digest`] yields the payload checksum
-/// for free.
+/// Bounds-checked little-endian decoder over one region of a snapshot
+/// stream. It digests every consumed byte, so [`SectionStream::digest`]
+/// yields the region's checksum for free.
 #[derive(Debug)]
 pub struct SectionStream<'a, R: Read> {
     inner: &'a mut R,
@@ -205,6 +209,13 @@ impl<'a, R: Read> SectionStream<'a, R> {
         Ok(self.take(1)?[0])
     }
 
+    /// Read a `u16`.
+    pub fn u16(&mut self) -> Result<u16, SnapError> {
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
+    }
+
     /// Read a `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(
@@ -225,7 +236,9 @@ impl<'a, R: Read> SectionStream<'a, R> {
     }
 
     /// Validate that a count of `elem_size`-byte elements fits in the bytes
-    /// the section has left (same contract as `ByteReader::count`).
+    /// the section has left, returning it as `usize`. Rejecting impossible
+    /// counts up front means a corrupted length can never provoke a huge
+    /// allocation.
     fn count(&self, n: u64, elem_size: usize) -> Result<usize, SnapError> {
         let n = usize::try_from(n).map_err(|_| self.truncated())?;
         match n.checked_mul(elem_size) {
@@ -258,6 +271,11 @@ impl<'a, R: Read> SectionStream<'a, R> {
     /// Read a length-prefixed `u32` vector directly into its final buffer.
     pub fn vec_u32(&mut self) -> Result<Vec<u32>, SnapError> {
         let n = self.u64()?;
+        self.u32s(n)
+    }
+
+    /// Read `n` unprefixed `u32`s directly into their final buffer.
+    pub fn u32s(&mut self, n: u64) -> Result<Vec<u32>, SnapError> {
         let n = self.count(n, 4)?;
         let mut v = vec![0u32; n];
         self.read_direct(u32s_as_bytes_mut(&mut v))?;
@@ -304,14 +322,6 @@ impl<'a, R: Read> SectionStream<'a, R> {
         self.count(n, min_record_size.max(1))
     }
 
-    /// Consume the rest of the section into an owned buffer (for the small
-    /// sections that still decode through `ByteReader`).
-    pub fn take_rest(&mut self) -> Result<Vec<u8>, SnapError> {
-        let mut v = vec![0u8; self.remaining()];
-        self.read_direct(&mut v)?;
-        Ok(v)
-    }
-
     /// Require that every section byte was consumed — trailing garbage means
     /// the payload does not parse as the structure it claims to be.
     pub fn expect_end(&self) -> Result<(), SnapError> {
@@ -337,10 +347,20 @@ mod tests {
     use crate::bytes::{checksum64, ByteWriter};
     use std::io::Cursor;
 
+    /// A stream over an in-memory payload that claims all of its bytes.
+    fn stream<'a>(
+        cur: &'a mut Cursor<Vec<u8>>,
+        context: &'static str,
+    ) -> SectionStream<'a, Cursor<Vec<u8>>> {
+        let len = cur.get_ref().len();
+        SectionStream::new(cur, len, context)
+    }
+
     #[test]
-    fn mirrors_byte_reader_semantics_and_digests_what_it_reads() {
+    fn round_trips_every_primitive_and_digests_what_it_reads() {
         let mut w = ByteWriter::new();
         w.u8(7);
+        w.u16(0xBEEF);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 1);
         w.f64(-0.0);
@@ -349,11 +369,14 @@ mod tests {
         w.vec_u32(&[1, 2, 3]);
         w.vec_u64(&[u64::MAX, 5]);
         w.vec_f64(&[1.5, f64::INFINITY]);
+        w.u32(4);
+        w.u32(u32::MAX);
         let bytes = w.into_bytes();
         let expect_digest = checksum64(&bytes);
-        let mut cur = Cursor::new(bytes.clone());
-        let mut s = SectionStream::new(&mut cur, bytes.len(), "test");
+        let mut cur = Cursor::new(bytes);
+        let mut s = stream(&mut cur, "test");
         assert_eq!(s.u8().unwrap(), 7);
+        assert_eq!(s.u16().unwrap(), 0xBEEF);
         assert_eq!(s.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(s.u64().unwrap(), u64::MAX - 1);
         assert_eq!(s.f64().unwrap().to_bits(), (-0.0f64).to_bits());
@@ -364,6 +387,7 @@ mod tests {
         let floats = s.vec_f64().unwrap();
         assert_eq!(floats[0], 1.5);
         assert!(floats[1].is_infinite());
+        assert_eq!(s.u32s(2).unwrap(), vec![4, u32::MAX]);
         s.expect_end().unwrap();
         assert_eq!(s.digest(), expect_digest);
     }
@@ -379,8 +403,8 @@ mod tests {
         w.u32(99);
         let bytes = w.into_bytes();
         let expect_digest = checksum64(&bytes);
-        let mut cur = Cursor::new(bytes.clone());
-        let mut s = SectionStream::new(&mut cur, bytes.len(), "test");
+        let mut cur = Cursor::new(bytes);
+        let mut s = stream(&mut cur, "test");
         assert_eq!(s.u32().unwrap(), 41);
         assert_eq!(s.vec_u64().unwrap(), big);
         assert_eq!(s.u32().unwrap(), 99);
@@ -389,19 +413,52 @@ mod tests {
     }
 
     #[test]
-    fn truncation_and_impossible_counts_are_typed_errors() {
+    fn truncation_is_a_typed_error_not_a_panic() {
+        // A read past the end of the section.
+        let mut cur = Cursor::new(5u64.to_le_bytes()[..4].to_vec());
+        let mut s = stream(&mut cur, "short");
+        assert!(matches!(
+            s.u64(),
+            Err(SnapError::Truncated { context: "short" })
+        ));
+
+        // A section longer than the underlying stream truncates mid-read,
+        // through the refill buffer and through a direct read alike.
+        let mut cur = Cursor::new(vec![0u8; 16]);
+        let mut s = SectionStream::new(&mut cur, 64, "short");
+        assert!(matches!(s.u32s(16), Err(SnapError::Truncated { .. })));
+        let mut cur = Cursor::new(vec![0u8; 16]);
+        let mut s = SectionStream::new(&mut cur, 64, "short");
+        s.u64().unwrap();
+        s.u64().unwrap();
+        assert!(matches!(s.u16(), Err(SnapError::Truncated { .. })));
+    }
+
+    #[test]
+    fn impossible_counts_are_rejected_before_allocation() {
+        // A vector claiming u64::MAX elements in a tiny section must fail
+        // cleanly (no multi-exabyte allocation), prefixed or not.
         let mut w = ByteWriter::new();
         w.u64(u64::MAX);
         w.u32(1);
-        let bytes = w.into_bytes();
-        let mut cur = Cursor::new(bytes.clone());
-        let mut s = SectionStream::new(&mut cur, bytes.len(), "count");
+        let mut cur = Cursor::new(w.into_bytes());
+        let mut s = stream(&mut cur, "count");
         assert!(matches!(s.vec_u32(), Err(SnapError::Truncated { .. })));
+        assert!(matches!(s.u32s(u64::MAX), Err(SnapError::Truncated { .. })));
+        assert!(matches!(
+            s.record_count(8),
+            Err(SnapError::Truncated { .. })
+        ));
+    }
 
-        // A section longer than the underlying stream truncates mid-read.
-        let mut cur = Cursor::new(vec![0u8; 16]);
-        let mut s = SectionStream::new(&mut cur, 64, "short");
-        assert!(matches!(s.take_rest(), Err(SnapError::Truncated { .. })));
+    #[test]
+    fn invalid_utf8_is_corrupt_not_panic() {
+        let mut w = ByteWriter::new();
+        w.u32(2);
+        w.raw(&[0xFF, 0xFE]);
+        let mut cur = Cursor::new(w.into_bytes());
+        let mut s = stream(&mut cur, "str");
+        assert!(matches!(s.str(), Err(SnapError::Corrupt { .. })));
     }
 
     #[test]

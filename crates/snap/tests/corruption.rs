@@ -160,3 +160,41 @@ fn pristine_snapshot_still_loads_after_all_mutation_rounds() {
     assert_eq!(parts.keyword.view(), index.view());
     assert_eq!(parts.accounted_bytes, accounted_bytes(&graph, &index));
 }
+
+/// Every byte of the pristine file, one at a time: flipping a bit there and
+/// truncating the file there each give a typed error. The header, the
+/// section table and every section decode before their checksums are
+/// compared, so this covers each byte a decoder, not a digest, may be the
+/// first to see.
+#[test]
+fn every_byte_flipped_or_cut_is_a_typed_error() {
+    let bytes = pristine();
+    let mut flipped = bytes.to_vec();
+    for pos in 0..bytes.len() {
+        flipped[pos] ^= 1 << (pos % 8);
+        let err = assert_rejected("sweep_flip.qsnap", &flipped);
+        flipped[pos] = bytes[pos];
+        assert!(
+            matches!(
+                err,
+                SnapError::BadMagic
+                    | SnapError::UnsupportedVersion { .. }
+                    | SnapError::Truncated { .. }
+                    | SnapError::ChecksumMismatch { .. }
+                    | SnapError::Corrupt { .. }
+            ),
+            "bit flip at byte {pos}: {err}"
+        );
+        let err = assert_rejected("sweep_cut.qsnap", &bytes[..pos]);
+        assert!(
+            matches!(
+                err,
+                SnapError::BadMagic
+                    | SnapError::Truncated { .. }
+                    | SnapError::ChecksumMismatch { .. }
+                    | SnapError::Corrupt { .. }
+            ),
+            "truncation at byte {pos}: {err}"
+        );
+    }
+}
