@@ -12,10 +12,10 @@
 //!
 //! # One verdict per entry per publish
 //!
-//! Every moved epoch reaches the cache through one call,
-//! [`QueryCache::sync`], with what changed passed as data ([`Publish`]).
-//! The publish-level facts are computed at most once per publish; then
-//! each entry gets one verdict. **Keep**: it stays cached with its stamp
+//! Every moved epoch reaches the cache through one sync, with what changed
+//! passed as data ([`Publish`]). The publish-level facts are computed at
+//! most once per publish; then each entry gets one verdict. **Keep**: it
+//! stays cached with its stamp
 //! and FIFO position, and hits report
 //! [`CacheStatus::Revalidated`](crate::CacheStatus). **Park**: it leaves
 //! the cache (lookups miss) and is returned in [`SyncReport::parked`] for
@@ -32,6 +32,29 @@
 //! * Lane admission ([`QueryCache::insert`] with `revalidated` set): the
 //!   re-validation lane re-admits a parked entry it settled.
 //!
+//! # A sync in three steps, two of them under the lock
+//!
+//! A growth verdict prices keywords against the whole new graph, which
+//! takes far longer than a reader may wait for the cache mutex. So
+//! [`QueryCache::sync`] holds the lock only to read and to write:
+//!
+//! 1. Locked: raise the epoch to the new snapshot's id and copy out what
+//!    the verdicts read: each entry's key, view and model, all shared
+//!    (`Arc`), none deep-copied. From here on [`QueryCache::insert`]
+//!    refuses every answer computed on an older snapshot, a reader's miss
+//!    and a lane re-admission alike.
+//! 2. Unlocked: compute every verdict. Meanwhile hits serve the bytes
+//!    stamped on each entry before the publish, which the replay contract
+//!    allows: they are the answer of the stamped snapshot.
+//! 3. Locked: apply the verdicts in one pass. A verdict applies only to
+//!    the very view it judged (`Arc::ptr_eq`); an entry admitted or
+//!    overwritten under the new epoch in between is an answer of the new
+//!    snapshot and stays as it is.
+//!
+//! The caller owns the publish's [`DeltaPricer`] — in live serving, the
+//! writer lane, which runs one publish at a time — and the sync runs it
+//! only when the first entry needs a price.
+//!
 //! # What "kept" means
 //!
 //! A kept entry serves the bytes of the snapshot stamped on it, and only
@@ -45,7 +68,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use q_graph::keyword::MatchConfig;
 use q_graph::{DeltaPricer, EdgeId, FeatureVector, KeywordIndex, NodeId, SearchGraph};
@@ -183,7 +206,7 @@ pub struct CacheLookup {
 #[derive(Debug, Clone)]
 struct CacheEntry {
     view: Arc<RankedView>,
-    model: RevalidationModel,
+    model: Arc<RevalidationModel>,
     revalidated: bool,
     /// Epoch/snapshot the entry's answer was computed under; verdicts never
     /// advance it.
@@ -219,8 +242,8 @@ pub struct IngestionDelta<'a> {
     pub bridge_seeds: &'a [(NodeId, f64)],
 }
 
-/// What a publish changed, as [`QueryCache::sync`] sees it. See the module
-/// docs for the verdicts each kind produces.
+/// What a publish changed, as [`QueryCache::sync`] sees it. See the
+/// module docs for the verdicts each kind produces.
 #[derive(Debug, Clone, Copy)]
 pub enum Publish<'a> {
     /// A live same-topology publish with new prices, over the new graph.
@@ -242,13 +265,14 @@ pub struct ParkedEntry {
     /// The view's cost model, in search-graph terms (stable across
     /// publishes — the lane compares it against the recompute's model to
     /// detect answers that only shifted query-graph terminal ids).
-    pub model: RevalidationModel,
+    pub model: Arc<RevalidationModel>,
     /// Snapshot that priced `view`.
     pub snapshot: u64,
 }
 
-/// Outcome of one [`QueryCache::sync`]: what stayed, what was handed to the
-/// re-validation lane, what dropped outright.
+/// Outcome of one [`QueryCache::sync`]: what stayed, what was
+/// handed to the re-validation lane, what dropped outright, and what the
+/// verdicts cost.
 #[derive(Debug, Default)]
 pub struct SyncReport {
     /// Entries kept: still cached, and hits report
@@ -259,14 +283,34 @@ pub struct SyncReport {
     pub parked: Vec<ParkedEntry>,
     /// Entries dropped outright.
     pub dropped: u64,
+    /// Distinct keywords whose price (the bridge-seeded distance into their
+    /// match nodes) a growth verdict computed.
+    pub keywords_priced: u64,
+    /// Distinct keywords a growth verdict tested for a match among the new
+    /// relations.
+    pub keywords_checked_new: u64,
 }
 
 /// One entry's verdict at a publish (see the module docs).
+#[derive(Debug, Clone, Copy)]
 enum Verdict {
     Keep,
     Park,
     Drop,
 }
+
+/// What one entry's verdict reads, copied out of the cache at the epoch
+/// bump.
+#[derive(Debug)]
+struct Pending {
+    key: QueryKey,
+    view: Arc<RankedView>,
+    model: Arc<RevalidationModel>,
+}
+
+/// One publish's verdicts by key, one per entry present at its epoch bump,
+/// each with the view it judged.
+type Verdicts = HashMap<QueryKey, (Arc<RankedView>, Verdict)>;
 
 /// The publish-level facts every verdict reads, computed at most once per
 /// sync.
@@ -283,8 +327,9 @@ enum Facts<'a> {
 /// it — and shared by every entry that uses the keyword.
 struct KeywordFacts<'a> {
     delta: IngestionDelta<'a>,
-    /// The publish's bridge-seeded distances, already run.
-    pricer: &'a DeltaPricer,
+    /// The publish's bridge-seeded distances, run before the first price.
+    pricer: &'a mut DeltaPricer,
+    priced: bool,
     /// Keyword → it matches a document of the new relations.
     in_new: HashMap<String, bool>,
     /// Keyword → cheapest bridge-seeded distance into its match nodes in
@@ -311,6 +356,10 @@ impl KeywordFacts<'_> {
             return price;
         }
         let d = &self.delta;
+        if !self.priced {
+            self.pricer.run(d.graph, d.bridge_seeds, f64::INFINITY);
+            self.priced = true;
+        }
         let price = d
             .keyword_index
             .matches(keyword, d.match_config)
@@ -332,6 +381,8 @@ impl KeywordFacts<'_> {
 /// order — surviving a publish does not make an entry young.
 #[derive(Debug, Clone)]
 pub struct QueryCache {
+    /// The last publish synced ([`QueryCache::sync`]): the only epoch
+    /// [`QueryCache::insert`] admits answers computed on.
     epoch: u64,
     entries: HashMap<QueryKey, CacheEntry>,
     insertion_order: VecDeque<QueryKey>,
@@ -340,9 +391,6 @@ pub struct QueryCache {
     misses: u64,
     invalidations: u64,
     revalidations: u64,
-    /// Reusable multi-source Dijkstra buffers for growth publishes (grown
-    /// once, reused every publish).
-    pricer: DeltaPricer,
 }
 
 /// Default maximum number of cached views.
@@ -365,20 +413,24 @@ impl QueryCache {
             misses: 0,
             invalidations: 0,
             revalidations: 0,
-            pricer: DeltaPricer::default(),
         }
     }
 
-    /// Align the cache with a publish at `epoch`: every entry gets one
-    /// verdict (see the module docs), and the cache takes `epoch` as the
-    /// stamp fresh inserts are guarded by.
+    /// Align the shared cache with a publish at `epoch`: every entry
+    /// present at the epoch bump gets one verdict, and the cache takes
+    /// `epoch` as the stamp fresh inserts are guarded by. `cache` is locked
+    /// twice, briefly — to raise the epoch and copy the entries out, then
+    /// to apply the verdicts — and the verdicts are computed in between
+    /// with the lock released (see the module docs).
     ///
     /// For [`Publish::Growth`], one multi-source Dijkstra over the new
     /// graph, seeded at the bridge edges ([`IngestionDelta::bridge_seeds`]),
     /// yields `dist(v)` — a lower bound on any new join tree that touches
-    /// `v`. An entry's price is the max over its keywords of the cheapest
-    /// distance into that keyword's match nodes (every new competing tree
-    /// must reach *all* of them), and the entry is **kept** when
+    /// `v`. It runs on `pricer` (the caller's reusable buffers) only when
+    /// the first entry needs a price. An entry's price is the max over its
+    /// keywords of the cheapest distance into that keyword's match nodes
+    /// (every new competing tree must reach *all* of them), and the entry
+    /// is **kept** when
     ///
     /// 1. not every one of its keywords matches a document of the new
     ///    relations (a tree living entirely inside the new source crosses
@@ -390,42 +442,67 @@ impl QueryCache {
     /// Entries failing the bound are **parked**; only entries with no
     /// re-costing argument at all (non-revalidatable strategy, malformed
     /// model) drop outright.
-    pub fn sync(&mut self, epoch: u64, publish: &Publish) -> SyncReport {
+    pub fn sync(
+        cache: &Mutex<QueryCache>,
+        epoch: u64,
+        publish: &Publish,
+        pricer: &mut DeltaPricer,
+    ) -> SyncReport {
+        let pending = cache.lock().expect("cache lock poisoned").begin_sync(epoch);
+        let (verdicts, report) = judge(pending, publish, pricer);
+        cache
+            .lock()
+            .expect("cache lock poisoned")
+            .finish_sync(verdicts, report)
+    }
+
+    /// Step 1 of [`sync`](Self::sync): raise the epoch fresh inserts are
+    /// guarded by, and copy out what each entry's verdict reads. The copy
+    /// shares every view and model (`Arc`), so it is short enough to hold
+    /// the cache lock for.
+    fn begin_sync(&mut self, epoch: u64) -> Vec<Pending> {
         self.epoch = epoch;
-        let mut facts = match *publish {
-            Publish::Reprice(graph) => Facts::Reprice(graph),
-            Publish::Growth(delta) => {
-                self.pricer
-                    .run(delta.graph, delta.bridge_seeds, f64::INFINITY);
-                Facts::Growth(KeywordFacts {
-                    delta,
-                    pricer: &self.pricer,
-                    in_new: HashMap::new(),
-                    price: HashMap::new(),
-                })
-            }
-        };
-        let mut report = SyncReport::default();
         self.entries
-            .retain(|key, entry| match Self::verdict(key, entry, &mut facts) {
-                Verdict::Keep => {
-                    entry.revalidated = true;
-                    report.kept += 1;
-                    true
-                }
-                Verdict::Park => {
-                    report.parked.push(ParkedEntry {
-                        key: key.clone(),
-                        view: Arc::clone(&entry.view),
-                        model: std::mem::take(&mut entry.model),
-                        snapshot: entry.snapshot,
-                    });
-                    false
-                }
-                Verdict::Drop => {
-                    report.dropped += 1;
-                    false
-                }
+            .iter()
+            .map(|(key, entry)| Pending {
+                key: key.clone(),
+                view: Arc::clone(&entry.view),
+                model: Arc::clone(&entry.model),
+            })
+            .collect()
+    }
+
+    /// Step 3 of [`sync`](Self::sync): apply one publish's verdicts in one
+    /// pass, counting them into `report`. Kept entries stay (in their FIFO positions) and report
+    /// `Revalidated` on hits, parked ones leave for [`SyncReport::parked`],
+    /// dropped ones leave. A verdict applies only to the view it judged:
+    /// an entry with no verdict, or whose view was overwritten after
+    /// [`begin_sync`](Self::begin_sync), was admitted under the new epoch —
+    /// an answer of the new snapshot — and stays as it is.
+    fn finish_sync(&mut self, mut verdicts: Verdicts, mut report: SyncReport) -> SyncReport {
+        self.entries
+            .retain(|key, entry| match verdicts.remove(key) {
+                Some((judged, verdict)) if Arc::ptr_eq(&judged, &entry.view) => match verdict {
+                    Verdict::Keep => {
+                        entry.revalidated = true;
+                        report.kept += 1;
+                        true
+                    }
+                    Verdict::Park => {
+                        report.parked.push(ParkedEntry {
+                            key: key.clone(),
+                            view: judged,
+                            model: Arc::clone(&entry.model),
+                            snapshot: entry.snapshot,
+                        });
+                        false
+                    }
+                    Verdict::Drop => {
+                        report.dropped += 1;
+                        false
+                    }
+                },
+                _ => true,
             });
         self.invalidations += report.dropped;
         self.revalidations += report.kept;
@@ -436,73 +513,6 @@ impl QueryCache {
         }
         self.enforce_capacity();
         report
-    }
-
-    /// One entry's verdict under the publish's facts.
-    fn verdict(key: &QueryKey, entry: &CacheEntry, facts: &mut Facts) -> Verdict {
-        let model = &entry.model;
-        let queries = &entry.view.queries;
-        if !model.revalidatable || model.trees.len() != queries.len() {
-            return Verdict::Drop;
-        }
-        match facts {
-            Facts::Reprice(graph) => {
-                let unchanged = model
-                    .trees
-                    .iter()
-                    .zip(queries)
-                    .all(|(m, q)| m.cost(graph).to_bits() == q.cost.to_bits());
-                if unchanged {
-                    Verdict::Keep
-                } else {
-                    Verdict::Drop
-                }
-            }
-            Facts::Growth(keywords) => {
-                // Displacement threshold: what a new tree would have to
-                // beat. A full ranked list is guarded by its worst cost; a
-                // partial list accepts anything within the request's budget.
-                let threshold = match queries.last() {
-                    Some(worst) if queries.len() >= model.top_k => worst.cost,
-                    _ => model.budget,
-                };
-                // No price is strictly above an unbounded threshold, so
-                // such an entry parks without pricing anything.
-                if threshold == f64::INFINITY {
-                    return Verdict::Park;
-                }
-                // Every candidate tree a publish enables either touches the
-                // new region — and must then cross a bridge edge, so the
-                // price below bounds it — or uses only pre-existing nodes
-                // and so is no new competitor. The one escape is a tree
-                // living *entirely* inside the new source: it crosses no
-                // bridge and no cost argument covers it. Such a tree needs
-                // a match for every keyword among the new relations, so
-                // only an entry whose whole keyword set matches there parks
-                // unconditionally.
-                if key.keywords.iter().all(|kw| keywords.in_new(kw)) {
-                    return Verdict::Park;
-                }
-                // Any tree the publish enables connects *every* keyword's
-                // match node across a bridge, so it costs at least the max
-                // of the keywords' prices (edge costs are kept positive by
-                // the learner). Strictly above: a tie could reorder a fresh
-                // search's stable sort. The max only grows, so pricing stops
-                // at the first keyword that clears the threshold.
-                let mut price: f64 = 0.0;
-                for kw in &key.keywords {
-                    price = price.max(keywords.price(kw));
-                    if price > threshold {
-                        break;
-                    }
-                }
-                if price > threshold {
-                    Verdict::Keep
-                } else {
-                    Verdict::Park
-                }
-            }
-        }
     }
 
     /// Look up a query key, counting the hit or miss.
@@ -525,35 +535,41 @@ impl QueryCache {
 
     /// The one admission path: cache a view under a key together with the
     /// cost model later verdicts need, stamped with `snapshot` — the epoch
-    /// (in live serving: the snapshot id) whose answer the view is.
-    /// `revalidated` marks a re-admission by the re-validation lane: its
-    /// hits report [`CacheStatus::Revalidated`](crate::CacheStatus) and it
-    /// counts as a revalidation. Overwriting an existing key keeps its FIFO
-    /// position; a new key evicts the oldest entry when full. The caller
-    /// checks [`epoch`](Self::epoch) first (under the same lock), so an
-    /// answer a newer publish superseded is discarded, not admitted.
+    /// (in live serving: the snapshot id) whose answer the view is — if it
+    /// was `computed_on` the cache's current epoch (the last publish
+    /// synced), and say whether it was admitted. An answer computed on an
+    /// older epoch was superseded by a publish that already raised it, so
+    /// it is refused. `revalidated` marks a re-admission by the re-validation
+    /// lane: its hits report [`CacheStatus::Revalidated`](crate::CacheStatus)
+    /// and it counts as a revalidation. Overwriting an existing key keeps
+    /// its FIFO position; a new key evicts the oldest entry when full.
     pub fn insert(
         &mut self,
+        computed_on: u64,
         key: QueryKey,
         view: Arc<RankedView>,
         model: RevalidationModel,
         snapshot: u64,
         revalidated: bool,
-    ) {
+    ) -> bool {
+        if computed_on != self.epoch {
+            return false;
+        }
         self.revalidations += u64::from(revalidated);
         let entry = CacheEntry {
             view,
-            model,
+            model: Arc::new(model),
             revalidated,
             snapshot,
         };
         if let Some(slot) = self.entries.get_mut(&key) {
             *slot = entry;
-            return;
+            return true;
         }
         self.insertion_order.push_back(key.clone());
         self.entries.insert(key, entry);
         self.enforce_capacity();
+        true
     }
 
     /// The single place the FIFO capacity bound is enforced: both mutations
@@ -568,11 +584,6 @@ impl QueryCache {
         }
         debug_assert!(self.entries.len() <= self.capacity);
         debug_assert!(self.insertion_order.len() == self.entries.len());
-    }
-
-    /// Epoch the live entries were last synced under.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of live entries.
@@ -607,6 +618,106 @@ impl QueryCache {
     }
 }
 
+/// Step 2 of [`QueryCache::sync`]: every entry's verdict under `publish`,
+/// with no cache lock held, and a report holding what the verdicts cost.
+fn judge(
+    entries: Vec<Pending>,
+    publish: &Publish,
+    pricer: &mut DeltaPricer,
+) -> (Verdicts, SyncReport) {
+    let mut facts = match *publish {
+        Publish::Reprice(graph) => Facts::Reprice(graph),
+        Publish::Growth(delta) => Facts::Growth(KeywordFacts {
+            delta,
+            pricer,
+            priced: false,
+            in_new: HashMap::new(),
+            price: HashMap::new(),
+        }),
+    };
+    let verdicts = entries
+        .into_iter()
+        .map(|entry| {
+            let verdict = verdict(&entry, &mut facts);
+            (entry.key, (entry.view, verdict))
+        })
+        .collect();
+    let mut report = SyncReport::default();
+    if let Facts::Growth(keywords) = &facts {
+        report.keywords_priced = keywords.price.len() as u64;
+        report.keywords_checked_new = keywords.in_new.len() as u64;
+    }
+    (verdicts, report)
+}
+
+/// One entry's verdict under the publish's facts.
+fn verdict(entry: &Pending, facts: &mut Facts) -> Verdict {
+    let model = &entry.model;
+    let queries = &entry.view.queries;
+    if !model.revalidatable || model.trees.len() != queries.len() {
+        return Verdict::Drop;
+    }
+    match facts {
+        Facts::Reprice(graph) => {
+            let unchanged = model
+                .trees
+                .iter()
+                .zip(queries)
+                .all(|(m, q)| m.cost(graph).to_bits() == q.cost.to_bits());
+            if unchanged {
+                Verdict::Keep
+            } else {
+                Verdict::Drop
+            }
+        }
+        Facts::Growth(keywords) => {
+            // Displacement threshold: what a new tree would have to
+            // beat. A full ranked list is guarded by its worst cost; a
+            // partial list accepts anything within the request's budget.
+            let threshold = match queries.last() {
+                Some(worst) if queries.len() >= model.top_k => worst.cost,
+                _ => model.budget,
+            };
+            // No price is strictly above an unbounded threshold, so
+            // such an entry parks without pricing anything.
+            if threshold == f64::INFINITY {
+                return Verdict::Park;
+            }
+            // Every candidate tree a publish enables either touches the
+            // new region — and must then cross a bridge edge, so the
+            // price below bounds it — or uses only pre-existing nodes
+            // and so is no new competitor. The one escape is a tree
+            // living *entirely* inside the new source: it crosses no
+            // bridge and no cost argument covers it. Such a tree needs
+            // a match for every keyword among the new relations, so
+            // only an entry whose whole keyword set matches there parks
+            // unconditionally.
+            let keys = &entry.key.keywords;
+            if keys.iter().all(|kw| keywords.in_new(kw)) {
+                return Verdict::Park;
+            }
+            // Any tree the publish enables connects *every* keyword's
+            // match node across a bridge, so it costs at least the max
+            // of the keywords' prices (edge costs are kept positive by
+            // the learner). Strictly above: a tie could reorder a fresh
+            // search's stable sort. The max only grows, so pricing stops
+            // at the first keyword that clears the threshold.
+            let mut price: f64 = 0.0;
+            for kw in keys {
+                price = price.max(keywords.price(kw));
+                if price > threshold {
+                    break;
+                }
+            }
+            if price > threshold {
+                Verdict::Keep
+            } else {
+                Verdict::Park
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,8 +747,16 @@ mod tests {
         view: Arc<RankedView>,
         model: RevalidationModel,
     ) {
-        let epoch = cache.epoch();
-        cache.insert(key, view, model, epoch, false);
+        let epoch = cache.epoch;
+        assert!(cache.insert(epoch, key, view, model, epoch, false));
+    }
+
+    /// One whole [`QueryCache::sync`] of a cache the test owns.
+    fn run_sync(cache: &mut QueryCache, epoch: u64, publish: &Publish) -> SyncReport {
+        let shared = Mutex::new(std::mem::replace(cache, QueryCache::new(1, 0)));
+        let report = QueryCache::sync(&shared, epoch, publish, &mut DeltaPricer::default());
+        *cache = shared.into_inner().expect("cache lock poisoned");
+        report
     }
 
     /// Two single-attribute sources joined by one association edge whose
@@ -768,7 +887,7 @@ mod tests {
         // kept: see the next test) drops an entry with no re-costing model.
         let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
+        run_sync(&mut cache, g.weight_epoch(), &Publish::Reprice(&g));
         assert!(cache.is_empty());
     }
 
@@ -783,7 +902,7 @@ mod tests {
         // original allocation.
         let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
+        run_sync(&mut cache, g.weight_epoch(), &Publish::Reprice(&g));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.invalidations(), 0);
         assert_eq!(cache.revalidations(), 1);
@@ -852,7 +971,7 @@ mod tests {
     fn growth_keeps_entries_the_new_source_cannot_displace() {
         let (cat, g, e) = fixture();
         let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
-        let snap0 = cache.epoch();
+        let snap0 = cache.epoch;
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1; // the ranked list is full
         let entry_cost = v.queries[0].cost;
@@ -868,9 +987,9 @@ mod tests {
             grown.g.edge_cost(grown.bridge) > entry_cost,
             "fixture: bridge costlier"
         );
-        let sync = cache.sync(7, &grown.publish());
+        let sync = run_sync(&mut cache, 7, &grown.publish());
         assert_eq!(counts(&sync), (1, 0, 0));
-        assert_eq!(cache.epoch(), 7);
+        assert_eq!(cache.epoch, 7);
         let hit = cache.get(&key(&["r1"])).expect("entry survived");
         assert!(hit.revalidated, "survivors report Revalidated on hits");
         assert_eq!(
@@ -880,7 +999,11 @@ mod tests {
         // A later re-pricing that moves no cost keeps the survivor too.
         let w = grown.g.weights().clone();
         grown.g.set_weights(w);
-        cache.sync(grown.g.weight_epoch(), &Publish::Reprice(&grown.g));
+        run_sync(
+            &mut cache,
+            grown.g.weight_epoch(),
+            &Publish::Reprice(&grown.g),
+        );
         assert_eq!(cache.len(), 1);
     }
 
@@ -888,7 +1011,7 @@ mod tests {
     fn growth_parks_entries_the_bridge_prices_into() {
         let (cat, g, e) = fixture();
         let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, g.weight_epoch());
-        let snap0 = cache.epoch();
+        let snap0 = cache.epoch;
         let (v, mut model) = priced_view(&g, e);
         model.top_k = 1;
         let view = Arc::clone(&v);
@@ -897,7 +1020,7 @@ mod tests {
         // cost: even the tie must leave the cache (a fresh search may order
         // tied trees apart) — but it parks for re-validation, not drops.
         let grown = ingest_r3(cat, g, 0.9);
-        let sync = cache.sync(7, &grown.publish());
+        let sync = run_sync(&mut cache, 7, &grown.publish());
         assert_eq!(counts(&sync), (0, 1, 0));
         assert!(cache.is_empty(), "parked entries leave the cache");
         let parked = &sync.parked[0];
@@ -924,7 +1047,7 @@ mod tests {
         // per-entry price keeps r2 — reaching it costs bridge + association,
         // strictly above the threshold — and parks only r1.
         let grown = ingest_r3(cat, g, 0.9);
-        let sync = cache.sync(7, &grown.publish());
+        let sync = run_sync(&mut cache, 7, &grown.publish());
         assert_eq!(counts(&sync), (1, 1, 0));
         assert_eq!(sync.parked[0].key, key(&["r1"]), "near entry parks");
         assert!(cache.get(&key(&["r2"])).is_some(), "far entry survives");
@@ -949,7 +1072,7 @@ mod tests {
                 .collect();
         let grown = ingest_r3(cat, g, 0.9);
         let verdicts = |cache: &mut QueryCache| {
-            let sync = cache.sync(7, &grown.publish());
+            let sync = run_sync(cache, 7, &grown.publish());
             let mut parked: Vec<QueryKey> = sync.parked.iter().map(|p| p.key.clone()).collect();
             parked.sort_by(|a, b| a.keywords.cmp(&b.keywords));
             (counts(&sync), parked)
@@ -991,7 +1114,7 @@ mod tests {
 
         let grown = ingest_r3(cat, g, 0.05);
         assert!(grown.g.edge_cost(grown.bridge) > 1.0);
-        let sync = cache.sync(9, &grown.publish());
+        let sync = run_sync(&mut cache, 9, &grown.publish());
         assert_eq!(counts(&sync), (1, 2, 0));
         assert!(cache.get(&key(&["q"])).is_none(), "partial, unbounded");
         assert!(cache.get(&key(&["r3"])).is_none(), "keyword matches source");
@@ -1007,8 +1130,157 @@ mod tests {
         model.revalidatable = false;
         admit(&mut cache, key(&["q"]), v, model);
         let grown = ingest_r3(cat, g, 0.05);
-        let sync = cache.sync(3, &grown.publish());
+        let sync = run_sync(&mut cache, 3, &grown.publish());
         assert_eq!(counts(&sync), (0, 0, 1));
+    }
+
+    #[test]
+    fn the_verdict_window_refuses_answers_of_the_superseded_snapshot() {
+        let (cat, g, e) = fixture();
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, 3);
+        let (v, mut m) = priced_view(&g, e);
+        m.top_k = 1;
+        admit(&mut cache, key(&["r1"]), Arc::clone(&v), m.clone());
+        let grown = ingest_r3(cat, g, 0.9);
+        let pending = cache.begin_sync(7);
+        // Between the bump and the apply: a reader's miss computed on
+        // snapshot 3, and a lane re-admission settled against it, are both
+        // refused; the entry keeps serving its stamped bytes.
+        let late = RevalidationModel::default();
+        assert!(!cache.insert(3, key(&["late"]), view("late"), late, 3, false));
+        assert!(!cache.insert(3, key(&["r1"]), view("lane"), m, 3, true));
+        assert_eq!(
+            cache.revalidations(),
+            0,
+            "a refused admission counts nothing"
+        );
+        let hit = cache
+            .get(&key(&["r1"]))
+            .expect("hits serve during the window");
+        assert!(Arc::ptr_eq(&hit.view, &v));
+        assert_eq!(hit.snapshot, 3);
+        // An answer of the new epoch is admitted; it was not there at the
+        // bump, so it gets no verdict and stays as it is.
+        let (fresh, m) = priced_view(&grown.g, e);
+        assert!(cache.insert(7, key(&["r2"]), Arc::clone(&fresh), m, 7, false));
+        let (verdicts, report) = judge(pending, &grown.publish(), &mut DeltaPricer::default());
+        let sync = cache.finish_sync(verdicts, report);
+        assert_eq!(counts(&sync), (0, 1, 0));
+        assert!(
+            Arc::ptr_eq(&sync.parked[0].view, &v),
+            "the judged entry is the one parked"
+        );
+        assert_eq!(cache.len(), 1);
+        let hit = cache.get(&key(&["r2"])).expect("the unjudged entry stays");
+        assert!(Arc::ptr_eq(&hit.view, &fresh) && !hit.revalidated);
+    }
+
+    #[test]
+    fn a_judged_key_overwritten_in_the_window_keeps_its_new_answer() {
+        let (cat, g, e) = fixture();
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, 3);
+        // Two judged entries: "r1" would park (the bridge lands on r1 at
+        // its own cost), "r2" would be kept.
+        for kws in [&["r1"][..], &["r2"]] {
+            let (v, mut m) = priced_view(&g, e);
+            m.top_k = 1;
+            admit(&mut cache, key(kws), v, m);
+        }
+        let grown = ingest_r3(cat, g, 0.9);
+        let pending = cache.begin_sync(7);
+        // Both keys are overwritten by answers of the new epoch before the
+        // verdicts land. Neither verdict is for these views: the parking
+        // one must not evict a fresh answer, the keeping one must not mark
+        // it revalidated.
+        let mut fresh = Vec::new();
+        for kws in [&["r1"][..], &["r2"]] {
+            let (v, m) = priced_view(&grown.g, e);
+            assert!(cache.insert(7, key(kws), Arc::clone(&v), m, 7, false));
+            fresh.push(v);
+        }
+        let (verdicts, report) = judge(pending, &grown.publish(), &mut DeltaPricer::default());
+        let sync = cache.finish_sync(verdicts, report);
+        assert_eq!(counts(&sync), (0, 0, 0));
+        assert_eq!(cache.revalidations(), 0);
+        for (kws, v) in [&["r1"][..], &["r2"]].into_iter().zip(&fresh) {
+            let hit = cache.get(&key(kws)).expect("the new answer stays");
+            assert!(Arc::ptr_eq(&hit.view, v));
+            assert!(!hit.revalidated, "a fresh answer is not revalidated");
+            assert_eq!(hit.snapshot, 7);
+        }
+    }
+
+    #[test]
+    fn every_entry_present_at_the_bump_gets_exactly_one_verdict() {
+        let (cat, g, e) = fixture();
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, 0);
+        // With the bridge on r1 at the entries' own cost, entries reaching
+        // only r1 park, entries that must also reach r2 are kept, and
+        // entries with no re-costing model drop.
+        let keys: [&[&str]; 7] = [
+            &["r1"],
+            &["r1", "r1"],
+            &["r2"],
+            &["r2", "r2"],
+            &["r1", "r2"],
+            &["x"],
+            &["y"],
+        ];
+        for kws in keys {
+            let (v, mut m) = priced_view(&g, e);
+            m.top_k = 1;
+            m.revalidatable = !matches!(kws, ["x"] | ["y"]);
+            admit(&mut cache, key(kws), v, m);
+        }
+        let grown = ingest_r3(cat, g, 0.9);
+        let pending = cache.begin_sync(7);
+        assert_eq!(pending.len(), keys.len());
+        let (verdicts, report) = judge(pending, &grown.publish(), &mut DeltaPricer::default());
+        assert_eq!(verdicts.len(), keys.len(), "one verdict per key");
+        let sync = cache.finish_sync(verdicts, report);
+        assert_eq!(counts(&sync), (3, 2, 2));
+        let mut judged: Vec<QueryKey> = cache.entries.keys().cloned().collect();
+        judged.extend(sync.parked.iter().map(|p| p.key.clone()));
+        judged.sort_by(|a, b| a.keywords.cmp(&b.keywords));
+        judged.dedup();
+        assert_eq!(judged.len() as u64 + sync.dropped, keys.len() as u64);
+        // The distinct keywords "r1" and "r2", each tested and priced once.
+        assert_eq!((sync.keywords_checked_new, sync.keywords_priced), (2, 2));
+    }
+
+    #[test]
+    fn the_pricer_runs_only_when_an_entry_needs_a_price() {
+        let (cat, g, e) = fixture();
+        let mut cache = QueryCache::new(DEFAULT_CACHE_CAPACITY, 0);
+        // No entry here needs a price: a partial list with no budget parks
+        // unpriced, so does a full list whose every keyword matches the new
+        // relation, and a non-revalidatable entry drops.
+        for (kws, top_k, revalidatable) in [
+            (&["q"][..], 5, true),
+            (&["r3"], 1, true),
+            (&["r1"], 1, false),
+        ] {
+            let (v, mut m) = priced_view(&g, e);
+            m.top_k = top_k;
+            m.revalidatable = revalidatable;
+            admit(&mut cache, key(kws), v, m);
+        }
+        let grown = ingest_r3(cat, g, 0.9);
+        let shared = Mutex::new(cache);
+        let mut pricer = DeltaPricer::default();
+        let sync = QueryCache::sync(&shared, 7, &grown.publish(), &mut pricer);
+        assert_eq!(counts(&sync), (0, 2, 1));
+        assert_eq!((sync.keywords_checked_new, sync.keywords_priced), (1, 0));
+        assert_eq!(pricer.reached().count(), 0, "the pricer never ran");
+        // One entry that needs a price runs it.
+        let mut cache = shared.into_inner().expect("cache lock poisoned");
+        let (v, mut m) = priced_view(&grown.g, e);
+        m.top_k = 1;
+        admit(&mut cache, key(&["r1"]), v, m);
+        let shared = Mutex::new(cache);
+        let sync = QueryCache::sync(&shared, 8, &grown.publish(), &mut pricer);
+        assert_eq!(sync.keywords_priced, 1);
+        assert!(pricer.reached().count() > 0, "the pricer ran");
     }
 
     #[test]
@@ -1019,13 +1291,14 @@ mod tests {
         model.top_k = 1;
         admit(&mut cache, key(&["r1"]), v, model);
         let grown = ingest_r3(cat, g, 0.9);
-        let sync = cache.sync(7, &grown.publish());
+        let sync = run_sync(&mut cache, 7, &grown.publish());
         let parked = &sync.parked[0];
         assert!(cache.get(&parked.key).is_none());
 
         // The lane verified the old bytes still stand: re-admit them under
         // the original pricing snapshot.
-        cache.insert(
+        assert!(cache.insert(
+            7,
             parked.key.clone(),
             Arc::clone(&parked.view),
             RevalidationModel {
@@ -1034,7 +1307,7 @@ mod tests {
             },
             parked.snapshot,
             true,
-        );
+        ));
         let hit = cache.get(&parked.key).expect("re-admitted");
         assert!(hit.revalidated, "lane survivors report Revalidated");
         assert_eq!(hit.snapshot, parked.snapshot);
@@ -1065,7 +1338,7 @@ mod tests {
         let default = g.feature_space().get("default").unwrap();
         w.set(default, w.get(default) + 0.25);
         g.set_weights(w);
-        let sync = cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
+        let sync = run_sync(&mut cache, g.weight_epoch(), &Publish::Reprice(&g));
         assert_eq!(counts(&sync), (1, 0, 1));
         assert!(cache.get(&key(&["crossing"])).is_none(), "moved costs drop");
         let local = cache.get(&key(&["local"])).expect("untouched entry stays");
@@ -1105,10 +1378,10 @@ mod tests {
         // stay bounded.
         let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
+        run_sync(&mut cache, g.weight_epoch(), &Publish::Reprice(&g));
         assert!(cache.len() <= cache.capacity);
         let grown = ingest_r3(cat, g, 0.05);
-        cache.sync(5, &grown.publish());
+        run_sync(&mut cache, 5, &grown.publish());
         assert!(cache.len() <= cache.capacity);
         assert!(!cache.is_empty(), "full budgetless lists survive via top_k");
     }
@@ -1151,7 +1424,7 @@ mod tests {
         admit(&mut cache, key(&["young"]), v2, m2);
         let w = g.weights().clone();
         g.set_weights(w);
-        cache.sync(g.weight_epoch(), &Publish::Reprice(&g));
+        run_sync(&mut cache, g.weight_epoch(), &Publish::Reprice(&g));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.revalidations(), 2);
         // Revalidation must not refresh `old`'s FIFO position: the next

@@ -34,17 +34,21 @@
 //!
 //! 1. The writer builds the next snapshot off to the side (readers are
 //!    untouched).
-//! 2. It passes what changed as a [`Publish`] to [`QueryCache::sync`],
-//!    which gives every entry one verdict. A re-pricing keeps the entries
-//!    whose costs are bit-identical under the new prices. A growth publish
-//!    carries an [`IngestionDelta`] — the new relations and the *bridge
-//!    seeds*, every new edge incident to the pre-existing graph with its
-//!    cost — and an entry is **kept** when the cheapest bridge-crossing
-//!    path into its keywords' match nodes ([`q_graph::DeltaPricer`]) is
-//!    strictly above its displacement threshold, **dropped** when it
-//!    carries no re-validation model, and **parked** otherwise. A kept
-//!    entry keeps its stamp: it serves the bytes of the snapshot that
-//!    priced it.
+//! 2. It gives every cache entry one verdict on what changed, a
+//!    [`Publish`], in [`QueryCache::sync`], which holds the cache lock only
+//!    at the two ends: it raises the cache epoch to the new id and copies
+//!    out the entries, computes the verdicts with the lock released (hits
+//!    keep serving the bytes stamped on each entry), and applies them. A
+//!    re-pricing keeps the entries whose costs are bit-identical under the
+//!    new prices. A growth publish carries an [`IngestionDelta`] — the new
+//!    relations and the *bridge seeds*, every new edge incident to the
+//!    pre-existing graph with its cost — and an entry is **kept** when the
+//!    cheapest bridge-crossing path into its keywords' match nodes
+//!    ([`q_graph::DeltaPricer`], the writer lane's, run only when the
+//!    first entry needs a price) is strictly above its displacement
+//!    threshold, **dropped** when it carries no re-validation model, and
+//!    **parked** otherwise. A kept entry keeps its stamp: it serves the
+//!    bytes of the snapshot that priced it.
 //! 3. It swaps the snapshot pointer and deposits the parked entries with
 //!    the background [`RevalidationLane`](crate::revalidate), which settles
 //!    each one by fresh recompute — re-admitting identical bytes under
@@ -53,12 +57,13 @@
 //!    cold start caused purely by the bound's conservatism.
 //!
 //! A reader that computed an answer against snapshot `N` concurrently with
-//! the publish cannot pollute the cache: inserts are guarded by the cache's
-//! epoch (now `N+1`), so stale computations are served to their requester
-//! and discarded. Every served answer is therefore byte-identical to the
-//! sequential answer of *some published snapshot*, and
-//! [`QueryOutcome::snapshot`] says which — the `live_ingest` stress test
-//! replays exactly this claim against the publish log.
+//! the publish cannot pollute the cache: from the epoch bump on, inserts
+//! are guarded by the cache's epoch (now `N+1`), so stale computations are
+//! served to their requester and discarded, and the entries judged are
+//! exactly the entries the verdicts are applied to. Every served answer is
+//! therefore byte-identical to the sequential answer of *some published
+//! snapshot*, and [`QueryOutcome::snapshot`] says which — the `live_ingest`
+//! stress test replays exactly this claim against the publish log.
 
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -68,8 +73,9 @@ use q_align::{
 };
 use q_graph::keyword::MatchConfig;
 use q_graph::{
-    approx_top_k, approx_top_k_detailed_fanned, exact_minimum_steiner, KeywordIndex, KeywordMatch,
-    NodeId, QueryGraph, SearchGraph, ShardSet, SteinerConfig, SteinerScratch, SteinerStats,
+    approx_top_k, approx_top_k_detailed_fanned, exact_minimum_steiner, DeltaPricer, KeywordIndex,
+    KeywordMatch, NodeId, QueryGraph, SearchGraph, ShardSet, SteinerConfig, SteinerScratch,
+    SteinerStats,
 };
 use q_learn::{constraints_from_candidates, enforce_positive_costs, Mira};
 use q_matchers::{AttributeAlignment, SchemaMatcher};
@@ -267,6 +273,11 @@ pub struct IngestReport {
     pub cache_parked: u64,
     /// Cached entries dropped outright by the publish.
     pub cache_dropped: u64,
+    /// Distinct keywords the cache verdict priced against the new graph.
+    pub keywords_priced: u64,
+    /// Distinct keywords the cache verdict tested for a match among the new
+    /// relations.
+    pub keywords_checked_new: u64,
 }
 
 /// What an ingest's alignment strategy reads for one matcher (see
@@ -388,6 +399,9 @@ struct WriterState {
     /// writer-lane operation (it re-prices the graph and publishes), so the
     /// learner lives with the other writer state.
     mira: Mira,
+    /// Dijkstra buffers of the growth verdict's reachability pricing
+    /// (grown once, reused by every publish; one publish at a time).
+    pricer: DeltaPricer,
 }
 
 /// Report of one [`LiveServer::feedback`] publish.
@@ -413,13 +427,15 @@ enum Change<'a> {
     Growth(&'a [RelationId]),
 }
 
-/// What one publish did: the snapshot, the cache verdicts, and the
-/// cheapest bridge seed (∞ when none).
+/// What one publish did: the snapshot, the cache verdicts' counts, and
+/// the cheapest bridge seed (∞ when none).
 struct Published {
     snapshot: Arc<GraphSnapshot>,
     kept: u64,
     parked: u64,
     dropped: u64,
+    keywords_priced: u64,
+    keywords_checked_new: u64,
     bridge_floor: f64,
 }
 
@@ -479,6 +495,7 @@ impl LiveServer {
             writer: Mutex::new(WriterState {
                 matchers: Vec::new(),
                 mira: Mira::new(),
+                pricer: DeltaPricer::default(),
             }),
             persister: None,
         }
@@ -623,21 +640,19 @@ impl LiveServer {
         let cache = match request.cache() {
             CachePolicy::Bypass => CacheStatus::Bypassed,
             policy => {
-                // Insert only when the computed answer still belongs to the
-                // current epoch: a publish that raced this computation has
-                // already re-validated the cache for its own snapshot, and a
-                // stale insert would undo that. The requester still gets its
-                // (snapshot-consistent) answer either way.
-                let mut cache = self.cache.lock().expect("cache lock poisoned");
-                if cache.epoch() == snapshot.id {
-                    cache.insert(
-                        key.expect("non-bypass policy builds a key"),
-                        Arc::clone(&view),
-                        model.expect("non-bypass policy builds a model"),
-                        snapshot.id,
-                        false,
-                    );
-                }
+                // Admitted only when the computed answer still belongs to
+                // the cache's epoch: a publish that raced this computation
+                // has raised it for its own snapshot, and a stale insert
+                // would undo that publish's verdicts. The requester still
+                // gets its (snapshot-consistent) answer either way.
+                self.cache.lock().expect("cache lock poisoned").insert(
+                    snapshot.id,
+                    key.expect("non-bypass policy builds a key"),
+                    Arc::clone(&view),
+                    model.expect("non-bypass policy builds a model"),
+                    snapshot.id,
+                    false,
+                );
                 if policy == CachePolicy::Refresh {
                     CacheStatus::Refreshed
                 } else {
@@ -686,7 +701,7 @@ impl LiveServer {
     where
         F: FnMut(&IngestDraft<'_>, &dyn SchemaMatcher) -> Vec<AttributeAlignment>,
     {
-        let writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.snapshot();
 
         // Build the next snapshot off to the side.
@@ -739,6 +754,7 @@ impl LiveServer {
         }
 
         let published = self.publish(
+            &mut writer.pricer,
             catalog,
             graph,
             keyword_index,
@@ -752,6 +768,8 @@ impl LiveServer {
             cache_kept: published.kept,
             cache_parked: published.parked,
             cache_dropped: published.dropped,
+            keywords_priced: published.keywords_priced,
+            keywords_checked_new: published.keywords_checked_new,
         })
     }
 
@@ -765,7 +783,7 @@ impl LiveServer {
         b: AttributeId,
         confidence: f64,
     ) -> Arc<GraphSnapshot> {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.snapshot();
         let mut graph = base.graph.clone();
         graph.add_association(a, b, "manual", confidence);
@@ -776,6 +794,7 @@ impl LiveServer {
             Change::Reprice
         };
         let published = self.publish(
+            &mut writer.pricer,
             base.catalog.clone(),
             graph,
             base.keyword_index.clone(),
@@ -813,6 +832,7 @@ impl LiveServer {
             request.feedback(),
         )?;
         let published = self.publish(
+            &mut writer.pricer,
             base.catalog.clone(),
             graph,
             base.keyword_index.clone(),
@@ -830,9 +850,10 @@ impl LiveServer {
     /// against it, swap the pointer, hand the parked entries to the
     /// re-validation lane and deposit the snapshot for persistence. The
     /// caller holds the writer lane, so the current snapshot is the base
-    /// the next one grew from.
+    /// the next one grew from, and `pricer` is the lane's.
     fn publish(
         &self,
+        pricer: &mut DeltaPricer,
         catalog: Catalog,
         graph: SearchGraph,
         keyword_index: KeywordIndex,
@@ -867,13 +888,11 @@ impl LiveServer {
                 })
             }
         };
-        // Sync the cache before the pointer swap: from this moment on,
-        // stale in-flight computations fail the insert epoch guard.
-        let sync = self
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .sync(next.id, &publish);
+        // Sync the cache before the pointer swap. Raising its epoch first
+        // makes every in-flight computation on an older snapshot fail the
+        // insert guard from this moment on; the verdicts are computed with
+        // the lock released, so readers keep hitting meanwhile.
+        let sync = QueryCache::sync(&self.cache, next.id, &publish, pricer);
         *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&next);
         let parked = sync.parked.len() as u64;
         self.revalidator.enqueue(Arc::clone(&next), sync.parked);
@@ -887,6 +906,8 @@ impl LiveServer {
             kept: sync.kept,
             parked,
             dropped: sync.dropped,
+            keywords_priced: sync.keywords_priced,
+            keywords_checked_new: sync.keywords_checked_new,
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Background re-validation lane: parked cache entries are re-priced off
 //! the publish path, so conservatism never costs a reader a cold start.
 //!
-//! A growth publish's cache verdict ([`QueryCache::sync`] with
+//! A growth publish's cache verdict
+//! ([`QueryCache::sync`](crate::QueryCache::sync) with
 //! [`Publish::Growth`](crate::Publish::Growth)) is a cheap lower-bound
 //! test — entries it cannot *prove* safe are parked, not dropped, because
 //! most of them are in fact untouched (the bound prices the delta's reach,
@@ -18,8 +19,8 @@
 //!
 //! Per entry the worker recomputes, then re-admits under the cache lock —
 //! through the cache's one admission path, [`QueryCache::insert`], with
-//! the stamp below and the revalidated flag set — only if the cache epoch
-//! still names the batch's snapshot:
+//! the stamp below and the revalidated flag set — which admits it only if
+//! the cache epoch still names the batch's snapshot:
 //!
 //! * **kept** — the recompute found the same answer (same trees, same
 //!   costs, same projected columns; view bytes are compared in search-graph
@@ -165,23 +166,21 @@ fn settle(
     let identical = model.trees == parked.model.trees
         && view.columns == parked.view.columns
         && view.column_sources == parked.view.column_sources;
-    let mut cache = cache.lock().expect("cache lock poisoned");
-    if cache.epoch() != snapshot.id() {
-        // A newer publish re-synced the cache while we recomputed: this
-        // verdict is against a superseded snapshot, so it cannot be
-        // re-admitted.
-        return |s| &s.dropped;
-    }
-    if identical {
+    let (view, stamp, outcome): (_, _, fn(&Counters) -> &AtomicU64) = if identical {
         // The ingestion did not touch this answer: the original bytes (and
         // Arc) go back in under their original pricing snapshot.
-        cache.insert(parked.key, parked.view, model, parked.snapshot, true);
-        |s| &s.kept
+        (parked.view, parked.snapshot, |s| &s.kept)
     } else {
         // The answer really did change: serve the fresh bytes warm, stamped
         // with the snapshot they are the sequential answer of.
-        let id = snapshot.id();
-        cache.insert(parked.key, Arc::new(view), model, id, true);
-        |s| &s.repriced
+        (Arc::new(view), snapshot.id(), |s| &s.repriced)
+    };
+    // Refused when a newer publish raised the cache epoch while we
+    // recomputed: this verdict is against a superseded snapshot.
+    let mut cache = cache.lock().expect("cache lock poisoned");
+    if cache.insert(snapshot.id(), parked.key, view, model, stamp, true) {
+        outcome
+    } else {
+        |s| &s.dropped
     }
 }

@@ -34,11 +34,20 @@
 //!   no per-document hash iteration order can leak into scores.
 //!
 //! A lookup is one term-at-a-time pass over the postings into per-document
-//! accumulators, so no candidate is sorted or rescanned;
-//! `tests/keyword_oracle.rs` checks it against a scan of every document.
+//! accumulators, followed by one pass over the touched documents that keeps
+//! the best `max_matches` in a bounded heap. A document whose similarity
+//! cannot reach the heap's current worst entry is skipped before its text
+//! is read, the cut-off of threshold top-k retrieval (Fagin, Lotem & Naor;
+//! Turtle & Flood's MaxScore), so only the survivors are ordered. A lookup
+//! scoped to some relations walks only their documents: canonical order
+//! keeps each relation's schema documents and its value documents in two
+//! contiguous runs, and every posting list is ascending, so the part of a
+//! list inside a run is found by binary search. `tests/keyword_oracle.rs`
+//! checks both against a scan of every document.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
@@ -301,7 +310,7 @@ impl KeywordIndex {
             return;
         };
         let key = (0, rel.id.0, 0);
-        let at = self.upper_bound(catalog, 0..self.len(), key);
+        let at = self.partition_point(catalog, 0..self.len(), |k| k <= key);
         if at > 0 && self.canonical_key_of(catalog, at - 1) == key {
             return;
         }
@@ -448,15 +457,6 @@ impl KeywordIndex {
         }
     }
 
-    /// Relation owning one document's target, resolved against the catalog.
-    pub(crate) fn target_relation(&self, idx: usize, catalog: &Catalog) -> Option<RelationId> {
-        let id = self.target_ids[idx];
-        match self.target_kinds[idx] {
-            TARGET_RELATION => Some(RelationId(id)),
-            _ => catalog.attribute(AttributeId(id)).map(|attr| attr.relation),
-        }
-    }
-
     /// Deterministic estimate of the postings footprint: the sum of the
     /// per-document estimate below over every document. Linear in the
     /// corpus, so a snapshot computes it once and keeps it.
@@ -498,10 +498,9 @@ impl KeywordIndex {
     /// Only the survivors of the cut get their [`MatchTarget`]
     /// materialised (a `String` for every value target).
     pub fn matches(&self, keyword: &str, config: &MatchConfig) -> Vec<KeywordMatch> {
-        let mut scored = self.scored(keyword, config.min_similarity, |_| true);
-        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(config.max_matches);
-        scored
+        let all = 0..self.len() as u32;
+        let runs = std::slice::from_ref(&all);
+        self.scored(keyword, config.min_similarity, runs, config.max_matches)
             .into_iter()
             .map(|(idx, similarity)| KeywordMatch {
                 target: self.target(idx),
@@ -510,23 +509,41 @@ impl KeywordIndex {
             .collect()
     }
 
-    /// The unordered `(document, similarity)` pairs of every candidate
-    /// `admit` accepts that reaches `floor`. One pass over the postings
-    /// fills the per-thread [`Accumulators`]: each query token's list, in
-    /// query-token order, adds `idf²` to `dot` (so every document sums the
-    /// same terms in the same order as a walk over its own tokens); each
-    /// query trigram's list adds 1 to `common`. A candidate's text is read
-    /// only when equality is possible (equal byte lengths) or when
-    /// containment — `0` or exactly `0.9·short/long` — would beat both
-    /// cosine and Dice and reach the floor.
+    /// The best `k` `(document, similarity)` pairs among the documents in
+    /// `runs` (ascending, disjoint document ranges) that reach `floor`,
+    /// ranked by (similarity desc, document asc).
+    ///
+    /// One pass over the postings fills the per-thread [`Accumulators`]:
+    /// each query token's list, in query-token order, adds `idf²` to `dot`
+    /// (so every document sums the same terms in the same order as a walk
+    /// over its own tokens, whatever `runs` is); each query trigram's list
+    /// adds 1 to `common`. Only the part of each list inside `runs` is
+    /// walked. Then each touched document gets an upper bound from its
+    /// accumulators and its byte length alone: `1.0` when equality is
+    /// possible (equal lengths), else `min(0.999, max(cos, dice, c))`,
+    /// where `c` is what containment could give, `0.9·short/long`, or `0`
+    /// when the shared trigrams rule containment out (the shorter text's
+    /// unpadded trigrams would all be shared, and a document has at most
+    /// four padded ones). A document whose bound is strictly below the
+    /// floor, or below the worst held similarity once `k` are held, cannot
+    /// enter and is skipped without reading its text; an equal bound is
+    /// scored, since a tie with a lower document id still enters. A scored
+    /// candidate's text is read for equality, and searched for containment
+    /// only when containment would beat both cosine and Dice and reach the
+    /// floor.
     fn scored(
         &self,
         keyword: &str,
         floor: f64,
-        admit: impl Fn(usize) -> bool,
+        runs: &[Range<u32>],
+        k: usize,
     ) -> Vec<(usize, f64)> {
+        if k == 0 {
+            return Vec::new();
+        }
         let norm = normalize(keyword);
         let grams = packed_trigrams(&norm);
+        let inner = distinct_trigrams(&norm).len();
         let token_ids: Vec<Option<u32>> =
             tokenize(keyword).iter().map(|t| self.token_id(t)).collect();
         let idf = |id: Option<u32>| id.map_or(1.0, |i| self.idf[i as usize]);
@@ -537,25 +554,25 @@ impl KeywordIndex {
             // An out-of-vocabulary query token occurs in no document.
             for &id in token_ids.iter().flatten() {
                 let w = self.idf[id as usize];
-                for &doc in self.token_posting_list(id) {
-                    acc.touch(doc).dot += w * w;
+                for docs in runs {
+                    for &doc in within(self.token_posting_list(id), docs) {
+                        acc.touch(doc).dot += w * w;
+                    }
                 }
             }
             for pos in grams
                 .iter()
                 .filter_map(|g| self.trigram_keys.binary_search(g).ok())
             {
-                for &doc in self.trigram_posting_list(pos) {
-                    acc.touch(doc).common += 1;
+                for docs in runs {
+                    for &doc in within(self.trigram_posting_list(pos), docs) {
+                        acc.touch(doc).common += 1;
+                    }
                 }
             }
-            let mut out = Vec::new();
-            for doc in acc
-                .touched
-                .iter()
-                .map(|&d| d as usize)
-                .filter(|&d| admit(d))
-            {
+            let mut top = BinaryHeap::with_capacity(k.min(acc.touched.len()));
+            let mut cut = floor;
+            for doc in acc.touched.iter().map(|&d| d as usize) {
                 let Slot { dot, common, .. } = acc.slots[doc];
                 let dn = self.doc_norm_sq[doc];
                 let cos = (norm_sq > 0.0 && dn > 0.0).then(|| dot / (norm_sq.sqrt() * dn.sqrt()));
@@ -563,9 +580,28 @@ impl KeywordIndex {
                 let doc_grams = self.trigram_counts[doc] as usize;
                 let dice = 2.0 * common as f64 / (grams.len() + doc_grams) as f64;
                 let best = cos.unwrap_or(0.0).max(dice);
-                let text = self.doc_text(doc);
-                let (short, long) = (norm.len().min(text.len()), norm.len().max(text.len()));
-                let bound = 0.9 * short as f64 / long as f64;
+                let (start, end) = run(&self.text_ends, doc);
+                let len = end - start;
+                // Containment needs every unpadded trigram of the shorter
+                // text in common: the keyword's `inner` ones, or all but the
+                // at most four padded ones of the document's.
+                let containable = (len >= norm.len() && common as usize >= inner)
+                    || (len <= norm.len() && common as usize + 4 >= doc_grams);
+                let (short, long) = (norm.len().min(len), norm.len().max(len));
+                let bound = if containable {
+                    0.9 * short as f64 / long as f64
+                } else {
+                    0.0
+                };
+                let upper = if len == norm.len() {
+                    1.0
+                } else {
+                    best.max(bound).min(0.999)
+                };
+                if upper < cut {
+                    continue;
+                }
+                let text = &self.text_blob[start..end];
                 let similarity = if text == norm {
                     1.0
                 } else if bound > best
@@ -576,11 +612,25 @@ impl KeywordIndex {
                 } else {
                     best.min(0.999)
                 };
-                if similarity >= floor {
-                    out.push((doc, similarity));
+                if similarity < floor {
+                    continue;
+                }
+                let candidate = Ranked { similarity, doc };
+                if top.len() < k {
+                    top.push(candidate);
+                } else if let Some(mut worst) = top.peek_mut() {
+                    if candidate < *worst {
+                        *worst = candidate;
+                    }
+                }
+                if top.len() == k {
+                    cut = top.peek().map_or(cut, |worst| worst.similarity);
                 }
             }
-            out
+            top.into_sorted_vec()
+                .into_iter()
+                .map(|r| (r.doc, r.similarity))
+                .collect()
         })
     }
 
@@ -629,7 +679,9 @@ impl KeywordIndex {
     /// whether a newly incorporated source could add keyword matches — and
     /// with them new Steiner terminals — to a cached query. The rule is only
     /// sound because this scores the very candidates and similarities a
-    /// fresh [`KeywordIndex::matches`] call would: both run the same pass.
+    /// fresh [`KeywordIndex::matches`] call would: both run the same pass,
+    /// this one over the relations' canonical runs only, so it costs what
+    /// the relations hold, not what the index holds.
     pub fn keyword_matches_in(
         &self,
         keyword: &str,
@@ -637,13 +689,26 @@ impl KeywordIndex {
         relations: &[RelationId],
         config: &MatchConfig,
     ) -> bool {
-        let in_relations = |doc| {
-            self.target_relation(doc, catalog)
-                .is_some_and(|rel| relations.contains(&rel))
-        };
+        let mut runs: Vec<Range<u32>> = relations
+            .iter()
+            .flat_map(|&rel| [0, 1].map(|section| self.relation_run(catalog, section, rel)))
+            .filter(|docs| !docs.is_empty())
+            .collect();
+        runs.sort_unstable_by_key(|docs| docs.start);
+        runs.dedup();
         !self
-            .scored(keyword, config.min_similarity, in_relations)
+            .scored(keyword, config.min_similarity, &runs, 1)
             .is_empty()
+    }
+
+    /// The documents of `relation` in one section of the canonical order
+    /// (`0`: its name and attribute names, `1`: its values): a contiguous
+    /// run, empty when the relation has none there or is not indexed.
+    fn relation_run(&self, catalog: &Catalog, section: u8, relation: RelationId) -> Range<u32> {
+        let prefix = (section, relation.0);
+        let start = self.partition_point(catalog, 0..self.len(), |key| (key.0, key.1) < prefix);
+        let end = self.partition_point(catalog, start..self.len(), |key| (key.0, key.1) <= prefix);
+        start as u32..end as u32
     }
 
     /// Canonical document order: schema documents (relation name, then its
@@ -671,12 +736,17 @@ impl KeywordIndex {
     }
 
     /// The first document in the canonically ordered range `docs` whose key
-    /// is greater than `key`.
-    fn upper_bound(&self, catalog: &Catalog, docs: Range<usize>, key: (u8, u32, u32)) -> usize {
+    /// fails `below` (which must hold for a prefix of the range).
+    fn partition_point(
+        &self,
+        catalog: &Catalog,
+        docs: Range<usize>,
+        below: impl Fn((u8, u32, u32)) -> bool,
+    ) -> usize {
         let (mut lo, mut hi) = (docs.start, docs.end);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.canonical_key_of(catalog, mid) <= key {
+            if below(self.canonical_key_of(catalog, mid)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -713,7 +783,7 @@ impl KeywordIndex {
         let mut at: Vec<usize> = Vec::with_capacity(delta.len());
         for &(key, _) in &delta {
             let from = at.last().copied().unwrap_or(0);
-            at.push(self.upper_bound(catalog, from..base, key));
+            at.push(self.partition_point(catalog, from..base, |k| k <= key));
         }
         let new_of_delta: Vec<u32> = at.iter().zip(0..).map(|(&a, k)| (a + k) as u32).collect();
         let new_of_old: Vec<u32> = (0..base)
@@ -822,6 +892,45 @@ impl KeywordIndex {
         self.trigram_postings = trigram_postings;
         self.trigram_posting_ends = trigram_posting_ends;
     }
+}
+
+/// One scored candidate. `Ord` ranks the better candidate first — higher
+/// similarity, then lower document id — so a max-heap's top is the worst
+/// one held.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    similarity: f64,
+    doc: usize,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .similarity
+            .total_cmp(&self.similarity)
+            .then(self.doc.cmp(&other.doc))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The part of an ascending posting list inside the document range `docs`.
+fn within<'a>(list: &'a [u32], docs: &Range<u32>) -> &'a [u32] {
+    let start = list.partition_point(|&d| d < docs.start);
+    let len = list[start..].partition_point(|&d| d < docs.end);
+    &list[start..start + len]
 }
 
 /// The documents of `runs` (ranges of current document indices), in order.
@@ -936,11 +1045,13 @@ fn tokenize(text: &str) -> Vec<String> {
 /// is injective and set operations over the keys equal set operations over
 /// the original trigram strings.
 fn packed_trigrams(text: &str) -> Vec<u64> {
-    let padded = format!("  {}  ", normalize(text));
-    let chars: Vec<char> = padded.chars().collect();
-    if chars.len() < 3 {
-        return Vec::new();
-    }
+    distinct_trigrams(&format!("  {}  ", normalize(text)))
+}
+
+/// Sorted distinct packed character trigrams of `text` as it is (no
+/// normalisation, no padding).
+fn distinct_trigrams(text: &str) -> Vec<u64> {
+    let chars: Vec<char> = text.chars().collect();
     let mut grams: Vec<u64> = chars
         .windows(3)
         .map(|w| ((w[0] as u64) << 42) | ((w[1] as u64) << 21) | (w[2] as u64))
@@ -1293,6 +1404,162 @@ mod tests {
         // Garbage matches nowhere.
         assert!(!idx.keyword_matches_in("zzzqqqxxx", &cat, &[go_term, pub_rel], &cfg));
         assert!(!idx.keyword_matches_in("", &cat, &[go_term], &cfg));
+    }
+
+    /// A catalog of one relation `r` whose attribute `v` holds `values`, in
+    /// row order, and its index.
+    fn values_index(values: &[&str]) -> (Catalog, KeywordIndex) {
+        let mut cat = Catalog::new();
+        let src = cat.add_source("s").unwrap();
+        let rel = cat.add_relation(src, "r", &["v"]).unwrap();
+        cat.insert_rows(rel, values.iter().map(|&v| vec![Value::from(v)]))
+            .unwrap();
+        let idx = KeywordIndex::build(&cat);
+        (cat, idx)
+    }
+
+    fn value_texts(matches: &[KeywordMatch]) -> Vec<(String, f64)> {
+        matches
+            .iter()
+            .map(|m| match &m.target {
+                MatchTarget::Value { value, .. } => (value.clone(), m.similarity),
+                other => panic!("expected a value, got {other:?}"),
+            })
+            .collect()
+    }
+
+    fn top(min_similarity: f64, max_matches: usize) -> MatchConfig {
+        MatchConfig {
+            min_similarity,
+            max_matches,
+        }
+    }
+
+    #[test]
+    fn a_tie_at_the_kth_slot_goes_to_the_lower_document() {
+        // Both values score 0.9·3/4 by containment alone. "abcz" starts
+        // with the keyword's first padded trigram, so it is touched first
+        // and fills the single slot; "zabc" comes later with a bound equal
+        // to the held similarity, and its lower document id takes the slot.
+        let (_, idx) = values_index(&["zabc", "abcz"]);
+        let tie = 0.9 * 3.0 / 4.0;
+        let all = value_texts(&idx.matches("abc", &top(0.35, usize::MAX)));
+        assert_eq!(all, [("zabc".to_string(), tie), ("abcz".to_string(), tie)]);
+        let one = value_texts(&idx.matches("abc", &top(0.35, 1)));
+        assert_eq!(one, [("zabc".to_string(), tie)]);
+    }
+
+    #[test]
+    fn an_exact_text_enters_after_a_full_heap_at_0_999() {
+        // Sixteen values with the keyword's tokens and a longer separator
+        // each score 0.999, and all precede the exact text in document and
+        // touch order; the exact text's bound is 1.0, so it still enters,
+        // first.
+        let seps: Vec<String> = (2..18).map(|n| "-".repeat(n)).collect();
+        let mut values: Vec<String> = seps.iter().map(|sep| format!("alpha{sep}beta")).collect();
+        values.push("alpha beta".to_string());
+        let refs: Vec<&str> = values.iter().map(String::as_str).collect();
+        let (_, idx) = values_index(&refs);
+        let got = value_texts(&idx.matches("alpha beta", &MatchConfig::default()));
+        assert_eq!(got.len(), 16);
+        assert_eq!(got[0], ("alpha beta".to_string(), 1.0));
+        let expect: Vec<(String, f64)> = values[..15].iter().map(|v| (v.clone(), 0.999)).collect();
+        assert_eq!(got[1..], expect[..]);
+    }
+
+    #[test]
+    fn a_candidate_that_qualifies_by_containment_alone_enters() {
+        // "membranes" and "membrane" share no token, and their Dice is
+        // 16/21 ≈ 0.762, below the floor; containment lifts either inside
+        // the other to 0.9·8/9 = 0.8. The bound must count containment both
+        // ways, or the floor itself would skip the document.
+        let (_, idx) = values_index(&["plasma membrane", "membranes"]);
+        let (_, inside) = values_index(&["plasma", "membrane"]);
+        for k in [1, 16, usize::MAX] {
+            let got = value_texts(&idx.matches("membrane", &top(0.78, k)));
+            assert_eq!(got, [("membranes".to_string(), 0.9 * 8.0 / 9.0)], "k = {k}");
+            let got = value_texts(&inside.matches("membranes", &top(0.78, k)));
+            assert_eq!(got, [("membrane".to_string(), 0.9 * 8.0 / 9.0)], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn max_matches_of_zero_one_and_unbounded() {
+        let cat = catalog();
+        let idx = KeywordIndex::build(&cat);
+        let floor = 0.05;
+        for kw in ["plasma membrane", "term", "pub", "a"] {
+            assert!(idx.matches(kw, &top(floor, 0)).is_empty(), "{kw}");
+            let all = idx.matches(kw, &top(floor, usize::MAX));
+            assert_eq!(
+                idx.matches(kw, &top(floor, 1))[..],
+                all[..1.min(all.len())],
+                "{kw}"
+            );
+            // Every floor survivor, in order: each document scored alone
+            // (a one-document run) survives exactly when it is listed, with
+            // the similarity listed, and the list runs by (similarity desc,
+            // document asc).
+            let every = 0..idx.len() as u32;
+            let docs = idx.scored(kw, floor, std::slice::from_ref(&every), usize::MAX);
+            let listed: Vec<KeywordMatch> = docs
+                .iter()
+                .map(|&(doc, similarity)| KeywordMatch {
+                    target: idx.target(doc),
+                    similarity,
+                })
+                .collect();
+            assert_eq!(listed, all, "{kw}");
+            assert!(docs
+                .windows(2)
+                .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
+            for doc in 0..idx.len() {
+                let one = doc as u32..doc as u32 + 1;
+                let alone = idx.scored(kw, floor, std::slice::from_ref(&one), 1);
+                let listed = docs.iter().find(|&&(d, _)| d == doc);
+                assert_eq!(alone.first(), listed, "{kw}: document {doc}");
+            }
+        }
+    }
+
+    #[test]
+    fn keyword_matches_in_walks_only_the_given_relations_runs() {
+        let mut cat = Catalog::new();
+        let src = cat.add_source("s").unwrap();
+        let names = ["alpha", "beta", "gamma", "journal"];
+        let rels: Vec<RelationId> = names
+            .iter()
+            .map(|&name| cat.add_relation(src, name, &["id", "label"]).unwrap())
+            .collect();
+        // The last relation has no value documents at all.
+        for (&rel, value) in rels.iter().zip(["kinase", "membrane", "nucleus"]) {
+            cat.insert_rows(rel, vec![vec![Value::from("x1"), Value::from(value)]])
+                .unwrap();
+        }
+        let idx = KeywordIndex::build(&cat);
+        // In the catalog, never appended to the index.
+        let unindexed = cat.add_relation(src, "kinase", &["label"]).unwrap();
+        let cfg = MatchConfig::default();
+        let in_rels = |kw: &str, rels: &[RelationId]| idx.keyword_matches_in(kw, &cat, rels, &cfg);
+        let (alpha, beta, gamma, journal) = (rels[0], rels[1], rels[2], rels[3]);
+        // A relation with no value documents: its schema run only.
+        assert!(in_rels("journal", &[journal]));
+        assert!(in_rels("label", &[journal]));
+        assert!(!in_rels("kinase", &[journal]));
+        // Two non-adjacent relations: both of their runs, nothing between.
+        assert!(in_rels("kinase", &[alpha, gamma]));
+        assert!(in_rels("nucleus", &[gamma, alpha]));
+        assert!(!in_rels("membrane", &[alpha, gamma]));
+        assert!(!in_rels("beta", &[alpha, gamma]));
+        assert!(in_rels("membrane", &[alpha, gamma, beta, beta]));
+        // An id that is not indexed: not in the catalog, or in the catalog
+        // but never appended.
+        for rel in [RelationId(99), unindexed] {
+            for kw in ["kinase", "label", "x1", "alpha"] {
+                assert!(!in_rels(kw, &[rel]), "{kw} in {rel:?}");
+            }
+        }
+        assert!(in_rels("kinase", &[RelationId(99), alpha]));
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub struct Metrics {
     /// Cache entries parked for background re-validation, summed over every
     /// ingest publish.
     pub cache_parked: AtomicU64,
+    /// Distinct keywords an ingest's cache verdict priced against the new
+    /// graph, summed over every ingest publish: the verdict's work.
+    pub cache_keywords_priced: AtomicU64,
     /// Parked entries awaiting re-validation (gauge; refreshed from the
     /// engine's lane counters at each `/metrics` scrape).
     pub revalidation_depth: AtomicU64,
@@ -88,6 +91,7 @@ impl Metrics {
             cache_kept: AtomicU64::new(0),
             cache_dropped: AtomicU64::new(0),
             cache_parked: AtomicU64::new(0),
+            cache_keywords_priced: AtomicU64::new(0),
             revalidation_depth: AtomicU64::new(0),
             revalidation_kept: AtomicU64::new(0),
             revalidation_repriced: AtomicU64::new(0),
@@ -227,6 +231,11 @@ impl Metrics {
             "q_cache_parked_total",
             "Cache entries parked for background re-validation, summed over publishes.",
             self.cache_parked.load(Ordering::Relaxed),
+        );
+        counter(
+            "q_cache_keywords_priced_total",
+            "Distinct keywords an ingest's cache verdict priced, summed over publishes.",
+            self.cache_keywords_priced.load(Ordering::Relaxed),
         );
         counter(
             "q_snapshot_persist_total",
@@ -393,6 +402,7 @@ mod tests {
         m.cache_kept.fetch_add(5, Ordering::Relaxed);
         m.cache_dropped.fetch_add(2, Ordering::Relaxed);
         m.cache_parked.fetch_add(4, Ordering::Relaxed);
+        m.cache_keywords_priced.fetch_add(6, Ordering::Relaxed);
         m.revalidation_depth.store(1, Ordering::Relaxed);
         m.revalidation_kept.store(2, Ordering::Relaxed);
         m.revalidation_repriced.store(1, Ordering::Relaxed);
@@ -407,6 +417,7 @@ mod tests {
             "q_cache_kept_total 5",
             "q_cache_dropped_total 2",
             "q_cache_parked_total 4",
+            "q_cache_keywords_priced_total 6",
             "q_revalidation_total{outcome=\"kept\"} 2",
             "q_revalidation_total{outcome=\"repriced\"} 1",
             "q_revalidation_total{outcome=\"dropped\"} 0",

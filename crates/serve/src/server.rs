@@ -341,6 +341,10 @@ fn route(shared: &Shared, request: &HttpRequest) -> (u16, &'static str, String) 
                 .fetch_add(report.cache_parked, Ordering::Relaxed);
             shared
                 .metrics
+                .cache_keywords_priced
+                .fetch_add(report.keywords_priced, Ordering::Relaxed);
+            shared
+                .metrics
                 .ingest_lag_us
                 .store(start.elapsed().as_micros() as u64, Ordering::Relaxed);
             Ok(wire::encode_ingest_response(&report))

@@ -91,7 +91,10 @@ fn f64s_as_bytes_mut(v: &mut [f64]) -> &mut [u8] {
 
 /// Bounds-checked little-endian decoder over one region of a snapshot
 /// stream. It digests every consumed byte, so [`SectionStream::digest`]
-/// yields the region's checksum for free.
+/// yields the region's checksum for free. Small reads only advance a
+/// cursor; each run of them is digested in one call when the refill window
+/// moves, before a direct read, or when the digest is read (the checksum
+/// is streaming, so where the runs split does not change it).
 #[derive(Debug)]
 pub struct SectionStream<'a, R: Read> {
     inner: &'a mut R,
@@ -101,6 +104,8 @@ pub struct SectionStream<'a, R: Read> {
     buf: Vec<u8>,
     pos: usize,
     end: usize,
+    /// Consumed bytes `buf[digested..pos]` are not yet in `hasher`.
+    digested: usize,
     hasher: Checksummer,
     /// Which structure this stream is decoding — reported by truncation
     /// errors.
@@ -116,6 +121,7 @@ impl<'a, R: Read> SectionStream<'a, R> {
             buf: vec![0u8; BUF_BYTES.min(len.max(64))],
             pos: 0,
             end: 0,
+            digested: 0,
             hasher: Checksummer::new(),
             context,
         }
@@ -132,6 +138,12 @@ impl<'a, R: Read> SectionStream<'a, R> {
         }
     }
 
+    /// Digest the consumed bytes not digested yet, in one call.
+    fn digest_consumed(&mut self) {
+        self.hasher.update(&self.buf[self.digested..self.pos]);
+        self.digested = self.pos;
+    }
+
     /// Ensure at least `need` contiguous bytes are buffered.
     fn refill(&mut self, need: usize) -> Result<(), SnapError> {
         if self.end - self.pos >= need {
@@ -140,6 +152,9 @@ impl<'a, R: Read> SectionStream<'a, R> {
         if need > self.remaining() {
             return Err(self.truncated());
         }
+        // The window is about to move: the consumed run leaves the buffer.
+        self.digest_consumed();
+        self.digested = 0;
         if need > self.buf.len() {
             self.buf
                 .resize(need.next_power_of_two().min(self.remaining().max(need)), 0);
@@ -165,13 +180,12 @@ impl<'a, R: Read> SectionStream<'a, R> {
         Ok(())
     }
 
-    /// Consume `n` bytes through the refill buffer, digesting them.
+    /// Consume `n` bytes through the refill buffer (digested later, with
+    /// the rest of their run).
     fn take(&mut self, n: usize) -> Result<&[u8], SnapError> {
         self.refill(n)?;
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.hasher.update(slice);
         self.pos += n;
-        Ok(slice)
+        Ok(&self.buf[self.pos - n..self.pos])
     }
 
     /// Fill `dst` straight from the stream (buffered bytes first), digesting
@@ -183,10 +197,12 @@ impl<'a, R: Read> SectionStream<'a, R> {
         if dst.len() >= DIRECT_CHUNK {
             prefault(dst);
         }
+        self.digest_consumed();
         let buffered = (self.end - self.pos).min(dst.len());
         dst[..buffered].copy_from_slice(&self.buf[self.pos..self.pos + buffered]);
         self.hasher.update(&dst[..buffered]);
         self.pos += buffered;
+        self.digested = self.pos;
         let mut filled = buffered;
         while filled < dst.len() {
             let want = (dst.len() - filled).min(DIRECT_CHUNK);
@@ -337,7 +353,9 @@ impl<'a, R: Read> SectionStream<'a, R> {
     /// Digest of every byte consumed so far (the payload checksum once the
     /// section is fully decoded).
     pub fn digest(&self) -> u64 {
-        self.hasher.finalize()
+        let mut hasher = self.hasher.clone();
+        hasher.update(&self.buf[self.digested..self.pos]);
+        hasher.finalize()
     }
 }
 
