@@ -137,8 +137,7 @@ pub fn run_aligner_experiment(config: &AlignerExperimentConfig) -> AlignerExperi
             // Register the source's schema (catalog + graph) on the base
             // snapshot without running any aligner — the three strategies
             // are measured explicitly below on identical state.
-            let mut catalog = base.catalog().clone();
-            let source = spec.load_into(&mut catalog).expect("source loads");
+            let (catalog, source) = spec.load_incremental(base.catalog()).expect("source loads");
             let mut graph = base.graph().clone();
             graph.add_source(&catalog, source);
             let value_index = ValueIndex::build(&catalog);

@@ -145,8 +145,9 @@ pub fn run_scaling_experiment(config: &ScalingExperimentConfig) -> ScalingResult
                     .find(|s| &s.name == name)
                     .expect("trial source exists");
                 let renamed = rename_spec(spec, introductions);
-                let mut catalog = catalog.clone();
-                let source = renamed.load_into(&mut catalog).expect("renamed spec loads");
+                let (catalog, source) = renamed
+                    .load_incremental(&catalog)
+                    .expect("renamed spec loads");
 
                 let outcome =
                     ExhaustiveAligner.align(&catalog, &matcher, source, None, &aligner_config);

@@ -6,11 +6,13 @@
 //! is the one engine for reads and writes alike — cached, concurrent, and
 //! never stopped by a topology change:
 //!
-//! * **[`GraphSnapshot`]** — one immutable, self-contained serving state:
-//!   catalog + search graph (packed CSR) + keyword index, stamped with a
-//!   snapshot id (the graph's weight epoch at publish). Readers answer
-//!   queries against a snapshot without any lock; answers are a pure
-//!   function of `(snapshot, request)`.
+//! * **[`GraphSnapshot`]** — one immutable serving state: catalog +
+//!   search graph (packed CSR) + keyword index, stamped with a snapshot id
+//!   (the graph's weight epoch at publish). The catalog and the index are
+//!   held by `Arc`, and so is each of the catalog's relations: a publish
+//!   shares with its base snapshot every part it does not change. Readers
+//!   answer queries against a snapshot without any lock; answers are a
+//!   pure function of `(snapshot, request)`.
 //! * **[`LiveServer`]** — holds the current snapshot behind an
 //!   `RwLock<Arc<GraphSnapshot>>` (the lock is held only long enough to
 //!   clone the `Arc`), a shared answer cache behind a `Mutex`, and a writer
@@ -96,20 +98,22 @@ use crate::translate::{materialize_view, tree_to_query};
 
 /// One immutable published serving state: everything a reader needs to
 /// answer a query, frozen at publish time. Cheap to share (`Arc`) and safe
-/// to read from any number of threads.
+/// to read from any number of threads. The catalog and the keyword index
+/// are shared by refcount with every snapshot published from this one that
+/// leaves them unchanged.
 #[derive(Debug)]
 pub struct GraphSnapshot {
     id: u64,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     graph: SearchGraph,
-    keyword_index: KeywordIndex,
+    keyword_index: Arc<KeywordIndex>,
     /// [`q_snap::accounted_bytes`] of the graph and index, computed once
     /// when the snapshot is built or loaded.
     snapshot_bytes: u64,
 }
 
 impl GraphSnapshot {
-    fn build(catalog: Catalog, graph: SearchGraph, keyword_index: KeywordIndex) -> Self {
+    fn build(catalog: Arc<Catalog>, graph: SearchGraph, keyword_index: Arc<KeywordIndex>) -> Self {
         GraphSnapshot {
             id: graph.weight_epoch(),
             snapshot_bytes: q_snap::accounted_bytes(&graph, &keyword_index),
@@ -122,13 +126,13 @@ impl GraphSnapshot {
     /// Build a snapshot directly from a prepared catalog and search graph:
     /// the keyword index is derived here, the id is stamped from the
     /// graph's weight epoch. This is the entry point for harnesses that
-    /// assemble serving state out-of-band (e.g. the boot benchmark's
-    /// synthetic corpus expansion) and then [`save`](Self::save) it or
-    /// serve it via [`LiveServer::from_snapshot`]. The shard count is
-    /// ignored: kept for `benchmark/`; removed in ROADMAP 1(b).
+    /// assemble serving state out-of-band (e.g. `qbench`'s generated
+    /// corpus) and then [`save`](Self::save) it or serve it via
+    /// [`LiveServer::from_snapshot`]. The shard count is ignored: kept for
+    /// `benchmark/`; removed in ROADMAP 1(b).
     pub fn assemble(catalog: Catalog, graph: SearchGraph, _shards: usize) -> GraphSnapshot {
         let keyword_index = KeywordIndex::build(&catalog);
-        GraphSnapshot::build(catalog, graph, keyword_index)
+        GraphSnapshot::build(Arc::new(catalog), graph, Arc::new(keyword_index))
     }
 
     /// Snapshot id: the graph's weight epoch at publish time. Strictly
@@ -174,9 +178,9 @@ impl GraphSnapshot {
         Ok((
             GraphSnapshot {
                 id: parts.id,
-                catalog: parts.catalog,
+                catalog: Arc::new(parts.catalog),
                 graph: parts.graph,
-                keyword_index: parts.keyword,
+                keyword_index: Arc::new(parts.keyword),
                 snapshot_bytes: parts.accounted_bytes,
             },
             info,
@@ -473,7 +477,7 @@ impl LiveServer {
     pub fn new(catalog: Catalog, config: QConfig) -> Self {
         let graph = SearchGraph::from_catalog(&catalog);
         let keyword_index = KeywordIndex::build(&catalog);
-        let snapshot = GraphSnapshot::build(catalog, graph, keyword_index);
+        let snapshot = GraphSnapshot::build(Arc::new(catalog), graph, Arc::new(keyword_index));
         Self::from_snapshot(snapshot, config)
     }
 
@@ -713,7 +717,9 @@ impl LiveServer {
                 })?;
         let mut graph = base.graph.clone();
         graph.add_source(&catalog, source);
-        let mut keyword_index = base.keyword_index.clone();
+        // The index is appended to in place, so an ingest still copies it
+        // (ROADMAP 6(b)).
+        let mut keyword_index = KeywordIndex::clone(&base.keyword_index);
         let new_relations: Vec<RelationId> = catalog
             .source(source)
             .map(|s| s.relations.clone())
@@ -755,9 +761,10 @@ impl LiveServer {
 
         let published = self.publish(
             &mut writer.pricer,
-            catalog,
+            &base,
+            Arc::new(catalog),
             graph,
-            keyword_index,
+            Arc::new(keyword_index),
             Change::Growth(&new_relations),
         );
         Ok(IngestReport {
@@ -795,9 +802,10 @@ impl LiveServer {
         };
         let published = self.publish(
             &mut writer.pricer,
-            base.catalog.clone(),
+            &base,
+            Arc::clone(&base.catalog),
             graph,
-            base.keyword_index.clone(),
+            Arc::clone(&base.keyword_index),
             change,
         );
         published.snapshot
@@ -833,9 +841,10 @@ impl LiveServer {
         )?;
         let published = self.publish(
             &mut writer.pricer,
-            base.catalog.clone(),
+            &base,
+            Arc::clone(&base.catalog),
             graph,
-            base.keyword_index.clone(),
+            Arc::clone(&base.keyword_index),
             Change::Reprice,
         );
         Ok(LiveFeedbackReport {
@@ -848,15 +857,16 @@ impl LiveServer {
 
     /// The one publish epilogue: build the next snapshot, sync the cache
     /// against it, swap the pointer, hand the parked entries to the
-    /// re-validation lane and deposit the snapshot for persistence. The
-    /// caller holds the writer lane, so the current snapshot is the base
-    /// the next one grew from, and `pricer` is the lane's.
+    /// re-validation lane and deposit the snapshot for persistence. `base`
+    /// is the snapshot the next one grew from, and `pricer` is the writer
+    /// lane's.
     fn publish(
         &self,
         pricer: &mut DeltaPricer,
-        catalog: Catalog,
+        base: &GraphSnapshot,
+        catalog: Arc<Catalog>,
         graph: SearchGraph,
-        keyword_index: KeywordIndex,
+        keyword_index: Arc<KeywordIndex>,
         change: Change,
     ) -> Published {
         let next = Arc::new(GraphSnapshot::build(catalog, graph, keyword_index));
@@ -868,9 +878,8 @@ impl LiveServer {
                 // bridge — any join tree the publish enables for an old
                 // query crosses one — so both its endpoints seed the
                 // pricing at the bridge's cost.
-                let base = &self.snapshot().graph;
-                let old_nodes = base.node_count();
-                seeds = next.graph.edges()[base.edge_count()..]
+                let old_nodes = base.graph.node_count();
+                seeds = next.graph.edges()[base.graph.edge_count()..]
                     .iter()
                     .filter(|e| e.a.index() < old_nodes || e.b.index() < old_nodes)
                     .flat_map(|e| {
@@ -1879,17 +1888,70 @@ mod tests {
             .is_none());
     }
 
+    /// Every relation's tuples, in relation order.
+    fn tuples(snapshot: &GraphSnapshot) -> Vec<Vec<q_storage::Tuple>> {
+        let relations = snapshot.catalog().relations();
+        relations.iter().map(|r| r.tuples.clone()).collect()
+    }
+
     #[test]
     fn failed_ingest_publishes_nothing() {
         let server = server();
         let before = server.snapshot();
+        let tuples_before = tuples(&before);
+        // The row loads before the foreign key fails.
         let bad = SourceSpec::new("bad")
-            .relation(RelationSpec::new("t", &["a"]))
+            .relation(RelationSpec::new("t", &["a"]).row(["x"]))
             .foreign_key("t.a", "missing.b");
         let err = server.ingest_source(&bad).unwrap_err();
         assert!(matches!(err, QError::SourceLoad { .. }));
         let after = server.snapshot();
         assert_eq!(before.id(), after.id());
+        assert!(Arc::ptr_eq(&before, &after));
         assert!(after.catalog().source_by_name("bad").is_none());
+        assert_eq!(tuples(&before), tuples_before);
+    }
+
+    #[test]
+    fn publishes_share_every_part_they_leave_unchanged() {
+        let server = server();
+        let boot = server.snapshot();
+        let resolve = |name: &str| boot.catalog().resolve_qualified(name).unwrap();
+
+        // An association and a feedback change the graph alone: the next
+        // snapshot holds its base's catalog and index, not copies.
+        let associated =
+            server.publish_association(resolve("go_term.acc"), resolve("interpro2go.go_id"), 0.9);
+        server.publish_association(resolve("go_term.name"), resolve("entry.name"), 0.9);
+        let base = server.snapshot();
+        assert!(base.id() > associated.id());
+        for snapshot in [&associated, &base] {
+            assert!(Arc::ptr_eq(&snapshot.catalog, &boot.catalog));
+            assert!(Arc::ptr_eq(&snapshot.keyword_index, &boot.keyword_index));
+        }
+        let fed = server
+            .feedback(&FeedbackRequest::on_keywords(
+                ["plasma membrane", "entry"],
+                Feedback::Invalid { answer: 0 },
+            ))
+            .unwrap()
+            .snapshot;
+        assert!(fed.id() > base.id());
+        assert!(Arc::ptr_eq(&fed.catalog, &base.catalog));
+        assert!(Arc::ptr_eq(&fed.keyword_index, &base.keyword_index));
+
+        // An ingest shares every pre-existing relation with its base and
+        // leaves the base's relations and tuples as they were.
+        let relations_before = fed.catalog().relations().len();
+        let tuples_before = tuples(&fed);
+        let ingested = server.ingest_source(&new_pub_source()).unwrap().snapshot;
+        let (old, new) = ingested.catalog().relations().split_at(relations_before);
+        assert_eq!(new.len(), 1, "the new source's one relation");
+        for (shared, original) in old.iter().zip(fed.catalog().relations()) {
+            assert!(Arc::ptr_eq(shared, original), "{} copied", original.name);
+        }
+        assert_eq!(fed.catalog().relations().len(), relations_before);
+        assert_eq!(tuples(&fed), tuples_before);
+        // `failed_ingest_publishes_nothing` pins the failed ingest.
     }
 }

@@ -103,7 +103,10 @@ struct Shared {
     metrics: Metrics,
     /// Every snapshot this server ever published, in publish order (boot
     /// snapshot first). Grows by one per ingest/feedback; the replay tests
-    /// resolve response-named snapshot ids against this log.
+    /// resolve response-named snapshot ids against this log. Retained
+    /// snapshots share the parts a publish left unchanged: each holds its
+    /// own search graph, a feedback shares its base's catalog and keyword
+    /// index, and an ingest shares every pre-existing relation.
     published: Mutex<Vec<Arc<GraphSnapshot>>>,
     shutdown: AtomicBool,
     keep_alive_timeout: Duration,

@@ -6,6 +6,7 @@
 //! registration target when a new source arrives (Section 3).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -26,10 +27,14 @@ pub struct Source {
 }
 
 /// The set of all registered sources and their contents.
+///
+/// Each relation sits behind an [`Arc`], so cloning a catalog copies
+/// pointers, not tuples: the clone shares every relation with the original
+/// until it inserts into one, which then copies that relation alone.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Catalog {
     sources: Vec<Source>,
-    relations: Vec<Relation>,
+    relations: Vec<Arc<Relation>>,
     attributes: Vec<Attribute>,
     foreign_keys: Vec<ForeignKey>,
     source_by_name: HashMap<String, SourceId>,
@@ -54,7 +59,7 @@ impl Catalog {
         let source_by_name = sources.iter().map(|s| (s.name.clone(), s.id)).collect();
         Catalog {
             sources,
-            relations,
+            relations: relations.into_iter().map(Arc::new).collect(),
             attributes,
             foreign_keys,
             source_by_name,
@@ -121,13 +126,13 @@ impl Catalog {
             });
             attr_ids.push(attr_id);
         }
-        self.relations.push(Relation {
+        self.relations.push(Arc::new(Relation {
             id: rel_id,
             source,
             name: name.to_string(),
             attributes: attr_ids,
             tuples: Vec::new(),
-        });
+        }));
         src.relations.push(rel_id);
         Ok(rel_id)
     }
@@ -151,7 +156,8 @@ impl Catalog {
         Ok(())
     }
 
-    /// Insert a tuple into a relation.
+    /// Insert a tuple into a relation. A relation shared with another
+    /// catalog is copied first; a rejected tuple copies nothing.
     pub fn insert(&mut self, relation: RelationId, tuple: Tuple) -> Result<(), StorageError> {
         let rel = self
             .relations
@@ -164,7 +170,7 @@ impl Catalog {
                 got: tuple.arity(),
             });
         }
-        rel.tuples.push(tuple);
+        Arc::make_mut(rel).tuples.push(tuple);
         Ok(())
     }
 
@@ -190,7 +196,7 @@ impl Catalog {
     }
 
     /// All relations.
-    pub fn relations(&self) -> &[Relation] {
+    pub fn relations(&self) -> &[Arc<Relation>] {
         &self.relations
     }
 
@@ -218,13 +224,16 @@ impl Catalog {
 
     /// Relation by id.
     pub fn relation(&self, id: RelationId) -> Option<&Relation> {
-        self.relations.get(id.index())
+        self.relations.get(id.index()).map(Arc::as_ref)
     }
 
     /// Relation by name (searched across all sources; names used in the
     /// reproduction datasets are globally unique).
     pub fn relation_by_name(&self, name: &str) -> Option<&Relation> {
-        self.relations.iter().find(|r| r.name == name)
+        self.relations
+            .iter()
+            .find(|r| r.name == name)
+            .map(Arc::as_ref)
     }
 
     /// Attribute by id.
@@ -379,6 +388,26 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn a_clone_shares_relations_until_an_insert_copies_one() {
+        let (base, term, i2g) = small_catalog();
+        let mut next = base.clone();
+        let shared = |a: &Catalog, b: &Catalog, id: RelationId| {
+            Arc::ptr_eq(&a.relations()[id.index()], &b.relations()[id.index()])
+        };
+        assert!(shared(&base, &next, term) && shared(&base, &next, i2g));
+        // A rejected tuple copies nothing.
+        assert!(next.insert(term, Tuple::new(vec![Value::Int(1)])).is_err());
+        assert!(shared(&base, &next, term));
+        // An accepted one copies that relation alone; the original keeps
+        // its tuples.
+        next.insert(i2g, vec![Value::from("IPR2"), Value::from("GO:2")].into())
+            .unwrap();
+        assert!(shared(&base, &next, term) && !shared(&base, &next, i2g));
+        assert_eq!(base.relation(i2g).unwrap().cardinality(), 1);
+        assert_eq!(next.relation(i2g).unwrap().cardinality(), 2);
     }
 
     #[test]

@@ -100,10 +100,13 @@ impl SourceSpec {
     ///
     /// This is the copy-on-write registration step of live ingestion: readers
     /// keep serving from the original catalog (inside their immutable
-    /// snapshot) while the writer prepares the next one. Because loading is
-    /// all-or-nothing here, a spec that fails mid-way (say, an unresolvable
-    /// foreign key) leaves no half-registered source behind — the clone is
-    /// simply dropped.
+    /// snapshot) while the writer prepares the next one. The clone shares
+    /// every existing relation with the original by refcount, so it costs
+    /// O(relations + attributes), not a copy of the tuples; loading only
+    /// ever inserts into the new source's own fresh relations. A spec that
+    /// fails mid-way (say, an unresolvable foreign key) therefore leaves
+    /// the original exactly as it was: dropping the clone releases nothing
+    /// but the new relations and the pointers it held.
     pub fn load_incremental(&self, catalog: &Catalog) -> Result<(Catalog, SourceId), StorageError> {
         let mut next = catalog.clone();
         let source = self.load_into(&mut next)?;

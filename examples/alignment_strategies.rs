@@ -61,8 +61,7 @@ fn main() {
     );
     for name in &trial.new_sources {
         let spec = specs.iter().find(|s| &s.name == name).unwrap();
-        let mut catalog = base.catalog().clone();
-        let source = spec.load_into(&mut catalog).unwrap();
+        let (catalog, source) = spec.load_incremental(base.catalog()).unwrap();
         let mut graph = base.graph().clone();
         graph.add_source(&catalog, source);
         let index = ValueIndex::build(&catalog);
