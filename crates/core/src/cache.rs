@@ -72,23 +72,21 @@ use std::sync::{Arc, Mutex};
 
 use q_graph::keyword::MatchConfig;
 use q_graph::{DeltaPricer, EdgeId, FeatureVector, KeywordIndex, NodeId, SearchGraph};
-use q_storage::{Catalog, RelationId};
+use q_storage::{text, Catalog, RelationId};
 
 use crate::answer::RankedView;
 use crate::request::QueryParamsKey;
 
 /// Normalise a keyword query into the keyword half of its cache key:
-/// per-keyword trim + lowercase (exactly what
-/// [`KeywordIndex`] does to a keyword before
-/// matching), order and arity preserved. Order determines view column order
-/// and every keyword — even a blank one — becomes a Steiner terminal (a
-/// blank keyword matches nothing, leaving its terminal unreachable and the
-/// view empty), so both are part of the key.
+/// per-keyword [`text::normalize`], order and arity preserved. Order
+/// determines view column order and every keyword — even a blank one —
+/// becomes a Steiner terminal (a blank keyword matches nothing, leaving its
+/// terminal unreachable and the view empty), so both are part of the key.
 ///
 /// Two spellings with equal keys produce identical ranked answers; only the
 /// verbatim `keywords` echo in the cached [`RankedView`] may differ.
 pub fn normalize_keywords(keywords: &[&str]) -> Vec<String> {
-    keywords.iter().map(|k| k.trim().to_lowercase()).collect()
+    keywords.iter().map(|k| text::normalize(k)).collect()
 }
 
 /// Cache key of one query: the normalized keywords plus the request's

@@ -13,10 +13,8 @@
 //! The index stores its documents *columnar*: one shared text blob with
 //! per-document end offsets, a canonical token dictionary with flat
 //! per-document token-id runs, and one distinct-trigram count per document.
-//! Character trigrams are packed into `u64` keys (three scalar values ≤
-//! `0x10FFFF` < 2²¹ in 21-bit lanes — injective, so trigram set
-//! intersection over the packed keys equals intersection over the strings).
-//! Postings are flat arrays sliced by end offsets.
+//! Text is normalised, tokenised and cut into packed trigram keys by
+//! [`q_storage::text`]. Postings are flat arrays sliced by end offsets.
 //!
 //! A document's trigrams are kept once, in the trigram postings. A lookup
 //! reads only a document's trigram *count* (its half of the Dice
@@ -52,6 +50,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use q_storage::text::{distinct_trigrams, normalize, packed_trigrams, tokenize};
 use q_storage::{Attribute, AttributeId, Catalog, Relation, RelationId, Value};
 
 /// What a keyword matched.
@@ -248,9 +247,10 @@ pub struct KeywordIndexView<'a> {
 ///
 /// An index is finalized at rest — [`KeywordIndex::build`],
 /// [`KeywordIndex::add_relation`] and [`KeywordIndex::from_parts`] are its
-/// only producers — and its fields are exactly the persistent columns of
-/// [`KeywordIndexParts`], so a clone (and with it every published snapshot)
-/// carries nothing the snapshot file does not.
+/// only producers — and its fields are the persistent columns of
+/// [`KeywordIndexParts`] plus one running total derived from them (the byte
+/// estimate), so a clone (and with it every published snapshot) carries
+/// nothing the snapshot file does not.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KeywordIndex {
     // Persistent columnar state — see [`KeywordIndexParts`] for field docs.
@@ -269,6 +269,9 @@ pub struct KeywordIndex {
     trigram_posting_ends: Vec<u32>,
     idf: Vec<f64>,
     doc_norm_sq: Vec<f64>,
+    // Sum of `doc_byte_estimate` over every document, kept as documents are
+    // added so that reading it does not walk the corpus.
+    byte_estimate: u64,
 }
 
 /// Half-open range `doc`'s run occupies in a flat column with end offsets.
@@ -345,7 +348,7 @@ impl KeywordIndex {
     /// faithful copy of a previously finalized index; internal consistency
     /// of the offsets is checked in debug builds.
     pub fn from_parts(parts: KeywordIndexParts) -> Self {
-        let idx = KeywordIndex {
+        let mut idx = KeywordIndex {
             target_kinds: parts.target_kinds,
             target_ids: parts.target_ids,
             text_blob: parts.text_blob,
@@ -361,6 +364,7 @@ impl KeywordIndex {
             trigram_posting_ends: parts.trigram_posting_ends,
             idf: parts.idf,
             doc_norm_sq: parts.doc_norm_sq,
+            byte_estimate: 0,
         };
         debug_assert_eq!(idx.text_ends.len(), idx.len());
         debug_assert_eq!(idx.token_ends.len(), idx.len());
@@ -376,6 +380,7 @@ impl KeywordIndex {
         debug_assert_eq!(idx.idf.len(), idx.token_names.len());
         debug_assert_eq!(idx.token_posting_ends.len(), idx.token_names.len());
         debug_assert_eq!(idx.trigram_posting_ends.len(), idx.trigram_keys.len());
+        idx.byte_estimate = (0..idx.len()).map(|doc| idx.doc_byte_estimate(doc)).sum();
         idx
     }
 
@@ -458,10 +463,10 @@ impl KeywordIndex {
     }
 
     /// Deterministic estimate of the postings footprint: the sum of the
-    /// per-document estimate below over every document. Linear in the
-    /// corpus, so a snapshot computes it once and keeps it.
+    /// per-document estimate below over every document, kept as each
+    /// document is added (or summed once by [`KeywordIndex::from_parts`]).
     pub fn postings_byte_estimate(&self) -> u64 {
-        (0..self.len()).map(|idx| self.doc_byte_estimate(idx)).sum()
+        self.byte_estimate
     }
 
     /// Deterministic estimate of one document's postings footprint:
@@ -671,6 +676,7 @@ impl KeywordIndex {
         let grams = packed_trigrams(&norm);
         self.trigram_counts.push(grams.len() as u32);
         appended.trigrams.extend(grams);
+        self.byte_estimate += self.doc_byte_estimate(self.len() - 1);
     }
 
     /// True when the keyword would match (at or above the configured
@@ -1025,42 +1031,6 @@ fn merge_postings(
     (merged_ends, merged)
 }
 
-fn normalize(text: &str) -> String {
-    text.trim().to_lowercase()
-}
-
-/// Split into alphanumeric tokens; underscores and punctuation separate
-/// tokens so that `entry_ac` matches the keyword "entry".
-fn tokenize(text: &str) -> Vec<String> {
-    normalize(text)
-        .split(|c: char| !c.is_alphanumeric())
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-/// Sorted distinct packed character trigrams of the normalised text (with
-/// word-boundary padding). Each of the three chars is a Unicode scalar
-/// value (≤ `0x10FFFF` < 2²¹) packed into its own 21-bit lane, so packing
-/// is injective and set operations over the keys equal set operations over
-/// the original trigram strings.
-fn packed_trigrams(text: &str) -> Vec<u64> {
-    distinct_trigrams(&format!("  {}  ", normalize(text)))
-}
-
-/// Sorted distinct packed character trigrams of `text` as it is (no
-/// normalisation, no padding).
-fn distinct_trigrams(text: &str) -> Vec<u64> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut grams: Vec<u64> = chars
-        .windows(3)
-        .map(|w| ((w[0] as u64) << 42) | ((w[1] as u64) << 21) | (w[2] as u64))
-        .collect();
-    grams.sort_unstable();
-    grams.dedup();
-    grams
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1369,6 +1339,9 @@ mod tests {
                     idx.doc_text(doc)
                 );
             }
+            // The kept byte estimate is the walk it replaces.
+            let walked: u64 = (0..idx.len()).map(|doc| idx.doc_byte_estimate(doc)).sum();
+            assert_eq!(idx.postings_byte_estimate(), walked, "{producer}");
         };
         let mut cat = catalog();
         let built = KeywordIndex::build(&cat);
@@ -1577,21 +1550,6 @@ mod tests {
         assert!(matches
             .iter()
             .any(|m| m.target == MatchTarget::Relation(rel)));
-    }
-
-    #[test]
-    fn packed_trigrams_are_injective_over_scalars() {
-        // Distinct trigram strings must pack to distinct keys.
-        let a = packed_trigrams("abc");
-        let b = packed_trigrams("abd");
-        assert_ne!(a, b);
-        // Empty text still yields the padding-only trigram, like the
-        // string-set representation did.
-        assert_eq!(packed_trigrams("").len(), 1);
-        // Non-ASCII scalars stay in their 21-bit lanes.
-        let uni = packed_trigrams("δοκιμή");
-        assert!(!uni.is_empty());
-        assert!(uni.windows(2).all(|w| w[0] < w[1]), "sorted distinct");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 pub mod mad;
 pub mod matcher;
 pub mod metadata;
-pub mod strings;
+mod strings;
 
 pub use mad::{MadConfig, MadMatcher, MadResult};
 pub use matcher::{keep_top_y_per_attribute, AttributeAlignment, SchemaMatcher};

@@ -18,10 +18,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use q_storage::{Catalog, RelationId};
+use q_storage::{AttributeId, Catalog, RelationId};
 
 use crate::matcher::{keep_top_y_per_attribute, AttributeAlignment, SchemaMatcher};
-use crate::strings;
+use crate::strings::NameProfile;
 
 /// Weights of the individual sub-matchers and acceptance threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,9 +62,7 @@ pub struct MetadataMatcher {
 impl MetadataMatcher {
     /// Matcher with default sub-matcher weights.
     pub fn new() -> Self {
-        MetadataMatcher {
-            config: MetadataMatcherConfig::default(),
-        }
+        Self::default()
     }
 
     /// Matcher with custom configuration.
@@ -72,25 +70,25 @@ impl MetadataMatcher {
         MetadataMatcher { config }
     }
 
-    /// Name similarity between two attribute names (no structural context).
-    fn name_similarity(&self, a: &str, b: &str) -> f64 {
+    /// Name similarity between two profiled names (no structural context).
+    fn name_similarity(&self, a: &NameProfile, b: &NameProfile) -> f64 {
         let c = &self.config;
         let base_weight = c.token_weight + c.trigram_weight + c.edit_weight + c.containment_weight;
         if base_weight <= 0.0 {
             return 0.0;
         }
-        let score = c.token_weight * strings::token_jaccard(a, b)
-            + c.trigram_weight * strings::trigram_dice(a, b)
-            + c.edit_weight * strings::edit_similarity(a, b)
-            + c.containment_weight * strings::containment(a, b);
+        let score = c.token_weight * a.token_jaccard(b)
+            + c.trigram_weight * a.trigram_dice(b)
+            + c.edit_weight * a.edit_similarity(b)
+            + c.containment_weight * a.containment(b);
         (score / base_weight).clamp(0.0, 1.0)
     }
 
     /// Combined confidence for an attribute pair given their relations'
     /// structural similarity.
-    fn pair_confidence(&self, attr_a: &str, attr_b: &str, relation_similarity: f64) -> f64 {
+    fn pair_confidence(&self, a: &NameProfile, b: &NameProfile, relation_similarity: f64) -> f64 {
         let c = &self.config;
-        let name_sim = self.name_similarity(attr_a, attr_b);
+        let name_sim = self.name_similarity(a, b);
         let total_weight = 1.0 + c.structural_weight;
         ((name_sim + c.structural_weight * relation_similarity * name_sim.max(0.3)) / total_weight)
             .clamp(0.0, 1.0)
@@ -115,22 +113,24 @@ impl SchemaMatcher for MetadataMatcher {
         ) else {
             return Vec::new();
         };
-        let relation_similarity = self.name_similarity(&new_rel.name, &existing_rel.name);
+        // Each name is profiled once per call, and a pair is scored from
+        // two profiles.
+        let profile = |&id: &AttributeId| {
+            let attr = catalog.attribute(id).expect("attribute exists");
+            (id, NameProfile::new(&attr.name))
+        };
+        let new_attrs: Vec<_> = new_rel.attributes.iter().map(profile).collect();
+        let existing_attrs: Vec<_> = existing_rel.attributes.iter().map(profile).collect();
+        let relation_similarity = self.name_similarity(
+            &NameProfile::new(&new_rel.name),
+            &NameProfile::new(&existing_rel.name),
+        );
         let mut alignments = Vec::new();
-        for new_attr_id in &new_rel.attributes {
-            let new_attr = catalog.attribute(*new_attr_id).expect("attribute exists");
-            for existing_attr_id in &existing_rel.attributes {
-                let existing_attr = catalog
-                    .attribute(*existing_attr_id)
-                    .expect("attribute exists");
-                let confidence =
-                    self.pair_confidence(&new_attr.name, &existing_attr.name, relation_similarity);
+        for (new_id, new_attr) in &new_attrs {
+            for (existing_id, existing_attr) in &existing_attrs {
+                let confidence = self.pair_confidence(new_attr, existing_attr, relation_similarity);
                 if confidence >= self.config.threshold {
-                    alignments.push(AttributeAlignment::new(
-                        *new_attr_id,
-                        *existing_attr_id,
-                        confidence,
-                    ));
+                    alignments.push(AttributeAlignment::new(*new_id, *existing_id, confidence));
                 }
             }
         }
@@ -177,8 +177,9 @@ mod tests {
     #[test]
     fn unrelated_names_score_below_related_names() {
         let m = MetadataMatcher::new();
-        assert!(m.name_similarity("go_id", "acc") < m.name_similarity("go_id", "go_acc"));
-        assert!(m.name_similarity("title", "pub_id") < m.name_similarity("pub_id", "pub_id"));
+        let sim = |a: &str, b: &str| m.name_similarity(&NameProfile::new(a), &NameProfile::new(b));
+        assert!(sim("go_id", "acc") < sim("go_id", "go_acc"));
+        assert!(sim("title", "pub_id") < sim("pub_id", "pub_id"));
     }
 
     #[test]

@@ -191,8 +191,8 @@ impl SnapshotInfo {
 /// global CSR's [`byte_size`](q_graph::Csr::byte_size) plus the keyword
 /// index's [`postings_byte_estimate`](KeywordIndex::postings_byte_estimate).
 /// The one definition behind the meta section's cross-check and the
-/// `q_snapshot_bytes` gauge; linear in the corpus, so a serving snapshot
-/// computes it once and keeps it.
+/// `q_snapshot_bytes` gauge. Both terms are kept totals, so a publish
+/// reads it without walking the corpus.
 pub fn accounted_bytes(graph: &SearchGraph, keyword: &KeywordIndex) -> u64 {
     graph.csr().byte_size() as u64 + keyword.postings_byte_estimate()
 }

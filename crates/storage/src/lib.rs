@@ -6,8 +6,8 @@
 //!
 //! * a [`Catalog`] holding sources, relations, attributes, foreign keys and
 //!   tuples,
-//! * typed [`Value`]s with the normalisation rules used for keyword and
-//!   instance-level matching,
+//! * typed [`Value`]s and the one [`text`] model (normalise, tokenise,
+//!   character trigrams) used for keyword and name matching,
 //! * a [`ValueIndex`] of distinct values per attribute, used by the
 //!   value-overlap filter of the alignment experiments (Figure 7), and
 //! * a small conjunctive-query [`executor`](crate::exec) that evaluates the
@@ -22,6 +22,7 @@ pub mod exec;
 pub mod index;
 pub mod loader;
 pub mod schema;
+pub mod text;
 pub mod tuple;
 pub mod value;
 

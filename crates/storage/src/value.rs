@@ -31,14 +31,7 @@ impl Value {
             Value::Null => None,
             Value::Int(i) => Some(i.to_string()),
             Value::Float(x) => Some(format!("{x}")),
-            Value::Text(s) => {
-                let t = s.trim().to_lowercase();
-                if t.is_empty() {
-                    None
-                } else {
-                    Some(t)
-                }
-            }
+            Value::Text(s) => Some(crate::text::normalize(s)).filter(|t| !t.is_empty()),
         }
     }
 
