@@ -33,10 +33,16 @@
 //!
 //! A lookup is one term-at-a-time pass over the postings into per-document
 //! accumulators, followed by one pass over the touched documents that keeps
-//! the best `max_matches` in a bounded heap. A document whose similarity
-//! cannot reach the heap's current worst entry is skipped before its text
-//! is read, the cut-off of threshold top-k retrieval (Fagin, Lotem & Naor;
-//! Turtle & Flood's MaxScore), so only the survivors are ordered. A lookup
+//! the best `max_matches` in a bounded heap. The first pass walks every
+//! query token's list but only the shortest of the keyword's trigram lists:
+//! a document sharing no token reaches the floor only by sharing some least
+//! number of trigrams, so it is on one of the walked lists (prefix
+//! filtering, Chaudhuri, Ganti & Kaushik), and the other lists are probed
+//! one document at a time. A document whose similarity cannot reach the
+//! heap's current worst entry is skipped — on its accumulators alone, then
+//! on its columns, before the probes and before its text is read — the
+//! cut-off of threshold top-k retrieval (Fagin, Lotem & Naor; Turtle &
+//! Flood's MaxScore), so only the survivors are ordered. A lookup
 //! scoped to some relations walks only their documents: canonical order
 //! keeps each relation's schema documents and its value documents in two
 //! contiguous runs, and every posting list is ascending, so the part of a
@@ -518,24 +524,44 @@ impl KeywordIndex {
     /// `runs` (ascending, disjoint document ranges) that reach `floor`,
     /// ranked by (similarity desc, document asc).
     ///
-    /// One pass over the postings fills the per-thread [`Accumulators`]:
-    /// each query token's list, in query-token order, adds `idf²` to `dot`
-    /// (so every document sums the same terms in the same order as a walk
-    /// over its own tokens, whatever `runs` is); each query trigram's list
-    /// adds 1 to `common`. Only the part of each list inside `runs` is
-    /// walked. Then each touched document gets an upper bound from its
-    /// accumulators and its byte length alone: `1.0` when equality is
-    /// possible (equal lengths), else `min(0.999, max(cos, dice, c))`,
-    /// where `c` is what containment could give, `0.9·short/long`, or `0`
-    /// when the shared trigrams rule containment out (the shorter text's
-    /// unpadded trigrams would all be shared, and a document has at most
-    /// four padded ones). A document whose bound is strictly below the
-    /// floor, or below the worst held similarity once `k` are held, cannot
-    /// enter and is skipped without reading its text; an equal bound is
-    /// scored, since a tie with a lower document id still enters. A scored
-    /// candidate's text is read for equality, and searched for containment
-    /// only when containment would beat both cosine and Dice and reach the
-    /// floor.
+    /// **Prefix filter.** A document that shares no query token scores by
+    /// Dice, containment or equality alone, so it reaches a similarity `θ`
+    /// only if it shares at least [`Reach::cmin`]`(θ)` of the keyword's
+    /// `|Q|` distinct padded trigrams. By pigeonhole, every such document at
+    /// the floor is on one of any `|Q| − cmin(floor) + 1` trigram lists. So
+    /// one pass walks, into the per-thread [`Accumulators`], the part inside
+    /// `runs` of those lists — the shortest inside `runs`, shortest first
+    /// (a trigram the index lacks is an empty list) — adding 1 to `common`,
+    /// and then every query token's list in query-token order, adding
+    /// `idf²` to `dot` (so every document sums the same terms in the same
+    /// order as a walk over its own tokens, whatever `runs` is). The other
+    /// `s` trigram lists are *probed*: searched for one document at a time.
+    /// Walking the rare lists first fills the heap with strong candidates
+    /// early, which raises the cut.
+    ///
+    /// **Bounds.** Each touched document, in first-touch order, starts
+    /// with the `s` probed lists open, so it shares at most `common + s`
+    /// query trigrams; the cut is the floor, or the worst held similarity
+    /// once `k` are held. It is skipped before any per-document column is
+    /// read when `sqrt(dot·mult)/|q|` is below the cut, where `mult` is the
+    /// largest multiplicity of a query token (a repeated token adds to `dot`
+    /// once per occurrence, so `doc_norm_sq ≥ dot/mult`), and `common + s`
+    /// is below `cmin(cut)` (Dice is one of `cmin`'s routes, so it cannot
+    /// reach the cut either). Otherwise its columns and byte length give an
+    /// upper bound that grows with the shared count: `1.0` when equality is
+    /// possible (equal lengths, every trigram shared), else
+    /// `min(0.999, max(cos, dice, c))`, where `c` is what containment could
+    /// give, `0.9·short/long`, or `0` when the shared trigrams rule
+    /// containment out (the shorter text's unpadded trigrams would all be
+    /// shared, and a document has at most four padded ones). The probed
+    /// lists are searched, rarest first, only while both bounds reach the
+    /// cut: a miss that brings either below it drops the document. A
+    /// survivor has its exact `common` and its exact bound. Every bound is
+    /// strict: a document whose bound is below the cut cannot enter, and an
+    /// equal bound is scored, since a tie with a lower document id still
+    /// enters. A scored candidate's text is read for equality, and searched
+    /// for containment only when containment would beat both cosine and
+    /// Dice and reach the floor.
     fn scored(
         &self,
         keyword: &str,
@@ -549,13 +575,43 @@ impl KeywordIndex {
         let norm = normalize(keyword);
         let grams = packed_trigrams(&norm);
         let inner = distinct_trigrams(&norm).len();
+        let reach = Reach::new(&norm, grams.len(), inner);
         let token_ids: Vec<Option<u32>> =
             tokenize(keyword).iter().map(|t| self.token_id(t)).collect();
         let idf = |id: Option<u32>| id.map_or(1.0, |i| self.idf[i as usize]);
         let norm_sq: f64 = token_ids.iter().map(|&id| idf(id) * idf(id)).sum();
+        // The most times one query token occurs: it adds its `idf²` to a
+        // document's `dot` that many times.
+        let mult = {
+            let mut ids = token_ids.clone();
+            ids.sort_unstable();
+            ids.chunk_by(|a, b| a == b)
+                .map(<[_]>::len)
+                .max()
+                .unwrap_or(0)
+        };
+        // The query trigrams the index holds, as (length inside `runs`,
+        // list position), shortest first; the `s` longest are probed.
+        let mut lists: Vec<(usize, usize)> = grams
+            .iter()
+            .filter_map(|g| self.trigram_keys.binary_search(g).ok())
+            .map(|pos| {
+                let list = self.trigram_posting_list(pos);
+                (runs.iter().map(|docs| within(list, docs).len()).sum(), pos)
+            })
+            .collect();
+        lists.sort_unstable();
+        let (walked, probed) = lists.split_at(lists.len().saturating_sub(reach.cmin(floor) - 1));
         ACCUMULATORS.with(|acc| {
             let acc = &mut *acc.borrow_mut();
             acc.begin(self.len());
+            for &(_, pos) in walked {
+                for docs in runs {
+                    for &doc in within(self.trigram_posting_list(pos), docs) {
+                        acc.touch(doc).common += 1;
+                    }
+                }
+            }
             // An out-of-vocabulary query token occurs in no document.
             for &id in token_ids.iter().flatten() {
                 let w = self.idf[id as usize];
@@ -565,47 +621,75 @@ impl KeywordIndex {
                     }
                 }
             }
-            for pos in grams
+            let mut probes: Vec<Probe> = probed
                 .iter()
-                .filter_map(|g| self.trigram_keys.binary_search(g).ok())
-            {
-                for docs in runs {
-                    for &doc in within(self.trigram_posting_list(pos), docs) {
-                        acc.touch(doc).common += 1;
-                    }
-                }
-            }
+                .map(|&(_, pos)| Probe {
+                    list: self.trigram_posting_list(pos),
+                    at: 0,
+                })
+                .collect();
             let mut top = BinaryHeap::with_capacity(k.min(acc.touched.len()));
             let mut cut = floor;
-            for doc in acc.touched.iter().map(|&d| d as usize) {
+            let mut need = reach.cmin(cut);
+            'docs: for doc in acc.touched.iter().map(|&d| d as usize) {
                 let Slot { dot, common, .. } = acc.slots[doc];
+                let mut common = common as usize;
+                // `doc_norm_sq ≥ dot/mult`, so `cos ≤ sqrt(dot·mult)/|q|`.
+                let cos_bound = if dot > 0.0 {
+                    (dot * mult as f64).sqrt() / norm_sq.sqrt() * COS_SLACK
+                } else {
+                    0.0
+                };
+                let cos_short = cos_bound < cut;
+                let mut open = probes.len();
+                if cos_short && common + open < need {
+                    continue;
+                }
                 let dn = self.doc_norm_sq[doc];
                 let cos = (norm_sq > 0.0 && dn > 0.0).then(|| dot / (norm_sq.sqrt() * dn.sqrt()));
                 // Both trigram sets hold at least the padding trigram.
                 let doc_grams = self.trigram_counts[doc] as usize;
-                let dice = 2.0 * common as f64 / (grams.len() + doc_grams) as f64;
-                let best = cos.unwrap_or(0.0).max(dice);
                 let (start, end) = run(&self.text_ends, doc);
                 let len = end - start;
-                // Containment needs every unpadded trigram of the shorter
-                // text in common: the keyword's `inner` ones, or all but the
-                // at most four padded ones of the document's.
-                let containable = (len >= norm.len() && common as usize >= inner)
-                    || (len <= norm.len() && common as usize + 4 >= doc_grams);
-                let (short, long) = (norm.len().min(len), norm.len().max(len));
-                let bound = if containable {
-                    0.9 * short as f64 / long as f64
-                } else {
-                    0.0
+                // (best of cosine and Dice, containment bound, upper bound)
+                // for a document sharing `common` query trigrams; all three
+                // grow with `common`.
+                let bounds = |common: usize| {
+                    let best = cos
+                        .unwrap_or(0.0)
+                        .max(dice(common, grams.len() + doc_grams));
+                    // Containment needs every unpadded trigram of the
+                    // shorter text in common: the keyword's `inner` ones, or
+                    // all but the at most four padded ones of the
+                    // document's. Equality needs every trigram.
+                    let containable = (len >= norm.len() && common >= inner)
+                        || (len <= norm.len() && common + 4 >= doc_grams);
+                    let bound = if containable {
+                        containment(norm.len().min(len), norm.len().max(len))
+                    } else {
+                        0.0
+                    };
+                    let upper = if len == norm.len() && common >= grams.len() {
+                        1.0
+                    } else {
+                        best.max(bound).min(0.999)
+                    };
+                    (best, bound, upper)
                 };
-                let upper = if len == norm.len() {
-                    1.0
-                } else {
-                    best.max(bound).min(0.999)
-                };
-                if upper < cut {
+                if bounds(common + open).2 < cut {
                     continue;
                 }
+                for probe in &mut probes {
+                    open -= 1;
+                    if probe.holds(doc as u32) {
+                        common += 1;
+                    } else if (cos_short && common + open < need) || bounds(common + open).2 < cut {
+                        continue 'docs;
+                    }
+                }
+                // A hit leaves `common + open` as it was, so the bound still
+                // reaches the cut.
+                let (best, bound, _) = bounds(common);
                 let text = &self.text_blob[start..end];
                 let similarity = if text == norm {
                     1.0
@@ -629,7 +713,10 @@ impl KeywordIndex {
                     }
                 }
                 if top.len() == k {
-                    cut = top.peek().map_or(cut, |worst| worst.similarity);
+                    let worst = top.peek().map_or(cut, |worst| worst.similarity);
+                    if worst != cut {
+                        (cut, need) = (worst, reach.cmin(worst));
+                    }
                 }
             }
             top.into_sorted_vec()
@@ -932,8 +1019,132 @@ impl PartialEq for Ranked {
 
 impl Eq for Ranked {}
 
+/// Relative slack on the cosine bound of [`KeywordIndex::scored`]: `dot`
+/// and `doc_norm_sq` add the same idf² terms in different orders, so a
+/// computed cosine can pass its exact bound by a few ulps.
+const COS_SLACK: f64 = 1.0 + 1e-9;
+
+/// The Dice coefficient `2·common / total`, as every similarity and every
+/// bound of a lookup computes it.
+fn dice(common: usize, total: usize) -> f64 {
+    2.0 * common as f64 / total as f64
+}
+
+/// The containment score `0.9·short / long` of two byte lengths.
+fn containment(short: usize, long: usize) -> f64 {
+    0.9 * short as f64 / long as f64
+}
+
+/// The least `x` in `lo..hi` with `holds(x)`, or `hi`; `holds` must be
+/// false then true along the range.
+fn least(mut lo: usize, mut hi: usize, holds: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// The keyword's side of the prefix filter: how many of its trigrams a
+/// document that shares no query token must share to reach a similarity.
+struct Reach {
+    /// `|Q|`, the keyword's distinct padded trigrams.
+    grams: usize,
+    /// The keyword's distinct unpadded trigrams.
+    inner: usize,
+    /// The normalised keyword's byte length.
+    len: usize,
+    /// The most times one trigram occurs in an ASCII keyword; `None` when
+    /// the keyword is not ASCII.
+    maxdup: Option<usize>,
+}
+
+impl Reach {
+    fn new(norm: &str, grams: usize, inner: usize) -> Self {
+        let maxdup = norm.is_ascii().then(|| {
+            let mut windows: Vec<&[u8]> = norm.as_bytes().windows(3).collect();
+            windows.sort_unstable();
+            windows
+                .chunk_by(|a, b| a == b)
+                .map(<[_]>::len)
+                .max()
+                .unwrap_or(1)
+        });
+        Reach {
+            grams,
+            inner,
+            len: norm.len(),
+            maxdup,
+        }
+    }
+
+    /// `cmin(θ)`: the fewest shared trigrams `c ≥ 1` with which a document
+    /// that shares no query token can still reach `θ` — the least over
+    /// four routes (DESIGN.md, *Keyword matching*):
+    ///
+    /// * Dice `2c/(|Q|+|D|) ≤ 2c/(|Q|+c)`, with `|D| ≥ c`, in the same
+    ///   float expression as the score;
+    /// * the keyword inside a longer document shares all `inner` trigrams,
+    ///   if `0.9·len/(len+1)` reaches `θ`;
+    /// * a shorter document inside the keyword is a substring of at least
+    ///   the least length `L` whose `0.9·L/len` reaches `θ`, and shares its
+    ///   distinct trigrams: at least `⌈(L−2)/maxdup⌉` in ASCII, `1`
+    ///   otherwise;
+    /// * an equal document shares all `|Q|`.
+    fn cmin(&self, theta: f64) -> usize {
+        let q = self.grams;
+        let mut c = q.min(least(1, q + 1, |c| dice(c, q + c) >= theta));
+        if containment(self.len, self.len + 1) >= theta {
+            c = c.min(self.inner);
+        }
+        let shortest = least(1, self.len, |l| containment(l, self.len) >= theta);
+        if shortest < self.len {
+            c = c.min(
+                self.maxdup
+                    .map_or(1, |dup| shortest.saturating_sub(2).div_ceil(dup)),
+            );
+        }
+        c.max(1)
+    }
+}
+
+/// A cursor that answers "is this document on the list?" for one ascending
+/// posting list. Touched documents come in ascending runs (each walked
+/// list's new documents are in list order), so each search gallops forward
+/// from where the last one stopped and starts over only when the documents
+/// step back.
+struct Probe<'a> {
+    list: &'a [u32],
+    /// How many entries are below the last document searched for.
+    at: usize,
+}
+
+impl Probe<'_> {
+    fn holds(&mut self, doc: u32) -> bool {
+        let list = self.list;
+        if self.at > 0 && list[self.at - 1] >= doc {
+            self.at = 0;
+        }
+        let mut step = 1;
+        while self.at + step <= list.len() && list[self.at + step - 1] < doc {
+            step *= 2;
+        }
+        let (lo, hi) = (self.at + step / 2, (self.at + step).min(list.len()));
+        self.at = lo + list[lo..hi].partition_point(|&d| d < doc);
+        list.get(self.at) == Some(&doc)
+    }
+}
+
 /// The part of an ascending posting list inside the document range `docs`.
 fn within<'a>(list: &'a [u32], docs: &Range<u32>) -> &'a [u32] {
+    // A run over the whole list (every full-index lookup) needs no search.
+    if list.first().is_none_or(|&d| d >= docs.start) && list.last().is_none_or(|&d| d < docs.end) {
+        return list;
+    }
     let start = list.partition_point(|&d| d < docs.start);
     let len = list[start..].partition_point(|&d| d < docs.end);
     &list[start..start + len]
@@ -1533,6 +1744,131 @@ mod tests {
             }
         }
         assert!(in_rels("kinase", &[RelationId(99), alpha]));
+    }
+
+    #[test]
+    fn a_repeated_query_token_keeps_its_multiplicity_in_the_cosine_bound() {
+        // "kinase" is in nearly every document, so its idf `w` is small, and
+        // the keyword repeats it beside a word the index lacks (idf 1). The
+        // value "kinase" has `dot = 2w²` and cosine `2w²/(|q|·w) > 1`,
+        // capped at 0.999; its Dice and containment are far below the floor
+        // and it shares too few trigrams for `cmin`, so it qualifies by
+        // cosine alone. `doc_norm_sq = w² = dot/2`: a bound of
+        // `sqrt(dot)/|q|` would skip it.
+        let values = [
+            "kinase",
+            "kinase alpha",
+            "kinase beta",
+            "kinase gamma",
+            "kinase delta",
+            "kinase epsilon",
+            "kinase zeta",
+            "kinase eta",
+        ];
+        let (_, idx) = values_index(&values);
+        let floor = 0.8;
+        let w = idx.idf[idx.token_id("kinase").unwrap() as usize];
+        let norm = (2.0 * w * w + 1.0).sqrt();
+        assert!((2.0 * w * w).sqrt() / norm < floor);
+        for k in [1, 16, usize::MAX] {
+            let got = value_texts(&idx.matches("kinase kinase quixotry", &top(floor, k)));
+            assert_eq!(got, [("kinase".to_string(), 0.999)], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn a_repeated_character_document_inside_the_keyword_is_walked() {
+        // "aaaaaa" in "xaaaaaaay" scores 0.9·6/9 by containment but shares
+        // one trigram, "aaa", which occurs five times in the keyword: a
+        // substring of the keyword is only bounded below by its windows over
+        // that multiplicity. "aaa" is the keyword's longest list, so a
+        // bound that took every window as distinct would leave it unwalked.
+        let (_, idx) = values_index(&["baaab", "aaaaaa", "caaac", "daaad"]);
+        for k in [1, 16, usize::MAX] {
+            let got = value_texts(&idx.matches("xaaaaaaay", &top(0.5, k)));
+            assert_eq!(got, [("aaaaaa".to_string(), 0.9 * 6.0 / 9.0)], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn a_non_ascii_document_inside_the_keyword_is_walked() {
+        // "γδεζ" is 8 of the keyword's 16 bytes, 0.45 by containment, and
+        // shares two trigrams, both on lists longer than any other. Counting
+        // byte windows as trigrams would demand more shared trigrams than
+        // that; non-ASCII text demands one.
+        let (_, idx) = values_index(&["ωγδεζω", "γδεζ", "ψγδεζψ", "χγδεζχ"]);
+        for k in [1, 16, usize::MAX] {
+            let got = value_texts(&idx.matches("αβγδεζηθ", &top(0.4, k)));
+            assert_eq!(got, [("γδεζ".to_string(), 0.9 * 8.0 / 16.0)], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn a_document_at_exactly_the_dice_floor_is_walked() {
+        // The keyword has 21 distinct padded trigrams and "ab" has 4, all
+        // shared: its Dice is 2·4/(21+4), and the floor is that very float,
+        // so `cmin` must be 4, not 5. The keyword's other trigrams are on no
+        // list, so with `cmin` 5 no list would be walked at all.
+        let (_, idx) = values_index(&["ab c", "c ab", "ab", "ab d", "d ab"]);
+        let floor = dice(4, 21 + 4);
+        for k in [1, 16, usize::MAX] {
+            let got = value_texts(&idx.matches("abqrstuvw wvutsrqab", &top(floor, k)));
+            assert_eq!(got, [("ab".to_string(), floor)], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn keyword_matches_in_agrees_when_the_shortest_list_is_outside_the_runs() {
+        // The rarest trigrams of "membrane" in the index, "ne " and "e  ",
+        // have no posting inside `alpha`'s runs; the scoped lookup must
+        // still agree with the full lookup filtered to the relations, at
+        // every floor.
+        let mut cat = Catalog::new();
+        let src = cat.add_source("s").unwrap();
+        let alpha = cat.add_relation(src, "alpha", &["label"]).unwrap();
+        let beta = cat.add_relation(src, "beta", &["label"]).unwrap();
+        let rows = |values: &[&str]| {
+            values
+                .iter()
+                .map(|&v| vec![Value::from(v)])
+                .collect::<Vec<_>>()
+        };
+        cat.insert_rows(alpha, rows(&["membranes", "membrane-x", "branes", "mem"]))
+            .unwrap();
+        cat.insert_rows(beta, rows(&["ne", "membrane"])).unwrap();
+        let idx = KeywordIndex::build(&cat);
+        let relation_of = |target: &MatchTarget| match target {
+            MatchTarget::Relation(rel) => *rel,
+            MatchTarget::Attribute(attr)
+            | MatchTarget::Value {
+                attribute: attr, ..
+            } => cat.attribute(*attr).unwrap().relation,
+        };
+        let keyword = "membrane";
+        let lists: Vec<&[u32]> = packed_trigrams(keyword)
+            .iter()
+            .filter_map(|g| idx.trigram_keys.binary_search(g).ok())
+            .map(|pos| idx.trigram_posting_list(pos))
+            .collect();
+        let shortest = lists.iter().min_by_key(|list| list.len()).unwrap();
+        let alpha_runs = [0, 1].map(|section| idx.relation_run(&cat, section, alpha));
+        assert!(alpha_runs
+            .iter()
+            .all(|docs| within(shortest, docs).is_empty()));
+        for floor in [0.2, 0.35, 0.5, 0.78, 0.8, 0.85, 1.0] {
+            let all = idx.matches(keyword, &top(floor, usize::MAX));
+            for rels in [&[alpha][..], &[beta], &[alpha, beta]] {
+                let expect = all.iter().any(|m| rels.contains(&relation_of(&m.target)));
+                let cfg = top(floor, 16);
+                assert_eq!(
+                    idx.keyword_matches_in(keyword, &cat, rels, &cfg),
+                    expect,
+                    "floor {floor} in {rels:?}"
+                );
+            }
+        }
+        assert!(idx.keyword_matches_in(keyword, &cat, &[alpha], &top(0.8, 1)));
+        assert!(!idx.keyword_matches_in(keyword, &cat, &[alpha], &top(0.85, 1)));
     }
 
     #[test]

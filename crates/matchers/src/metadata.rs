@@ -84,6 +84,28 @@ impl MetadataMatcher {
         (score / base_weight).clamp(0.0, 1.0)
     }
 
+    /// The alignments of one new relation's attributes against one existing
+    /// relation's, scored from their profiles: at most `top_y` per new
+    /// attribute.
+    fn align(
+        &self,
+        new: &RelationProfile,
+        existing: &RelationProfile,
+        top_y: usize,
+    ) -> Vec<AttributeAlignment> {
+        let relation_similarity = self.name_similarity(&new.name, &existing.name);
+        let mut alignments = Vec::new();
+        for (new_id, new_attr) in &new.attributes {
+            for (existing_id, existing_attr) in &existing.attributes {
+                let confidence = self.pair_confidence(new_attr, existing_attr, relation_similarity);
+                if confidence >= self.config.threshold {
+                    alignments.push(AttributeAlignment::new(*new_id, *existing_id, confidence));
+                }
+            }
+        }
+        keep_top_y_per_attribute(alignments, top_y)
+    }
+
     /// Combined confidence for an attribute pair given their relations'
     /// structural similarity.
     fn pair_confidence(&self, a: &NameProfile, b: &NameProfile, relation_similarity: f64) -> f64 {
@@ -107,34 +129,63 @@ impl SchemaMatcher for MetadataMatcher {
         existing_relation: RelationId,
         top_y: usize,
     ) -> Vec<AttributeAlignment> {
-        let (Some(new_rel), Some(existing_rel)) = (
-            catalog.relation(new_relation),
-            catalog.relation(existing_relation),
+        let (Some(new), Some(existing)) = (
+            RelationProfile::new(catalog, new_relation),
+            RelationProfile::new(catalog, existing_relation),
         ) else {
             return Vec::new();
         };
-        // Each name is profiled once per call, and a pair is scored from
-        // two profiles.
-        let profile = |&id: &AttributeId| {
-            let attr = catalog.attribute(id).expect("attribute exists");
-            (id, NameProfile::new(&attr.name))
+        self.align(&new, &existing, top_y)
+    }
+
+    /// The pairwise [`SchemaMatcher::match_relations`] against each
+    /// existing relation, with the new relation's names profiled once for
+    /// all of them.
+    fn match_against(
+        &self,
+        catalog: &Catalog,
+        new_relation: RelationId,
+        existing_relations: &[RelationId],
+        top_y: usize,
+    ) -> Vec<AttributeAlignment> {
+        let Some(new) = RelationProfile::new(catalog, new_relation) else {
+            return Vec::new();
         };
-        let new_attrs: Vec<_> = new_rel.attributes.iter().map(profile).collect();
-        let existing_attrs: Vec<_> = existing_rel.attributes.iter().map(profile).collect();
-        let relation_similarity = self.name_similarity(
-            &NameProfile::new(&new_rel.name),
-            &NameProfile::new(&existing_rel.name),
-        );
-        let mut alignments = Vec::new();
-        for (new_id, new_attr) in &new_attrs {
-            for (existing_id, existing_attr) in &existing_attrs {
-                let confidence = self.pair_confidence(new_attr, existing_attr, relation_similarity);
-                if confidence >= self.config.threshold {
-                    alignments.push(AttributeAlignment::new(*new_id, *existing_id, confidence));
-                }
+        let mut all = Vec::new();
+        for &existing in existing_relations {
+            if existing == new_relation {
+                continue;
+            }
+            if let Some(existing) = RelationProfile::new(catalog, existing) {
+                all.extend(self.align(&new, &existing, top_y));
             }
         }
-        keep_top_y_per_attribute(alignments, top_y)
+        keep_top_y_per_attribute(all, top_y)
+    }
+}
+
+/// A relation's name and each of its attributes' names, profiled.
+struct RelationProfile {
+    name: NameProfile,
+    attributes: Vec<(AttributeId, NameProfile)>,
+}
+
+impl RelationProfile {
+    /// `None` when the relation is not in the catalog.
+    fn new(catalog: &Catalog, relation: RelationId) -> Option<Self> {
+        let rel = catalog.relation(relation)?;
+        let attributes = rel
+            .attributes
+            .iter()
+            .map(|&id| {
+                let attr = catalog.attribute(id).expect("attribute exists");
+                (id, NameProfile::new(&attr.name))
+            })
+            .collect();
+        Some(RelationProfile {
+            name: NameProfile::new(&rel.name),
+            attributes,
+        })
     }
 }
 
@@ -250,6 +301,31 @@ mod tests {
                 .count()
                 <= 2
         );
+    }
+
+    #[test]
+    fn match_against_equals_the_merged_pairwise_matches() {
+        // The new relation is profiled once for all existing relations; the
+        // result must be the trait's pairwise default, skipping the new
+        // relation itself and a relation the catalog lacks.
+        let cat = catalog();
+        let m = MetadataMatcher::new();
+        let mut rels: Vec<RelationId> = cat.relations().iter().map(|r| r.id).collect();
+        rels.push(RelationId(99));
+        for &new in &rels {
+            for top_y in [1, 2, 5] {
+                let pairwise = rels
+                    .iter()
+                    .filter(|&&existing| existing != new)
+                    .flat_map(|&existing| m.match_relations(&cat, new, existing, top_y))
+                    .collect();
+                assert_eq!(
+                    m.match_against(&cat, new, &rels, top_y),
+                    keep_top_y_per_attribute(pairwise, top_y),
+                    "{new:?}, top_y {top_y}"
+                );
+            }
+        }
     }
 
     #[test]
