@@ -43,6 +43,9 @@ pub struct QueryGraph<'a> {
     base: &'a SearchGraph,
     extra_nodes: Vec<Node>,
     extra_edges: Vec<Edge>,
+    /// Cost of each query-local edge, priced once when it is pushed (base
+    /// edges read the search graph's own column).
+    extra_costs: Vec<f64>,
     csr: Csr,
     keywords: Vec<KeywordNode>,
     value_nodes: HashMap<(AttributeId, String), NodeId>,
@@ -85,6 +88,7 @@ impl<'a> QueryGraph<'a> {
             base,
             extra_nodes: Vec::new(),
             extra_edges: Vec::new(),
+            extra_costs: Vec::new(),
             csr: Csr::new(),
             keywords: Vec::new(),
             value_nodes: HashMap::new(),
@@ -185,9 +189,14 @@ impl<'a> QueryGraph<'a> {
         }
     }
 
-    /// Cost of an edge under the search graph's current weights.
+    /// Cost of an edge under the search graph's current weights: a read of
+    /// the base graph's cost column or of the query-local one.
+    #[inline]
     pub fn edge_cost(&self, id: EdgeId) -> f64 {
-        self.edge(id).cost(self.base.weights())
+        match id.index().checked_sub(self.base.edge_count()) {
+            None => self.base.edge_cost(id),
+            Some(local) => self.extra_costs[local],
+        }
     }
 
     /// Feature vector of an edge.
@@ -238,13 +247,15 @@ impl<'a> QueryGraph<'a> {
         features: FeatureVector,
     ) -> EdgeId {
         let id = EdgeId((self.base.edge_count() + self.extra_edges.len()) as u32);
-        self.extra_edges.push(Edge {
+        let edge = Edge {
             id,
             a,
             b,
             kind,
             features,
-        });
+        };
+        self.extra_costs.push(edge.cost(self.base.weights()));
+        self.extra_edges.push(edge);
         id
     }
 }

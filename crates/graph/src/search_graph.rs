@@ -72,6 +72,11 @@ pub struct SearchGraph {
     nodes: Vec<Node>,
     node_ids: HashMap<Node, NodeId>,
     edges: Vec<Edge>,
+    /// `edge id → edge.cost(&weights)`: every edge priced once when it is
+    /// added or re-binned, and all of them again when the weights change,
+    /// so the search's relaxations and prunes read an array instead of a
+    /// sparse dot product. Derived state: a snapshot does not store it.
+    costs: Vec<f64>,
     /// Incremental per-node edge lists, the ground truth while a mutation is
     /// in flight (`find_edge` must see edges pushed earlier in the same
     /// `add_source` call). Public reads go through `csr`.
@@ -140,10 +145,12 @@ impl SearchGraph {
             }
         }
         let packed_edges = parts.edges.len();
+        let costs = parts.edges.iter().map(|e| e.cost(&parts.weights)).collect();
         SearchGraph {
             nodes: parts.nodes,
             node_ids,
             edges: parts.edges,
+            costs,
             adjacency,
             csr: parts.csr,
             packed_edges,
@@ -260,9 +267,11 @@ impl SearchGraph {
                 matcher_bin_default_weight(bin),
             );
             self.weights.sync_with(&self.features);
-            let already_has = self.edges[edge_id.index()].features.get(feature) != 0.0;
+            let edge = &mut self.edges[edge_id.index()];
+            let already_has = edge.features.get(feature) != 0.0;
             if !already_has {
-                self.edges[edge_id.index()].features.add(feature, 1.0);
+                edge.features.add(feature, 1.0);
+                self.costs[edge_id.index()] = edge.cost(&self.weights);
             }
             self.provenance
                 .entry(edge_id)
@@ -431,9 +440,11 @@ impl SearchGraph {
     // Costs
     // ------------------------------------------------------------------
 
-    /// Current cost of an edge.
+    /// Current cost of an edge: a read of the cost column, bit-equal to
+    /// `edge(e).cost(weights())`.
+    #[inline]
     pub fn edge_cost(&self, edge: EdgeId) -> f64 {
-        self.edges[edge.index()].cost(&self.weights)
+        self.costs[edge.index()]
     }
 
     /// Current weight vector.
@@ -441,12 +452,15 @@ impl SearchGraph {
         &self.weights
     }
 
-    /// Replace the weight vector (the learner produces new weights). Bumps
-    /// the weight epoch: every cached answer computed under the old prices
-    /// becomes unreachable.
+    /// Replace the weight vector (the learner produces new weights) and
+    /// re-price every edge. Bumps the weight epoch: every cached answer
+    /// computed under the old prices becomes unreachable.
     pub fn set_weights(&mut self, weights: WeightVector) {
         self.weights = weights;
         self.weights.sync_with(&self.features);
+        for (cost, edge) in self.costs.iter_mut().zip(&self.edges) {
+            *cost = edge.cost(&self.weights);
+        }
         self.weight_epoch += 1;
     }
 
@@ -469,8 +483,9 @@ impl SearchGraph {
     pub fn min_learnable_edge_cost(&self) -> Option<f64> {
         self.edges
             .iter()
-            .filter(|e| !e.kind.is_fixed_zero())
-            .map(|e| e.cost(&self.weights))
+            .zip(&self.costs)
+            .filter(|(e, _)| !e.kind.is_fixed_zero())
+            .map(|(_, cost)| *cost)
             .min_by(|a, b| a.total_cmp(b))
     }
 
@@ -533,13 +548,15 @@ impl SearchGraph {
         features: FeatureVector,
     ) -> EdgeId {
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge {
+        let edge = Edge {
             id,
             a,
             b,
             kind,
             features,
-        });
+        };
+        self.costs.push(edge.cost(&self.weights));
+        self.edges.push(edge);
         self.adjacency[a.index()].push(id);
         if a != b {
             self.adjacency[b.index()].push(id);
@@ -831,6 +848,93 @@ mod tests {
         let _ = g.min_learnable_edge_cost();
         let _ = g.neighbors(NodeId(0));
         assert_eq!(g.weight_epoch(), e3);
+    }
+
+    /// The cost column equals `edge.cost(weights)` bit for bit on every edge,
+    /// and a query graph over `g` prices its base and local edges the same.
+    fn assert_column_priced(g: &SearchGraph, cat: &Catalog, step: &str) {
+        assert_eq!(g.costs.len(), g.edges.len(), "{step}");
+        for e in &g.edges {
+            assert_eq!(
+                g.edge_cost(e.id).to_bits(),
+                e.cost(&g.weights).to_bits(),
+                "{step}: edge {}",
+                e.id
+            );
+        }
+        let index = crate::KeywordIndex::build(cat);
+        let qg = crate::QueryGraph::build(
+            g,
+            &index,
+            &["name", "GO:1", "kringle"],
+            &crate::keyword::MatchConfig::default(),
+        );
+        assert!(qg.edge_count() > g.edge_count(), "{step}: no local edges");
+        for id in (0..qg.edge_count() as u32).map(EdgeId) {
+            assert_eq!(
+                qg.edge_cost(id).to_bits(),
+                qg.edge(id).cost(g.weights()).to_bits(),
+                "{step}: query edge {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn cost_column_tracks_every_pricing_change() {
+        // `catalog()` loads the same "go" source first, so its ids agree
+        // with this one-source catalog and the graph can grow into it.
+        let mut cat = Catalog::new();
+        SourceSpec::new("go")
+            .relation(
+                RelationSpec::new("go_term", &["acc", "name"])
+                    .row(["GO:1", "plasma membrane"])
+                    .row(["GO:2", "kinase activity"]),
+            )
+            .load_into(&mut cat)
+            .unwrap();
+        let mut g = SearchGraph::from_catalog(&cat);
+        assert_column_priced(&g, &cat, "from_catalog");
+
+        let cat = catalog();
+        let interpro = cat.source_by_name("interpro").unwrap().id;
+        g.add_source(&cat, interpro);
+        assert!(g.edges.iter().any(|e| e.kind == EdgeKind::ForeignKey));
+        assert_column_priced(&g, &cat, "add_source");
+
+        let a = attr(&cat, "go_term.acc");
+        let b = attr(&cat, "interpro2go.go_id");
+        let edge = g.add_association(a, b, "mad", 0.9);
+        assert_column_priced(&g, &cat, "new association");
+        let before = g.edge_cost(edge);
+        g.add_association(b, a, "metadata", 0.1);
+        assert_ne!(g.edge_cost(edge), before, "the merged bin re-prices");
+        assert_column_priced(&g, &cat, "merged bin");
+
+        let mut w = g.weights().clone();
+        for (i, weight) in [0.8, 0.3, 0.25].into_iter().enumerate() {
+            w.set(crate::features::FeatureId(i as u32), weight);
+        }
+        let entry = cat.relation_by_name("entry").unwrap().id;
+        w.set(g.features.get(&format!("relation:{entry}")).unwrap(), 0.125);
+        g.set_weights(w);
+        assert_column_priced(&g, &cat, "set_weights");
+
+        let parts = SearchGraphParts {
+            nodes: g.nodes.clone(),
+            edges: g.edges.clone(),
+            csr: g.csr.clone(),
+            features: g.features.clone(),
+            weights: g.weights.clone(),
+            weight_epoch: g.weight_epoch,
+            provenance: g
+                .provenance_sorted()
+                .into_iter()
+                .map(|(e, p)| (e, p.to_vec()))
+                .collect(),
+        };
+        let reloaded = SearchGraph::from_parts(parts);
+        assert_column_priced(&reloaded, &cat, "from_parts");
+        assert_eq!(reloaded.costs, g.costs);
     }
 
     #[test]

@@ -21,7 +21,13 @@
 //! per-terminal searches run on an [`IndexedHeap`] (4-ary, in-place
 //! decrease-key, `f64::total_cmp` ordering) over generation-stamped
 //! `ShortestPaths` scratch, so starting the next search is O(1) — no
-//! `O(n)` distance-array reset, no lazy-deletion churn. Candidate trees are
+//! `O(n)` distance-array reset, no lazy-deletion churn. Beside the heap sits
+//! a *zero-cost lane*: a node first reached at the key of the node being
+//! settled (an attribute from its relation, a value from its attribute)
+//! waits in a small min-queue of ids instead of sifting through the heap,
+//! and the two heads merge in the heap's own `(key, node)` order, so nodes
+//! settle exactly as before. Every relaxation and prune reads an edge's
+//! cost from a column the graphs keep priced. Candidate trees are
 //! deduplicated allocation-free by a 128-bit fingerprint of the sorted edge
 //! list: a repeated raw union is dropped before the MST/leaf-strip pruning
 //! even runs, and distinct unions that prune to the same tree are caught by
@@ -35,9 +41,13 @@
 //! is already recorded, so `r` is counted as a duplicate without walking its
 //! paths (the *known-root skip*; DESIGN.md gives the proof). The prune itself
 //! runs on reused scratch: each candidate edge is priced once for Kruskal,
-//! and non-terminal leaves are stripped with a degree queue.
+//! and non-terminal leaves are stripped with a degree queue. The ranking
+//! keeps only the `k` cheapest trees within budget, in a list where ties
+//! enter after equal costs; a [`SteinerTree`] is built only for a tree that
+//! enters it.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +69,10 @@ pub trait GraphView {
     fn neighbors(&self, node: NodeId) -> &[(EdgeId, NodeId)];
     /// Endpoints of an edge.
     fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId);
-    /// Non-negative cost of an edge under the current weights.
+    /// Non-negative cost of an edge under the current weights. Called on
+    /// every relaxation and every prune, so implementors read it from a
+    /// priced column (`SearchGraph` keeps one per edge, `QueryGraph` one
+    /// more for its local edges) rather than computing a dot product.
     fn edge_cost(&self, edge: EdgeId) -> f64;
 }
 
@@ -74,17 +87,27 @@ pub struct SteinerTree {
     pub cost: f64,
 }
 
+/// Total cost of a sorted edge list, summed in that order — the one sum
+/// every [`SteinerTree::cost`] is, so a cost computed before the tree is
+/// built is bit-equal to the tree's.
+fn tree_cost<G: GraphView>(graph: &G, edges: &[EdgeId]) -> f64 {
+    edges.iter().fold(0.0, |cost, e| cost + graph.edge_cost(*e))
+}
+
 impl SteinerTree {
-    /// Build from a sorted, deduplicated edge list.
-    fn from_edges<G: GraphView>(graph: &G, edges: Vec<EdgeId>, terminals: &[NodeId]) -> Self {
+    /// Build from a sorted, deduplicated edge list and its [`tree_cost`].
+    fn from_edges<G: GraphView>(
+        graph: &G,
+        edges: Vec<EdgeId>,
+        terminals: &[NodeId],
+        cost: f64,
+    ) -> Self {
         debug_assert!(edges.windows(2).all(|w| w[0] < w[1]));
         let mut nodes: Vec<NodeId> = terminals.to_vec();
-        let mut cost = 0.0;
         for e in &edges {
             let (a, b) = graph.edge_endpoints(*e);
             nodes.push(a);
             nodes.push(b);
-            cost += graph.edge_cost(*e);
         }
         nodes.sort();
         nodes.dedup();
@@ -247,11 +270,12 @@ impl ShortestPaths {
 #[derive(Debug, Clone, Default)]
 pub struct SteinerScratch {
     paths: Vec<ShortestPaths>,
-    heap: IndexedHeap,
+    frontier: Frontier,
     /// Extra frontiers for [`approx_top_k_detailed_fanned`]: worker `i > 0`
-    /// drives its per-terminal searches on `heap_pool[i - 1]` while worker 0
-    /// keeps using `heap`. Grown on demand, reused across queries.
-    heap_pool: Vec<IndexedHeap>,
+    /// drives its per-terminal searches on `frontier_pool[i - 1]` while
+    /// worker 0 keeps using `frontier`. Grown on demand, reused across
+    /// queries.
+    frontier_pool: Vec<Frontier>,
     /// Candidate roots of the current search with their Σ dist, in root
     /// order.
     roots: Vec<(NodeId, f64)>,
@@ -311,25 +335,88 @@ fn edge_fingerprint(edges: &[EdgeId]) -> u128 {
     (u128::from(h1) << 64) | u128::from(h2)
 }
 
-/// Single-source Dijkstra into dense, generation-stamped buffers on the
-/// indexed heap. With in-place decrease-key every popped entry is settled —
-/// there is no stale-entry branch in the loop.
+/// The frontier of one Dijkstra: the indexed heap, and the zero-cost lane
+/// beside it. A node first reached across an edge that leaves its key
+/// unchanged (`nd == d`, equal bits) joins the lane instead of the heap.
+/// All lane entries share one key, the key of the node being settled when
+/// they joined, so the lane is a min-queue of node ids alone.
+#[derive(Debug, Clone, Default)]
+struct Frontier {
+    heap: IndexedHeap,
+    lane: BinaryHeap<Reverse<u32>>,
+}
+
+/// `(key, node)` order of the indexed heap: key by `total_cmp`, ties by id.
+#[inline]
+fn comes_before(ka: f64, na: u32, kb: f64, nb: u32) -> bool {
+    ka.total_cmp(&kb).then(na.cmp(&nb)).is_lt()
+}
+
+/// Single-source Dijkstra into dense, generation-stamped buffers, settling
+/// nodes in exactly the `(key, node)` order of one [`IndexedHeap`].
+///
+/// Zero-cost relaxations to unqueued nodes go to the frontier's lane.
+/// Every heap key is at or above the lane's key, so the two heads are
+/// compared only while the lane holds entries: the heap's minimum is then
+/// taken out (`held`) and settled first if it comes before the lane's head.
+/// `held` stays at or before every heap entry: a heap push that would come
+/// before it puts it back (and when the push lowered `held`'s own node, the
+/// heap ignores the put-back's larger key). A queued node never joins the
+/// lane, so no node is queued twice, and the merged order of the two heads
+/// is the plain heap's.
 fn dijkstra_into<G: GraphView>(
     graph: &G,
     source: NodeId,
     paths: &mut ShortestPaths,
-    heap: &mut IndexedHeap,
+    frontier: &mut Frontier,
 ) {
+    let Frontier { heap, lane } = frontier;
     paths.begin(graph.node_count());
     heap.reset(graph.node_count());
+    lane.clear();
     paths.visit(source.index(), 0.0, NO_PARENT, source);
-    heap.push(0.0, source.0);
-    while let Some((d, node)) = heap.pop() {
+    let mut lane_key = 0.0;
+    lane.push(Reverse(source.0));
+    let mut held: Option<(f64, u32)> = None;
+    loop {
+        if held.is_none() && !lane.is_empty() {
+            held = heap.pop();
+        }
+        let (d, node) = match (lane.peek().copied(), held) {
+            (Some(Reverse(l)), Some((k, h))) if comes_before(k, h, lane_key, l) => {
+                held = None;
+                (k, h)
+            }
+            (Some(Reverse(l)), _) => {
+                lane.pop();
+                (lane_key, l)
+            }
+            (None, Some(top)) => {
+                held = None;
+                top
+            }
+            (None, None) => match heap.pop() {
+                Some(top) => top,
+                None => break,
+            },
+        };
         for &(edge, next) in graph.neighbors(NodeId(node)) {
             let nd = d + graph.edge_cost(edge).max(0.0);
-            if nd < paths.dist(next.index()) - 1e-12 {
+            let old = paths.dist(next.index());
+            if nd < old - 1e-12 {
                 paths.visit(next.index(), nd, edge, NodeId(node));
+                if old == f64::INFINITY && nd.to_bits() == d.to_bits() {
+                    lane_key = d;
+                    lane.push(Reverse(next.0));
+                    continue;
+                }
                 heap.push(nd, next.0);
+                if let Some((k, h)) = held {
+                    if comes_before(nd, next.0, k, h) {
+                        heap.push(k, h);
+                        held = None;
+                    }
+                }
             }
         }
     }
@@ -387,7 +474,7 @@ pub fn approx_top_k_detailed<G: GraphView>(
     }
     for (i, t) in terminals.iter().enumerate() {
         let paths = &mut scratch.paths[i];
-        dijkstra_into(graph, *t, paths, &mut scratch.heap);
+        dijkstra_into(graph, *t, paths, &mut scratch.frontier);
     }
     rank_candidate_trees(graph, terminals, config, scratch, stats)
 }
@@ -395,7 +482,7 @@ pub fn approx_top_k_detailed<G: GraphView>(
 /// [`approx_top_k_detailed`] with the independent per-terminal backward
 /// Dijkstras fanned across `workers` threads (the serving miss path passes
 /// `QConfig::shard_workers`). Each worker owns a contiguous
-/// chunk of the per-terminal path buffers and its own [`IndexedHeap`]; the
+/// chunk of the per-terminal path buffers and its own frontier; the
 /// search results per terminal do not depend on which thread ran them, and
 /// every stage after the Dijkstras is shared with the sequential entry
 /// point, so the returned trees are byte-identical for any worker count
@@ -418,22 +505,23 @@ pub fn approx_top_k_detailed_fanned<G: GraphView + Sync>(
     while scratch.paths.len() < terminals.len() {
         scratch.paths.push(ShortestPaths::default());
     }
-    while scratch.heap_pool.len() + 1 < workers {
-        scratch.heap_pool.push(IndexedHeap::default());
+    while scratch.frontier_pool.len() + 1 < workers {
+        scratch.frontier_pool.push(Frontier::default());
     }
     let chunk = terminals.len().div_ceil(workers);
     {
         let paths = &mut scratch.paths[..terminals.len()];
-        let heaps = std::iter::once(&mut scratch.heap).chain(scratch.heap_pool.iter_mut());
+        let frontiers =
+            std::iter::once(&mut scratch.frontier).chain(scratch.frontier_pool.iter_mut());
         std::thread::scope(|s| {
-            for ((t_chunk, p_chunk), heap) in terminals
+            for ((t_chunk, p_chunk), frontier) in terminals
                 .chunks(chunk)
                 .zip(paths.chunks_mut(chunk))
-                .zip(heaps)
+                .zip(frontiers)
             {
                 s.spawn(move || {
                     for (t, p) in t_chunk.iter().zip(p_chunk.iter_mut()) {
-                        dijkstra_into(graph, *t, p, heap);
+                        dijkstra_into(graph, *t, p, frontier);
                     }
                 });
             }
@@ -494,6 +582,9 @@ fn rank_candidate_trees<G: GraphView>(
 
     seen_raw.clear();
     seen_trees.clear();
+    // The `k` cheapest trees within budget so far, in (cost, root order)
+    // order: a tree enters after every tree of equal cost, as in a stable
+    // sort of all of them, and only a tree that enters is built.
     let mut trees: Vec<SteinerTree> = Vec::new();
     for (i, &(root, _)) in roots.iter().enumerate() {
         stats.candidates_generated += 1;
@@ -525,18 +616,25 @@ fn rank_candidate_trees<G: GraphView>(
             stats.duplicates_pruned += 1;
             continue;
         }
-        trees.push(SteinerTree::from_edges(graph, pruned.to_vec(), terminals));
+        let cost = tree_cost(graph, pruned);
+        if config.max_cost.is_finite() && !(cost <= config.max_cost + 1e-9) {
+            stats.trees_over_budget += 1;
+            continue;
+        }
+        let at = trees.partition_point(|t| t.cost.total_cmp(&cost).is_le());
+        if at < config.k {
+            if trees.len() == config.k {
+                trees.pop();
+            }
+            trees.insert(
+                at,
+                SteinerTree::from_edges(graph, pruned.to_vec(), terminals, cost),
+            );
+        }
     }
     for (root, _) in roots.iter() {
         root_position[root.index()] = UNSET;
     }
-    trees.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    if config.max_cost.is_finite() {
-        let before = trees.len();
-        trees.retain(|t| t.cost <= config.max_cost + 1e-9);
-        stats.trees_over_budget = before - trees.len();
-    }
-    trees.truncate(config.k);
     stats.trees_returned = trees.len();
     (trees, stats)
 }
@@ -811,7 +909,8 @@ pub fn exact_minimum_steiner<G: GraphView>(graph: &G, terminals: &[NodeId]) -> O
     }
     edges.sort();
     edges.dedup();
-    Some(SteinerTree::from_edges(graph, edges, terminals))
+    let cost = tree_cost(graph, &edges);
+    Some(SteinerTree::from_edges(graph, edges, terminals, cost))
 }
 
 #[cfg(test)]
@@ -1101,6 +1200,270 @@ mod tests {
                     approx_top_k_detailed_fanned(&g, terminals, &config, &mut scratch, workers);
                 assert_eq!(again, sequential);
             }
+        }
+    }
+
+    /// A 4×4 grid whose edge costs cycle through a zero, ties and dyadic
+    /// fractions: every node is a root, and a corner-to-corner query has
+    /// many distinct trees, several of equal cost.
+    fn grid() -> TestGraph {
+        const COSTS: [f64; 5] = [1.0, 0.5, 0.5, 1.0, 0.0];
+        let mut edges = Vec::new();
+        for v in 0..16u32 {
+            if v % 4 < 3 {
+                edges.push((v, v + 1, COSTS[edges.len() % 5]));
+            }
+            if v < 12 {
+                edges.push((v, v + 4, COSTS[edges.len() % 5]));
+            }
+        }
+        TestGraph::new(16, &edges)
+    }
+
+    /// The ranking kept to `k` under a budget is the unbounded ranking
+    /// filtered by that budget and cut at `k`, stats included. Both sides
+    /// insert ties after equal costs; that this is the order of a stable
+    /// sort of every tree is pinned against the seed algorithm by
+    /// `tests/search_equivalence.rs`.
+    #[test]
+    fn bounded_ranking_equals_the_budget_filtered_prefix_of_the_full_ranking() {
+        let g = grid();
+        let mut scratch = SteinerScratch::default();
+        let terminal_sets: [&[NodeId]; 3] = [
+            &[NodeId(0), NodeId(15)],
+            &[NodeId(3), NodeId(12), NodeId(9)],
+            &[NodeId(1), NodeId(14)],
+        ];
+        for terminals in terminal_sets {
+            let everything = SteinerConfig {
+                k: usize::MAX,
+                max_roots: 0,
+                max_cost: f64::INFINITY,
+            };
+            let (all, all_stats) = approx_top_k_detailed(&g, terminals, &everything, &mut scratch);
+            assert!(all.len() > 3, "{terminals:?}: only {} trees", all.len());
+            assert!(all.windows(2).all(|w| w[0].cost <= w[1].cost));
+            // Equal-cost trees, so the cut and the order meet ties.
+            assert!(all.windows(2).any(|w| w[0].cost == w[1].cost));
+            let mut budgets: Vec<f64> = all.iter().map(|t| t.cost).collect();
+            budgets.push(all[0].cost - 0.5);
+            for k in [1, 2, 3] {
+                for &budget in &budgets {
+                    let in_budget: Vec<SteinerTree> = all
+                        .iter()
+                        .filter(|t| t.cost <= budget + 1e-9)
+                        .cloned()
+                        .collect();
+                    let expected_stats = SteinerStats {
+                        trees_over_budget: all.len() - in_budget.len(),
+                        trees_returned: in_budget.len().min(k),
+                        ..all_stats
+                    };
+                    let expected: Vec<SteinerTree> = in_budget.into_iter().take(k).collect();
+                    let config = SteinerConfig {
+                        k,
+                        max_roots: 0,
+                        max_cost: budget,
+                    };
+                    assert_eq!(
+                        approx_top_k_detailed(&g, terminals, &config, &mut scratch),
+                        (expected, expected_stats),
+                        "{terminals:?}, k {k}, budget {budget}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The Dijkstra this module ran before the zero-cost lane: every queued
+    /// node on one [`IndexedHeap`].
+    fn plain_heap_dijkstra<G: GraphView>(graph: &G, source: NodeId, paths: &mut ShortestPaths) {
+        let mut heap = IndexedHeap::new();
+        paths.begin(graph.node_count());
+        heap.reset(graph.node_count());
+        paths.visit(source.index(), 0.0, NO_PARENT, source);
+        heap.push(0.0, source.0);
+        while let Some((d, node)) = heap.pop() {
+            for &(edge, next) in graph.neighbors(NodeId(node)) {
+                let nd = d + graph.edge_cost(edge).max(0.0);
+                if nd < paths.dist(next.index()) - 1e-12 {
+                    paths.visit(next.index(), nd, edge, NodeId(node));
+                    heap.push(nd, next.0);
+                }
+            }
+        }
+    }
+
+    /// A graph that logs the node of every `neighbors` call: a Dijkstra
+    /// makes one per settled node, so the log is its settle order.
+    struct Recording<'g> {
+        graph: &'g TestGraph,
+        settled: std::cell::RefCell<Vec<NodeId>>,
+    }
+
+    impl GraphView for Recording<'_> {
+        fn node_count(&self) -> usize {
+            self.graph.node_count()
+        }
+        fn neighbors(&self, node: NodeId) -> &[(EdgeId, NodeId)] {
+            self.settled.borrow_mut().push(node);
+            self.graph.neighbors(node)
+        }
+        fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
+            self.graph.edge_endpoints(edge)
+        }
+        fn edge_cost(&self, edge: EdgeId) -> f64 {
+            self.graph.edge_cost(edge)
+        }
+    }
+
+    type PathState = (Vec<NodeId>, Vec<(u64, EdgeId, Option<NodeId>)>);
+
+    /// Settle order and `(dist bits, parent edge, parent node)` per node.
+    fn path_state(g: &TestGraph, run: impl FnOnce(&Recording<'_>) -> ShortestPaths) -> PathState {
+        let recording = Recording {
+            graph: g,
+            settled: Default::default(),
+        };
+        let paths = run(&recording);
+        let per_node = (0..g.n)
+            .map(|v| {
+                let edge = paths.parent_edge(v);
+                let node = (edge != NO_PARENT).then(|| paths.parent_node(v));
+                (paths.dist(v).to_bits(), edge, node)
+            })
+            .collect();
+        (recording.settled.into_inner(), per_node)
+    }
+
+    /// Lane and plain heap agree from every source of `g`, on one reused
+    /// frontier and path buffer.
+    fn assert_lane_matches_plain_heap(g: &TestGraph, frontier: &mut Frontier, what: &str) {
+        let mut lane_paths = ShortestPaths::default();
+        for source in (0..g.n as u32).map(NodeId) {
+            let plain = path_state(g, |r| {
+                let mut paths = ShortestPaths::default();
+                plain_heap_dijkstra(r, source, &mut paths);
+                paths
+            });
+            let lane = path_state(g, |r| {
+                dijkstra_into(r, source, &mut lane_paths, frontier);
+                std::mem::take(&mut lane_paths)
+            });
+            assert_eq!(lane, plain, "{what}, source {source}");
+        }
+    }
+
+    #[test]
+    fn zero_cost_lane_settles_in_plain_heap_order() {
+        let corners = [
+            (
+                // 1 is queued at 1.0 when 2 (settled at 0.5) reaches it at
+                // no cost: the decrease-key goes to the heap, not the lane.
+                "zero-cost decrease-key of a heap entry",
+                TestGraph::new(4, &[(0, 1, 1.0), (0, 2, 0.5), (2, 1, 0.0), (1, 3, 0.5)]),
+            ),
+            (
+                // From 0, 3 joins the lane and 1 is the held heap minimum;
+                // 3 lowers 1 in place and pushes 4 ahead of it.
+                "decrease-key of the held minimum, and a push ahead of it",
+                TestGraph::new(
+                    5,
+                    &[
+                        (0, 1, 1.0),
+                        (0, 3, 0.0),
+                        (3, 1, 0.25),
+                        (3, 4, 0.5),
+                        (1, 4, 0.0),
+                    ],
+                ),
+            ),
+            (
+                // From 5, the lane holds 1 and 3; 1 adds 0, a smaller id
+                // than its parent, which must settle before 3.
+                "zero-cost child with a smaller id than its parent",
+                TestGraph::new(
+                    6,
+                    &[
+                        (5, 3, 0.0),
+                        (5, 1, 0.0),
+                        (1, 0, 0.0),
+                        (5, 2, 1.0),
+                        (0, 4, 1.0),
+                        (3, 4, 1.0),
+                    ],
+                ),
+            ),
+            (
+                // 1 settles at 0.5 from the heap and puts 3 and 5 in the
+                // lane at 0.5, while 4 waits in the heap at 0.5: 3, 4, 5 in
+                // id order, and 6's parent is whichever of 3 and 4 is first.
+                "lane entries tie the heap's top key",
+                TestGraph::new(
+                    7,
+                    &[
+                        (0, 1, 0.5),
+                        (0, 2, 0.25),
+                        (2, 4, 0.25),
+                        (1, 5, 0.0),
+                        (1, 3, 0.0),
+                        (4, 6, 1.0),
+                        (3, 6, 1.0),
+                        (5, 6, 1.0),
+                    ],
+                ),
+            ),
+        ];
+        let mut frontier = Frontier::default();
+        for (what, g) in &corners {
+            assert_lane_matches_plain_heap(g, &mut frontier, what);
+            // The fanned entry point at two workers ranks the plain heap's
+            // shortest-path trees.
+            let terminals: Vec<NodeId> = [0, g.n as u32 - 1, g.n as u32 / 2]
+                .into_iter()
+                .map(NodeId)
+                .collect();
+            let config = SteinerConfig::default();
+            let mut reference = SteinerScratch::default();
+            reference.paths = terminals
+                .iter()
+                .map(|&t| {
+                    let mut paths = ShortestPaths::default();
+                    plain_heap_dijkstra(g, t, &mut paths);
+                    paths
+                })
+                .collect();
+            let stats = SteinerStats {
+                terminals: terminals.len(),
+                ..SteinerStats::default()
+            };
+            let expected = rank_candidate_trees(g, &terminals, &config, &mut reference, stats);
+            let fanned = approx_top_k_detailed_fanned(
+                g,
+                &terminals,
+                &config,
+                &mut SteinerScratch::default(),
+                2,
+            );
+            assert_eq!(fanned, expected, "{what}: fanned at 2 workers");
+        }
+
+        // And on random graphs dense in zero-cost edges and exact ties.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % bound
+        };
+        for round in 0..300 {
+            let n = 2 + next(12) as u32;
+            let edges: Vec<(u32, u32, f64)> = (0..next(3 * n as u64 + 1))
+                .map(|_| {
+                    let cost = [0.0, 0.0, 0.25, 0.5, 1.0][next(5) as usize];
+                    (next(n as u64) as u32, next(n as u64) as u32, cost)
+                })
+                .collect();
+            let g = TestGraph::new(n as usize, &edges);
+            assert_lane_matches_plain_heap(&g, &mut frontier, &format!("random graph {round}"));
         }
     }
 
